@@ -23,6 +23,22 @@ const MAX_WORKERS: usize = 64;
 /// the shared counter O(workers) times, not O(jobs).
 const CHUNKS_PER_WORKER: usize = 4;
 
+/// Runs `worker` on `workers` scoped threads, joins them all, and
+/// re-raises the first panic payload (in spawn order). Joining by hand
+/// matters: a scope left to join on its own replaces the job's payload
+/// with its own "a scoped thread panicked".
+fn run_workers(workers: usize, worker: impl Fn() + Sync) {
+    let panic = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(&worker)).collect();
+        handles
+            .into_iter()
+            .fold(None, |first, handle| first.or(handle.join().err()))
+    });
+    if let Some(payload) = panic {
+        std::panic::resume_unwind(payload);
+    }
+}
+
 /// Runs independent jobs on a fixed worker pool and returns results in
 /// input order (used to parallelize sweep rows and scenario × seed
 /// campaigns; each item is typically a whole simulation).
@@ -59,23 +75,19 @@ where
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
 
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let start = next.fetch_add(chunk, Ordering::Relaxed);
-                if start >= n {
-                    break;
-                }
-                for i in start..(start + chunk).min(n) {
-                    let item = jobs[i]
-                        .lock()
-                        .expect("job slot poisoned")
-                        .take()
-                        .expect("job index claimed twice");
-                    let r = f(item);
-                    *results[i].lock().expect("result slot poisoned") = Some(r);
-                }
-            });
+    run_workers(workers, || loop {
+        let start = next.fetch_add(chunk, Ordering::Relaxed);
+        if start >= n {
+            break;
+        }
+        for i in start..(start + chunk).min(n) {
+            let item = jobs[i]
+                .lock()
+                .expect("job slot poisoned")
+                .take()
+                .expect("job index claimed twice");
+            let r = f(item);
+            *results[i].lock().expect("result slot poisoned") = Some(r);
         }
     });
 
@@ -133,34 +145,33 @@ where
     // storing a result never holds another lock, so there is no cycle.
     let cursor = Mutex::new(0usize);
 
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let start = next.fetch_add(chunk, Ordering::Relaxed);
-                if start >= n {
-                    break;
-                }
-                for i in start..(start + chunk).min(n) {
-                    let item = jobs[i]
-                        .lock()
-                        .expect("job slot poisoned")
-                        .take()
-                        .expect("job index claimed twice");
-                    let r = f(item);
-                    *results[i].lock().expect("result slot poisoned") = Some(r);
-                    let mut at = cursor.lock().expect("cursor poisoned");
-                    while *at < n {
-                        let slot = results[*at].lock().expect("result slot poisoned");
-                        match slot.as_ref() {
-                            Some(done) => {
-                                on_done(*at, done);
-                                *at += 1;
-                            }
-                            None => break,
-                        }
+    run_workers(workers, || loop {
+        let start = next.fetch_add(chunk, Ordering::Relaxed);
+        if start >= n {
+            break;
+        }
+        for i in start..(start + chunk).min(n) {
+            let item = jobs[i]
+                .lock()
+                .expect("job slot poisoned")
+                .take()
+                .expect("job index claimed twice");
+            let r = f(item);
+            *results[i].lock().expect("result slot poisoned") = Some(r);
+            // The callback runs only under the cursor, so a poisoned cursor
+            // means a callback panicked on another worker: that one carries
+            // the payload to propagate, this one just stops.
+            let Ok(mut at) = cursor.lock() else { return };
+            while *at < n {
+                let slot = results[*at].lock().expect("result slot poisoned");
+                match slot.as_ref() {
+                    Some(done) => {
+                        on_done(*at, done);
+                        *at += 1;
                     }
+                    None => break,
                 }
-            });
+            }
         }
     });
 

@@ -15,7 +15,8 @@
 //! | Neighbour sets `N^s_u`, Listing 2 insertion times | [`edge_state`] |
 //! | FC / SC / max-estimate triggers, Listing 3 (Defs 4.5–4.7) | [`triggers`] |
 //! | Max estimate `M_u` (Cond. 4.3) and `G̃_u(t)` bracket (§7) | [`node`] |
-//! | Listing 1 handshake, flooding, delivery rule | [`Simulation`] |
+//! | Listing 1 handshake, flooding, §3.1 delivery rule, Listing 3 decision | [`gcs_protocol::handlers`] |
+//! | The network, time and the oracle around the nodes | [`Simulation`], [`ParallelSimulation`] |
 //!
 //! # Quickstart
 //!
@@ -40,10 +41,7 @@
 #![warn(missing_docs)]
 
 pub mod diameter;
-pub mod log;
 mod parallel;
-#[cfg(test)]
-mod replay_check;
 mod shard;
 mod sim;
 mod snapshot;
@@ -55,7 +53,6 @@ mod snapshot;
 pub use gcs_protocol::{edge_state, estimate, node, params, triggers};
 
 pub use diameter::DiameterTracker;
-pub use log::{EventLog, LogEntry};
 
 pub use gcs_protocol::{
     AoptPolicy, EdgeInfo, ErrorModel, EstimateMode, InsertionStrategy, Mode, ModePolicy,

@@ -50,20 +50,18 @@
 //! The equivalence test grid (scenarios × shard counts × partitioners)
 //! enforces all of this bit-for-bit, counters included.
 
-use std::collections::HashMap;
 use std::ops::Range;
 
 use rand::rngs::StdRng;
 
-use gcs_net::{DynamicGraph, EdgeKey, EdgeParams, NodeId};
+use gcs_net::{DynamicGraph, NodeId};
+use gcs_protocol::handlers::Run;
 use gcs_sim::{EventQueue, SimTime};
 use gcs_telemetry::{LocalCounters, TelemetrySink};
 
 use crate::node::NodeState;
-use crate::params::Params;
 use crate::shard::{balanced_ranges, contiguous_ranges, owner, owning_node, LocalCtx, ShardSink};
 use crate::sim::{BuildError, Event, SimBuilder, SimStats, Simulation};
-use gcs_protocol::EdgeInfo;
 
 /// Shard-spawned events take sequence keys from per-shard counters
 /// namespaced above this bit, keeping them disjoint from build-time keys
@@ -90,9 +88,6 @@ pub enum ParallelBuildError {
     /// Diameter tracking observes every delivery globally and is only
     /// supported on the sequential engine.
     DiameterTrackingUnsupported,
-    /// The structured event log requires a globally ordered append stream
-    /// and is only supported on the sequential engine.
-    EventLogUnsupported,
     /// The scenario's minimum transit latency is zero (or there are no
     /// edges with positive `delay_min`), so no conservative window exists
     /// for more than one shard.
@@ -117,9 +112,6 @@ impl std::fmt::Display for ParallelBuildError {
             ParallelBuildError::Build(e) => write!(f, "{e}"),
             ParallelBuildError::DiameterTrackingUnsupported => {
                 f.write_str("diameter tracking is only supported on the sequential engine")
-            }
-            ParallelBuildError::EventLogUnsupported => {
-                f.write_str("the structured event log is only supported on the sequential engine")
             }
             ParallelBuildError::NoLookahead => f.write_str(
                 "scenario has no positive minimum transit latency: no conservative window exists",
@@ -200,9 +192,6 @@ impl ParallelSimBuilder {
         if self.inner.track_diameter {
             return Err(ParallelBuildError::DiameterTrackingUnsupported);
         }
-        if self.inner.log_capacity > 0 {
-            return Err(ParallelBuildError::EventLogUnsupported);
-        }
         let mut sim = self.inner.build()?;
         let n = sim.nodes.len();
         let shards = self.shards.min(n);
@@ -250,7 +239,6 @@ impl ParallelSimBuilder {
                 queue: EventQueue::new(),
                 seq: (i as u64 + 1) << SEQ_NAMESPACE_SHIFT,
                 stats: SimStats::default(),
-                flood_buf: Vec::new(),
                 outbox: Vec::new(),
                 tel: LocalCounters::default(),
             })
@@ -292,7 +280,6 @@ struct Shard {
     queue: EventQueue<Event>,
     seq: u64,
     stats: SimStats,
-    flood_buf: Vec<(NodeId, EdgeParams)>,
     outbox: Vec<(usize, SimTime, u64, Event)>,
     /// Telemetry counter block this shard accumulates into (when enabled);
     /// folded into the master sink by `merge_stats`, like `stats`.
@@ -301,11 +288,8 @@ struct Shard {
 
 /// Read-only state shared by all workers during a drain round.
 struct SharedCtx<'a> {
-    params: &'a Params,
-    message_mode: bool,
-    edge_info: &'a HashMap<EdgeKey, EdgeInfo>,
+    run: Run<'a>,
     graph: &'a DynamicGraph,
-    refresh: f64,
     starts: &'a [usize],
     /// Whether a telemetry sink is installed (workers can't touch the
     /// sink itself — they count into their shard's block instead).
@@ -316,6 +300,9 @@ struct SharedCtx<'a> {
 /// the matching slices of the node array and hot columns.
 struct Work<'a> {
     shard: &'a mut Shard,
+    /// The global node range the slices cover: the shard's own under a
+    /// parallel drain, the whole array at the boundary merge.
+    range: Range<usize>,
     nodes: &'a mut [NodeState],
     stable_until: &'a mut [f64],
     m_jump_sensitive: &'a mut [bool],
@@ -336,64 +323,52 @@ fn split_ranges<'a, T>(mut rest: &'a mut [T], ranges: &[Range<usize>]) -> Vec<&'
     out
 }
 
-/// Drains every event inside the segment (`< cut` when `strict`, else
-/// `≤ cut`) from one shard, running the shared node-local handlers with a
-/// [`ShardSink`]. Runs on a worker thread.
-fn drain_one(work: Work<'_>, shared: &SharedCtx<'_>, cut: SimTime, strict: bool) {
-    let Work {
-        shard,
-        nodes,
-        stable_until,
-        m_jump_sensitive,
-        delay_rng,
-    } = work;
-    let Shard {
-        index,
-        range,
-        queue,
-        seq,
-        stats,
-        flood_buf,
-        outbox,
-        tel,
-    } = shard;
-    loop {
-        match queue.next_time() {
-            Some(t) if t < cut || (!strict && t == cut) => {}
-            _ => break,
-        }
+impl Work<'_> {
+    /// Pops the shard's earliest event and runs it through the shared
+    /// [`LocalCtx`] with the shard's own sink, sequence counter, stats,
+    /// and telemetry block. Returns the event's time.
+    fn step(&mut self, shared: &SharedCtx<'_>) -> SimTime {
+        let Shard {
+            index,
+            queue,
+            seq,
+            stats,
+            outbox,
+            tel,
+            ..
+        } = &mut *self.shard;
         let (t, _seq, ev) = queue.pop_keyed().expect("peeked");
         stats.events += 1;
         let mut sink = ShardSink {
-            queue: &mut *queue,
+            queue,
             starts: shared.starts,
             shard: *index,
-            seq: &mut *seq,
-            outbox: &mut *outbox,
+            seq,
+            outbox,
         };
         let mut ctx = LocalCtx {
-            range: range.clone(),
-            nodes: &mut *nodes,
-            stable_until: &mut *stable_until,
-            m_jump_sensitive: &mut *m_jump_sensitive,
-            delay_rng: &mut *delay_rng,
-            stats: &mut *stats,
+            range: self.range.clone(),
+            nodes: &mut *self.nodes,
+            stable_until: &mut *self.stable_until,
+            m_jump_sensitive: &mut *self.m_jump_sensitive,
+            delay_rng: &mut *self.delay_rng,
+            stats,
             sink: &mut sink,
-            flood_buf: &mut *flood_buf,
-            params: shared.params,
-            message_mode: shared.message_mode,
-            edge_info: shared.edge_info,
+            run: shared.run,
             graph: shared.graph,
             diameter: None,
-            log: None,
-            refresh: shared.refresh,
-            tel: if shared.telemetry {
-                Some(&mut *tel)
-            } else {
-                None
-            },
+            tel: shared.telemetry.then_some(tel),
         };
         ctx.handle(t, ev);
+        t
+    }
+}
+
+/// Drains every event inside the segment (`< cut` when `strict`, else
+/// `≤ cut`) from one shard. Runs on a worker thread.
+fn drain_one(mut work: Work<'_>, shared: &SharedCtx<'_>, cut: SimTime, strict: bool) {
+    while matches!(work.shard.queue.next_time(), Some(t) if t < cut || (!strict && t == cut)) {
+        work.step(shared);
     }
 }
 
@@ -649,49 +624,26 @@ impl ParallelSimulation {
     /// calling thread, with the shard's own sink, stats, and counters.
     fn pop_shard_at(&mut self, index: usize, cut: SimTime) {
         let sim = &mut self.sim;
-        let Shard {
-            index: _,
-            range: _,
-            queue,
-            seq,
-            stats,
-            flood_buf,
-            outbox,
-            tel,
-        } = &mut self.shards[index];
-        let (t, _seq, ev) = queue.pop_keyed().expect("peeked");
-        debug_assert_eq!(t, cut);
-        stats.events += 1;
-        let mut sink = ShardSink {
-            queue: &mut *queue,
+        let shared = SharedCtx {
+            run: Run {
+                params: &sim.params,
+                refresh: sim.refresh,
+                mode: sim.mode,
+            },
+            graph: &sim.graph,
             starts: &self.starts,
-            shard: index,
-            seq: &mut *seq,
-            outbox: &mut *outbox,
+            telemetry: sim.telemetry.is_some(),
         };
-        let mut ctx = LocalCtx {
+        let mut work = Work {
+            shard: &mut self.shards[index],
             range: 0..sim.nodes.len(),
             nodes: &mut sim.nodes,
             stable_until: &mut sim.hot.stable_until,
             m_jump_sensitive: &mut sim.hot.m_jump_sensitive,
             delay_rng: &mut sim.hot.delay_rng,
-            stats: &mut *stats,
-            sink: &mut sink,
-            flood_buf: &mut *flood_buf,
-            params: &sim.params,
-            message_mode: matches!(sim.mode, crate::EstimateMode::Messages),
-            edge_info: &sim.edge_info,
-            graph: &sim.graph,
-            diameter: None,
-            log: None,
-            refresh: sim.refresh,
-            tel: if sim.telemetry.is_some() {
-                Some(&mut *tel)
-            } else {
-                None
-            },
         };
-        ctx.handle(t, ev);
+        let t = work.step(&shared);
+        debug_assert_eq!(t, cut);
     }
 
     /// One parallel round: every active shard drains on its own thread
@@ -700,11 +652,12 @@ impl ParallelSimulation {
     fn drain_round(&mut self, active: &[bool], cut: SimTime, strict: bool) {
         let sim = &mut self.sim;
         let shared = SharedCtx {
-            params: &sim.params,
-            message_mode: matches!(sim.mode, crate::EstimateMode::Messages),
-            edge_info: &sim.edge_info,
+            run: Run {
+                params: &sim.params,
+                refresh: sim.refresh,
+                mode: sim.mode,
+            },
             graph: &sim.graph,
-            refresh: sim.refresh,
             starts: &self.starts,
             telemetry: sim.telemetry.is_some(),
         };
@@ -724,6 +677,7 @@ impl ParallelSimulation {
         {
             let is_active = active[shard.index];
             let w = Work {
+                range: shard.range.clone(),
                 shard,
                 nodes,
                 stable_until,
@@ -915,8 +869,10 @@ impl Engine for ParallelSimulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::Payload;
+    use crate::params::Params;
     use gcs_net::Topology;
+    use gcs_protocol::handlers::Message;
+    use gcs_protocol::FloodMsg;
     use gcs_sim::DriftModel;
 
     fn builder(seed: u64) -> SimBuilder {
@@ -929,13 +885,13 @@ mod tests {
 
     /// A flood whose bounds no organic run could produce, so whether it
     /// was delivered is visible in the receiver's state.
-    fn poison() -> Payload {
-        Payload::Flood {
+    fn poison() -> Message {
+        Message::Flood(FloodMsg {
             logical: 1.0e6,
             max_est: 1.0e6,
             min_lb: 0.0,
             max_ub: 2.0e6,
-        }
+        })
     }
 
     /// §3.1 boundary, removal side: an edge removal scheduled at exactly a

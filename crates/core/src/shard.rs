@@ -3,11 +3,12 @@
 //!
 //! Every event except `Tick`, `EdgeUp`, and `EdgeDown` touches exactly
 //! one node's state (floods read only the sender's own neighbour table;
-//! deliveries mutate only the receiver). [`LocalCtx`] packages the
-//! disjoint per-node state one handler needs — a contiguous `&mut` range
-//! of the node array plus the matching rows of the hot columns — together
-//! with the shared read-only engine state and an [`EventSink`] for spawned
-//! events.
+//! deliveries mutate only the receiver), and what the node does with it
+//! is [`gcs_protocol::handlers`]. [`LocalCtx`] is the engine side of that
+//! call: the disjoint per-node state an event needs — a contiguous `&mut`
+//! range of the node array plus the matching rows of the hot columns —
+//! the shared read-only engine state, and an [`EventSink`] that
+//! [`EngineHost`] turns the handlers' effects into events for.
 //!
 //! The sequential engine builds a `LocalCtx` covering the whole node
 //! range with the master queue as the sink; the parallel engine builds
@@ -15,28 +16,25 @@
 //! through a mailbox. Both run *this* code, so bit-identity between the
 //! engines is structural rather than re-proved per handler.
 //!
-//! Determinism note: every float expression here is byte-for-byte the
-//! code both engines execute, and all RNG draws come from per-node
+//! Determinism note: both engines run the same handlers through the
+//! same host, and all RNG draws come from per-node
 //! streams indexed by the node that owns them, so the draw order is a
 //! function of that node's own event order — identical under sequential
 //! and sharded execution.
 
-use std::collections::HashMap;
 use std::ops::Range;
 
 use rand::rngs::StdRng;
 
 use gcs_net::transport;
-use gcs_net::{DynamicGraph, EdgeKey, EdgeParams, NodeId};
+use gcs_net::{DynamicGraph, EdgeParams, NodeId};
+use gcs_protocol::flood::m_jump_triggers_fast;
+use gcs_protocol::handlers::{self, Delivered, Fired, Host, Message, Run, Timer};
+use gcs_protocol::{EstimateMode, NodeState};
 use gcs_sim::{EventQueue, SimDuration, SimTime};
 use gcs_telemetry::LocalCounters;
 
-use crate::edge_state::{align_t0, InsertState};
-use crate::node::NodeState;
-use crate::params::Params;
-use crate::sim::{Event, Payload, SimStats};
-use gcs_protocol::flood::{self, FloodMsg};
-use gcs_protocol::EdgeInfo;
+use crate::sim::{Event, SimStats};
 
 /// Where a handler's spawned events go: the master queue (sequential
 /// engine) or a shard queue plus cross-shard mailbox ([`ShardSink`]).
@@ -98,10 +96,9 @@ impl EventSink for ShardSink<'_> {
 pub(crate) fn owning_node(event: &Event) -> Option<usize> {
     match *event {
         Event::Tick | Event::EdgeUp { .. } | Event::EdgeDown { .. } => None,
-        Event::Flood { node } => Some(node.index()),
+        Event::Timer { node, .. } => Some(node.index()),
         Event::Deliver { dst, .. } => Some(dst.index()),
         Event::RateChange { node, .. } => Some(node),
-        Event::LeaderCheck { u, .. } | Event::FollowerApply { u, .. } => Some(u.index()),
     }
 }
 
@@ -151,9 +148,54 @@ pub(crate) fn balanced_ranges(weights: &[u64], shards: usize) -> Vec<Range<usize
     ranges
 }
 
-/// Everything one node-local handler may touch: the owned node range
+/// The engines' [`Host`]: what a node's handlers ask for becomes queue
+/// entries. A send draws its transit delay from the sender's own stream
+/// and is scheduled as a `Deliver`; a wake-up is scheduled as a `Timer`.
+pub(crate) struct EngineHost<'a, S: EventSink> {
+    /// The node the running handler belongs to.
+    pub node: NodeId,
+    /// The handler's instant (the send time of anything it sends).
+    pub t: SimTime,
+    /// The node's transport-delay stream.
+    pub delay_rng: &'a mut StdRng,
+    /// Counter sink for `messages_sent`.
+    pub stats: &'a mut SimStats,
+    /// Where the spawned events go.
+    pub sink: &'a mut S,
+}
+
+impl<S: EventSink> Host for EngineHost<'_, S> {
+    fn send(&mut self, dst: NodeId, edge: EdgeParams, msg: Message) {
+        let delay = transport::sample_delay(self.delay_rng, edge);
+        self.stats.messages_sent += 1;
+        self.sink.schedule(
+            self.t + SimDuration::from_secs(delay),
+            Event::Deliver {
+                src: self.node,
+                dst,
+                sent_at: self.t,
+                payload: msg,
+            },
+        );
+    }
+
+    fn wake(&mut self, at: SimTime, timer: Timer) {
+        self.sink.schedule(
+            at,
+            Event::Timer {
+                node: self.node,
+                timer,
+            },
+        );
+    }
+}
+
+/// Everything one node-local event may touch: the owned node range
 /// (mutable), the matching hot-column rows, the event sink, and shared
-/// read-only engine state.
+/// read-only engine state. The transitions themselves are
+/// [`gcs_protocol::handlers`]; this is the host side — delay sampling,
+/// counters, the dirty marks of the stability-certificate cache, the
+/// diameter tracker, and the debug cross-check of the delivery rule.
 ///
 /// Indexing is by *global* node id; debug builds assert every access
 /// stays inside the owned range, so a cross-shard state touch panics in
@@ -173,15 +215,8 @@ pub(crate) struct LocalCtx<'a, S: EventSink> {
     pub stats: &'a mut SimStats,
     /// Where spawned events go.
     pub sink: &'a mut S,
-    /// Reusable flood fan-out buffer.
-    pub flood_buf: &'a mut Vec<(NodeId, EdgeParams)>,
-    /// Algorithm parameters (read-only, shared).
-    pub params: &'a Params,
-    /// Whether estimates are message-borne (stored samples are decision
-    /// inputs).
-    pub message_mode: bool,
-    /// Per-edge derived constants (read-only, shared).
-    pub edge_info: &'a HashMap<EdgeKey, EdgeInfo>,
+    /// The run's shared constants.
+    pub run: Run<'a>,
     /// The dynamic graph — read-only between rendezvous points (only the
     /// master's edge-up/down handlers write it); used by the debug
     /// cross-check of the §3.1 delivery rule.
@@ -190,10 +225,6 @@ pub(crate) struct LocalCtx<'a, S: EventSink> {
     /// Diameter tracker (sequential engine only; the parallel builder
     /// rejects it).
     pub diameter: Option<&'a mut crate::diameter::DiameterTracker>,
-    /// Structured event log (sequential engine only).
-    pub log: Option<&'a mut crate::log::EventLog>,
-    /// Flood refresh period (hardware seconds).
-    pub refresh: f64,
     /// Telemetry counter block (the engine's under sequential execution,
     /// the shard's own under sharding); `None` when telemetry is off, so
     /// the counting costs one branch per event. Per-kind totals are
@@ -209,18 +240,8 @@ impl<S: EventSink> LocalCtx<'_, S> {
     /// Panics on the cross-shard-state events (`Tick`, `EdgeUp`,
     /// `EdgeDown`) — those execute on the master at rendezvous points.
     pub fn handle(&mut self, t: SimTime, event: Event) {
-        if let Some(tel) = self.tel.as_deref_mut() {
-            match &event {
-                Event::Flood { .. } => tel.floods += 1,
-                Event::Deliver { .. } => tel.deliveries += 1,
-                Event::RateChange { .. } => tel.rate_changes += 1,
-                Event::LeaderCheck { .. } => tel.leader_checks += 1,
-                Event::FollowerApply { .. } => tel.follower_applies += 1,
-                _ => {}
-            }
-        }
         match event {
-            Event::Flood { node } => self.on_flood(t, node),
+            Event::Timer { node, timer } => self.on_timer(t, node, timer),
             Event::Deliver {
                 src,
                 dst,
@@ -228,22 +249,13 @@ impl<S: EventSink> LocalCtx<'_, S> {
                 payload,
             } => self.on_deliver(t, src, dst, sent_at, payload),
             Event::RateChange { node, rate } => {
-                self.advance(node, t);
-                self.node_mut(node).set_hw_rate(rate);
-                self.mark_dirty(node);
+                if let Some(tel) = self.tel.as_deref_mut() {
+                    tel.rate_changes += 1;
+                }
+                let i = self.local(node);
+                handlers::rate_change(&mut self.nodes[i], t, rate, &self.run);
+                self.stable_until[i] = f64::NEG_INFINITY;
             }
-            Event::LeaderCheck {
-                u,
-                v,
-                generation,
-                target_logical,
-            } => self.on_leader_check(t, u, v, generation, target_logical),
-            Event::FollowerApply {
-                u,
-                v,
-                generation,
-                target_logical,
-            } => self.on_follower_apply(t, u, v, generation, target_logical),
             Event::Tick | Event::EdgeUp { .. } | Event::EdgeDown { .. } => {
                 unreachable!("cross-shard-state event routed to a node-local handler")
             }
@@ -263,71 +275,41 @@ impl<S: EventSink> LocalCtx<'_, S> {
         u - self.range.start
     }
 
-    #[inline]
-    fn node_mut(&mut self, u: usize) -> &mut NodeState {
-        let i = self.local(u);
-        &mut self.nodes[i]
-    }
-
-    /// Advances node `u`'s clocks to `t` (field-split so `params` stays
-    /// borrowable).
-    #[inline]
-    fn advance(&mut self, u: usize, t: SimTime) {
-        let i = self.local(u);
-        self.nodes[i].advance_to(t, self.params);
-    }
-
-    #[inline]
-    fn node(&self, u: usize) -> &NodeState {
-        &self.nodes[self.local(u)]
-    }
-
-    /// Drops node `u`'s stability certificate (marks it dirty).
-    #[inline]
-    fn mark_dirty(&mut self, u: usize) {
-        let i = self.local(u);
-        self.stable_until[i] = f64::NEG_INFINITY;
-    }
-
-    fn on_flood(&mut self, t: SimTime, u: NodeId) {
-        self.advance(u.index(), t);
-        let msg = flood::flood_from(self.node(u.index()));
-        let payload = Payload::Flood {
-            logical: msg.logical,
-            max_est: msg.max_est,
-            min_lb: msg.min_lb,
-            max_ub: msg.max_ub,
+    /// Node `u`'s row, its state, and the host its handlers report to.
+    fn hosted(&mut self, u: NodeId, t: SimTime) -> (usize, &mut NodeState, EngineHost<'_, S>) {
+        let i = self.local(u.index());
+        let host = EngineHost {
+            node: u,
+            t,
+            delay_rng: &mut self.delay_rng[i],
+            stats: &mut *self.stats,
+            sink: &mut *self.sink,
         };
-        // The neighbour table mirrors the graph adjacency (same ids, same
-        // ascending order) and already carries each edge's parameters.
-        let i = self.local(u.index());
-        let mut flood = std::mem::take(self.flood_buf);
-        flood.clear();
-        flood.extend(self.nodes[i].slots.iter().map(|e| (e.id, e.info.params)));
-        for &(v, edge) in &flood {
-            self.send(t, u, v, edge, payload);
-        }
-        *self.flood_buf = flood;
-        // Next flood after `refresh` *hardware* seconds: converting with the
-        // current rate keeps the real period within [P/(1+rho), P/(1-rho)].
-        let dt = self.refresh / self.node(u.index()).hw_rate();
-        self.sink
-            .schedule(t + SimDuration::from_secs(dt), Event::Flood { node: u });
+        (i, &mut self.nodes[i], host)
     }
 
-    fn send(&mut self, t: SimTime, u: NodeId, v: NodeId, edge: EdgeParams, payload: Payload) {
-        let i = self.local(u.index());
-        let delay = transport::sample_delay(&mut self.delay_rng[i], edge);
-        self.stats.messages_sent += 1;
-        self.sink.schedule(
-            t + SimDuration::from_secs(delay),
-            Event::Deliver {
-                src: u,
-                dst: v,
-                sent_at: t,
-                payload,
-            },
-        );
+    fn on_timer(&mut self, t: SimTime, u: NodeId, timer: Timer) {
+        if let Some(tel) = self.tel.as_deref_mut() {
+            match timer {
+                Timer::Flood => tel.floods += 1,
+                Timer::LeaderCheck { .. } => tel.leader_checks += 1,
+                Timer::FollowerApply { .. } => tel.follower_applies += 1,
+            }
+        }
+        let run = self.run;
+        let (i, node, mut host) = self.hosted(u, t);
+        match handlers::on_timer(node, t, timer, &run, &mut host) {
+            Fired::Offered => {
+                self.stats.handshakes_offered += 1;
+                self.stats.insertions_scheduled += 1;
+                self.stable_until[i] = f64::NEG_INFINITY;
+            }
+            Fired::Applied => {
+                self.stats.insertions_scheduled += 1;
+                self.stable_until[i] = f64::NEG_INFINITY;
+            }
+            Fired::Flooded | Fired::Stale | Fired::Rearmed => {}
+        }
     }
 
     fn on_deliver(
@@ -336,20 +318,20 @@ impl<S: EventSink> LocalCtx<'_, S> {
         src: NodeId,
         dst: NodeId,
         sent_at: SimTime,
-        payload: Payload,
+        payload: Message,
     ) {
-        // §3.1 delivery rule: `(dst, src)` continuously present since the
-        // send. [`transport::deliverable`] is the documented reference
-        // implementation of the rule; this inlined check answers the same
-        // query from the receiver's slot table, which mirrors the graph
-        // adjacency (both are written at exactly the edge-up/edge-down
-        // sites with the same timestamps) — one lookup then serves the
-        // rule, the edge constants, and the estimate write. Debug builds
-        // assert the two implementations agree on every message.
-        let info = match self.node(dst.index()).slots.entry(src) {
-            Some(entry) if entry.slot.discovered_at <= sent_at => Some(entry.info),
-            _ => None,
-        };
+        if let Some(tel) = self.tel.as_deref_mut() {
+            tel.deliveries += 1;
+        }
+        let run = self.run;
+        let (i, node, mut host) = self.hosted(dst, t);
+        let delivered = handlers::deliver(node, t, src, sent_at, payload, &run, &mut host);
+        // The handler answers the §3.1 rule from the receiver's slot table,
+        // which mirrors the graph adjacency (both are written at exactly
+        // the edge-up/edge-down sites with the same timestamps);
+        // [`transport::deliverable`] is the documented reference
+        // implementation of the rule. Debug builds assert the two agree on
+        // every message.
         #[cfg(debug_assertions)]
         {
             let reference = transport::deliverable(
@@ -363,64 +345,40 @@ impl<S: EventSink> LocalCtx<'_, S> {
                 },
             );
             debug_assert_eq!(
-                info.is_some(),
+                delivered != Delivered::Rejected,
                 reference,
                 "slot mirror diverged from the §3.1 delivery rule on ({src}, {dst})"
             );
         }
-        let Some(info) = info else {
-            self.stats.messages_dropped += 1;
-            return;
-        };
-        self.stats.messages_delivered += 1;
-        self.advance(dst.index(), t);
-        let rho = self.params.rho();
-        let beta = self.params.beta();
-        let is_message_mode = self.message_mode;
-        match payload {
-            Payload::Flood {
-                logical,
-                max_est,
-                min_lb,
-                max_ub,
-            } => {
-                if let Some(tracker) = self.diameter.as_deref_mut() {
+        let node = &self.nodes[i];
+        match delivered {
+            Delivered::Rejected => self.stats.messages_dropped += 1,
+            Delivered::Flood(outcome) => {
+                self.stats.messages_delivered += 1;
+                if let (Some(tracker), Some(entry)) =
+                    (self.diameter.as_deref_mut(), node.slots.entry(src))
+                {
                     tracker.on_delivery(
                         src.index(),
                         dst.index(),
                         sent_at,
                         t,
-                        info.params.delay_uncertainty(),
+                        entry.info.params.delay_uncertainty(),
                     );
                 }
-                let outcome = flood::merge_flood(
-                    self.node_mut(dst.index()),
-                    src,
-                    FloodMsg {
-                        logical,
-                        max_est,
-                        min_lb,
-                        max_ub,
-                    },
-                    info.params,
-                    rho,
-                    beta,
-                );
                 // In message mode the stored sample *is* a decision input;
-                // in oracle mode the views never read it.
-                if outcome.estimate_written && is_message_mode {
-                    self.mark_dirty(dst.index());
-                }
-                // An upward M jump flips a slow-decided node only once the
-                // lifted gap reaches iota; `m_jump_triggers_fast` is pinned
-                // to the policy's exact fast-branch float expression.
-                // (Between now and the next tick, m only drifts down, which
-                // can make this conservative but never unsound.)
-                if outcome.m_moved
-                    && self.m_jump_sensitive[self.local(dst.index())]
-                    && flood::m_jump_triggers_fast(self.node(dst.index()), self.params.iota())
+                // in oracle mode the views never read it. An upward M jump
+                // flips a slow-decided node only once the lifted gap
+                // reaches iota; `m_jump_triggers_fast` is pinned to the
+                // policy's exact fast-branch float expression. (Between now
+                // and the next tick, m only drifts down, which can make
+                // this conservative but never unsound.)
+                if (outcome.estimate_written && run.mode == EstimateMode::Messages)
+                    || (outcome.m_moved
+                        && self.m_jump_sensitive[i]
+                        && m_jump_triggers_fast(node, run.params.iota()))
                 {
-                    self.mark_dirty(dst.index());
+                    self.stable_until[i] = f64::NEG_INFINITY;
                 }
                 if let Some(tel) = self.tel.as_deref_mut() {
                     tel.flood_merges += 1;
@@ -429,171 +387,12 @@ impl<S: EventSink> LocalCtx<'_, S> {
                     }
                 }
             }
-            Payload::InsertEdge { l_ins, g_tilde } => {
-                let l_now = self.node(dst.index()).logical();
-                let wait = beta * (info.params.delay_bound() + info.params.tau);
-                let Some(slot) = self.node_mut(dst.index()).slots.get_mut(src) else {
-                    return; // Edge vanished at the receiver: offer ignored.
-                };
-                // Only accept an offer for a fresh, unscheduled incarnation.
-                if !matches!(slot.insert, InsertState::Pending) {
-                    return;
+            Delivered::Offer { accepted } => {
+                self.stats.messages_delivered += 1;
+                if accepted {
+                    self.stable_until[i] = f64::NEG_INFINITY;
                 }
-                slot.insert = InsertState::FollowerWait {
-                    l_ins,
-                    g_tilde,
-                    l_at_receive: l_now,
-                };
-                let generation = slot.generation;
-                self.mark_dirty(dst.index());
-                self.schedule_logical_event(t, dst, l_now + wait, |target_logical| {
-                    Event::FollowerApply {
-                        u: dst,
-                        v: src,
-                        generation,
-                        target_logical,
-                    }
-                });
             }
-        }
-    }
-
-    /// Shard-side twin of `Simulation::schedule_logical_event` — the same
-    /// float expression, with the event time anchored at the explicit
-    /// current instant `t` (a shard worker has no `self.now`).
-    fn schedule_logical_event(
-        &mut self,
-        t: SimTime,
-        u: NodeId,
-        target: f64,
-        make_event: impl FnOnce(f64) -> Event,
-    ) {
-        let node = self.node(u.index());
-        let rate = node.mode().multiplier(self.params.mu()) * node.hw_rate();
-        let dt = ((target - node.logical()) / rate).max(0.0);
-        self.sink
-            .schedule(t + SimDuration::from_secs(dt), make_event(target));
-    }
-
-    fn on_leader_check(
-        &mut self,
-        t: SimTime,
-        u: NodeId,
-        v: NodeId,
-        generation: u64,
-        target_logical: f64,
-    ) {
-        self.advance(u.index(), t);
-        let Some(slot) = self.node(u.index()).slots.get(v) else {
-            return; // Edge went down; a rediscovery starts a new handshake.
-        };
-        if slot.generation != generation || !matches!(slot.insert, InsertState::Pending) {
-            return;
-        }
-        if self.node(u.index()).logical() < target_logical - 1e-12 {
-            // Rates changed during the wait; try again when we get there.
-            self.schedule_logical_event(t, u, target_logical, |target_logical| {
-                Event::LeaderCheck {
-                    u,
-                    v,
-                    generation,
-                    target_logical,
-                }
-            });
-            return;
-        }
-        // Continuity (Listing 1 line 6) holds by construction: the slot has
-        // existed since `discovered_l` and L has advanced by beta * Delta.
-        let info = self.edge_info[&EdgeKey::new(u, v)];
-        let g_tilde = if self.params.dynamic_estimates() {
-            // The iota margin absorbs the bracket's tick-level optimism.
-            self.node(u.index()).g_estimate() + self.params.iota()
-        } else {
-            self.params.g_tilde().expect("static G~ filled at build")
-        };
-        let l_now = self.node(u.index()).logical();
-        let l_ins = l_now + g_tilde + self.params.beta() * info.params.delay_bound();
-        let i = self.params.insertion_duration(info.params, g_tilde);
-        let t0 = align_t0(l_ins, i);
-        if let Some(slot) = self.node_mut(u.index()).slots.get_mut(v) {
-            slot.insert = InsertState::Scheduled { t0, i };
-        }
-        self.mark_dirty(u.index());
-        self.stats.handshakes_offered += 1;
-        self.stats.insertions_scheduled += 1;
-        if let Some(log) = self.log.as_deref_mut() {
-            log.push(crate::log::LogEntry::InsertOffered {
-                time: t,
-                leader: u,
-                follower: v,
-                g_tilde,
-            });
-            log.push(crate::log::LogEntry::InsertScheduled {
-                time: t,
-                node: u,
-                neighbor: v,
-                t0,
-                i,
-            });
-        }
-        self.send(t, u, v, info.params, Payload::InsertEdge { l_ins, g_tilde });
-    }
-
-    fn on_follower_apply(
-        &mut self,
-        t: SimTime,
-        u: NodeId,
-        v: NodeId,
-        generation: u64,
-        target_logical: f64,
-    ) {
-        self.advance(u.index(), t);
-        let Some(slot) = self.node(u.index()).slots.get(v) else {
-            return;
-        };
-        if slot.generation != generation {
-            return;
-        }
-        let InsertState::FollowerWait {
-            l_ins,
-            g_tilde,
-            l_at_receive,
-        } = slot.insert
-        else {
-            return;
-        };
-        if self.node(u.index()).logical() < target_logical - 1e-12 {
-            self.schedule_logical_event(t, u, target_logical, |target_logical| {
-                Event::FollowerApply {
-                    u,
-                    v,
-                    generation,
-                    target_logical,
-                }
-            });
-            return;
-        }
-        // Listing 1 line 13: the edge must have been present throughout the
-        // logical window reaching back to the receive instant.
-        if slot.discovered_l > l_at_receive {
-            return;
-        }
-        let info = self.edge_info[&EdgeKey::new(u, v)];
-        let i = self.params.insertion_duration(info.params, g_tilde);
-        let t0 = align_t0(l_ins, i);
-        if let Some(slot) = self.node_mut(u.index()).slots.get_mut(v) {
-            slot.insert = InsertState::Scheduled { t0, i };
-        }
-        self.mark_dirty(u.index());
-        self.stats.insertions_scheduled += 1;
-        if let Some(log) = self.log.as_deref_mut() {
-            log.push(crate::log::LogEntry::InsertScheduled {
-                time: t,
-                node: u,
-                neighbor: v,
-                t0,
-                i,
-            });
         }
     }
 }

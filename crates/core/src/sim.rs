@@ -23,14 +23,20 @@
 //! Event kinds:
 //!
 //! * `Tick` — re-evaluate the [`ModePolicy`] on dirty/expired nodes,
-//! * `Flood` — a node's periodic broadcast of `(L, M, W, P)` (the flooding
-//!   of Condition 4.3 / §7; in message-estimate mode it doubles as the
-//!   clock-sample carrier),
+//! * `Timer` — a wake-up a node asked for: its periodic flood of
+//!   `(L, M, W, P)` (Condition 4.3 / §7; in message-estimate mode it
+//!   doubles as the clock-sample carrier) or one of the two timed steps of
+//!   the Listing 1 insertion handshake,
 //! * `Deliver` — message arrival, subject to the §3.1 continuity rule,
 //! * `EdgeUp` / `EdgeDown` — the scenario's scripted edge dynamics,
-//! * `RateChange` — the drift adversary adjusting a hardware clock,
-//! * `LeaderCheck` / `FollowerApply` — the two timed steps of the Listing 1
-//!   insertion handshake.
+//! * `RateChange` — the drift adversary adjusting a hardware clock.
+//!
+//! What a node *does* on any of these is not in this crate: the engine
+//! calls [`gcs_protocol::handlers`] and turns the effects into queue
+//! entries (see [`crate::shard`]'s `EngineHost`). What is here is what a
+//! simulator adds around the node: the queue, the scripted network, the
+//! oracle's window onto true clocks, and the stability-certificate cache
+//! that lets a tick skip nodes whose decision provably stands.
 
 use std::collections::HashMap;
 
@@ -39,35 +45,21 @@ use rand::Rng;
 
 use gcs_net::transport;
 use gcs_net::{
-    DynamicGraph, EdgeEventKind, EdgeKey, EdgeParams, EdgeParamsMap, NetworkSchedule, NodeId,
-    Topology,
+    DynamicGraph, EdgeEventKind, EdgeKey, EdgeParamsMap, NetworkSchedule, NodeId, Topology,
 };
 use gcs_sim::{rng, DriftModel, EventQueue, SimDuration, SimTime};
 use gcs_telemetry::{LocalCounters, TelemetrySink};
 
-use crate::shard::LocalCtx;
+use crate::shard::{EngineHost, EventSink, LocalCtx};
 use crate::snapshot::ClockSnapshot;
-use gcs_protocol::edge_state::{EdgeSlot, InsertState, Level};
-use gcs_protocol::node::{NeighborEntry, NodeState};
+use gcs_protocol::edge_state::{InsertState, Level};
+use gcs_protocol::handlers::{self, Discovered, Message, Run, Timer};
+use gcs_protocol::node::NodeState;
 use gcs_protocol::runtime::derive_run_config;
 use gcs_protocol::triggers::{
-    fast_trigger, slow_trigger, AoptPolicy, Mode, ModePolicy, NeighborView, NodeView,
+    fast_trigger, slow_trigger, AoptPolicy, Mode, ModePolicy, NeighborView,
 };
 use gcs_protocol::{EdgeInfo, EstimateMode, InsertionStrategy, Params};
-
-/// Message bodies exchanged by nodes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Payload {
-    /// Periodic flood: clock sample plus the three network-wide bounds.
-    Flood {
-        logical: f64,
-        max_est: f64,
-        min_lb: f64,
-        max_ub: f64,
-    },
-    /// Listing 1 line 9: the leader's insertion offer.
-    InsertEdge { l_ins: f64, g_tilde: f64 },
-}
 
 /// Engine events.
 ///
@@ -77,8 +69,10 @@ pub(crate) enum Payload {
 #[derive(Debug)]
 pub(crate) enum Event {
     Tick,
-    Flood {
+    /// A wake-up `node` requested through its handlers' host.
+    Timer {
         node: NodeId,
+        timer: Timer,
     },
     /// A message arriving (the delivery instant is the event time itself,
     /// so only the send time travels with the event).
@@ -86,7 +80,7 @@ pub(crate) enum Event {
         src: NodeId,
         dst: NodeId,
         sent_at: SimTime,
-        payload: Payload,
+        payload: Message,
     },
     EdgeUp {
         from: NodeId,
@@ -100,23 +94,23 @@ pub(crate) enum Event {
         node: usize,
         rate: f64,
     },
-    /// The leader's `∆`-wait expiry, expressed as a logical-clock target
-    /// (reaching it implies both "≥ ∆ real time waited" and the logical
-    /// continuity window of Listing 1 line 6).
-    LeaderCheck {
-        u: NodeId,
-        v: NodeId,
-        generation: u64,
-        target_logical: f64,
-    },
-    /// The follower's `T + τ` wait expiry (Listing 1 line 12), same
-    /// logical-target construction.
-    FollowerApply {
-        u: NodeId,
-        v: NodeId,
-        generation: u64,
-        target_logical: f64,
-    },
+}
+
+/// The master-side sink: the master queue, or — when the sharding seam is
+/// armed — the redirect buffer the parallel engine routes to the owning
+/// shard.
+struct MasterSink<'a> {
+    queue: &'a mut EventQueue<Event>,
+    redirect: &'a mut Option<Vec<(SimTime, Event)>>,
+}
+
+impl EventSink for MasterSink<'_> {
+    fn schedule(&mut self, time: SimTime, event: Event) {
+        match self.redirect {
+            Some(buf) => buf.push((time, event)),
+            None => self.queue.schedule(time, event),
+        }
+    }
 }
 
 /// Counters the engine maintains while running.
@@ -265,10 +259,9 @@ pub struct SimBuilder {
     policy: Option<Box<dyn ModePolicy>>,
     seed: u64,
     horizon: f64,
-    // Crate-visible so the parallel builder can reject configurations the
+    // Crate-visible so the parallel builder can reject a configuration the
     // sharded engine does not support before building.
     pub(crate) track_diameter: bool,
-    pub(crate) log_capacity: usize,
 }
 
 impl SimBuilder {
@@ -285,7 +278,6 @@ impl SimBuilder {
             seed: 0,
             horizon: 3600.0,
             track_diameter: false,
-            log_capacity: 0,
         }
     }
 
@@ -355,15 +347,6 @@ impl SimBuilder {
         self
     }
 
-    /// Enables the structured [`EventLog`](crate::log::EventLog), keeping
-    /// at most `capacity` entries (mode switches, edge discovery/loss,
-    /// handshake milestones).
-    #[must_use]
-    pub fn log_events(mut self, capacity: usize) -> Self {
-        self.log_capacity = capacity;
-        self
-    }
-
     /// Builds the simulation.
     ///
     /// # Errors
@@ -388,7 +371,7 @@ impl SimBuilder {
         let drift =
             self.drift
                 .realize(n, params.rho(), SimTime::from_secs(self.horizon), self.seed);
-        let mut nodes: Vec<NodeState> = (0..n)
+        let nodes: Vec<NodeState> = (0..n)
             .map(|i| NodeState::new(NodeId::from(i), drift.initial[i]))
             .collect();
 
@@ -424,16 +407,13 @@ impl SimBuilder {
             let offset = stagger.gen_range(0.0..refresh.max(1e-9));
             queue.schedule(
                 SimTime::from_secs(offset),
-                Event::Flood {
+                Event::Timer {
                     node: NodeId::from(i),
+                    timer: Timer::Flood,
                 },
             );
         }
 
-        // Initial graph: directed edges present at t = 0. Pairs present in
-        // both directions are fully inserted (N^s(0) = N(0), §4.2); loners
-        // enter the discovery handshake immediately.
-        let mut graph = DynamicGraph::new(n);
         let mut bias_rng = rng::stream(self.seed, "oracle-bias", 0);
         let initial: std::collections::BTreeSet<(NodeId, NodeId)> =
             schedule.initial_directed().iter().copied().collect();
@@ -449,8 +429,8 @@ impl SimBuilder {
             params,
             mode: self.mode,
             graph: DynamicGraph::new(n),
-            nodes: Vec::new(),
-            queue: EventQueue::new(),
+            nodes,
+            queue,
             edge_info,
             tick,
             refresh,
@@ -461,8 +441,6 @@ impl SimBuilder {
             diameter: self
                 .track_diameter
                 .then(|| crate::diameter::DiameterTracker::new(n, rho)),
-            log: (self.log_capacity > 0)
-                .then(|| crate::log::EventLog::with_capacity(self.log_capacity)),
             fault_injected: false,
             changes: Vec::new(),
             hot: HotColumns {
@@ -480,38 +458,17 @@ impl SimBuilder {
             telemetry: None,
             tel_local: LocalCounters::default(),
         };
+        // Initial graph: directed edges present at t = 0. Pairs present in
+        // both directions are fully inserted (N^s(0) = N(0), §4.2); loners
+        // are discovered at t = 0 like any later arrival.
         for &(u, v) in &initial {
-            graph.insert_directed(u, v, SimTime::ZERO);
-            let both = initial.contains(&(v, u));
-            let mut slot = if both {
-                EdgeSlot::initial()
+            sim.graph.insert_directed(u, v, SimTime::ZERO);
+            let oracle_bias = bias_rng.gen_range(-1.0..=1.0);
+            if initial.contains(&(v, u)) {
+                let info = sim.edge_info[&EdgeKey::new(u, v)];
+                handlers::neighbor_initial(&mut sim.nodes[u.index()], v, info, oracle_bias);
             } else {
-                sim.gen_counter += 1;
-                EdgeSlot::discovered(SimTime::ZERO, 0.0, sim.gen_counter)
-            };
-            slot.oracle_bias = bias_rng.gen_range(-1.0..=1.0);
-            let info = sim.edge_info[&EdgeKey::new(u, v)];
-            nodes[u.index()].slots.insert(v, info, slot);
-        }
-        sim.graph = graph;
-        sim.nodes = nodes;
-        sim.queue = queue;
-
-        // Kick off handshakes for one-directional initial edges.
-        let starts: Vec<(NodeId, NodeId, u64)> = sim
-            .nodes
-            .iter()
-            .flat_map(|node| {
-                let u = node.id();
-                node.slots
-                    .iter()
-                    .filter(|e| matches!(e.slot.insert, InsertState::Pending))
-                    .map(move |e| (u, e.id, e.slot.generation))
-            })
-            .collect();
-        for (u, v, generation) in starts {
-            if Simulation::is_leader(u, v) {
-                sim.schedule_leader_check(u, v, generation);
+                sim.discover(SimTime::ZERO, u, v, oracle_bias);
             }
         }
         Ok(sim)
@@ -545,7 +502,6 @@ pub struct Simulation {
     gen_counter: u64,
     pub(crate) stats: SimStats,
     diameter: Option<crate::diameter::DiameterTracker>,
-    log: Option<crate::log::EventLog>,
     /// Set once [`Simulation::inject_clock_offset`] has been used: the
     /// flood-bound invariants then only hold up to the self-stabilization
     /// slack (see [`Simulation::verify_invariants`]).
@@ -610,7 +566,7 @@ pub(crate) struct HotColumns {
 }
 
 /// Reusable buffers for the per-tick hot path — the engine allocates
-/// nothing per tick or per flood in steady state.
+/// nothing per tick in steady state.
 #[derive(Debug, Default)]
 struct Scratch {
     /// Nodes selected for re-evaluation this tick.
@@ -619,8 +575,6 @@ struct Scratch {
     views: Vec<NeighborView>,
     /// Decisions of this tick, applied after all views are taken.
     decisions: Vec<Decision>,
-    /// Flood fan-out: neighbour id + edge parameters.
-    flood: Vec<(NodeId, EdgeParams)>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -635,11 +589,16 @@ impl Simulation {
     /// The effective (validated + derived) parameters.
     #[must_use]
     pub fn params(&self) -> &Params {
-        self.params_ref()
+        &self.params
     }
 
-    fn params_ref(&self) -> &Params {
-        &self.params
+    /// The run constants the node handlers read.
+    fn run_consts(&self) -> Run<'_> {
+        Run {
+            params: &self.params,
+            refresh: self.refresh,
+            mode: self.mode,
+        }
     }
 
     /// Number of nodes.
@@ -698,12 +657,6 @@ impl Simulation {
     #[must_use]
     pub fn edge_info(&self, e: EdgeKey) -> Option<EdgeInfo> {
         self.edge_info.get(&e).copied()
-    }
-
-    /// The deterministic leader of a potential edge (lower id, §4.3).
-    #[must_use]
-    pub fn is_leader(u: NodeId, v: NodeId) -> bool {
-        u < v
     }
 
     /// Runs until simulated time `t` (inclusive of events at `t`), then
@@ -958,13 +911,6 @@ impl Simulation {
         }
     }
 
-    /// The structured event log, if enabled via
-    /// [`SimBuilder::log_events`].
-    #[must_use]
-    pub fn event_log(&self) -> Option<&crate::log::EventLog> {
-        self.log.as_ref()
-    }
-
     /// The realized fault/insertion log: every scripted edge transition
     /// and injected clock corruption this run has executed so far, in
     /// event order. Always recorded (the entries are rare and small) —
@@ -1021,35 +967,15 @@ impl Simulation {
     pub fn estimate_of(&self, u: NodeId, v: NodeId) -> Option<f64> {
         let node = &self.nodes[u.index()];
         let entry = node.slots.entry(v)?;
-        self.estimate_from_entry(node, entry, self.nodes[v.index()].logical())
+        handlers::estimate(node, entry, self.mode, |v| Some(self.truth(v, node)))
     }
 
-    /// The estimate a node holds for one neighbour entry — the single code
-    /// path both [`estimate_of`](Simulation::estimate_of) and the view
-    /// builder use, so the two can never disagree. `truth` is the
-    /// neighbour's logical clock at the evaluation instant (callers read it
-    /// via `logical()` or the pure `logical_at`, which agree bitwise).
-    fn estimate_from_entry(
-        &self,
-        node: &NodeState,
-        entry: &NeighborEntry,
-        truth: f64,
-    ) -> Option<f64> {
-        let eps = entry.info.epsilon;
-        let base = match self.mode {
-            EstimateMode::Oracle(model) => {
-                Some(model.apply(node.logical(), truth, entry.slot.oracle_bias * eps, eps))
-            }
-            EstimateMode::Messages => entry.slot.reckoned_estimate(node.hardware()),
-        }?;
-        // A scripted estimate corruption pushes the read by bias·ε, then
-        // clamps back into the advertised envelope — inequality (1) is
-        // preserved by construction, whatever the underlying layer
-        // produced, so the conformance bounds earn no fault allowance.
-        Some(match node.scripted_bias() {
-            Some(bias) => (base + bias * eps).clamp(truth - eps, truth + eps),
-            None => base,
-        })
+    /// The oracle's window onto neighbour `v`'s true logical clock at the
+    /// instant `observer` was last advanced to: the pure `logical_at`, so
+    /// reading it leaves `v` untouched (it agrees bitwise with advancing
+    /// `v` and reading `logical()`).
+    fn truth(&self, v: NodeId, observer: &NodeState) -> f64 {
+        self.nodes[v.index()].logical_at(observer.last_update(), &self.params)
     }
 
     /// Checks the runtime invariants of the model and algorithm at the
@@ -1069,6 +995,8 @@ impl Simulation {
             .map(NodeState::logical)
             .fold(f64::INFINITY, f64::min);
         const TOL: f64 = 1e-9;
+        let run = self.run_consts();
+        let mut views = Vec::new();
 
         // P may briefly undershoot the maximum while a newly maximal
         // node finishes a fast-mode episode (at most a few ticks).
@@ -1117,8 +1045,8 @@ impl Simulation {
             // Estimate accuracy: inequality (1).
             for entry in node.slots.iter() {
                 let v = entry.id;
-                let truth = self.nodes[v.index()].logical();
-                if let Some(est) = self.estimate_from_entry(node, entry, truth) {
+                let truth = self.truth(v, node);
+                if let Some(est) = handlers::estimate(node, entry, self.mode, |_| Some(truth)) {
                     if (est - truth).abs() > entry.info.epsilon + TOL {
                         violations.push(format!(
                             "estimate error |{est} - {truth}| > eps {} on ({u}, {v})",
@@ -1128,8 +1056,8 @@ impl Simulation {
                 }
             }
             // Lemma 5.3: the triggers are mutually exclusive.
-            let neighbors = self.neighbor_views(u.index());
-            let view = self.node_view(u.index(), &neighbors);
+            handlers::fill_views(node, &run, |v| Some(self.truth(v, node)), &mut views);
+            let view = handlers::node_view(node, &self.params, &views);
             if fast_trigger(&view, self.params.max_levels())
                 && slow_trigger(&view, self.params.max_levels())
             {
@@ -1169,9 +1097,9 @@ impl Simulation {
 
     /// Executes one event. Crate-visible: the parallel engine calls this
     /// for the cross-shard-state events (`Tick`, `EdgeUp`, `EdgeDown`) it
-    /// executes sequentially at rendezvous points; node-local events are
-    /// dispatched through the same [`LocalCtx`] handlers the shard
-    /// workers run, so both engines execute literally identical code.
+    /// executes sequentially at rendezvous points; node-local events go
+    /// through the same [`LocalCtx`] the shard workers use, so both
+    /// engines execute literally identical code.
     pub(crate) fn handle(&mut self, t: SimTime, event: Event) {
         match event {
             Event::Tick => {
@@ -1201,19 +1129,14 @@ impl Simulation {
             delay_rng: &mut self.hot.delay_rng,
             stats: &mut self.stats,
             sink: &mut self.queue,
-            flood_buf: &mut self.scratch.flood,
-            params: &self.params,
-            message_mode: matches!(self.mode, EstimateMode::Messages),
-            edge_info: &self.edge_info,
+            run: Run {
+                params: &self.params,
+                refresh: self.refresh,
+                mode: self.mode,
+            },
             graph: &self.graph,
             diameter: self.diameter.as_mut(),
-            log: self.log.as_mut(),
-            refresh: self.refresh,
-            tel: if self.telemetry.is_some() {
-                Some(&mut self.tel_local)
-            } else {
-                None
-            },
+            tel: self.telemetry.is_some().then_some(&mut self.tel_local),
         }
     }
 
@@ -1222,66 +1145,6 @@ impl Simulation {
         for node in nodes.iter_mut() {
             node.advance_to(t, params);
         }
-    }
-
-    /// The neighbour views of one node, as a fresh vector (test/diagnostic
-    /// path; the tick loop uses [`fill_neighbor_views`] with a reused
-    /// buffer).
-    ///
-    /// [`fill_neighbor_views`]: Simulation::fill_neighbor_views
-    fn neighbor_views(&self, u: usize) -> Vec<NeighborView> {
-        let mut out = Vec::with_capacity(self.nodes[u].slots.len());
-        self.fill_neighbor_views(u, self.nodes[u].last_update(), &mut out);
-        out
-    }
-
-    /// Clears `out` and fills it with node `u`'s neighbour views at `t`,
-    /// reading the per-edge constants from the node's own neighbour table
-    /// (no map lookups, no allocation) and the neighbours' clocks through
-    /// the pure `logical_at` (no mutation — skipped nodes stay untouched).
-    /// Node `u` itself must be advanced to `t`. Returns the logical-clock
-    /// distance to the nearest *scheduled level unlock* among the
-    /// neighbours (`INFINITY` if none is pending) — the level part of the
-    /// stability certificate.
-    fn fill_neighbor_views(&self, u: usize, t: SimTime, out: &mut Vec<NeighborView>) -> f64 {
-        out.clear();
-        let node = &self.nodes[u];
-        debug_assert_eq!(node.last_update(), t, "evaluated node must be advanced");
-        let logical = node.logical();
-        let mut unlock_margin = f64::INFINITY;
-        for entry in node.slots.iter() {
-            let info = &entry.info;
-            let level = entry.slot.insert.level_at(logical);
-            if let InsertState::Scheduled { t0, i } = entry.slot.insert {
-                if let Level::Finite(s) = level {
-                    // T_{s+1} is the next threshold L_u can cross
-                    // (T_1 = t0 covers the not-yet-started case).
-                    unlock_margin = unlock_margin.min(InsertState::t_s(t0, i, s + 1) - logical);
-                }
-            }
-            // Under the decaying-weight strategy the edge's effective
-            // weight (and with it delta) shrinks with the local clock.
-            let (kappa, delta) = match self.params.insertion_strategy() {
-                InsertionStrategy::Staged => (info.kappa, info.delta),
-                InsertionStrategy::DecayingWeight { halving } => {
-                    let k = entry
-                        .slot
-                        .insert
-                        .effective_kappa(logical, info.kappa, halving);
-                    (k, self.params.delta_for_kappa(k, info.params, info.epsilon))
-                }
-            };
-            let truth = self.nodes[entry.id.index()].logical_at(t, &self.params);
-            out.push(NeighborView {
-                estimate: self.estimate_from_entry(node, entry, truth),
-                kappa,
-                epsilon: info.epsilon,
-                tau: info.params.tau,
-                delta,
-                level,
-            });
-        }
-        unlock_margin
     }
 
     /// The *effective* weight of the undirected edge `{u, v}` right now:
@@ -1312,19 +1175,6 @@ impl Simulation {
                 );
                 Some(ka.max(kb))
             }
-        }
-    }
-
-    fn node_view<'a>(&self, u: usize, neighbors: &'a [NeighborView]) -> NodeView<'a> {
-        let node = &self.nodes[u];
-        NodeView {
-            logical: node.logical(),
-            max_estimate: node.max_estimate(),
-            current_mode: node.mode(),
-            iota: self.params.iota(),
-            mu: self.params.mu(),
-            rho: self.params.rho(),
-            neighbors,
         }
     }
 
@@ -1359,22 +1209,25 @@ impl Simulation {
         // Worst-case rate at which any compared difference (estimate − L,
         // M − L) can drift: fastest logical rate minus slowest.
         let drift_rate = self.params.beta() - self.params.alpha();
+        let run = self.run_consts();
         for &u in &eval {
-            let u = u as usize;
-            let unlock_margin = self.fill_neighbor_views(u, t, &mut views);
-            let view = self.node_view(u, &views);
-            // With certificates disabled (decaying-weight strategy) the
-            // margin computation would be discarded — don't pay for it.
-            let (mode, cert) = if self.certs_enabled {
-                self.policy.decide_and_certify(&view)
-            } else {
-                (self.policy.decide(&view), None)
-            };
-            let (stable_until, m_jump_sensitive) = match cert {
+            let node = &self.nodes[u as usize];
+            // Neighbours' clocks are read, not advanced. With certificates
+            // disabled (decaying-weight strategy) the margin computation
+            // would be discarded — don't ask for it.
+            let decision = handlers::decide(
+                node,
+                &*self.policy,
+                self.certs_enabled,
+                &run,
+                |v| Some(self.truth(v, node)),
+                &mut views,
+            );
+            let (stable_until, m_jump_sensitive) = match decision.cert {
                 Some(cert) => {
                     let margin_secs = (cert.estimate_margin / drift_rate)
                         .min(cert.m_margin / drift_rate)
-                        .min(unlock_margin / self.params.beta());
+                        .min(decision.unlock_margin / self.params.beta());
                     // Halve the horizon: the margins are computed in real
                     // arithmetic while the clocks integrate in f64, so keep
                     // a wide safety band against rounding.
@@ -1383,8 +1236,8 @@ impl Simulation {
                 None => (f64::NEG_INFINITY, true),
             };
             decisions.push(Decision {
-                node: u as u32,
-                mode,
+                node: u,
+                mode: decision.mode,
                 stable_until,
                 m_jump_sensitive,
             });
@@ -1393,13 +1246,6 @@ impl Simulation {
             let u = d.node as usize;
             let node = &mut self.nodes[u];
             if node.mode() != d.mode {
-                if let Some(log) = &mut self.log {
-                    log.push(crate::log::LogEntry::ModeSwitch {
-                        time: t,
-                        node: node.id(),
-                        mode: d.mode,
-                    });
-                }
                 if let Some(sink) = self.telemetry.as_deref_mut() {
                     sink.on_mode_switch(ts, u, d.mode == Mode::Fast);
                 }
@@ -1432,12 +1278,13 @@ impl Simulation {
         let mut views = Vec::new();
         for (u, _) in skipped.iter().enumerate().filter(|&(_, &s)| s) {
             self.nodes[u].advance_to(t, &self.params);
-            self.fill_neighbor_views(u, t, &mut views);
-            let view = self.node_view(u, &views);
-            let mode = self.policy.decide(&view);
+            let node = &self.nodes[u];
+            let truth = |v| Some(self.truth(v, node));
+            let run = self.run_consts();
+            let decision = handlers::decide(node, &*self.policy, false, &run, truth, &mut views);
             assert_eq!(
-                mode,
-                self.nodes[u].mode(),
+                decision.mode,
+                node.mode(),
                 "stability certificate violated for node {u} at {t:?}"
             );
         }
@@ -1456,40 +1303,42 @@ impl Simulation {
         if let Some(sink) = self.telemetry.as_deref_mut() {
             sink.on_edge(t.as_secs(), from.index(), to.index(), true);
         }
-        self.nodes[from.index()].advance_to(t, &self.params);
+        let oracle_bias = self.bias_rng.gen_range(-1.0..=1.0);
+        self.discover(t, from, to, oracle_bias);
+    }
+
+    /// Tells node `from` that neighbour `to` appeared at `t`. The wake-up
+    /// a leader asks for goes to the master queue, or — when the redirect
+    /// seam is armed (parallel engine) — into the buffer routed to its
+    /// owning shard.
+    fn discover(&mut self, t: SimTime, from: NodeId, to: NodeId, oracle_bias: f64) {
         self.gen_counter += 1;
-        let generation = self.gen_counter;
-        let logical = self.nodes[from.index()].logical();
-        let info = self.edge_info[&EdgeKey::new(from, to)];
-        let mut slot = EdgeSlot::discovered(t, logical, generation);
-        slot.oracle_bias = self.bias_rng.gen_range(-1.0..=1.0);
-        if let InsertionStrategy::DecayingWeight { .. } = self.params.insertion_strategy() {
-            // Section 5.5's simpler strategy: no handshake; start the local
-            // weight decay from 2x the best available global-skew bound.
-            let g = if self.params.dynamic_estimates() {
-                self.nodes[from.index()].g_estimate() + self.params.iota()
-            } else {
-                self.params.g_tilde().expect("static G~ filled at build")
-            };
-            slot.insert = InsertState::Decaying {
-                l0: logical,
-                kappa0: (2.0 * g).max(info.kappa),
-            };
+        let found = Discovered {
+            peer: to,
+            info: self.edge_info[&EdgeKey::new(from, to)],
+            generation: self.gen_counter,
+            oracle_bias,
+        };
+        let run = Run {
+            params: &self.params,
+            refresh: self.refresh,
+            mode: self.mode,
+        };
+        let u = from.index();
+        let mut host = EngineHost {
+            node: from,
+            t,
+            delay_rng: &mut self.hot.delay_rng[u],
+            stats: &mut self.stats,
+            sink: &mut MasterSink {
+                queue: &mut self.queue,
+                redirect: &mut self.redirect,
+            },
+        };
+        if handlers::neighbor_up(&mut self.nodes[u], t, found, &run, &mut host) {
             self.stats.insertions_scheduled += 1;
         }
-        let staged = matches!(slot.insert, InsertState::Pending);
-        self.nodes[from.index()].slots.insert(to, info, slot);
-        self.hot.stable_until[from.index()] = f64::NEG_INFINITY;
-        if let Some(log) = &mut self.log {
-            log.push(crate::log::LogEntry::EdgeDiscovered {
-                time: t,
-                node: from,
-                neighbor: to,
-            });
-        }
-        if staged && Self::is_leader(from, to) {
-            self.schedule_leader_check(from, to, generation);
-        }
+        self.hot.stable_until[u] = f64::NEG_INFINITY;
     }
 
     fn on_edge_down(&mut self, t: SimTime, from: NodeId, to: NodeId) {
@@ -1505,64 +1354,9 @@ impl Simulation {
         if let Some(sink) = self.telemetry.as_deref_mut() {
             sink.on_edge(t.as_secs(), from.index(), to.index(), false);
         }
-        self.nodes[from.index()].advance_to(t, &self.params);
-        // Listing 1 lines 15-18: drop the neighbour from every N^s and
-        // forget the insertion times.
-        self.nodes[from.index()].slots.remove(to);
+        handlers::neighbor_down(&mut self.nodes[from.index()], to);
         self.hot.stable_until[from.index()] = f64::NEG_INFINITY;
         self.stats.edge_removals += 1;
-        if let Some(log) = &mut self.log {
-            log.push(crate::log::LogEntry::EdgeLost {
-                time: t,
-                node: from,
-                neighbor: to,
-            });
-        }
-    }
-
-    fn schedule_leader_check(&mut self, u: NodeId, v: NodeId, generation: u64) {
-        let info = self.edge_info[&EdgeKey::new(u, v)];
-        let delta = self.params.handshake_delta(info.params);
-        let target = self.nodes[u.index()]
-            .slots
-            .get(v)
-            .map(|s| s.discovered_l)
-            .unwrap_or_default()
-            + self.params.beta() * delta;
-        self.schedule_logical_event(u, target, |target_logical| Event::LeaderCheck {
-            u,
-            v,
-            generation,
-            target_logical,
-        });
-    }
-
-    /// Schedules `make_event(target)` for (approximately) the moment node
-    /// `u`'s logical clock reaches `target`. Handlers must re-check and
-    /// reschedule if the clock has not reached the target yet (rates may
-    /// have changed in between); reaching a logical target is always a
-    /// *lower* bound on elapsed real time, which is what Listing 1 needs.
-    ///
-    /// Master-side only (build and edge-up); the shard-side twin lives on
-    /// [`LocalCtx`] and computes the *same float expression*. When the
-    /// redirect seam is active (parallel engine) the spawned node-local
-    /// event is buffered for routing to its owner shard instead of being
-    /// enqueued here.
-    fn schedule_logical_event(
-        &mut self,
-        u: NodeId,
-        target: f64,
-        make_event: impl FnOnce(f64) -> Event,
-    ) {
-        let node = &self.nodes[u.index()];
-        let rate = node.mode().multiplier(self.params.mu()) * node.hw_rate();
-        let dt = ((target - node.logical()) / rate).max(0.0);
-        let at = self.now + SimDuration::from_secs(dt);
-        let event = make_event(target);
-        match &mut self.redirect {
-            Some(buf) => buf.push((at, event)),
-            None => self.queue.schedule(at, event),
-        }
     }
 }
 
@@ -1841,58 +1635,6 @@ mod tests {
         assert_eq!(trace.samples()[0].time, 0.0);
         assert_eq!(trace.samples()[4].time, 2.0);
         assert!(trace.max_global_skew() >= 0.0);
-    }
-
-    #[test]
-    fn event_log_captures_insertion_milestones() {
-        use crate::log::LogEntry;
-        let base = Topology::line(4);
-        let chord = EdgeKey::new(NodeId(0), NodeId(3));
-        let schedule =
-            NetworkSchedule::with_edge_insertion(&base, &[(chord, SimTime::from_secs(2.0))], 0.001);
-        let mut p = Params::builder();
-        p.rho(0.01).mu(0.1).insertion_scale(0.02);
-        let mut sim = SimBuilder::new(p.build().unwrap())
-            .schedule(schedule)
-            .log_events(10_000)
-            .seed(9)
-            .build()
-            .unwrap();
-        sim.run_until_secs(30.0);
-        let log = sim.event_log().unwrap();
-        let discovered: Vec<_> = log
-            .entries()
-            .iter()
-            .filter(|e| matches!(e, LogEntry::EdgeDiscovered { .. }))
-            .collect();
-        assert_eq!(discovered.len(), 2, "both directions discovered");
-        let offers: Vec<_> = log
-            .entries()
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e,
-                    LogEntry::InsertOffered {
-                        leader: NodeId(0),
-                        ..
-                    }
-                )
-            })
-            .collect();
-        assert_eq!(offers.len(), 1, "one offer from the leader");
-        let schedules: Vec<_> = log
-            .entries()
-            .iter()
-            .filter_map(|e| match e {
-                LogEntry::InsertScheduled { t0, i, .. } => Some((*t0, *i)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(schedules.len(), 2, "both endpoints installed times");
-        assert_eq!(schedules[0], schedules[1], "Lemma 5.5 agreement");
-        // Ordering: discovery strictly precedes the offer, which precedes
-        // or coincides with the schedules.
-        assert!(discovered[0].time() < offers[0].time());
     }
 
     #[test]

@@ -1,12 +1,10 @@
 //! The Condition 4.3 flood: what a node broadcasts, and how a receiver
 //! merges an arrival into its own state.
 //!
-//! This module is the seam both engines and the socket daemon share. The
-//! merge is written once here so every harness executes the *same float
-//! expressions* in the same order — bit-identity across the sequential
-//! engine, the sharded engine, and a replay of a recorded message
-//! sequence through [`NodeCore`](crate::NodeCore) is a structural
-//! property, not a test-enforced coincidence.
+//! The merge is written once here and called from one place,
+//! [`handlers::deliver`](crate::handlers::deliver), so every host — the
+//! sequential engine, the sharded engine, [`NodeCore`](crate::NodeCore) —
+//! executes the *same float expressions* in the same order.
 
 use gcs_net::transport;
 use gcs_net::{EdgeParams, NodeId};

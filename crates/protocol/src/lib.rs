@@ -8,10 +8,12 @@
 //! draws, and no IO — the caller owns time and transport. Two harnesses
 //! drive the same code:
 //!
-//! * the deterministic simulator in `gcs-core` (both the sequential and
-//!   the sharded engine host their node-local handlers on this crate),
-//! * the `gcs-node` socket daemon, which multiplexes many
-//!   [`NodeCore`] virtual nodes over a real transport.
+//! * the deterministic simulator in `gcs-core`: the sequential and the
+//!   sharded engine call [`handlers`] for every node-local event and turn
+//!   the effects into queue entries,
+//! * the `gcs-node` socket daemon, which multiplexes many [`NodeCore`]
+//!   virtual nodes — the other host of [`handlers`] — over a real
+//!   transport.
 //!
 //! # Paper-to-module map
 //!
@@ -22,8 +24,9 @@
 //! | [`edge_state`] | staged insertion levels (Listings 1–2, §5.5 decay) |
 //! | [`estimate`] | the estimate layer and its advertised uncertainty `ε` |
 //! | [`flood`] | Condition 4.3 max-estimate flood merge with min-transit credit |
+//! | [`handlers`] | what one node does: §3.1 delivery, flooding, the Listing 1 handshake, neighbour up/down, the Listing 3 decision — the only caller of the merge, the alignment and the policy |
 //! | [`params`] | the paper's parameter soup (`ρ`, `µ`, `ι`, `κ`, `G̃`, …) |
-//! | [`runtime`] | [`NodeCore`]: a complete virtual node for real transports |
+//! | [`runtime`] | [`NodeCore`]: [`handlers`] hosted for real transports, plus the shared run-constant derivation |
 //! | [`wire`] | length-prefixed frames carrying floods over real sockets |
 
 #![forbid(unsafe_code)]
@@ -32,6 +35,7 @@
 pub mod edge_state;
 pub mod estimate;
 pub mod flood;
+pub mod handlers;
 pub mod node;
 pub mod params;
 pub mod runtime;

@@ -4,30 +4,31 @@
 //! A `NodeCore` is what the `gcs-node` socket daemon multiplexes over a
 //! real transport: the caller owns time (it passes explicit [`SimTime`]
 //! instants read from whatever clock it trusts) and transport (it carries
-//! the returned [`Send`]s and feeds received messages back in). The state
-//! transitions are the same functions the simulation engines execute —
-//! [`merge_flood`](crate::merge_flood) for arrivals, the
-//! [`ModePolicy`] triggers for decisions — so a message sequence recorded
-//! from a simulation replays through a `NodeCore` bit-for-bit (the
-//! engine-side property test pins this).
+//! the returned [`Send`]s and feeds received messages back in). Every
+//! state transition is a call into [`handlers`] —
+//! the functions the simulation engines call for their nodes — so a
+//! `NodeCore` is a *host* of the algorithm, not a second implementation:
+//! it owns one node's [`NodeState`], run constants and policy, and turns
+//! the handlers' effects into [`Send`]s and its flood deadline.
 //!
 //! Scope: `NodeCore` runs the *message-mode* estimate layer (clock
-//! samples carried by the floods themselves) over a static neighbour set
-//! installed fully inserted at startup. The staged insertion handshake
-//! and the oracle estimate layer need engine-side machinery (scripted
-//! truth, generation-tracked rediscovery) and stay in `gcs-core` for now.
+//! samples carried by the floods themselves; it has no scripted truth for
+//! the oracle layer to perturb) over neighbours installed fully inserted
+//! at startup. The staged-insertion handshake lives in [`handlers`] like
+//! everything else, but this host does not drive it yet: there is no wire
+//! frame for an offer and no neighbour-up input, so it never starts one.
 
 use std::collections::HashMap;
 
-use gcs_net::{EdgeKey, EdgeParamsMap, NodeId};
+use gcs_net::{EdgeKey, EdgeParams, EdgeParamsMap, NodeId};
 use gcs_sim::SimTime;
 
-use crate::edge_state::EdgeSlot;
 use crate::estimate::EstimateMode;
-use crate::flood::{flood_from, merge_flood, FloodMsg, MergeOutcome};
+use crate::flood::{FloodMsg, MergeOutcome};
+use crate::handlers::{self, Delivered, Host, Message, Run, Timer};
 use crate::node::{EdgeInfo, NodeState};
-use crate::params::{InsertionStrategy, Params};
-use crate::triggers::{AoptPolicy, Mode, ModePolicy, NeighborView, NodeView};
+use crate::params::Params;
+use crate::triggers::{AoptPolicy, Mode, ModePolicy, NeighborView};
 
 /// One outbound message: the flood body to put on the wire for `dst`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -141,6 +142,46 @@ pub struct NodeCore {
     views: Vec<NeighborView>,
 }
 
+/// The [`Host`] a `NodeCore` lends its handlers: a send becomes a
+/// [`Send`] for the caller to carry, the flood timer becomes the deadline
+/// [`NodeCore::poll_sends`] polls against.
+struct Effects<'a> {
+    src: NodeId,
+    t: SimTime,
+    out: &'a mut Vec<Send>,
+    next_flood: &'a mut SimTime,
+}
+
+impl Host for Effects<'_> {
+    fn send(&mut self, dst: NodeId, _edge: EdgeParams, msg: Message) {
+        // Offers have no wire frame yet, and this host never starts the
+        // handshake that would produce one.
+        if let Message::Flood(msg) = msg {
+            self.out.push(Send {
+                src: self.src,
+                dst,
+                sent_at: self.t,
+                msg,
+            });
+        }
+    }
+
+    fn wake(&mut self, at: SimTime, timer: Timer) {
+        if timer == Timer::Flood {
+            *self.next_flood = at;
+        }
+    }
+}
+
+/// The run constants of a `NodeCore`: always the message-mode layer.
+fn message_run(params: &Params, refresh: f64) -> Run<'_> {
+    Run {
+        params,
+        refresh,
+        mode: EstimateMode::Messages,
+    }
+}
+
 impl NodeCore {
     /// Creates a virtual node with the default [`AoptPolicy`].
     ///
@@ -189,20 +230,20 @@ impl NodeCore {
     /// startup case of §4.2: every configured edge is present and past
     /// its insertion schedule from the start).
     pub fn add_neighbor(&mut self, peer: NodeId, info: EdgeInfo) {
-        self.state.slots.insert(peer, info, EdgeSlot::initial());
+        handlers::neighbor_initial(&mut self.state, peer, info, 0.0);
     }
 
     /// Drops `peer` from the neighbour table; returns whether it was
     /// present. Subsequent messages from it fail the delivery rule.
     pub fn remove_neighbor(&mut self, peer: NodeId) -> bool {
-        self.state.slots.remove(peer)
+        handlers::neighbor_down(&mut self.state, peer)
     }
 
     /// Applies a hardware-clock rate change at `t` (the drift adversary,
     /// or a measured-frequency update from the host clock).
     pub fn set_hw_rate(&mut self, t: SimTime, rate: f64) {
-        self.state.advance_to(t, &self.params);
-        self.state.set_hw_rate(rate);
+        let run = message_run(&self.params, self.refresh);
+        handlers::rate_change(&mut self.state, t, rate, &run);
     }
 
     /// Feeds one received flood message in. Returns `None` if the §3.1
@@ -215,19 +256,19 @@ impl NodeCore {
         sent_at: SimTime,
         msg: FloodMsg,
     ) -> Option<MergeOutcome> {
-        let edge = match self.state.slots.entry(src) {
-            Some(entry) if entry.slot.discovered_at <= sent_at => entry.info.params,
-            _ => return None,
+        // A flood delivery has no effects to carry.
+        let mut host = Effects {
+            src: self.state.id(),
+            t,
+            out: &mut Vec::new(),
+            next_flood: &mut self.next_flood,
         };
-        self.state.advance_to(t, &self.params);
-        Some(merge_flood(
-            &mut self.state,
-            src,
-            msg,
-            edge,
-            self.params.rho(),
-            self.params.beta(),
-        ))
+        let run = message_run(&self.params, self.refresh);
+        let msg = Message::Flood(msg);
+        match handlers::deliver(&mut self.state, t, src, sent_at, msg, &run, &mut host) {
+            Delivered::Flood(outcome) => Some(outcome),
+            Delivered::Rejected | Delivered::Offer { .. } => None,
+        }
     }
 
     /// Emits any flood due at `t` into `out` (one [`Send`] per
@@ -238,18 +279,14 @@ impl NodeCore {
         if t < self.next_flood {
             return;
         }
-        self.state.advance_to(t, &self.params);
-        let msg = flood_from(&self.state);
-        for entry in self.state.slots.iter() {
-            out.push(Send {
-                src: self.state.id(),
-                dst: entry.id,
-                sent_at: t,
-                msg,
-            });
-        }
-        let dt = self.refresh / self.state.hw_rate();
-        self.next_flood = t + gcs_sim::SimDuration::from_secs(dt);
+        let mut host = Effects {
+            src: self.state.id(),
+            t,
+            out,
+            next_flood: &mut self.next_flood,
+        };
+        let run = message_run(&self.params, self.refresh);
+        handlers::on_timer(&mut self.state, t, Timer::Flood, &run, &mut host);
     }
 
     /// Evaluates the mode triggers at `t` and applies the decision,
@@ -258,59 +295,25 @@ impl NodeCore {
     /// node re-decides every call, which is always bit-identical to the
     /// certified skip (that is the certificates' soundness contract).
     pub fn evaluate(&mut self, t: SimTime) -> Mode {
-        self.state.advance_to(t, &self.params);
-        let mut views = std::mem::take(&mut self.views);
-        self.fill_views(&mut views);
-        let view = NodeView {
-            logical: self.state.logical(),
-            max_estimate: self.state.max_estimate(),
-            current_mode: self.state.mode(),
-            iota: self.params.iota(),
-            mu: self.params.mu(),
-            rho: self.params.rho(),
-            neighbors: &views,
-        };
-        let mode = self.policy.decide(&view);
-        self.state.set_mode(mode);
-        self.views = views;
-        mode
-    }
-
-    /// The message-mode neighbour views: the same per-entry computation
-    /// as the engines' view fill, minus the oracle-layer branches (a
-    /// `NodeCore` has no scripted truth to read).
-    fn fill_views(&self, out: &mut Vec<NeighborView>) {
-        out.clear();
-        let logical = self.state.logical();
-        let hw = self.state.hardware();
-        for entry in self.state.slots.iter() {
-            let info = &entry.info;
-            let level = entry.slot.insert.level_at(logical);
-            let (kappa, delta) = match self.params.insertion_strategy() {
-                InsertionStrategy::Staged => (info.kappa, info.delta),
-                InsertionStrategy::DecayingWeight { halving } => {
-                    let k = entry
-                        .slot
-                        .insert
-                        .effective_kappa(logical, info.kappa, halving);
-                    (k, self.params.delta_for_kappa(k, info.params, info.epsilon))
-                }
-            };
-            out.push(NeighborView {
-                estimate: entry.slot.reckoned_estimate(hw),
-                kappa,
-                epsilon: info.epsilon,
-                tau: info.params.tau,
-                delta,
-                level,
-            });
-        }
+        let run = message_run(&self.params, self.refresh);
+        self.state.advance_to(t, run.params);
+        let decision = handlers::decide(
+            &self.state,
+            &*self.policy,
+            false,
+            &run,
+            |_| None,
+            &mut self.views,
+        );
+        self.state.set_mode(decision.mode);
+        decision.mode
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::edge_state::EdgeSlot;
     use gcs_net::EdgeParams;
 
     fn two_node_universe() -> (Vec<EdgeKey>, EdgeParamsMap) {
@@ -380,6 +383,58 @@ mod tests {
         assert!(outcome.estimate_written);
         assert!(b.state().slots.get(NodeId(0)).unwrap().estimate.is_some());
         let _ = b.evaluate(t2);
+    }
+
+    /// `NodeCore` is glue: the same floods through it and through the
+    /// shared handlers on a bare `NodeState` leave bit-equal state.
+    #[test]
+    fn hosting_adds_nothing_to_the_shared_handlers() {
+        let cfg = config();
+        let rate = 1.0 - cfg.params.rho();
+        let mut hosted = core(1, &cfg, rate);
+        let mut bare = NodeState::new(NodeId(1), rate);
+        let info = cfg.edge_info[&EdgeKey::new(NodeId(0), NodeId(1))];
+        handlers::neighbor_initial(&mut bare, NodeId(0), info, 0.0);
+        let run = message_run(&cfg.params, cfg.refresh);
+        let mut t = SimTime::ZERO;
+        let mut host = Effects {
+            src: NodeId(1),
+            t,
+            out: &mut Vec::new(),
+            next_flood: &mut SimTime::from_secs(0.0),
+        };
+        for (k, logical) in [1.2, 2.6, 2.9].into_iter().enumerate() {
+            let sent = SimTime::from_secs(k as f64 + 1.0);
+            t = SimTime::from_secs(k as f64 + 1.004);
+            let msg = FloodMsg {
+                logical,
+                max_est: logical + 0.1,
+                min_lb: 0.5,
+                max_ub: logical + 1.0,
+            };
+            let via_core = hosted.on_message(t, NodeId(0), sent, msg);
+            let flood = Message::Flood(msg);
+            let direct = handlers::deliver(&mut bare, t, NodeId(0), sent, flood, &run, &mut host);
+            assert_eq!(direct, Delivered::Flood(via_core.expect("deliverable")));
+        }
+        let policy = AoptPolicy::new(cfg.params.max_levels());
+        let decided = handlers::decide(&bare, &policy, false, &run, |_| None, &mut Vec::new());
+        bare.set_mode(decided.mode);
+        assert_eq!(hosted.evaluate(t), bare.mode());
+        let bits = |n: &NodeState| {
+            let est = n.slots.get(NodeId(0)).unwrap().estimate.unwrap();
+            [
+                n.logical(),
+                n.hardware(),
+                n.max_estimate(),
+                n.min_lower_bound(),
+                n.max_upper_bound(),
+                est.value,
+                est.hw_at_recv,
+            ]
+            .map(f64::to_bits)
+        };
+        assert_eq!(bits(hosted.state()), bits(&bare));
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! domain sockets. The daemon owns exactly what the sans-IO core
 //! abstracts away — a wall clock and sockets — and nothing else: every
 //! protocol decision (flood scheduling, §3.1 delivery, bound merges,
-//! mode triggers) happens inside `NodeCore`, in the same code the
-//! deterministic simulation engines execute.
+//! mode triggers) is a `gcs_protocol::handlers` call made by `NodeCore`,
+//! the same functions the deterministic simulation engines call.
 //!
 //! ```sh
 //! gcs-node --listen 127.0.0.1:0 --first 0 --count 2 --total 6
@@ -19,7 +19,9 @@
 //!
 //! * `listening <addr>` — printed once the socket is bound.
 //! * `status id=<id> t=<secs> logical=<L> max_est=<M> mode=<fast|slow>
-//!   peers_heard=<n>` — per hosted node, every `--status-every` seconds.
+//!   rejected=<n> peers_heard=<n>` — per hosted node, every
+//!   `--status-every` seconds; `rejected` counts the messages the §3.1
+//!   delivery rule has dropped at that node so far.
 //! * `shutdown clean` — printed on the graceful exit path.
 //!
 //! Shutdown: the daemon exits cleanly (code 0) when its stdin reaches
@@ -42,7 +44,7 @@ use std::time::{Duration, Instant};
 use gcs_net::{EdgeKey, EdgeParams, EdgeParamsMap, NodeId};
 use gcs_protocol::runtime::{derive_run_config, Send as CoreSend};
 use gcs_protocol::wire::{Frame, FrameReader};
-use gcs_protocol::{EstimateMode, Mode, NodeCore, Params};
+use gcs_protocol::{EstimateMode, FloodMsg, Mode, NodeCore, Params};
 use gcs_sim::SimTime;
 
 const USAGE: &str = "\
@@ -329,6 +331,23 @@ fn main() -> ExitCode {
     }
 }
 
+/// One hosted virtual node and what the daemon counts about it.
+struct Hosted {
+    core: NodeCore,
+    /// Messages the §3.1 delivery rule dropped at this node.
+    rejected: u64,
+}
+
+impl Hosted {
+    /// Feeds one flood in; the delivery rule is the core's, the verdict
+    /// is counted here.
+    fn deliver(&mut self, t: SimTime, src: NodeId, sent_at: SimTime, msg: FloodMsg) {
+        if self.core.on_message(t, src, sent_at, msg).is_none() {
+            self.rejected += 1;
+        }
+    }
+}
+
 fn node_id(id: u64) -> NodeId {
     NodeId(u32::try_from(id).unwrap_or(u32::MAX))
 }
@@ -366,7 +385,7 @@ fn run(args: &[String]) -> Result<(), String> {
     // Hosted cores: hardware rates deterministically spread over
     // [1-rho, 1+rho] by ID (the drift adversary of the model, realized),
     // flood schedules staggered so the cluster does not send in lockstep.
-    let mut cores: Vec<NodeCore> = (o.first..o.first + o.count)
+    let mut cores: Vec<Hosted> = (o.first..o.first + o.count)
         .map(|id| {
             let rate = if o.drift && o.total > 1 {
                 let spread = (id as f64 / (o.total - 1) as f64) * 2.0 - 1.0;
@@ -388,7 +407,7 @@ fn run(args: &[String]) -> Result<(), String> {
                     core.add_neighbor(node_id(peer), cfg.edge_info[&key]);
                 }
             }
-            core
+            Hosted { core, rejected: 0 }
         })
         .collect();
 
@@ -471,9 +490,8 @@ fn run(args: &[String]) -> Result<(), String> {
                         sent_at,
                         msg,
                     } => {
-                        if let Some(core) = core_for(&mut cores, o.first, u64::from(dst.0)) {
-                            // §3.1 delivery rule, enforced by the core.
-                            let _ = core.on_message(t, src, sent_at, msg);
+                        if let Some(hosted) = core_for(&mut cores, o.first, u64::from(dst.0)) {
+                            hosted.deliver(t, src, sent_at, msg);
                         }
                     }
                     Frame::Shutdown => shutdown_seen = true,
@@ -484,14 +502,14 @@ fn run(args: &[String]) -> Result<(), String> {
         // Drive the cores: floods due now, then a mode decision sweep.
         let t = now(&start);
         sends.clear();
-        for core in &mut cores {
-            core.poll_sends(t, &mut sends);
+        for hosted in &mut cores {
+            hosted.core.poll_sends(t, &mut sends);
         }
         for &s in sends.iter() {
             let dst = u64::from(s.dst.0);
-            if let Some(core) = core_for(&mut cores, o.first, dst) {
+            if let Some(hosted) = core_for(&mut cores, o.first, dst) {
                 // Local neighbour: loopback delivery, no wire.
-                let _ = core.on_message(t, s.src, s.sent_at, s.msg);
+                hosted.deliver(t, s.src, s.sent_at, s.msg);
             } else if let Some(conn) = conns.iter_mut().find(|c| !c.dead && c.owns(dst)) {
                 conn.queue(&Frame::Flood {
                     src: s.src,
@@ -501,8 +519,8 @@ fn run(args: &[String]) -> Result<(), String> {
                 });
             }
         }
-        for core in &mut cores {
-            let _ = core.evaluate(t);
+        for hosted in &mut cores {
+            let _ = hosted.core.evaluate(t);
         }
 
         for c in &mut conns {
@@ -515,8 +533,8 @@ fn run(args: &[String]) -> Result<(), String> {
         if t.as_secs() >= next_status {
             next_status = t.as_secs() + o.status_every;
             let mut out = std::io::stdout().lock();
-            for core in &cores {
-                let st = core.state();
+            for hosted in &cores {
+                let st = hosted.core.state();
                 let heard = st
                     .slots
                     .iter()
@@ -528,11 +546,12 @@ fn run(args: &[String]) -> Result<(), String> {
                 };
                 let _ = writeln!(
                     out,
-                    "status id={} t={:.6} logical={:.6} max_est={:.6} mode={mode} peers_heard={heard}",
+                    "status id={} t={:.6} logical={:.6} max_est={:.6} mode={mode} rejected={} peers_heard={heard}",
                     st.id().0,
                     t.as_secs(),
                     st.logical(),
                     st.max_estimate(),
+                    hosted.rejected,
                 );
             }
             let _ = out.flush();
@@ -564,8 +583,8 @@ fn run(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// The hosted core for global ID `dst`, if it is local.
-fn core_for(cores: &mut [NodeCore], first: u64, dst: u64) -> Option<&mut NodeCore> {
+/// The hosted node for global ID `dst`, if it is local.
+fn core_for(cores: &mut [Hosted], first: u64, dst: u64) -> Option<&mut Hosted> {
     dst.checked_sub(first)
         .and_then(|k| usize::try_from(k).ok())
         .and_then(|k| cores.get_mut(k))

@@ -880,18 +880,22 @@ struct NodeStatus {
     wall: f64,
     logical: f64,
     peers_heard: usize,
+    /// Messages the node's §3.1 delivery rule has dropped so far.
+    rejected: u64,
 }
 
 fn parse_status_line(wall: f64, line: &str) -> Option<(u64, NodeStatus)> {
     let mut id = None;
     let mut logical = None;
     let mut peers_heard = None;
+    let mut rejected = None;
     for field in line.strip_prefix("status ")?.split_whitespace() {
         let (key, value) = field.split_once('=')?;
         match key {
             "id" => id = value.parse().ok(),
             "logical" => logical = value.parse().ok(),
             "peers_heard" => peers_heard = value.parse().ok(),
+            "rejected" => rejected = value.parse().ok(),
             _ => {}
         }
     }
@@ -901,6 +905,7 @@ fn parse_status_line(wall: f64, line: &str) -> Option<(u64, NodeStatus)> {
             wall,
             logical: logical?,
             peers_heard: peers_heard?,
+            rejected: rejected?,
         },
     ))
 }
@@ -1171,6 +1176,15 @@ fn cmd_node_smoke(args: &[String]) -> Result<(), String> {
             return Err(format!(
                 "node {id} heard {} of {expected} peers — the mesh never completed",
                 st.peers_heard
+            ));
+        }
+        // Every peer is a neighbour from time 0 and nothing ever leaves,
+        // so the delivery rule has nothing to drop: a rejection here is a
+        // routing or timestamp bug.
+        if st.rejected != 0 {
+            return Err(format!(
+                "node {id} rejected {} message(s) under the §3.1 delivery rule on a static mesh",
+                st.rejected
             ));
         }
     }
