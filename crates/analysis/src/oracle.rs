@@ -30,12 +30,16 @@
 //! snapshots produces bit-identical [`ConformanceReport`]s (the engine
 //! equivalence suite leans on this).
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Barrier, Mutex};
+
 use gcs_core::{ChangeRecord, Params, Simulation};
 use gcs_net::{EdgeKey, NodeId};
 use rand::{rngs::StdRng, Rng as _, SeedableRng as _};
 
 use crate::legality::{gradient_bound, gradient_sequence};
-use crate::paths::WeightedGraph;
+use crate::parallel::{parallelism, run_workers, spawn_workers};
+use crate::paths::{HopGraph, HopScratch, WeightedGraph};
 
 /// Stratified pair-sampling mode for the gradient sweep — the
 /// `--oracle-sample` knob that makes conformance practical at 10⁴–10⁵
@@ -232,6 +236,17 @@ impl BoundCheck {
         }
     }
 
+    /// Adds the comparisons `later` aggregated — none of them earlier
+    /// than any of `self`'s. Integer sums and f64 min/max only, so any
+    /// split of one instant's comparisons merges to the same bits.
+    fn merge(&mut self, later: &BoundCheck) {
+        self.checks += later.checks;
+        self.violations += later.violations;
+        self.first_violation = self.first_violation.or(later.first_violation);
+        self.min_margin = self.min_margin.min(later.min_margin);
+        self.worst_utilization = self.worst_utilization.max(later.worst_utilization);
+    }
+
     /// Whether every comparison stayed within its bound.
     #[must_use]
     pub fn passed(&self) -> bool {
@@ -254,6 +269,32 @@ pub struct HopClass {
     pub min_margin: f64,
     /// Worst `observed / allowed` at this distance.
     pub worst_utilization: f64,
+}
+
+impl HopClass {
+    /// Adds `pairs` pair samples with the given worst case among them.
+    fn absorb(&mut self, pairs: u64, worst_skew: f64, min_margin: f64, worst_utilization: f64) {
+        self.pairs += pairs;
+        self.worst_skew = self.worst_skew.max(worst_skew);
+        self.min_margin = self.min_margin.min(min_margin);
+        self.worst_utilization = self.worst_utilization.max(worst_utilization);
+    }
+}
+
+/// The class of hop distance `d` in a dense `d = 1`-first table, which
+/// grows to cover it. Only the appended classes are written, so growing
+/// one class at a time to `D` classes costs `O(D)`.
+fn hop_class_mut(per_hop: &mut Vec<HopClass>, d: u32) -> &mut HopClass {
+    for hops in per_hop.len() as u32 + 1..=d {
+        per_hop.push(HopClass {
+            hops,
+            pairs: 0,
+            worst_skew: 0.0,
+            min_margin: f64::INFINITY,
+            worst_utilization: 0.0,
+        });
+    }
+    &mut per_hop[d as usize - 1]
 }
 
 /// The per-run verdict of the conformance oracle.
@@ -414,6 +455,271 @@ struct FaultAllowance {
     magnitude: f64,
 }
 
+/// A snapshot's gradient sweep stays on the calling thread below this
+/// many units of BFS work, `sources × (nodes + edges)`. Measured on the
+/// 2-vCPU reference container (rings and tori of 16 to 10⁵ nodes, exact
+/// and sampled, one worker against two): a unit costs 3–8 ns, spawning
+/// and joining two scoped workers 30–55 µs, and two workers first break
+/// even at 2¹⁵–2¹⁷ units, inside the timing noise. From 2²⁰ units — a
+/// 3–8 ms sweep — up, two workers took 0.39–0.73 of one worker's time on
+/// every graph, and the fan-out costs about 1 % of what it splits. Every
+/// `tiny`-scale campaign scenario sits orders of magnitude below it.
+const FAN_OUT_MIN_WORK: usize = 1 << 20;
+
+/// What a gradient sweep accumulates over the pairs it visits: one
+/// worker's share, or all workers' shares merged. Every field is an
+/// integer sum or an f64 min/max over pairs (and all pairs of one sweep
+/// share the instant `t`), so the merged result is bit-identical however
+/// the sources were split.
+#[derive(Debug, Clone)]
+struct SweepPartial {
+    // Weight-uniform snapshots: pair count and worst skew per hop class
+    // (indexed by d − 1) — all the fused BFS sweep touches per pair.
+    // `fold_uniform_gradient` turns them into report updates.
+    class_pairs: Vec<u64>,
+    class_skew: Vec<f64>,
+    // Other snapshots: every pair recorded against its own Dijkstra bound.
+    // The violation re-count of a uniform snapshot tallies into
+    // `gradient.violations` alone.
+    gradient: BoundCheck,
+    per_hop: Vec<HopClass>,
+}
+
+impl Default for SweepPartial {
+    fn default() -> Self {
+        SweepPartial {
+            class_pairs: Vec::new(),
+            class_skew: Vec::new(),
+            gradient: BoundCheck::new(),
+            per_hop: Vec::new(),
+        }
+    }
+}
+
+impl SweepPartial {
+    fn clear(&mut self) {
+        self.class_pairs.clear();
+        self.class_skew.clear();
+        self.gradient = BoundCheck::new();
+        self.per_hop.clear();
+    }
+
+    fn merge(&mut self, other: &SweepPartial) {
+        if self.class_pairs.len() < other.class_pairs.len() {
+            self.class_pairs.resize(other.class_pairs.len(), 0);
+            self.class_skew.resize(other.class_skew.len(), 0.0);
+        }
+        for (mine, theirs) in self.class_pairs.iter_mut().zip(&other.class_pairs) {
+            *mine += theirs;
+        }
+        for (mine, theirs) in self.class_skew.iter_mut().zip(&other.class_skew) {
+            *mine = mine.max(*theirs);
+        }
+        self.gradient.merge(&other.gradient);
+        merge_per_hop(&mut self.per_hop, &other.per_hop);
+    }
+}
+
+fn merge_per_hop(into: &mut Vec<HopClass>, from: &[HopClass]) {
+    for c in from {
+        hop_class_mut(into, c.hops).absorb(
+            c.pairs,
+            c.worst_skew,
+            c.min_margin,
+            c.worst_utilization,
+        );
+    }
+}
+
+/// One sweep worker's private scratch, kept between snapshots.
+#[derive(Debug, Clone, Default)]
+struct SweepWorker {
+    bfs: HopScratch,
+    kdist: Vec<f64>,
+    partial: SweepPartial,
+}
+
+/// What a sweep does with each pair it reaches.
+#[derive(Debug, Clone, Copy)]
+enum SweepPass {
+    /// Weight-uniform snapshot: the weighted distance to a hop-`d` target
+    /// is the `d`-fold running sum of the common weight, so the bound is
+    /// a pure function of the hop class and the Dijkstra is skipped. The
+    /// sweep only accumulates each class's pair count and worst skew;
+    /// the per-class bound comparison is folded into the report once per
+    /// snapshot. Bit-identical to the weighted pass: Dijkstra settles a
+    /// hop-`d` node via a hop-`(d−1)` predecessor at exactly the running
+    /// sum, division by a (positive) bound and subtraction from it are
+    /// monotone in the skew, and running min/max are order-invariant.
+    /// This is what keeps the sampled oracle at 10⁵-node scale inside the
+    /// CI smoke budget: the hot loop is two loads, a subtract, and a
+    /// compare per pair.
+    UniformClasses,
+    /// Any other snapshot: Dijkstra from the source, then the Theorem
+    /// 5.22 bound for every reached target, recorded pair by pair.
+    Weighted,
+    /// Weight-uniform snapshot with a breached class: count the pairs
+    /// whose skew exceeds their class's (already cached) bound.
+    UniformViolations,
+}
+
+/// The gradient check's inputs that are fixed once a snapshot's global
+/// family has been checked and its sources drawn.
+#[derive(Debug, Clone, Copy)]
+struct GradientInstant {
+    t: f64,
+    allowance: f64,
+    slack: f64,
+    /// Sources drawn into `pool[..k]` (sampled mode), or `None` (exact).
+    sampled_k: Option<usize>,
+    forced_workers: Option<usize>,
+}
+
+/// One pass over one snapshot's sources: everything the workers share,
+/// read-only.
+struct Sweep<'a> {
+    pass: SweepPass,
+    /// The drawn sources, each swept against every target (a pair whose
+    /// both endpoints are drawn is recorded twice, which leaves every
+    /// worst-case statistic unchanged because skew and bound are
+    /// symmetric); `None` sweeps every node against the higher-indexed
+    /// targets only, each unordered pair once.
+    sources: Option<&'a [u32]>,
+    hop_graph: &'a HopGraph,
+    strong: &'a WeightedGraph,
+    logical: &'a [f64],
+    allowed_by_hop: &'a [f64],
+    params: &'a Params,
+    g_hat: f64,
+    at: GradientInstant,
+}
+
+impl Sweep<'_> {
+    /// Sweeps the `i`-th source into `w.partial`.
+    fn sweep_source(&self, i: usize, w: &mut SweepWorker) {
+        let (u, v_lo) = match self.sources {
+            Some(drawn) => (drawn[i] as usize, 0),
+            None => (i, i + 1),
+        };
+        let src = NodeId::from(u);
+        let logical = self.logical;
+        let lu = logical[u];
+        let SweepWorker {
+            bfs,
+            kdist,
+            partial,
+        } = w;
+        match self.pass {
+            SweepPass::UniformClasses => {
+                let SweepPartial {
+                    class_pairs,
+                    class_skew,
+                    ..
+                } = partial;
+                self.hop_graph.for_each_reached(src, bfs, |v, d| {
+                    if v < v_lo {
+                        return;
+                    }
+                    let idx = d as usize - 1;
+                    if idx >= class_pairs.len() {
+                        class_pairs.resize(idx + 1, 0);
+                        class_skew.resize(idx + 1, 0.0);
+                    }
+                    class_pairs[idx] += 1;
+                    let skew = (lu - logical[v]).abs();
+                    if skew > class_skew[idx] {
+                        class_skew[idx] = skew;
+                    }
+                });
+            }
+            SweepPass::Weighted => {
+                self.strong.distances_into(src, kdist);
+                self.hop_graph.for_each_reached(src, bfs, |v, d| {
+                    if v < v_lo {
+                        return;
+                    }
+                    let skew = (lu - logical[v]).abs();
+                    let allowed = gradient_bound(self.params, self.g_hat, kdist[v])
+                        + self.at.allowance
+                        + self.at.slack;
+                    partial.gradient.record(self.at.t, skew, allowed);
+                    hop_class_mut(&mut partial.per_hop, d).absorb(
+                        1,
+                        skew,
+                        allowed - skew,
+                        skew / allowed,
+                    );
+                });
+            }
+            SweepPass::UniformViolations => {
+                self.hop_graph.for_each_reached(src, bfs, |v, d| {
+                    if v < v_lo {
+                        return;
+                    }
+                    let skew = (lu - logical[v]).abs();
+                    if self.allowed_by_hop[d as usize] - skew < 0.0 {
+                        partial.gradient.violations += 1;
+                    }
+                });
+            }
+        }
+    }
+
+    /// Sweeps every source and leaves the merged result in `total`.
+    /// Workers take sources one at a time off a shared counter, each into
+    /// its own scratch from `scratch` (grown on demand, returned for the
+    /// next snapshot), and merge into `total` as they finish. The thread
+    /// count is the machine's parallelism, as far as the process-wide
+    /// worker budget allows and only for sweeps of at least
+    /// [`FAN_OUT_MIN_WORK`] — or exactly `at.forced_workers` (the
+    /// worker-invariance tests), and then no worker starts its second
+    /// source before every worker holds its first, so tiny sweeps are
+    /// really split.
+    fn run(&self, scratch: &mut Vec<SweepWorker>, total: &mut SweepPartial) {
+        total.clear();
+        let sources = self
+            .sources
+            .map_or(self.hop_graph.node_count(), <[u32]>::len);
+        let all_started = self.at.forced_workers.map(Barrier::new);
+        let next = AtomicUsize::new(0);
+        let idle = Mutex::new(std::mem::take(scratch));
+        let merged = Mutex::new(total);
+        let worker = || {
+            let mut w = idle
+                .lock()
+                .expect("no sweep worker panics holding the scratch pool")
+                .pop()
+                .unwrap_or_default();
+            w.partial.clear();
+            let mut i = next.fetch_add(1, Ordering::Relaxed);
+            if let Some(barrier) = &all_started {
+                barrier.wait();
+            }
+            while i < sources {
+                self.sweep_source(i, &mut w);
+                i = next.fetch_add(1, Ordering::Relaxed);
+            }
+            merged
+                .lock()
+                .expect("merging a partial does not panic")
+                .merge(&w.partial);
+            idle.lock()
+                .expect("no sweep worker panics holding the scratch pool")
+                .push(w);
+        };
+        let work =
+            sources.saturating_mul(self.hop_graph.node_count() + self.hop_graph.edge_count());
+        match self.at.forced_workers {
+            Some(workers) => spawn_workers(workers, worker),
+            None if work >= FAN_OUT_MIN_WORK => run_workers(parallelism().min(sources), worker),
+            None => worker(),
+        }
+        *scratch = idle
+            .into_inner()
+            .expect("no sweep worker panics holding the scratch pool");
+    }
+}
+
 /// The incremental conformance oracle: feed it every sampled instant of a
 /// run via [`observe`](ConformanceChecker::observe), then
 /// [`finish`](ConformanceChecker::finish) it into a
@@ -427,14 +733,16 @@ pub struct ConformanceChecker {
     faults: Vec<FaultAllowance>,
     partition_slack: f64,
     report: ConformanceReport,
-    // Scratch reused across samples (the sweep is per-source Dijkstra+BFS).
+    // Scratch reused across samples. The strong graph is rebuilt per
+    // snapshot, with its hop structure flattened for the sweep's BFS.
     strong_edges: Vec<EdgeKey>,
     level1_edges: Vec<EdgeKey>,
     strong: WeightedGraph,
-    kdist: Vec<f64>,
-    hops: Vec<f64>,
-    queue: Vec<u32>,
+    hop_graph: HopGraph,
     logical: Vec<f64>,
+    // The gradient sweep's per-worker scratch and its merged result.
+    sweep_scratch: Vec<SweepWorker>,
+    swept: SweepPartial,
     // Source-draw scratch for sampled mode (partial Fisher–Yates pool).
     pool: Vec<u32>,
     // Per-snapshot gradient-bound cache for weight-uniform strong graphs:
@@ -445,12 +753,6 @@ pub struct ConformanceChecker {
     // computed). Both reset every observation instant.
     level_sums: Vec<f64>,
     allowed_by_hop: Vec<f64>,
-    // Per-snapshot, per-hop-class sweep accumulators for weight-uniform
-    // snapshots (indexed by d − 1): pair count and worst skew, all the
-    // fused BFS sweep touches per pair. `fold_uniform_gradient` turns
-    // them into `BoundCheck`/`HopClass` updates once per snapshot.
-    class_pairs: Vec<u64>,
-    class_skew: Vec<f64>,
 }
 
 impl ConformanceChecker {
@@ -499,15 +801,13 @@ impl ConformanceChecker {
             strong_edges: Vec::new(),
             level1_edges: Vec::new(),
             strong: WeightedGraph::new(0),
-            kdist: Vec::new(),
-            hops: Vec::new(),
-            queue: Vec::new(),
+            hop_graph: HopGraph::default(),
             logical: Vec::new(),
+            sweep_scratch: Vec::new(),
+            swept: SweepPartial::default(),
             pool: Vec::new(),
             level_sums: Vec::new(),
             allowed_by_hop: Vec::new(),
-            class_pairs: Vec::new(),
-            class_skew: Vec::new(),
         }
     }
 
@@ -555,6 +855,24 @@ impl ConformanceChecker {
     ///
     /// Panics if called with time running backwards.
     pub fn observe(&mut self, sim: &Simulation) {
+        self.observe_on(sim, None);
+    }
+
+    /// [`observe`](Self::observe) with the gradient sweep forced onto
+    /// exactly `workers` threads, whatever the snapshot's size and the
+    /// machine's parallelism. The report does not depend on it; this
+    /// exists so `tests/oracle_parallel.rs` can hold that.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `workers` is zero.
+    #[doc(hidden)]
+    pub fn observe_with_workers(&mut self, sim: &Simulation, workers: usize) {
+        assert!(workers > 0, "a sweep needs at least one worker");
+        self.observe_on(sim, Some(workers));
+    }
+
+    fn observe_on(&mut self, sim: &Simulation, forced_workers: Option<usize>) {
         let t = sim.now().as_secs();
         let dt = match self.last_t {
             Some(prev) => {
@@ -635,31 +953,35 @@ impl ConformanceChecker {
                 .expect("fully inserted edge has both slots");
             self.strong.add_edge(e, kappa);
         }
+        self.hop_graph.rebuild(&self.strong);
         // The hop-class bound cache is per snapshot: the allowance, the
         // slack, and the realized weights all move between instants.
         self.level_sums.clear();
         self.allowed_by_hop.clear();
-        self.class_pairs.clear();
-        self.class_skew.clear();
-        if self.cfg.sampling.is_some() {
-            // Sampled mode: sweep only this snapshot's drawn sources, but
-            // against every target (`v ≠ u`), so each sweep stratifies
-            // the checks across the source's full hop-class range. Every
-            // check is one the exact pass also makes, with identical
-            // arithmetic — the sampled report is a conservative
-            // projection of the exact one.
-            let k = self.draw_sources(n);
-            self.report.sampled_sources += k as u64;
-            for i in 0..k {
-                let u = self.pool[i] as usize;
-                self.sweep_gradient_source(u, 0, t, allowance, slack);
+        // Sampled mode sweeps only this snapshot's drawn sources, but
+        // against every target (`v ≠ u`), so each sweep stratifies the
+        // checks across the source's full hop-class range. Every check is
+        // one the exact pass also makes, with identical arithmetic — the
+        // sampled report is a conservative projection of the exact one.
+        let sampled_k = self.cfg.sampling.is_some().then(|| self.draw_sources(n));
+        self.report.sampled_sources += sampled_k.unwrap_or(0) as u64;
+        let gradient = GradientInstant {
+            t,
+            allowance,
+            slack,
+            sampled_k,
+            forced_workers,
+        };
+        match self.strong.uniform_weight() {
+            Some(w) => {
+                self.sweep_gradient(SweepPass::UniformClasses, gradient);
+                self.fold_uniform_gradient(w, gradient);
             }
-            self.fold_uniform_gradient(t, allowance, slack, Some(k));
-        } else {
-            for u in 0..n {
-                self.sweep_gradient_source(u, u + 1, t, allowance, slack);
+            None => {
+                self.sweep_gradient(SweepPass::Weighted, gradient);
+                self.report.gradient.merge(&self.swept.gradient);
+                merge_per_hop(&mut self.report.per_hop, &self.swept.per_hop);
             }
-            self.fold_uniform_gradient(t, allowance, slack, None);
         }
 
         // 3. Weak edges: unlocked to a finite level, not yet fully
@@ -688,198 +1010,58 @@ impl ConformanceChecker {
         self.last_t = Some(t);
     }
 
-    /// One source's slice of the pairwise gradient check: Dijkstra + BFS
-    /// from `u` over the current strong graph (reusing the shared
-    /// scratch), then the Theorem 5.22 bound for every target `v` in
-    /// `v_lo..n`, `v ≠ u`. The exact pass calls this with `v_lo = u + 1`
-    /// (each unordered pair once); sampled mode with `v_lo = 0` (a drawn
-    /// source checks all its pairs — a pair whose both endpoints are
-    /// drawn is recorded twice, which leaves every worst-case statistic
-    /// unchanged because skew and bound are symmetric in `u, v`).
-    fn sweep_gradient_source(&mut self, u: usize, v_lo: usize, t: f64, allowance: f64, slack: f64) {
-        let lu = self.logical[u];
-        // Weight-uniform strong graphs (every fully-inserted edge at the
-        // identical κ — the common case away from decaying insertions)
-        // skip the Dijkstra: the weighted distance to a hop-d target is
-        // the d-fold running sum of the common weight, so the bound is a
-        // pure function of the hop class. The sweep then only accumulates
-        // each class's pair count and worst skew (BFS order, reading the
-        // reached nodes straight off the BFS queue); the per-class bound
-        // comparison, utilization, and margin are folded into the report
-        // once per snapshot by [`fold_uniform_gradient`]. Bit-identical
-        // to the general path: Dijkstra settles a hop-d node via a
-        // hop-(d−1) predecessor at exactly the running sum, division by a
-        // (positive) bound and subtraction from it are monotone in the
-        // skew, and running min/max are order-invariant. This is what
-        // keeps the sampled oracle at 10⁵-node scale inside the CI smoke
-        // budget: the hot loop is two loads, a subtract, and a compare
-        // per pair.
-        if self.strong.uniform_weight().is_some() {
-            self.strong
-                .hop_distances_into(NodeId::from(u), &mut self.hops, &mut self.queue);
-            let queue = std::mem::take(&mut self.queue);
-            for &vq in &queue {
-                let v = vq as usize;
-                if v < v_lo {
-                    continue;
-                }
-                let h = self.hops[v];
-                if h == 0.0 {
-                    continue;
-                }
-                let idx = h as usize - 1;
-                if idx >= self.class_pairs.len() {
-                    self.class_pairs.resize(idx + 1, 0);
-                    self.class_skew.resize(idx + 1, 0.0);
-                }
-                self.class_pairs[idx] += 1;
-                let skew = (lu - self.logical[v]).abs();
-                if skew > self.class_skew[idx] {
-                    self.class_skew[idx] = skew;
-                }
-            }
-            self.queue = queue;
-            return;
+    /// Runs one pass of the pairwise gradient check over this snapshot's
+    /// sources, leaving the merged accumulators in `self.swept`.
+    fn sweep_gradient(&mut self, pass: SweepPass, at: GradientInstant) {
+        Sweep {
+            pass,
+            sources: at.sampled_k.map(|k| &self.pool[..k]),
+            hop_graph: &self.hop_graph,
+            strong: &self.strong,
+            logical: &self.logical,
+            allowed_by_hop: &self.allowed_by_hop,
+            params: &self.params,
+            g_hat: self.cfg.g_hat,
+            at,
         }
-        self.strong.distances_into(NodeId::from(u), &mut self.kdist);
-        self.strong
-            .hop_distances_into(NodeId::from(u), &mut self.hops, &mut self.queue);
-        for v in v_lo..self.logical.len() {
-            let h = self.hops[v];
-            if !h.is_finite() || h == 0.0 {
-                continue;
-            }
-            let skew = (lu - self.logical[v]).abs();
-            let d = h as u32;
-            let allowed =
-                gradient_bound(&self.params, self.cfg.g_hat, self.kdist[v]) + allowance + slack;
-            self.report.gradient.record(t, skew, allowed);
-            let idx = (d - 1) as usize;
-            self.grow_per_hop(idx);
-            let class = &mut self.report.per_hop[idx];
-            class.pairs += 1;
-            class.worst_skew = class.worst_skew.max(skew);
-            class.min_margin = class.min_margin.min(allowed - skew);
-            class.worst_utilization = class.worst_utilization.max(skew / allowed);
-        }
-    }
-
-    /// Ensures `report.per_hop` covers class index `idx`, keeping the
-    /// `hops` labels dense.
-    fn grow_per_hop(&mut self, idx: usize) {
-        if self.report.per_hop.len() <= idx {
-            self.report.per_hop.resize(
-                idx + 1,
-                HopClass {
-                    hops: 0,
-                    pairs: 0,
-                    worst_skew: 0.0,
-                    min_margin: f64::INFINITY,
-                    worst_utilization: 0.0,
-                },
-            );
-            for (i, class) in self.report.per_hop.iter_mut().enumerate() {
-                class.hops = i as u32 + 1;
-            }
-        }
+        .run(&mut self.sweep_scratch, &mut self.swept);
     }
 
     /// Folds the per-class `(pairs, worst skew)` accumulators of a
-    /// weight-uniform snapshot into the report — the per-class equivalent
-    /// of calling [`BoundCheck::record`] for every pair, exploiting that
-    /// all pairs of a class share one bound. Violation *counts* need the
-    /// individual skews, so a snapshot whose worst class skew breaches its
-    /// bound takes a second sweep over the same sources to tally them —
-    /// the rare path, only ever paid by non-conformant runs.
-    ///
-    /// No-op on non-uniform snapshots (the general sweep records inline).
-    fn fold_uniform_gradient(
-        &mut self,
-        t: f64,
-        allowance: f64,
-        slack: f64,
-        sampled_k: Option<usize>,
-    ) {
-        let Some(w) = self.strong.uniform_weight() else {
-            return;
-        };
+    /// weight-uniform snapshot (common weight `w`) into the report — the
+    /// per-class equivalent of calling [`BoundCheck::record`] for every
+    /// pair, exploiting that all pairs of a class share one bound.
+    /// Violation *counts* need the individual skews, so a snapshot whose
+    /// worst class skew breaches its bound takes a second sweep over the
+    /// same sources to tally them — the rare path, only ever paid by
+    /// non-conformant runs.
+    fn fold_uniform_gradient(&mut self, w: f64, at: GradientInstant) {
         let mut violating = false;
-        for idx in 0..self.class_pairs.len() {
-            let pairs = self.class_pairs[idx];
+        for idx in 0..self.swept.class_pairs.len() {
+            let pairs = self.swept.class_pairs[idx];
             if pairs == 0 {
                 continue;
             }
-            let maxskew = self.class_skew[idx];
-            let allowed = self.allowed_at_hop(idx as u32 + 1, w, allowance, slack);
+            let maxskew = self.swept.class_skew[idx];
+            let d = idx as u32 + 1;
+            let allowed = self.allowed_at_hop(d, w, at.allowance, at.slack);
             debug_assert!(allowed > 0.0, "gradient bounds are strictly positive");
             let margin = allowed - maxskew;
             let util = maxskew / allowed;
             let gradient = &mut self.report.gradient;
             gradient.checks += pairs;
-            if margin < gradient.min_margin {
-                gradient.min_margin = margin;
-            }
-            if util > gradient.worst_utilization {
-                gradient.worst_utilization = util;
-            }
-            if margin < 0.0 {
-                violating = true;
-            }
-            self.grow_per_hop(idx);
-            let class = &mut self.report.per_hop[idx];
-            class.pairs += pairs;
-            class.worst_skew = class.worst_skew.max(maxskew);
-            class.min_margin = class.min_margin.min(margin);
-            class.worst_utilization = class.worst_utilization.max(util);
+            gradient.min_margin = gradient.min_margin.min(margin);
+            gradient.worst_utilization = gradient.worst_utilization.max(util);
+            violating |= margin < 0.0;
+            hop_class_mut(&mut self.report.per_hop, d).absorb(pairs, maxskew, margin, util);
         }
         if violating {
-            let mut viol = 0u64;
-            match sampled_k {
-                Some(k) => {
-                    for i in 0..k {
-                        let u = self.pool[i] as usize;
-                        viol += self.count_uniform_violations(u, 0);
-                    }
-                }
-                None => {
-                    for u in 0..self.logical.len() {
-                        viol += self.count_uniform_violations(u, u + 1);
-                    }
-                }
-            }
+            self.sweep_gradient(SweepPass::UniformViolations, at);
+            let viol = self.swept.gradient.violations;
             debug_assert!(viol > 0, "a breached class implies a breached pair");
             self.report.gradient.violations += viol;
-            if self.report.gradient.first_violation.is_none() {
-                self.report.gradient.first_violation = Some(t);
-            }
+            self.report.gradient.first_violation.get_or_insert(at.t);
         }
-    }
-
-    /// Re-sweeps one source of a weight-uniform snapshot and counts pairs
-    /// whose skew breaches the (already cached) hop-class bound — the slow
-    /// half of [`fold_uniform_gradient`]'s violation tally.
-    fn count_uniform_violations(&mut self, u: usize, v_lo: usize) -> u64 {
-        self.strong
-            .hop_distances_into(NodeId::from(u), &mut self.hops, &mut self.queue);
-        let lu = self.logical[u];
-        let queue = std::mem::take(&mut self.queue);
-        let mut viol = 0u64;
-        for &vq in &queue {
-            let v = vq as usize;
-            if v < v_lo {
-                continue;
-            }
-            let h = self.hops[v];
-            if h == 0.0 {
-                continue;
-            }
-            let skew = (lu - self.logical[v]).abs();
-            if self.allowed_by_hop[h as usize] - skew < 0.0 {
-                viol += 1;
-            }
-        }
-        self.queue = queue;
-        viol
     }
 
     /// The cached gradient bound for a hop-`d` target on a weight-uniform
@@ -1170,6 +1352,30 @@ mod tests {
         let r = c.finish();
         assert!(!r.is_conformant());
         assert!(r.gradient.violations > 0);
+    }
+
+    #[test]
+    fn hop_table_growth_labels_only_what_it_appends() {
+        let mut per_hop = Vec::new();
+        // One class at a time, then in jumps; a mark on each class asked
+        // for shows that growth never rewrites an existing entry.
+        for d in [1, 2, 3, 7, 50_000, 4, 50_000] {
+            hop_class_mut(&mut per_hop, d).pairs += 1;
+            assert!(per_hop.len() >= d as usize);
+        }
+        assert_eq!(per_hop.len(), 50_000);
+        for (i, class) in per_hop.iter().enumerate() {
+            assert_eq!(class.hops as usize, i + 1);
+            let marks = match class.hops {
+                50_000 => 2,
+                1 | 2 | 3 | 4 | 7 => 1,
+                _ => 0,
+            };
+            assert_eq!(class.pairs, marks, "class {}", class.hops);
+            assert_eq!(class.worst_skew, 0.0);
+            assert_eq!(class.min_margin, f64::INFINITY);
+            assert_eq!(class.worst_utilization, 0.0);
+        }
     }
 
     #[test]

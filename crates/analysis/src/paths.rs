@@ -4,7 +4,11 @@
 //! paths all of whose edges lie in `E_s(t)`. The relevant quantity for the
 //! potentials and the legality checker is the minimum path weight
 //! `κ_p` between node pairs, computed here with Dijkstra from every source
-//! (`O(n · m · log n)`, fine for the network sizes the experiments use).
+//! (`O(n · m · log n)`) — the experiment-sized path. At engine scale
+//! (10⁴–10⁵ nodes) the conformance oracle sweeps a *sample* of sources,
+//! counts hops on a [`HopGraph`] (`O(n + m)` per source, with no
+//! per-source `O(n)` reset), and on weight-uniform graphs skips the
+//! Dijkstra altogether.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -220,6 +224,118 @@ impl WeightedGraph {
     }
 }
 
+/// The hop structure of a [`WeightedGraph`] flattened into CSR form (one
+/// offsets array, one targets array) for sweeps that run a BFS from many
+/// sources over one fixed graph: the oracle's gradient sweep rebuilds it
+/// once per snapshot and shares it read-only between its workers.
+#[derive(Debug, Clone, Default)]
+pub struct HopGraph {
+    // Neighbours of `u` are `targets[offsets[u]..offsets[u + 1]]`.
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+}
+
+/// Per-worker BFS scratch for [`HopGraph::for_each_reached`], reusable
+/// across sources and graphs. Visited marks are epoch stamps, so starting
+/// a new source is O(1) instead of an `n`-long refill.
+#[derive(Debug, Clone, Default)]
+pub struct HopScratch {
+    // `stamp[v] == epoch` iff `v` was reached from the current source.
+    stamp: Vec<u32>,
+    epoch: u32,
+    queue: Vec<u32>,
+}
+
+impl HopGraph {
+    /// Replaces the contents with the adjacency of `g` (neighbour order
+    /// preserved), keeping the allocations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` has more than `u32::MAX` directed edges.
+    pub fn rebuild(&mut self, g: &WeightedGraph) {
+        self.offsets.clear();
+        self.targets.clear();
+        self.offsets.push(0);
+        for nbrs in &g.adj {
+            self.targets.extend(nbrs.iter().map(|&(v, _)| v as u32));
+            let end = u32::try_from(self.targets.len()).expect("directed edge count fits u32");
+            self.offsets.push(end);
+        }
+    }
+
+    /// Number of nodes.
+    #[must_use]
+    pub fn node_count(&self) -> usize {
+        self.offsets.len().saturating_sub(1)
+    }
+
+    /// Number of undirected edges.
+    #[must_use]
+    pub fn edge_count(&self) -> usize {
+        self.targets.len() / 2
+    }
+
+    /// Breadth-first search from `src`: calls `visit(v, d)` once for every
+    /// node `v ≠ src` reachable from it, with its hop distance `d ≥ 1`, in
+    /// non-decreasing order of `d`. Agrees with
+    /// [`WeightedGraph::hop_distances_into`] on every reached node;
+    /// unreachable nodes are simply never visited.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` is out of range.
+    pub fn for_each_reached(
+        &self,
+        src: NodeId,
+        scratch: &mut HopScratch,
+        mut visit: impl FnMut(usize, u32),
+    ) {
+        let epoch = scratch.next_epoch(self.node_count());
+        let HopScratch { stamp, queue, .. } = scratch;
+        queue.clear();
+        stamp[src.index()] = epoch;
+        queue.push(src.index() as u32);
+        // Level-synchronous: `queue[head..level_end]` is hop class `d − 1`
+        // and everything it pushes is class `d`, so no per-node distance
+        // is stored.
+        let (mut head, mut d) = (0, 0);
+        while head < queue.len() {
+            let level_end = queue.len();
+            d += 1;
+            while head < level_end {
+                let u = queue[head] as usize;
+                head += 1;
+                let nbrs = self.offsets[u] as usize..self.offsets[u + 1] as usize;
+                for &v in &self.targets[nbrs] {
+                    let seen = &mut stamp[v as usize];
+                    if *seen != epoch {
+                        *seen = epoch;
+                        queue.push(v);
+                        visit(v as usize, d);
+                    }
+                }
+            }
+        }
+    }
+}
+
+impl HopScratch {
+    /// Sizes the stamps for an `n`-node graph and returns a stamp value no
+    /// entry currently holds.
+    fn next_epoch(&mut self, n: usize) -> u32 {
+        if self.stamp.len() != n || self.epoch == u32::MAX {
+            // Resized, or every u32 has been used: the one time stale
+            // stamps could alias a fresh epoch, so pay the O(n) clear.
+            self.stamp.clear();
+            self.stamp.resize(n, 0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        self.epoch
+    }
+}
+
 /// The level-`s` graph `E_s(t)` of a running simulation, weighted by the
 /// *effective* `κ` (which, under the decaying-weight insertion strategy,
 /// may still be inflated for fresh edges).
@@ -283,6 +399,38 @@ mod tests {
         let m = g.all_pairs();
         assert!(m.get(NodeId(0), NodeId(2)).is_infinite());
         assert_eq!(m.diameter(), None);
+    }
+
+    #[test]
+    fn hop_bfs_survives_the_epoch_wrapping() {
+        // The diamond plus an isolated node, swept from every source with
+        // one scratch whose epoch counter is about to run out of u32s.
+        let mut g = WeightedGraph::new(5);
+        for (a, b) in [(0, 1), (1, 3), (0, 2), (2, 3)] {
+            g.add_edge(EdgeKey::new(NodeId(a), NodeId(b)), 1.0);
+        }
+        let mut csr = HopGraph::default();
+        csr.rebuild(&g);
+        assert_eq!((csr.node_count(), csr.edge_count()), (5, 4));
+        let mut scratch = HopScratch::default();
+        csr.for_each_reached(NodeId(0), &mut scratch, |_, _| {});
+        scratch.epoch = u32::MAX - 3;
+        let (mut reference, mut queue) = (Vec::new(), Vec::new());
+        for round in 0..8u32 {
+            let src = NodeId(round % 5);
+            g.hop_distances_into(src, &mut reference, &mut queue);
+            let mut ours = vec![f64::INFINITY; 5];
+            ours[src.index()] = 0.0;
+            let mut last = 0;
+            csr.for_each_reached(src, &mut scratch, |v, d| {
+                assert!(ours[v].is_infinite(), "node {v} visited twice");
+                assert!(d >= last, "hop classes arrive in order");
+                last = d;
+                ours[v] = f64::from(d);
+            });
+            assert_eq!(ours, reference, "round {round}");
+        }
+        assert!(scratch.epoch < 8, "the counter wrapped during the rounds");
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Cross-validation of the analysis layer against independent
 //! brute-force implementations: the Dijkstra-based all-pairs distances
-//! against Floyd–Warshall, and the potential computation against explicit
-//! simple-path enumeration.
+//! against Floyd–Warshall, the potential computation against explicit
+//! simple-path enumeration, and the oracle's CSR hop kernel against the
+//! plain BFS.
 
 use proptest::prelude::*;
 
-use gradient_clock_sync::analysis::paths::WeightedGraph;
+use gradient_clock_sync::analysis::paths::{HopGraph, HopScratch, WeightedGraph};
 use gradient_clock_sync::analysis::potentials::potentials_from;
 use gradient_clock_sync::net::{EdgeKey, NodeId};
 
@@ -146,6 +147,45 @@ proptest! {
                 "xi[{u}]: {} vs {}", pots.xi[u], xi_ref);
             prop_assert!((pots.psi[u] - psi_ref.max(0.0)).abs() < 1e-9,
                 "psi[{u}]: {} vs {}", pots.psi[u], psi_ref);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+
+    #[test]
+    fn hop_kernel_matches_plain_bfs((n, edges) in arb_graph(10)) {
+        // Three more nodes than the connected part: a second component
+        // (one edge) and an isolated node, so some targets are unreachable
+        // from every source.
+        let mut edges = edges;
+        edges.push((n, n + 1, 1.0));
+        let n = n + 3;
+        let g = build(n, &edges);
+        let mut csr = HopGraph::default();
+        csr.rebuild(&g);
+        let (mut hops, mut queue) = (Vec::new(), Vec::new());
+        let reference: Vec<Vec<f64>> = (0..n)
+            .map(|u| {
+                g.hop_distances_into(NodeId::from(u), &mut hops, &mut queue);
+                hops.clone()
+            })
+            .collect();
+        // One scratch for more sweeps than a 16-bit visited stamp could
+        // tell apart: no sweep may see marks an earlier one left behind.
+        let mut scratch = HopScratch::default();
+        let mut ours = Vec::new();
+        for sweep in 0..(1usize << 16) + 2 * n {
+            let u = sweep % n;
+            ours.clear();
+            ours.resize(n, f64::INFINITY);
+            ours[u] = 0.0;
+            csr.for_each_reached(NodeId::from(u), &mut scratch, |v, d| {
+                assert!(ours[v].is_infinite(), "sweep {sweep}: node {v} visited twice");
+                ours[v] = f64::from(d);
+            });
+            prop_assert_eq!(&ours, &reference[u], "sweep {} from {}", sweep, u);
         }
     }
 }
