@@ -10,12 +10,9 @@
 //! regression can be attributed (more events? slower events? more mode
 //! evaluations?) straight from the artifact.
 
-use std::io::Write as _;
-use std::path::Path;
-use std::time::Instant;
-
+use crate::campaign::{run_pass, Pass, Stops};
 use crate::error::ScenarioError;
-use crate::json::Json;
+use crate::json::{self, Json};
 use crate::spec::{Scale, ScenarioSpec};
 
 /// The artifact format tag.
@@ -52,8 +49,43 @@ pub struct BenchEntry {
     pub messages_delivered: u64,
 }
 
-/// Runs one scenario once, for throughput: build, replay scripted faults,
-/// drive to the end instant, and time it. No observation sampling.
+impl BenchEntry {
+    /// The measurement an end-only [`Pass`] of `spec` amounts to.
+    #[must_use]
+    pub fn of(spec: &ScenarioSpec, pass: &Pass) -> Self {
+        BenchEntry {
+            scenario: pass.scenario.clone(),
+            nodes: pass.nodes,
+            seed: pass.seed,
+            threads: pass.threads,
+            sim_secs: spec.end_secs(),
+            build_secs: pass.build_secs,
+            wall_secs: pass.wall_secs,
+            events: pass.stats.events,
+            events_per_sec: pass.stats.events as f64 / pass.wall_secs.max(1e-9),
+            ticks: pass.stats.ticks,
+            mode_evaluations: pass.stats.mode_evaluations,
+            messages_delivered: pass.stats.messages_delivered,
+        }
+    }
+
+    /// The deterministic columns — pure functions of scenario + seed +
+    /// code, unlike the timings — that every gate compares exactly.
+    #[must_use]
+    pub fn gated(&self) -> [(&'static str, u64); 5] {
+        [
+            ("nodes", self.nodes as u64),
+            ("events", self.events),
+            ("ticks", self.ticks),
+            ("mode_evaluations", self.mode_evaluations),
+            ("messages_delivered", self.messages_delivered),
+        ]
+    }
+}
+
+/// Runs one scenario once, for throughput: an end-only [`run_pass`] with
+/// no observers — build, replay scripted faults, drive to the end
+/// instant — timed.
 ///
 /// # Errors
 ///
@@ -63,56 +95,8 @@ pub fn run_one(
     seed: u64,
     threads: usize,
 ) -> Result<BenchEntry, ScenarioError> {
-    let built = Instant::now();
-    enum Built {
-        Sequential(gcs_core::Simulation),
-        Sharded(gcs_core::ParallelSimulation),
-    }
-    let mut sim = if threads <= 1 {
-        Built::Sequential(spec.build(seed)?)
-    } else {
-        let engine = gcs_core::ParallelSimBuilder::new(spec.builder(seed)?)
-            .shards(threads)
-            .build()
-            .map_err(|e| ScenarioError::Invalid(format!("{}: {e}", spec.name)))?;
-        Built::Sharded(engine)
-    };
-    let build_secs = built.elapsed().as_secs_f64();
-
-    let end = spec.end_secs();
-    let started = Instant::now();
-    let stats = match &mut sim {
-        Built::Sequential(sim) => {
-            crate::campaign::apply_faults(sim, &spec.faults);
-            sim.run_until_secs(end);
-            sim.stats()
-        }
-        Built::Sharded(sim) => {
-            crate::campaign::apply_faults(sim, &spec.faults);
-            sim.run_until_secs(end);
-            sim.stats()
-        }
-    };
-    let wall_secs = started.elapsed().as_secs_f64();
-
-    let nodes = match &sim {
-        Built::Sequential(sim) => sim.node_count(),
-        Built::Sharded(sim) => sim.node_count(),
-    };
-    Ok(BenchEntry {
-        scenario: spec.name.clone(),
-        nodes,
-        seed,
-        threads: threads.max(1),
-        sim_secs: end,
-        build_secs,
-        wall_secs,
-        events: stats.events,
-        events_per_sec: stats.events as f64 / wall_secs.max(1e-9),
-        ticks: stats.ticks,
-        mode_evaluations: stats.mode_evaluations,
-        messages_delivered: stats.messages_delivered,
-    })
+    let pass = run_pass(spec, seed, threads, Stops::EndOnly, &mut [])?;
+    Ok(BenchEntry::of(spec, &pass))
 }
 
 /// Runs `specs × seeds` sequentially (never in parallel — the timings are
@@ -147,8 +131,8 @@ pub fn run_suite(
                 for _ in 1..repeat {
                     let again = run_one(spec, seed, t)?;
                     assert_eq!(
-                        (again.events, again.ticks, again.mode_evaluations),
-                        (best.events, best.ticks, best.mode_evaluations),
+                        again.gated(),
+                        best.gated(),
                         "{} seed {seed} threads {t}: engine counters diverged across repetitions",
                         spec.name
                     );
@@ -162,13 +146,8 @@ pub fn run_suite(
             // agree on every deterministic counter.
             for e in &per_thread[1..] {
                 assert_eq!(
-                    (e.events, e.ticks, e.mode_evaluations, e.messages_delivered),
-                    (
-                        per_thread[0].events,
-                        per_thread[0].ticks,
-                        per_thread[0].mode_evaluations,
-                        per_thread[0].messages_delivered
-                    ),
+                    e.gated(),
+                    per_thread[0].gated(),
                     "{} seed {seed}: counters diverged between {} and {} threads",
                     spec.name,
                     per_thread[0].threads,
@@ -200,28 +179,12 @@ pub fn bench_json(scale: Scale, seeds: &[u64], entries: &[BenchEntry]) -> String
             ("messages_delivered", Json::Int(e.messages_delivered)),
         ])
     };
-    let head = Json::Obj(vec![
+    let head = vec![
         ("format", Json::Str(BENCH_FORMAT.to_string())),
         ("scale", Json::Str(scale.name().to_string())),
-        (
-            "seeds",
-            Json::Arr(seeds.iter().map(|&s| Json::Int(s)).collect()),
-        ),
-    ]);
-    // One entry per line so checked-in artifacts diff cleanly.
-    let head = head.to_string();
-    let mut out = String::new();
-    out.push_str(&head[..head.len() - 1]);
-    out.push_str(",\"entries\":[\n");
-    for (i, e) in entries.iter().enumerate() {
-        out.push_str(&entry_json(e).to_string());
-        if i + 1 < entries.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("]}\n");
-    out
+        ("seeds", Json::ints(seeds)),
+    ];
+    json::document(head, "entries", entries.iter().map(entry_json))
 }
 
 /// A fully parsed `gcs-engine-bench/v1` artifact.
@@ -242,16 +205,12 @@ pub struct BenchArtifact {
 /// Returns a message on malformed JSON, a wrong `format` tag, or a
 /// missing/mistyped field.
 pub fn read_bench(text: &str) -> Result<BenchArtifact, String> {
-    use crate::json::{self, arr_field, f64_field, str_field, u64_field};
+    use crate::json::{arr_field, f64_field, str_field, u64_field, u64s_field};
     let doc = json::parse(text)?;
     let format = str_field(&doc, "format", "bench artifact")?;
     if format != BENCH_FORMAT {
         return Err(format!("expected format {BENCH_FORMAT:?}, got {format:?}"));
     }
-    let seeds = arr_field(&doc, "seeds", "bench artifact")?
-        .iter()
-        .map(|s| s.as_u64().ok_or_else(|| "non-integer seed".to_string()))
-        .collect::<Result<Vec<u64>, String>>()?;
     let mut entries = Vec::new();
     for e in arr_field(&doc, "entries", "bench artifact")? {
         let scenario = str_field(e, "scenario", "bench entry")?;
@@ -282,7 +241,7 @@ pub fn read_bench(text: &str) -> Result<BenchArtifact, String> {
     }
     Ok(BenchArtifact {
         scale: str_field(&doc, "scale", "bench artifact")?,
-        seeds,
+        seeds: u64s_field(&doc, "seeds", "bench artifact")?,
         entries,
     })
 }
@@ -343,6 +302,18 @@ pub fn compare_counters(
     current: &BenchArtifact,
     subset: bool,
 ) -> BenchCompareReport {
+    // Entries are matched by the run they measured.
+    let same_run = |a: &BenchEntry, b: &BenchEntry| {
+        a.scenario == b.scenario && a.seed == b.seed && a.threads == b.threads
+    };
+    let finding = |e: &BenchEntry, counter, baseline, current| CounterFinding {
+        scenario: e.scenario.clone(),
+        seed: e.seed,
+        threads: e.threads,
+        counter,
+        baseline,
+        current,
+    };
     let mut findings = Vec::new();
     let mut matched = 0usize;
     let mut table = gcs_analysis::Table::new(
@@ -361,84 +332,44 @@ pub fn compare_counters(
          (scenario, seed): gated exactly. wall_secs is scheduler noise: reported \
          in the artifact, never gated.",
     );
+    let mut row = |e: &BenchEntry, cells: [String; 4]| {
+        let run = [
+            e.scenario.clone(),
+            e.seed.to_string(),
+            e.threads.to_string(),
+        ];
+        table.row(run.into_iter().chain(cells));
+    };
     for base in &baseline.entries {
-        let Some(cur) = current.entries.iter().find(|e| {
-            e.scenario == base.scenario && e.seed == base.seed && e.threads == base.threads
-        }) else {
+        let Some(cur) = current.entries.iter().find(|e| same_run(e, base)) else {
             if !subset {
-                findings.push(CounterFinding {
-                    scenario: base.scenario.clone(),
-                    seed: base.seed,
-                    threads: base.threads,
-                    counter: "missing entry",
-                    baseline: u64::MAX,
-                    current: u64::MAX,
-                });
+                findings.push(finding(base, "missing entry", u64::MAX, u64::MAX));
             }
-            table.row([
-                base.scenario.clone(),
-                base.seed.to_string(),
-                base.threads.to_string(),
-                "-".to_string(),
-                "-".to_string(),
-                "-".to_string(),
-                if subset { "skipped" } else { "MISSING" }.to_string(),
-            ]);
+            let status = if subset { "skipped" } else { "MISSING" };
+            row(base, ["-", "-", "-", status].map(str::to_string));
             continue;
         };
         matched += 1;
-        let pairs: [(&'static str, u64, u64); 5] = [
-            ("nodes", base.nodes as u64, cur.nodes as u64),
-            ("events", base.events, cur.events),
-            ("ticks", base.ticks, cur.ticks),
-            (
-                "mode_evaluations",
-                base.mode_evaluations,
-                cur.mode_evaluations,
-            ),
-            (
-                "messages_delivered",
-                base.messages_delivered,
-                cur.messages_delivered,
-            ),
-        ];
-        for (counter, b, c) in pairs {
-            let ok = b == c;
-            table.row([
-                base.scenario.clone(),
-                base.seed.to_string(),
-                base.threads.to_string(),
-                counter.to_string(),
-                b.to_string(),
-                c.to_string(),
-                if ok { "ok" } else { "MISMATCH" }.to_string(),
-            ]);
-            if !ok {
-                findings.push(CounterFinding {
-                    scenario: base.scenario.clone(),
-                    seed: base.seed,
-                    threads: base.threads,
-                    counter,
-                    baseline: b,
-                    current: c,
-                });
+        for ((counter, b), (_, c)) in base.gated().into_iter().zip(cur.gated()) {
+            let status = if b == c { "ok" } else { "MISMATCH" };
+            row(
+                base,
+                [
+                    counter.to_string(),
+                    b.to_string(),
+                    c.to_string(),
+                    status.to_string(),
+                ],
+            );
+            if b != c {
+                findings.push(finding(base, counter, b, c));
             }
         }
     }
     for cur in &current.entries {
-        if !baseline
-            .entries
-            .iter()
-            .any(|e| e.scenario == cur.scenario && e.seed == cur.seed && e.threads == cur.threads)
-        {
-            findings.push(CounterFinding {
-                scenario: cur.scenario.clone(),
-                seed: cur.seed,
-                threads: cur.threads,
-                counter: "new entry (refresh the baseline)",
-                baseline: u64::MAX,
-                current: u64::MAX,
-            });
+        if !baseline.entries.iter().any(|e| same_run(e, cur)) {
+            let what = "new entry (refresh the baseline)";
+            findings.push(finding(cur, what, u64::MAX, u64::MAX));
         }
     }
     if matched == 0 {
@@ -452,26 +383,6 @@ pub fn compare_counters(
         });
     }
     BenchCompareReport { table, findings }
-}
-
-/// Writes the artifact to `path`, creating parent directories as needed.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_bench(
-    path: &Path,
-    scale: Scale,
-    seeds: &[u64],
-    entries: &[BenchEntry],
-) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(bench_json(scale, seeds, entries).as_bytes())
 }
 
 #[cfg(test)]
@@ -534,6 +445,14 @@ mod tests {
         assert!(!legacy.contains("\"threads\""));
         let parsed = read_bench(&legacy).unwrap();
         assert!(parsed.entries.iter().all(|e| e.threads == 1));
+        // Every checked-in artifact re-serializes byte-for-byte.
+        for name in ["BENCH_engine.json", "BENCH_engine_tiny.json"] {
+            let path = format!("{}/../../results/{name}", env!("CARGO_MANIFEST_DIR"));
+            let text = std::fs::read_to_string(&path).unwrap();
+            let a = read_bench(&text).unwrap();
+            let scale = Scale::parse(&a.scale).unwrap();
+            assert_eq!(bench_json(scale, &a.seeds, &a.entries), text, "{name}");
+        }
     }
 
     #[test]

@@ -1,49 +1,225 @@
-//! The campaign runner: scenario × seed fan-out, ensemble aggregation,
-//! and the machine-readable `results/campaign_*.json` trajectory artifact.
+//! The one scenario-run driver, and the campaign built on it.
 //!
-//! Fan-out goes through [`gcs_analysis::parallel_map`] (the same function
-//! the experiment harness uses as `gcs_bench::parallel_map`) and
-//! aggregation through [`EnsembleStats`], so campaign numbers are directly
-//! comparable with the theorem experiments.
+//! Every consumer of a scenario — campaign statistics, the conformance
+//! oracle, the telemetry recorder, bench counters, chaos scoring, replay —
+//! does the same thing to it: build `(spec, seed, threads)`, replay the
+//! scripted faults, step the observation grid, look. That exists once:
+//! [`run_pass`] feeds every attached [`Observer`] from a single pass, and
+//! [`sweep`] fans a job over the scenario × seed matrix through
+//! [`gcs_analysis::parallel_map_progress`] (the executor the experiment
+//! harness uses as `gcs_bench::parallel_map`).
+//!
+//! The campaign itself is one observer ([`OutcomeObserver`]), aggregation
+//! through [`EnsembleStats`] — so campaign numbers are directly
+//! comparable with the theorem experiments — and the machine-readable
+//! `results/campaign_*.json` trajectory artifact.
 
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::iter::Peekable;
+use std::time::Instant;
 
 use gcs_analysis::{local_skew_with, parallel_map_progress, EnsembleStats};
+use gcs_core::{Engine, SimStats};
+use gcs_net::EdgeKey;
 
 use crate::error::ScenarioError;
 use crate::json::Json;
 use crate::spec::{FaultSpec, Metric, Scale, ScenarioSpec};
+use crate::telemetry::{TelemetryObserver, TelemetryRun};
+
+/// A spec's scripted faults in firing order. The subtle invariants of
+/// fault replay — ordering by `total_cmp` here, and a fault due *at* an
+/// instant firing before anything else happens there in [`fire_due`] —
+/// live in these two functions and nowhere else.
+fn firing_order(faults: &[FaultSpec]) -> Peekable<impl Iterator<Item = FaultSpec>> {
+    let mut faults = faults.to_vec();
+    faults.sort_by(|a, b| a.at().total_cmp(&b.at()));
+    faults.into_iter().peekable()
+}
+
+/// Injects every remaining fault due by `t`, each at its own exact
+/// instant.
+fn fire_due<E: Engine + ?Sized>(
+    sim: &mut E,
+    faults: &mut Peekable<impl Iterator<Item = FaultSpec>>,
+    t: f64,
+) {
+    while let Some(f) = faults.next_if(|f| f.at() <= t) {
+        sim.run_until_secs(f.at());
+        match f {
+            FaultSpec::ClockOffset { node, amount, .. } => {
+                sim.inject_clock_offset(gcs_net::NodeId::from(node), amount);
+            }
+            FaultSpec::EstimateBias { node, bias, .. } => {
+                sim.inject_estimate_bias(gcs_net::NodeId::from(node), bias);
+            }
+        }
+    }
+}
 
 /// Replays a spec's scripted faults into a hand-driven simulation: runs
 /// it forward to each fault's instant (in time order) and injects the
-/// offset. The campaign runner interleaves faults with its sampling grid
-/// itself; this is the seam for experiment harnesses that drive their
-/// own observation loop but still source injections from the spec.
-pub fn apply_faults<E: gcs_core::Engine>(sim: &mut E, faults: &[FaultSpec]) {
-    let mut faults = faults.to_vec();
-    faults.sort_by(|a, b| a.at().total_cmp(&b.at()));
-    for f in faults {
-        sim.run_until_secs(f.at());
-        inject(sim, f);
+/// offset. This is the seam for experiment harnesses that drive their
+/// own observation loop but still source injections from the spec, and
+/// the whole of an end-only pass's fault handling.
+pub fn apply_faults<E: Engine + ?Sized>(sim: &mut E, faults: &[FaultSpec]) {
+    fire_due(sim, &mut firing_order(faults), f64::INFINITY);
+}
+
+/// Drives a built simulation over a scenario's observation grid: at every
+/// instant `k · sample` (with the exact `end` instant appended), any
+/// scripted fault due by then is injected at *its* exact instant first,
+/// then the simulation is advanced to the sample instant and `observe` is
+/// called. This is the one sampling loop: [`run_pass`] and the
+/// engine-equivalence suites all go through it, so the `end − 1e-12`
+/// epsilon lives here and nowhere else.
+pub fn drive_sampled<E: Engine + ?Sized>(
+    sim: &mut E,
+    faults: &[FaultSpec],
+    sample: f64,
+    end: f64,
+    mut observe: impl FnMut(f64, &E),
+) {
+    let mut faults = firing_order(faults);
+    let mut k = 0u64;
+    loop {
+        let t = (k as f64 * sample).min(end);
+        fire_due(sim, &mut faults, t);
+        sim.run_until_secs(t);
+        observe(t, sim);
+        if t >= end - 1e-12 {
+            break;
+        }
+        k += 1;
     }
 }
 
-/// Dispatches one scripted fault to the engine's injection seam. The
-/// engine must already be at the fault's instant.
-fn inject<E: gcs_core::Engine>(sim: &mut E, f: FaultSpec) {
-    match f {
-        FaultSpec::ClockOffset { node, amount, .. } => {
-            sim.inject_clock_offset(gcs_net::NodeId::from(node), amount);
-        }
-        FaultSpec::EstimateBias { node, bias, .. } => {
-            sim.inject_estimate_bias(gcs_net::NodeId::from(node), bias);
+/// One consumer of a scenario pass. Observers only look — none may change
+/// the run, which is what lets any set of them share one pass
+/// (`tests/parallel_equivalence.rs` holds them to it).
+pub trait Observer {
+    /// Called once, on the freshly built engine still at time zero.
+    fn attach(&mut self, _engine: &mut dyn Engine, _spec: &ScenarioSpec, _seed: u64) {}
+    /// Called at every grid instant `t`, with the engine quiescent there.
+    fn sample(&mut self, _t: f64, _engine: &dyn Engine) {}
+    /// Called once, after the end instant.
+    fn detach(&mut self, _engine: &mut dyn Engine) {}
+}
+
+/// Where a pass stops to let its observers look.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stops {
+    /// At every instant of the spec's observation grid.
+    Grid,
+    /// Nowhere before the end instant — the throughput drive, whose
+    /// wall-clock must not include observation stops. Observers are
+    /// attached and detached but never sampled.
+    EndOnly,
+}
+
+/// What every pass reports, whoever observed it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Pass {
+    /// Scenario name.
+    pub scenario: String,
+    /// The run seed.
+    pub seed: u64,
+    /// Worker threads the engine was asked for (at least 1).
+    pub threads: usize,
+    /// Node count after scaling.
+    pub nodes: usize,
+    /// Wall-clock seconds to build the engine.
+    pub build_secs: f64,
+    /// Wall-clock seconds for the drive (excludes build and attach).
+    pub wall_secs: f64,
+    /// The engine's deterministic counters at the end instant.
+    pub stats: SimStats,
+}
+
+/// Runs one scenario once: builds the engine ([`ScenarioSpec::engine`]),
+/// attaches the observers, drives it — [`drive_sampled`] over the grid, or
+/// fault replay and one run to the end ([`Stops`]) — and detaches.
+/// Identical `(spec, seed)` give bit-identical observations at every
+/// thread count and with any set of observers attached.
+///
+/// # Errors
+///
+/// Returns [`ScenarioError`] if the spec fails to validate or build.
+pub fn run_pass(
+    spec: &ScenarioSpec,
+    seed: u64,
+    threads: usize,
+    stops: Stops,
+    observers: &mut [&mut dyn Observer],
+) -> Result<Pass, ScenarioError> {
+    let built = Instant::now();
+    let mut engine = spec.engine(seed, threads)?;
+    let build_secs = built.elapsed().as_secs_f64();
+    for o in observers.iter_mut() {
+        o.attach(&mut *engine, spec, seed);
+    }
+    let end = spec.end_secs();
+    let started = Instant::now();
+    match stops {
+        Stops::Grid => drive_sampled(&mut *engine, &spec.faults, spec.sample, end, |t, e| {
+            for o in observers.iter_mut() {
+                o.sample(t, e);
+            }
+        }),
+        Stops::EndOnly => {
+            apply_faults(&mut *engine, &spec.faults);
+            engine.run_until_secs(end);
         }
     }
+    let wall_secs = started.elapsed().as_secs_f64();
+    for o in observers.iter_mut() {
+        o.detach(&mut *engine);
+    }
+    Ok(Pass {
+        scenario: spec.name.clone(),
+        seed,
+        threads: threads.max(1),
+        nodes: engine.as_sim().node_count(),
+        build_secs,
+        wall_secs,
+        stats: engine.as_sim().stats(),
+    })
+}
+
+/// Runs `job` for every scenario × seed combination in parallel and
+/// returns the results scenario-major, then by seed. `on_done(spec, seed,
+/// result)` fires once per job **in that same order** regardless of
+/// which worker finished first, so progress output is deterministic and
+/// CI logs diff cleanly; a no-op callback is the non-progress sweep.
+///
+/// # Errors
+///
+/// Returns the first [`ScenarioError`] any job produced (after every job
+/// has been reported).
+///
+/// # Panics
+///
+/// Panics if `seeds` is empty.
+pub fn sweep<R: Send>(
+    specs: &[ScenarioSpec],
+    seeds: &[u64],
+    job: impl Fn(&ScenarioSpec, u64) -> Result<R, ScenarioError> + Sync,
+    on_done: impl Fn(&ScenarioSpec, u64, &Result<R, ScenarioError>) + Sync,
+) -> Result<Vec<R>, ScenarioError> {
+    assert!(!seeds.is_empty(), "a sweep needs at least one seed");
+    let jobs: Vec<(usize, u64)> = (0..specs.len())
+        .flat_map(|i| seeds.iter().map(move |&s| (i, s)))
+        .collect();
+    parallel_map_progress(
+        jobs,
+        |(i, seed)| job(&specs[i], seed),
+        |idx, result| on_done(&specs[idx / seeds.len()], seeds[idx % seeds.len()], result),
+    )
+    .into_iter()
+    .collect()
 }
 
 /// Everything one seeded run of one scenario produced.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScenarioOutcome {
     /// The run seed.
     pub seed: u64,
@@ -78,100 +254,93 @@ pub struct ScenarioOutcome {
     pub trajectory: Vec<(f64, f64)>,
 }
 
-/// Drives a built simulation over a scenario's observation grid: at every
-/// instant `k · sample` (with the exact `end` instant appended), any
-/// scripted fault due by then is injected at *its* exact instant first,
-/// then the simulation is advanced to the sample instant and `observe` is
-/// called. This is the one sampling/fault-replay loop shared by the
-/// campaign runner, the conformance runner, and the engine-equivalence
-/// suite — the subtle invariants (fault ordering by `total_cmp`, faults
-/// due *at* a sample firing before it, the `end − 1e-12` epsilon) live
-/// here and nowhere else.
-pub fn drive_sampled<E: gcs_core::Engine>(
-    sim: &mut E,
-    faults: &[FaultSpec],
-    sample: f64,
-    end: f64,
-    mut observe: impl FnMut(f64, &E),
-) {
-    let mut faults = faults.to_vec();
-    faults.sort_by(|a, b| a.at().total_cmp(&b.at()));
-    let mut next_fault = 0usize;
-    let mut k = 0u64;
-    loop {
-        let t = (k as f64 * sample).min(end);
-        while next_fault < faults.len() && faults[next_fault].at() <= t {
-            let f = faults[next_fault];
-            sim.run_until_secs(f.at());
-            inject(sim, f);
-            next_fault += 1;
+/// The campaign's observer: the global-skew trajectory over the whole
+/// run, and skew maxima plus invariant checks inside the observation
+/// window.
+#[derive(Debug)]
+pub struct OutcomeObserver {
+    warmup: f64,
+    metric: Metric,
+    outcome: ScenarioOutcome,
+    // One edge buffer for the whole observation loop (the local-skew
+    // samples would otherwise allocate a fresh vector per instant).
+    edges: Vec<EdgeKey>,
+}
+
+impl OutcomeObserver {
+    /// An observer for one run of `spec` (its warm-up bounds the
+    /// observation window, its metric picks the primary).
+    #[must_use]
+    pub fn new(spec: &ScenarioSpec) -> Self {
+        OutcomeObserver {
+            warmup: spec.warmup,
+            metric: spec.metric,
+            outcome: ScenarioOutcome::default(),
+            edges: Vec::new(),
         }
-        sim.run_until_secs(t);
-        observe(t, sim);
-        if t >= end - 1e-12 {
-            break;
+    }
+
+    /// The outcome of the pass this observer rode.
+    #[must_use]
+    pub fn finish(self, pass: &Pass) -> ScenarioOutcome {
+        let o = self.outcome;
+        let final_global_skew = o.trajectory.last().map_or(0.0, |&(_, g)| g);
+        ScenarioOutcome {
+            seed: pass.seed,
+            primary: match self.metric {
+                Metric::GlobalSkew => o.max_global_skew,
+                Metric::LocalSkew => o.max_local_skew,
+                Metric::FinalGlobalSkew => final_global_skew,
+            },
+            final_global_skew,
+            messages_sent: pass.stats.messages_sent,
+            messages_delivered: pass.stats.messages_delivered,
+            messages_dropped: pass.stats.messages_dropped,
+            events: pass.stats.events,
+            ticks: pass.stats.ticks,
+            mode_evaluations: pass.stats.mode_evaluations,
+            ..o
         }
-        k += 1;
     }
 }
 
-/// Runs one scenario once: builds the simulation, replays scripted faults
-/// at their exact instants, samples on the observation grid, and returns
-/// the outcome.
+impl Observer for OutcomeObserver {
+    fn sample(&mut self, t: f64, engine: &dyn Engine) {
+        let (sim, o) = (engine.as_sim(), &mut self.outcome);
+        let g = sim.global_skew_now();
+        o.trajectory.push((t, g));
+        if t >= self.warmup - 1e-9 {
+            o.max_global_skew = o.max_global_skew.max(g);
+            o.max_local_skew = o.max_local_skew.max(local_skew_with(sim, &mut self.edges));
+            if !sim.verify_invariants().is_empty() {
+                o.invariant_violations += 1;
+            }
+        }
+    }
+}
+
+/// One campaign pass on the sequential engine: the outcome, plus the
+/// instrumented run when the telemetry recorder rides along.
+fn observed_run(
+    spec: &ScenarioSpec,
+    seed: u64,
+    record: bool,
+) -> Result<(ScenarioOutcome, Option<TelemetryRun>), ScenarioError> {
+    let mut outcome = OutcomeObserver::new(spec);
+    let mut recorder = record.then(|| TelemetryObserver::new(false));
+    let mut observers: Vec<&mut dyn Observer> = vec![&mut outcome];
+    observers.extend(recorder.as_mut().map(|r| r as &mut dyn Observer));
+    let pass = run_pass(spec, seed, 1, Stops::Grid, &mut observers)?;
+    Ok((outcome.finish(&pass), recorder.map(|r| r.finish(&pass))))
+}
+
+/// Runs one scenario once and returns the campaign outcome.
 ///
 /// # Errors
 ///
 /// Returns [`ScenarioError`] if the spec fails to validate or build.
 pub fn run_scenario(spec: &ScenarioSpec, seed: u64) -> Result<ScenarioOutcome, ScenarioError> {
-    let mut sim = spec.build(seed)?;
-
-    let mut trajectory = Vec::new();
-    let mut max_global_skew = 0.0f64;
-    let mut max_local_skew = 0.0f64;
-    let mut invariant_violations = 0u64;
-    // One edge buffer for the whole observation loop (the local-skew
-    // samples would otherwise allocate a fresh vector per instant).
-    let mut edges = Vec::new();
-
-    drive_sampled(
-        &mut sim,
-        &spec.faults,
-        spec.sample,
-        spec.end_secs(),
-        |t, sim| {
-            let g = sim.global_skew_now();
-            trajectory.push((t, g));
-            if t >= spec.warmup - 1e-9 {
-                max_global_skew = max_global_skew.max(g);
-                max_local_skew = max_local_skew.max(local_skew_with(sim, &mut edges));
-                if !sim.verify_invariants().is_empty() {
-                    invariant_violations += 1;
-                }
-            }
-        },
-    );
-
-    let final_global_skew = trajectory.last().map_or(0.0, |&(_, g)| g);
-    let stats = sim.stats();
-    Ok(ScenarioOutcome {
-        seed,
-        primary: match spec.metric {
-            Metric::GlobalSkew => max_global_skew,
-            Metric::LocalSkew => max_local_skew,
-            Metric::FinalGlobalSkew => final_global_skew,
-        },
-        max_global_skew,
-        max_local_skew,
-        final_global_skew,
-        invariant_violations,
-        messages_sent: stats.messages_sent,
-        messages_delivered: stats.messages_delivered,
-        messages_dropped: stats.messages_dropped,
-        events: stats.events,
-        ticks: stats.ticks,
-        mode_evaluations: stats.mode_evaluations,
-        trajectory,
-    })
+    Ok(observed_run(spec, seed, false)?.0)
 }
 
 /// One scenario's aggregated campaign result.
@@ -189,65 +358,46 @@ pub struct CampaignRow {
     pub outcomes: Vec<ScenarioOutcome>,
 }
 
-/// Runs every scenario × seed combination in parallel (one scoped thread
-/// per run, input order preserved) and aggregates per scenario.
+/// Runs every scenario × seed combination through [`sweep`] and
+/// aggregates per scenario; `on_done` is its in-order completion
+/// callback. With `record` the telemetry recorder rides every pass and
+/// the instrumented runs come back too, in job order — the outcomes are
+/// the same either way.
 ///
 /// # Errors
 ///
 /// Returns the first [`ScenarioError`] any run produced.
+///
+/// # Panics
+///
+/// Panics if `seeds` is empty.
 pub fn run_campaign(
     specs: &[ScenarioSpec],
     seeds: &[u64],
-) -> Result<Vec<CampaignRow>, ScenarioError> {
-    run_campaign_progress(specs, seeds, |_, _, _| {})
-}
-
-/// [`run_campaign`] with a completion callback: `on_done(spec, seed,
-/// result)` fires once per scenario × seed, **in job order** (scenario-
-/// major, then seed) regardless of which worker finished first — so
-/// progress output is deterministic and CI logs diff cleanly.
-///
-/// # Errors
-///
-/// Returns the first [`ScenarioError`] any run produced (after every job
-/// has been reported).
-pub fn run_campaign_progress(
-    specs: &[ScenarioSpec],
-    seeds: &[u64],
-    on_done: impl Fn(&ScenarioSpec, u64, &Result<ScenarioOutcome, ScenarioError>) + Sync,
-) -> Result<Vec<CampaignRow>, ScenarioError> {
-    assert!(!seeds.is_empty(), "a campaign needs at least one seed");
-    let jobs: Vec<(usize, u64)> = specs
-        .iter()
-        .enumerate()
-        .flat_map(|(i, _)| seeds.iter().map(move |&s| (i, s)))
-        .collect();
-    let results = parallel_map_progress(
-        jobs,
-        |(i, seed)| run_scenario(&specs[i], seed),
-        |idx, result| {
-            let spec = &specs[idx / seeds.len()];
-            on_done(spec, seeds[idx % seeds.len()], result);
-        },
-    );
-
-    let mut rows = Vec::with_capacity(specs.len());
-    let mut it = results.into_iter();
-    for spec in specs {
-        let mut outcomes = Vec::with_capacity(seeds.len());
-        for _ in seeds {
-            outcomes.push(it.next().expect("one result per job")?);
-        }
+    record: bool,
+    on_done: impl Fn(&ScenarioSpec, u64, Result<&ScenarioOutcome, &ScenarioError>) + Sync,
+) -> Result<(Vec<CampaignRow>, Vec<TelemetryRun>), ScenarioError> {
+    let (outcomes, runs): (Vec<_>, Vec<_>) = sweep(
+        specs,
+        seeds,
+        |spec, seed| observed_run(spec, seed, record),
+        |spec, seed, result| on_done(spec, seed, result.as_ref().map(|(outcome, _)| outcome)),
+    )?
+    .into_iter()
+    .unzip();
+    let mut outcomes = outcomes.into_iter();
+    let rows = specs.iter().map(|spec| {
+        let outcomes: Vec<ScenarioOutcome> = outcomes.by_ref().take(seeds.len()).collect();
         let primaries: Vec<f64> = outcomes.iter().map(|o| o.primary).collect();
-        rows.push(CampaignRow {
+        CampaignRow {
             name: spec.name.clone(),
             nodes: spec.topology.node_count(),
             metric: spec.metric,
             stats: EnsembleStats::from_values(&primaries),
             outcomes,
-        });
-    }
-    Ok(rows)
+        }
+    });
+    Ok((rows.collect(), runs.into_iter().flatten().collect()))
 }
 
 /// Serializes a campaign to the JSON artifact format (see
@@ -295,10 +445,7 @@ pub fn campaign_json(title: &str, scale: Scale, seeds: &[u64], rows: &[CampaignR
         ("format", Json::Str("gcs-campaign/v1".to_string())),
         ("campaign", Json::Str(title.to_string())),
         ("scale", Json::Str(scale.name().to_string())),
-        (
-            "seeds",
-            Json::Arr(seeds.iter().map(|&s| Json::Int(s)).collect()),
-        ),
+        ("seeds", Json::ints(seeds)),
         (
             "scenarios",
             Json::Arr(
@@ -320,30 +467,6 @@ pub fn campaign_json(title: &str, scale: Scale, seeds: &[u64], rows: &[CampaignR
         ),
     ]);
     format!("{doc}\n")
-}
-
-/// Writes the artifact to `dir/campaign_<unix-millis>.json`, creating the
-/// directory if needed, and returns the path.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_campaign(
-    dir: &Path,
-    title: &str,
-    scale: Scale,
-    seeds: &[u64],
-    rows: &[CampaignRow],
-) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let stamp = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis())
-        .unwrap_or(0);
-    let path = dir.join(format!("campaign_{stamp}.json"));
-    let mut f = std::fs::File::create(&path)?;
-    f.write_all(campaign_json(title, scale, seeds, rows).as_bytes())?;
-    Ok(path)
 }
 
 #[cfg(test)]
@@ -385,7 +508,7 @@ mod tests {
     fn campaign_aggregates_per_scenario() {
         let specs = vec![tiny("line-worstcase"), tiny("ring-steady")];
         let seeds = [1, 2];
-        let rows = run_campaign(&specs, &seeds).unwrap();
+        let (rows, _) = run_campaign(&specs, &seeds, false, |_, _, _| {}).unwrap();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].name, "line-worstcase");
         assert_eq!(rows[0].stats.runs, 2);
@@ -407,7 +530,7 @@ mod tests {
         let specs = vec![tiny("line-worstcase"), tiny("ring-steady")];
         let seeds = [1, 2, 3];
         let seen = Mutex::new(Vec::new());
-        let rows = run_campaign_progress(&specs, &seeds, |spec, seed, result| {
+        let (rows, _) = run_campaign(&specs, &seeds, false, |spec, seed, result| {
             assert!(result.is_ok());
             seen.lock().unwrap().push((spec.name.clone(), seed));
         })

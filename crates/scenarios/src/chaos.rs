@@ -27,7 +27,7 @@
 use gcs_analysis::oracle::ConformanceReport;
 use rand::{rngs::StdRng, Rng as _, SeedableRng as _};
 
-use crate::conformance::{run_scenario_conformance_with, ConformanceOptions};
+use crate::conformance::{run_scenario_conformance, ConformanceOptions};
 use crate::error::ScenarioError;
 use crate::json::{self, Json};
 use crate::spec::{DynamicsSpec, FaultSpec, ScenarioSpec};
@@ -144,7 +144,7 @@ impl ReplayOutcome {
 /// embedded spec fails to build.
 pub fn replay_trace(text: &str, threads: usize) -> Result<ReplayOutcome, ScenarioError> {
     let artifact = read_trace(text)?;
-    let run = run_instrumented(&artifact.spec, artifact.seed, threads, true, false)?;
+    let run = run_instrumented(&artifact.spec, artifact.seed, threads, true)?;
     let trace = run.telemetry.trace.as_ref().expect("trace requested");
     Ok(ReplayOutcome {
         threads: threads.max(1),
@@ -287,13 +287,12 @@ fn score(
     opts: &ChaosOptions,
 ) -> Result<(&'static str, f64, u64, Vec<String>), ScenarioError> {
     let copts = ConformanceOptions {
-        oracle_sample: None,
-        oracle_seed: 0,
         threads: opts.threads,
+        ..ConformanceOptions::default()
     };
     let mut worst: Option<(&'static str, f64, u64, ConformanceReport)> = None;
     for &s in &opts.run_seeds {
-        let report = run_scenario_conformance_with(spec, s, &copts)?;
+        let report = run_scenario_conformance(spec, s, &copts)?;
         let (family, util) = report.worst_utilization();
         if worst.as_ref().is_none_or(|w| util > w.1) {
             worst = Some((family, util, s, report));
@@ -463,18 +462,15 @@ pub fn chaos_search(
     base.validate()?;
     let mut rng = StdRng::seed_from_u64(opts.seed);
     let mut log = String::new();
-    let mut head = vec![
+    let head = vec![
         ("rec", Json::Str("chaos".to_string())),
         ("format", Json::Str(CHAOS_FORMAT.to_string())),
         ("base", Json::Str(base.name.clone())),
         ("seed", Json::Int(opts.seed)),
         ("budget", Json::Int(u64::from(opts.budget))),
-        (
-            "run_seeds",
-            Json::Arr(opts.run_seeds.iter().map(|&s| Json::Int(s)).collect()),
-        ),
+        ("run_seeds", Json::ints(&opts.run_seeds)),
+        ("threads", Json::Int(opts.threads.max(1) as u64)),
     ];
-    head.push(("threads", Json::Int(opts.threads.max(1) as u64)));
     log.push_str(&Json::Obj(head).to_string());
     log.push('\n');
 
@@ -590,7 +586,7 @@ fn finish_violation(
     violations: Vec<String>,
     log: &mut String,
 ) -> Result<ChaosViolation, ScenarioError> {
-    let run = run_instrumented(&cand.spec, cand.run_seed, 1, true, false)?;
+    let run = run_instrumented(&cand.spec, cand.run_seed, 1, true)?;
     let trace = run.telemetry.trace.as_ref().expect("trace requested");
     log.push_str(
         &Json::Obj(vec![
@@ -628,7 +624,7 @@ mod tests {
     #[test]
     fn replay_reproduces_a_trace_bit_exactly() {
         let spec = tiny("self-heal");
-        let run = run_instrumented(&spec, 3, 1, true, false).unwrap();
+        let run = run_instrumented(&spec, 3, 1, true).unwrap();
         let trace = run.telemetry.trace.as_ref().unwrap();
         let outcome = replay_trace(&trace.text, 1).unwrap();
         assert!(outcome.is_identical(), "{:?}", outcome.divergence);
@@ -642,7 +638,7 @@ mod tests {
     #[test]
     fn replay_rejects_a_mutated_artifact() {
         let spec = tiny("ring-steady");
-        let run = run_instrumented(&spec, 0, 1, true, false).unwrap();
+        let run = run_instrumented(&spec, 0, 1, true).unwrap();
         let tampered = run.telemetry.trace.as_ref().unwrap().text.replacen(
             "\"rec\":\"sample\",\"t\":",
             "\"rec\":\"sample\",\"t\":9",

@@ -11,11 +11,13 @@
 //! theorem-level CI gate next to the statistical `compare` gate.
 
 use gcs_analysis::oracle::{ConformanceChecker, ConformanceReport, OracleConfig, OracleSampling};
-use gcs_analysis::{parallel_map_progress, Table};
+use gcs_analysis::Table;
 use gcs_core::Engine;
 
+use crate::campaign::{run_pass, sweep, Observer, Stops};
 use crate::error::ScenarioError;
 use crate::spec::ScenarioSpec;
+use crate::telemetry::{TelemetryObserver, TelemetryRun};
 
 /// Knobs for a conformance sweep beyond the default exact sequential pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,22 +60,114 @@ impl ConformanceOptions {
     }
 }
 
+/// What the oracle saw over one pass: the verdict, plus the margin time
+/// series a telemetry artifact carries.
+#[derive(Debug, Clone, PartialEq)]
+pub struct OracleTrack {
+    /// The finished verdict.
+    pub report: ConformanceReport,
+    /// `(t, global utilization, gradient utilization)` per sample instant.
+    pub series: Vec<(f64, f64, f64)>,
+}
+
+/// The conformance oracle as a pass observer: a [`ConformanceChecker`]
+/// built from the engine it is attached to, checking every sampled
+/// snapshot against the paper bounds. It sees only quiescent snapshots
+/// through the engine-agnostic [`Engine`] seam, so the verdict is
+/// identical at every shard count; with a sampling plan it is a
+/// conservative projection of the exact verdict (never a larger worst
+/// case). The checker folds every sample into O(hop classes) state.
+#[derive(Debug)]
+pub struct OracleObserver {
+    sampling: Option<OracleSampling>,
+    checker: Option<ConformanceChecker>,
+    series: Vec<(f64, f64, f64)>,
+}
+
+impl OracleObserver {
+    /// An exact all-pairs oracle (`None`) or a sampled-source one.
+    #[must_use]
+    pub fn new(sampling: Option<OracleSampling>) -> Self {
+        OracleObserver {
+            sampling,
+            checker: None,
+            series: Vec::new(),
+        }
+    }
+
+    /// The verdict and utilization series of the pass this observer rode.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the observer never rode a pass.
+    #[must_use]
+    pub fn finish(self) -> OracleTrack {
+        OracleTrack {
+            report: self
+                .checker
+                .expect("the oracle observer rode a pass")
+                .finish(),
+            series: self.series,
+        }
+    }
+}
+
+impl Observer for OracleObserver {
+    fn attach(&mut self, engine: &mut dyn Engine, spec: &ScenarioSpec, _seed: u64) {
+        let mut cfg = OracleConfig::for_sim(engine.as_sim(), spec.sample);
+        cfg.sampling = self.sampling;
+        self.checker = Some(ConformanceChecker::with_config(engine.as_sim(), cfg));
+    }
+
+    fn sample(&mut self, t: f64, engine: &dyn Engine) {
+        let checker = self.checker.as_mut().expect("attach precedes sample");
+        checker.observe(engine.as_sim());
+        let r = checker.report_so_far();
+        self.series
+            .push((t, r.global.worst_utilization, r.gradient.worst_utilization));
+    }
+}
+
 /// One scenario × seed conformance verdict.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConformanceRow {
     /// Scenario name.
     pub name: String,
-    /// Node count after scaling.
-    pub nodes: usize,
     /// Run seed.
     pub seed: u64,
     /// The oracle's verdict for this run.
     pub report: ConformanceReport,
 }
 
+/// One conformance pass: the verdict, plus the instrumented run (carrying
+/// the oracle's utilization series) when the telemetry recorder rides
+/// along.
+fn observed_run(
+    spec: &ScenarioSpec,
+    seed: u64,
+    opts: &ConformanceOptions,
+    record: bool,
+) -> Result<(ConformanceRow, Option<TelemetryRun>), ScenarioError> {
+    let mut oracle = OracleObserver::new(opts.sampling_for(seed));
+    let mut recorder = record.then(|| TelemetryObserver::new(false));
+    let mut observers: Vec<&mut dyn Observer> = vec![&mut oracle];
+    observers.extend(recorder.as_mut().map(|r| r as &mut dyn Observer));
+    let pass = run_pass(spec, seed, opts.threads, Stops::Grid, &mut observers)?;
+    let run = recorder.map(|r| r.finish(&pass));
+    let track = oracle.finish();
+    let row = ConformanceRow {
+        name: pass.scenario,
+        seed,
+        report: track.report.clone(),
+    };
+    let oracle = Some(track);
+    Ok((row, run.map(|r| TelemetryRun { oracle, ..r })))
+}
+
 /// Drives one seeded scenario over its observation grid — replaying
 /// scripted faults at their exact instants, exactly like the campaign
-/// runner — and checks every sampled snapshot against the paper bounds.
+/// runner — and checks every sampled snapshot against the paper bounds,
+/// on the engine and in the exact/sampled mode `opts` picks.
 ///
 /// # Errors
 ///
@@ -81,55 +175,15 @@ pub struct ConformanceRow {
 pub fn run_scenario_conformance(
     spec: &ScenarioSpec,
     seed: u64,
-) -> Result<ConformanceReport, ScenarioError> {
-    run_scenario_conformance_with(spec, seed, &ConformanceOptions::default())
-}
-
-/// [`run_scenario_conformance`] with explicit [`ConformanceOptions`]:
-/// sampled-oracle mode and/or the sharded engine. The oracle streams over
-/// snapshots at quiescent instants through the engine-agnostic [`Engine`]
-/// seam, so the verdict is identical at every shard count; in sampled mode
-/// it is a conservative projection of the exact verdict (never reports a
-/// larger worst case than exact mode would).
-///
-/// # Errors
-///
-/// Returns [`ScenarioError`] if the spec fails to validate or build.
-pub fn run_scenario_conformance_with(
-    spec: &ScenarioSpec,
-    seed: u64,
     opts: &ConformanceOptions,
 ) -> Result<ConformanceReport, ScenarioError> {
-    if opts.threads <= 1 {
-        let mut sim = spec.build(seed)?;
-        Ok(check_streaming(&mut sim, spec, seed, opts))
-    } else {
-        let mut sim = crate::telemetry::build_parallel(spec, seed, opts.threads)?;
-        Ok(check_streaming(&mut sim, spec, seed, opts))
-    }
+    Ok(observed_run(spec, seed, opts, false)?.0.report)
 }
 
-/// The engine-generic streaming check: build the oracle from the master
-/// sim, drive the observation grid, observe each quiescent snapshot.
-/// Memory stays bounded — the checker folds every sample into O(hop
-/// classes) running state and no trajectory is retained.
-fn check_streaming<E: Engine>(
-    sim: &mut E,
-    spec: &ScenarioSpec,
-    seed: u64,
-    opts: &ConformanceOptions,
-) -> ConformanceReport {
-    let mut cfg = OracleConfig::for_sim(sim.as_sim(), spec.sample);
-    cfg.sampling = opts.sampling_for(seed);
-    let mut checker = ConformanceChecker::with_config(sim.as_sim(), cfg);
-    crate::campaign::drive_sampled(sim, &spec.faults, spec.sample, spec.end_secs(), |_, s| {
-        checker.observe(s.as_sim());
-    });
-    checker.finish()
-}
-
-/// Runs every scenario × seed combination in parallel (same executor as
-/// the campaign runner, input order preserved).
+/// Runs every scenario × seed combination through [`sweep`]; `on_done` is
+/// its in-order completion callback. With `record` the telemetry recorder
+/// rides every pass next to the oracle and the instrumented runs come
+/// back too, in job order — the verdicts are the same either way.
 ///
 /// # Errors
 ///
@@ -141,86 +195,19 @@ fn check_streaming<E: Engine>(
 pub fn run_conformance(
     specs: &[ScenarioSpec],
     seeds: &[u64],
-) -> Result<Vec<ConformanceRow>, ScenarioError> {
-    run_conformance_progress(specs, seeds, |_, _, _| {})
-}
-
-/// [`run_conformance`] with explicit [`ConformanceOptions`].
-///
-/// # Errors
-///
-/// Returns the first [`ScenarioError`] any run produced.
-///
-/// # Panics
-///
-/// Panics if `seeds` is empty.
-pub fn run_conformance_with(
-    specs: &[ScenarioSpec],
-    seeds: &[u64],
     opts: &ConformanceOptions,
-) -> Result<Vec<ConformanceRow>, ScenarioError> {
-    run_conformance_progress_with(specs, seeds, opts, |_, _, _| {})
-}
-
-/// [`run_conformance`] with a completion callback: `on_done(spec, seed,
-/// result)` fires once per scenario × seed in job order (scenario-major,
-/// then seed) regardless of worker scheduling, so progress output is
-/// deterministic.
-///
-/// # Errors
-///
-/// Returns the first [`ScenarioError`] any run produced.
-///
-/// # Panics
-///
-/// Panics if `seeds` is empty.
-pub fn run_conformance_progress(
-    specs: &[ScenarioSpec],
-    seeds: &[u64],
-    on_done: impl Fn(&ScenarioSpec, u64, &Result<ConformanceReport, ScenarioError>) + Sync,
-) -> Result<Vec<ConformanceRow>, ScenarioError> {
-    run_conformance_progress_with(specs, seeds, &ConformanceOptions::default(), on_done)
-}
-
-/// [`run_conformance_progress`] with explicit [`ConformanceOptions`].
-///
-/// # Errors
-///
-/// Returns the first [`ScenarioError`] any run produced.
-///
-/// # Panics
-///
-/// Panics if `seeds` is empty.
-pub fn run_conformance_progress_with(
-    specs: &[ScenarioSpec],
-    seeds: &[u64],
-    opts: &ConformanceOptions,
-    on_done: impl Fn(&ScenarioSpec, u64, &Result<ConformanceReport, ScenarioError>) + Sync,
-) -> Result<Vec<ConformanceRow>, ScenarioError> {
-    assert!(!seeds.is_empty(), "conformance needs at least one seed");
-    let jobs: Vec<(usize, u64)> = specs
-        .iter()
-        .enumerate()
-        .flat_map(|(i, _)| seeds.iter().map(move |&s| (i, s)))
-        .collect();
-    let results = parallel_map_progress(
-        jobs.clone(),
-        |(i, seed)| run_scenario_conformance_with(&specs[i], seed, opts),
-        |idx, result| {
-            let spec = &specs[idx / seeds.len()];
-            on_done(spec, seeds[idx % seeds.len()], result);
-        },
-    );
-    let mut rows = Vec::with_capacity(jobs.len());
-    for ((i, seed), report) in jobs.into_iter().zip(results) {
-        rows.push(ConformanceRow {
-            name: specs[i].name.clone(),
-            nodes: specs[i].topology.node_count(),
-            seed,
-            report: report?,
-        });
-    }
-    Ok(rows)
+    record: bool,
+    on_done: impl Fn(&ScenarioSpec, u64, Result<&ConformanceReport, &ScenarioError>) + Sync,
+) -> Result<(Vec<ConformanceRow>, Vec<TelemetryRun>), ScenarioError> {
+    let (rows, runs): (Vec<_>, Vec<_>) = sweep(
+        specs,
+        seeds,
+        |spec, seed| observed_run(spec, seed, opts, record),
+        |spec, seed, result| on_done(spec, seed, result.as_ref().map(|(row, _)| &row.report)),
+    )?
+    .into_iter()
+    .unzip();
+    Ok((rows, runs.into_iter().flatten().collect()))
 }
 
 /// Renders a conformance sweep as one row per scenario × seed.
@@ -289,7 +276,8 @@ mod tests {
     fn steady_and_fault_scenarios_conform() {
         for name in ["ring-steady", "self-heal"] {
             let spec = registry::find(name).expect("built-in").scaled(Scale::Tiny);
-            let report = run_scenario_conformance(&spec, 1).unwrap();
+            let report =
+                run_scenario_conformance(&spec, 1, &ConformanceOptions::default()).unwrap();
             assert!(report.is_conformant(), "{name}: {:?}", report.violations());
             assert!(report.samples > 0);
             if name == "self-heal" {
@@ -306,7 +294,8 @@ mod tests {
                 .scaled(Scale::Tiny),
             registry::find("churn-burst").unwrap().scaled(Scale::Tiny),
         ];
-        let rows = run_conformance(&specs, &[0, 1]).unwrap();
+        let opts = ConformanceOptions::default();
+        let (rows, _) = run_conformance(&specs, &[0, 1], &opts, false, |_, _, _| {}).unwrap();
         assert_eq!(rows.len(), 4);
         assert_eq!(rows[0].name, "line-worstcase");
         assert_eq!(rows[0].seed, 0);
@@ -319,8 +308,8 @@ mod tests {
     #[test]
     fn conformance_is_deterministic() {
         let spec = registry::find("byzantine-est").unwrap().scaled(Scale::Tiny);
-        let a = run_scenario_conformance(&spec, 5).unwrap();
-        let b = run_scenario_conformance(&spec, 5).unwrap();
+        let a = run_scenario_conformance(&spec, 5, &ConformanceOptions::default()).unwrap();
+        let b = run_scenario_conformance(&spec, 5, &ConformanceOptions::default()).unwrap();
         assert_eq!(a, b);
         assert_eq!(a.faults_seen, 3, "all three scripted corruptions replay");
     }
@@ -333,9 +322,9 @@ mod tests {
             oracle_seed: 7,
             threads,
         };
-        let seq = run_scenario_conformance_with(&spec, 2, &opts(1)).unwrap();
-        let two = run_scenario_conformance_with(&spec, 2, &opts(2)).unwrap();
-        let four = run_scenario_conformance_with(&spec, 2, &opts(4)).unwrap();
+        let seq = run_scenario_conformance(&spec, 2, &opts(1)).unwrap();
+        let two = run_scenario_conformance(&spec, 2, &opts(2)).unwrap();
+        let four = run_scenario_conformance(&spec, 2, &opts(4)).unwrap();
         assert_eq!(seq, two, "sampled oracle must not see the engine");
         assert_eq!(seq, four);
         assert!(seq.sampled_sources > 0, "sampled mode actually sampled");
@@ -349,8 +338,8 @@ mod tests {
         let spec = registry::find("grid-sensor")
             .unwrap()
             .scaled(Scale::Default);
-        let exact = run_scenario_conformance(&spec, 3).unwrap();
-        let sampled = run_scenario_conformance_with(
+        let exact = run_scenario_conformance(&spec, 3, &ConformanceOptions::default()).unwrap();
+        let sampled = run_scenario_conformance(
             &spec,
             3,
             &ConformanceOptions {

@@ -1,11 +1,15 @@
 //! A minimal hand-rolled JSON writer and reader (the workspace is
-//! hermetic — no serde). Only what campaign and baseline artifacts need:
-//! objects, arrays, strings, and numbers. Non-finite numbers serialize
-//! as `null`; [`parse`] inverts [`Json`]'s output exactly (floats are
-//! written in shortest round-trip notation and re-parsed with correct
-//! rounding, so values survive bit-exactly).
+//! hermetic — no serde). Only what the artifacts need: objects, arrays,
+//! strings, and numbers. Non-finite numbers serialize as `null`;
+//! [`parse`] inverts [`Json`]'s output exactly (floats are written in
+//! shortest round-trip notation and re-parsed with correct rounding, so
+//! values survive bit-exactly). [`document`] lays out the
+//! one-row-per-line artifacts and [`write_file`] is the one place any
+//! artifact touches the filesystem.
 
 use std::fmt;
+use std::io::Write as _;
+use std::path::Path;
 
 /// A JSON value tree.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,8 +27,18 @@ pub enum Json {
     Str(String),
     /// An array.
     Arr(Vec<Json>),
-    /// An object; keys are static in all campaign artifacts.
+    /// An object with compile-time keys.
     Obj(Vec<(&'static str, Json)>),
+    /// An object with run-time keys (tolerance tables, metric maps).
+    Map(Vec<(String, Json)>),
+}
+
+impl Json {
+    /// An array of unsigned integers (seed lists).
+    #[must_use]
+    pub fn ints(values: &[u64]) -> Json {
+        Json::Arr(values.iter().map(|&v| Json::Int(v)).collect())
+    }
 }
 
 impl fmt::Display for Json {
@@ -51,19 +65,25 @@ impl fmt::Display for Json {
                 }
                 f.write_str("]")
             }
-            Json::Obj(fields) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write_escaped(f, k)?;
-                    write!(f, ":{v}")?;
-                }
-                f.write_str("}")
-            }
+            Json::Obj(fields) => write_fields(f, fields.iter().map(|(k, v)| (*k, v))),
+            Json::Map(fields) => write_fields(f, fields.iter().map(|(k, v)| (k.as_str(), v))),
         }
     }
+}
+
+fn write_fields<'a>(
+    f: &mut fmt::Formatter<'_>,
+    fields: impl Iterator<Item = (&'a str, &'a Json)>,
+) -> fmt::Result {
+    f.write_str("{")?;
+    for (i, (k, v)) in fields.enumerate() {
+        if i > 0 {
+            f.write_str(",")?;
+        }
+        write_escaped(f, k)?;
+        write!(f, ":{v}")?;
+    }
+    f.write_str("}")
 }
 
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
@@ -80,6 +100,47 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
         }
     }
     f.write_str("\"")
+}
+
+/// Renders the row-per-line artifact layout: the `head` fields, then one
+/// more field `key` holding `rows` as an array with one row per line, so
+/// checked-in artifacts diff cleanly. The result ends in a newline.
+#[must_use]
+pub fn document(
+    head: Vec<(&'static str, Json)>,
+    key: &'static str,
+    rows: impl IntoIterator<Item = Json>,
+) -> String {
+    let mut out = String::from("{");
+    for (k, v) in head {
+        out.push_str(&format!("{}:{v},", Json::Str(k.to_string())));
+    }
+    let rows: Vec<String> = rows.into_iter().map(|row| format!("\n{row}")).collect();
+    out.push_str(&format!(
+        "{}:[{}\n]}}\n",
+        Json::Str(key.to_string()),
+        rows.join(",")
+    ));
+    out
+}
+
+/// Writes `text` at `path` — appending to what is there with `append`,
+/// replacing it otherwise — after creating the parent directories.
+///
+/// # Errors
+///
+/// Propagates filesystem errors.
+pub fn write_file(path: &Path, text: &str, append: bool) -> std::io::Result<()> {
+    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+        std::fs::create_dir_all(parent)?;
+    }
+    let mut f = std::fs::OpenOptions::new()
+        .create(true)
+        .write(true)
+        .append(append)
+        .truncate(!append)
+        .open(path)?;
+    f.write_all(text.as_bytes())
 }
 
 // ---------------------------------------------------------------------
@@ -211,6 +272,19 @@ pub fn arr_field<'a>(v: &'a JsonValue, key: &str, what: &str) -> Result<&'a [Jso
     field(v, key, what)?
         .as_arr()
         .ok_or_else(|| format!("{what}: field {key:?} is not an array"))
+}
+
+/// A required array-of-unsigned-integers field (seed lists).
+///
+/// # Errors
+///
+/// Returns a message when the field is absent or not such an array.
+pub fn u64s_field(v: &JsonValue, key: &str, what: &str) -> Result<Vec<u64>, String> {
+    arr_field(v, key, what)?
+        .iter()
+        .map(|s| s.as_u64())
+        .collect::<Option<Vec<u64>>>()
+        .ok_or_else(|| format!("{what}: field {key:?} holds a non-integer"))
 }
 
 /// Parses a JSON document (full value, trailing whitespace only).

@@ -19,22 +19,25 @@
 //!   including the `bench`-class engine-scale entries (`ring-1k`,
 //!   `geometric-4k`) that the default campaigns exclude;
 //! * [`presets`] — parametric families shared with the experiment harness;
-//! * [`campaign`] — the parallel scenario × seed runner and the
-//!   `results/campaign_*.json` trajectory artifact;
+//! * [`campaign`] — the one run driver: [`run_pass`] builds the engine
+//!   for `(spec, seed, threads)` ([`ScenarioSpec::engine`]), replays the
+//!   scripted faults, steps the observation grid and feeds any list of
+//!   [`Observer`]s from that single pass; [`sweep`] fans jobs over
+//!   scenario × seed. The campaign is one observer
+//!   ([`OutcomeObserver`]) plus the `results/campaign_*.json` artifact;
 //! * [`trend`] — the artifact reader, `gcs-baseline/v2` summaries
-//!   (scalar stats + trajectory envelopes + per-scenario tolerances;
-//!   legacy v1 files still parse), and the tolerance-gated baseline
-//!   comparison CI runs;
-//! * [`conformance`] — the paper-bound gate: every scenario × seed driven
-//!   through the [`gcs_analysis::oracle`] conformance oracles, exiting
-//!   non-zero on any Theorem 5.6 / 5.22 bound violation, streaming over
-//!   either engine and optionally in sampled-source mode
-//!   ([`ConformanceOptions`]) for conformance at 10⁵-node scale;
+//!   (scalar stats + trajectory envelopes + per-scenario tolerances),
+//!   and the tolerance-gated baseline comparison CI runs;
+//! * [`conformance`] — the paper-bound gate as an observer
+//!   ([`OracleObserver`]): every sampled snapshot checked against the
+//!   Theorem 5.6 / 5.22 bounds of [`gcs_analysis::oracle`], on either
+//!   engine, exact or in sampled-source mode ([`ConformanceOptions`])
+//!   for conformance at 10⁵-node scale;
 //! * [`trendseries`] — the append-only `gcs-trend/v1` JSONL series the
 //!   nightly pipeline grows (`trend-append`) and the orientation-aware
 //!   windowed regression gate over it (`trend-gate`);
-//! * [`bench`] — the sequential engine-throughput harness behind
-//!   `gcs-scenarios bench` and the `BENCH_engine.json`
+//! * [`bench`] — end-only passes, timed: the engine-throughput harness
+//!   behind `gcs-scenarios bench` and the `BENCH_engine.json`
 //!   (`gcs-engine-bench/v1`) artifact, plus the exact deterministic
 //!   counter gate behind `gcs-scenarios bench-compare`;
 //! * [`chaos`] — bit-exact trace replay (a sealed `gcs-trace/v1`
@@ -42,11 +45,11 @@
 //!   `.scn` record) and the seeded adversarial fault-schedule search
 //!   whose best finds ratchet the conformance gates (`gcs-chaos/v1`
 //!   logs, `gcs-scenarios replay` / `chaos-search`);
-//! * [`telemetry`] — instrumented runs: both engines driven with a
-//!   [`gcs_telemetry`] sink attached, the engine-invariant
-//!   `gcs-trace/v1` run log behind `gcs-scenarios trace`/`trace-diff`,
-//!   and the `gcs-telemetry/v1` metrics artifact behind the
-//!   `--telemetry` flag of `run`/`bench`/`conformance`;
+//! * [`telemetry`] — the [`gcs_telemetry`] recorder as an observer
+//!   ([`TelemetryObserver`]) that rides whatever pass is being made: the
+//!   engine-invariant `gcs-trace/v1` run log behind `gcs-scenarios
+//!   trace`/`trace-diff`, and the `gcs-telemetry/v1` metrics artifact
+//!   behind the `--telemetry` flag of `run`/`bench`/`conformance`;
 //! * the `gcs-scenarios` CLI (`list | validate <dir> | run <name|file> |
 //!   bench | bench-compare | trace | trace-diff | replay | chaos-search |
 //!   conformance | trend-append | trend-gate | baseline | compare |
@@ -81,20 +84,23 @@ pub mod trend;
 pub mod trendseries;
 
 pub use bench::{BenchArtifact, BenchCompareReport, BenchEntry};
-pub use campaign::{run_campaign, run_scenario, CampaignRow, ScenarioOutcome};
+pub use campaign::{
+    run_campaign, run_pass, run_scenario, sweep, CampaignRow, Observer, OutcomeObserver, Pass,
+    ScenarioOutcome, Stops,
+};
 pub use chaos::{
     chaos_search, frontier_from_log, read_trace, replay_trace, ChaosCandidate, ChaosOptions,
     ChaosResult, ChaosViolation, ReplayOutcome, TraceArtifact, CHAOS_FORMAT,
 };
-pub use conformance::{run_conformance, run_conformance_with, ConformanceOptions, ConformanceRow};
+pub use conformance::{
+    run_conformance, run_scenario_conformance, ConformanceOptions, ConformanceRow, OracleObserver,
+    OracleTrack,
+};
 pub use error::ScenarioError;
 pub use spec::{
     DriftSpec, DynamicsSpec, EstimateSpec, FaultSpec, Metric, Scale, ScenarioSpec, TopologySpec,
 };
-pub use telemetry::{
-    bench_instrumented, run_instrumented, run_instrumented_oracle, OracleRide, TelemetryRun,
-    TELEMETRY_FORMAT,
-};
+pub use telemetry::{run_instrumented, TelemetryObserver, TelemetryRun, TELEMETRY_FORMAT};
 pub use trend::{
     CampaignArtifact, CompareReport, EnvelopeStats, TrajectoryEnvelope, TrendRow, TrendSummary,
 };

@@ -10,7 +10,9 @@
 
 use std::collections::BTreeSet;
 
-use gcs_core::{ErrorModel, EstimateMode, Params, SimBuilder, Simulation};
+use gcs_core::{
+    Engine, ErrorModel, EstimateMode, ParallelSimBuilder, Params, SimBuilder, Simulation,
+};
 use gcs_net::mobility::RandomWaypoint;
 use gcs_net::{ChurnOptions, EdgeKey, NetworkSchedule, NodeId, Topology};
 use gcs_sim::{DriftModel, SimTime};
@@ -1067,6 +1069,28 @@ impl ScenarioSpec {
     /// simulation builder reject the spec.
     pub fn build(&self, seed: u64) -> Result<Simulation, ScenarioError> {
         Ok(self.builder(seed)?.build()?)
+    }
+
+    /// Compiles the spec into a boxed [`Engine`]: the sequential
+    /// reference for one thread (or none), the sharded engine with
+    /// `threads` shards above. The only place that picks — everything
+    /// downstream drives `dyn Engine`, bit-identically at every thread
+    /// count.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScenarioError`] if validation, the parameters, or either
+    /// engine's builder reject the spec.
+    pub fn engine(&self, seed: u64, threads: usize) -> Result<Box<dyn Engine>, ScenarioError> {
+        let builder = self.builder(seed)?;
+        if threads <= 1 {
+            return Ok(Box::new(builder.build()?));
+        }
+        let sharded = ParallelSimBuilder::new(builder)
+            .shards(threads)
+            .build()
+            .map_err(|e| ScenarioError::Invalid(format!("{}: {e}", self.name)))?;
+        Ok(Box::new(sharded))
     }
 }
 

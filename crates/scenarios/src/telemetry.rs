@@ -1,20 +1,16 @@
-//! Instrumented scenario runs: the glue between the registry/campaign
-//! driver and the [`gcs_telemetry`] observability crate.
+//! Instrumented scenario runs: the glue between the run driver and the
+//! [`gcs_telemetry`] observability crate.
 //!
-//! Three jobs live here:
-//!
-//! * [`run_instrumented`] — drive one scenario × seed on either engine
-//!   with a [`SharedRecorder`] attached, sampling engine-invariant gauges
-//!   (global skew, pending events, dirty nodes) at every observation
-//!   instant, optionally with the conformance oracle riding along so the
-//!   artifact carries a margin-utilization time series;
-//! * [`bench_instrumented`] — the same attachment over the *bench* drive
-//!   loop (fault replay + one `run_until`, no sampling grid), so the CLI
-//!   can assert instrumentation drift is exactly zero against a timed
-//!   [`bench::run_one`](crate::bench::run_one) pass;
-//! * the `gcs-telemetry/v1` artifact writer ([`telemetry_json`] /
-//!   [`write_telemetry`]) and the raw trace writer ([`write_trace`]) —
-//!   the machine-readable run log that sits next to `BENCH_engine.json`.
+//! * [`TelemetryObserver`] — a [`SharedRecorder`] as a pass
+//!   [`Observer`]: it counts what the run did, samples engine-invariant
+//!   gauges (global skew, pending events, dirty nodes) at every
+//!   observation instant and optionally builds the sealed `gcs-trace/v1`
+//!   run log. It rides whatever pass is being made — the campaign's, the
+//!   conformance oracle's, or one of its own ([`run_instrumented`]) — and
+//!   never changes it: `bench --telemetry` re-drives every timed entry
+//!   with it attached and fails on any counter drift;
+//! * [`telemetry_json`] — the `gcs-telemetry/v1` artifact, the
+//!   machine-readable run log that sits next to `BENCH_engine.json`.
 //!
 //! The trace byte-identity contract (same scenario + seed ⇒ the same
 //! JSONL bytes and FNV-1a hash from the sequential and the sharded engine
@@ -23,179 +19,106 @@
 //! by sampling exclusively at quiescent instants through the
 //! engine-agnostic [`Engine`] seam.
 
-use std::io::Write as _;
-use std::path::Path;
-use std::time::Instant;
+use gcs_core::Engine;
+use gcs_telemetry::{Histogram, RunTelemetry, Sample, SharedRecorder, StreamStats};
 
-use gcs_analysis::oracle::{ConformanceChecker, ConformanceReport, OracleConfig, OracleSampling};
-use gcs_core::{Engine, SimStats};
-use gcs_telemetry::{Histogram, RunTelemetry, Sample, SharedRecorder, StreamStats, TraceOutput};
-
+use crate::campaign::{run_pass, Observer, Pass, Stops};
+use crate::conformance::OracleTrack;
 use crate::error::ScenarioError;
-use crate::json::Json;
+use crate::json::{self, Json};
 use crate::spec::{Scale, ScenarioSpec};
 
 /// The artifact format tag.
 pub const TELEMETRY_FORMAT: &str = "gcs-telemetry/v1";
 
-/// How (whether) the conformance oracle rides along on an instrumented
-/// run. `Sampled` trades gradient-sweep exhaustiveness for wall-clock via
-/// [`OracleSampling`] — the documented-escape-probability stratified
-/// source draw — which is what makes streaming conformance affordable at
-/// 10⁵ nodes.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub enum OracleRide {
-    /// No oracle: gauges and traces only.
-    #[default]
-    Off,
-    /// Exact all-pairs oracle at every sample instant.
-    Exact,
-    /// Sampled-source oracle at every sample instant.
-    Sampled(OracleSampling),
-}
-
 /// One fully instrumented scenario × seed run.
 #[derive(Debug)]
 pub struct TelemetryRun {
-    /// Scenario name.
-    pub scenario: String,
-    /// Run seed.
-    pub seed: u64,
-    /// Worker thread count: 1 = sequential reference, >1 = sharded.
-    pub threads: usize,
-    /// Which engine ran (`"sequential"` / `"sharded"`). Deliberately NOT
-    /// part of the trace itself — the trace is engine-invariant.
-    pub engine: &'static str,
-    /// Node count after scaling.
-    pub nodes: usize,
-    /// Wall-clock seconds for the drive (excludes build).
-    pub wall_secs: f64,
+    /// The pass the recorder rode (its thread count, wall-clock and
+    /// engine counters are what the artifact row reports).
+    pub pass: Pass,
     /// Everything the recorder accumulated (counters, histograms,
     /// samples, and the sealed trace when requested).
     pub telemetry: RunTelemetry,
-    /// The engine's own deterministic counters at the end instant.
-    pub stats: SimStats,
-    /// `(t, global utilization, gradient utilization)` per sample instant
-    /// when the conformance oracle rode along; empty otherwise.
-    pub oracle_series: Vec<(f64, f64, f64)>,
-    /// The oracle's finished verdict when it rode along (`None` otherwise)
-    /// — the streaming-conformance result: accumulated in bounded memory
-    /// during the drive, no trajectory retained.
-    pub oracle_report: Option<ConformanceReport>,
-    /// Bounded-memory running summary of the global-envelope utilization
-    /// series (empty when the oracle was off).
-    pub oracle_global: StreamStats,
-    /// Bounded-memory running summary of the gradient-bound utilization
-    /// series (empty when the oracle was off).
-    pub oracle_gradient: StreamStats,
+    /// The conformance oracle's verdict and utilization series when it
+    /// rode the same pass (`None` otherwise).
+    pub oracle: Option<OracleTrack>,
 }
 
-pub(crate) fn build_parallel(
-    spec: &ScenarioSpec,
-    seed: u64,
-    threads: usize,
-) -> Result<gcs_core::ParallelSimulation, ScenarioError> {
-    gcs_core::ParallelSimBuilder::new(spec.builder(seed)?)
-        .shards(threads)
-        .build()
-        .map_err(|e| ScenarioError::Invalid(format!("{}: {e}", spec.name)))
-}
-
-/// The shared drive: attach a recorder, run the scenario (sampled or
-/// bench-style), detach, and package the results.
-fn instrument<E: Engine>(
-    sim: &mut E,
-    spec: &ScenarioSpec,
-    seed: u64,
-    threads: usize,
-    trace: bool,
-    oracle: OracleRide,
-    sampled: bool,
-) -> TelemetryRun {
-    let engine = if threads <= 1 {
-        "sequential"
-    } else {
-        "sharded"
-    };
-    let nodes = sim.as_sim().node_count();
-    let shared = SharedRecorder::new(trace);
-    // Embed the canonical `.scn` text so a trace artifact alone suffices
-    // to re-materialize the run (`gcs-scenarios replay`).
-    shared.begin_run(&spec.name, seed, nodes, Some(&crate::format::write(spec)));
-    sim.set_telemetry(shared.sink());
-
-    let mut checker = match oracle {
-        OracleRide::Off => None,
-        OracleRide::Exact => Some(ConformanceChecker::new(sim.as_sim(), spec.sample)),
-        OracleRide::Sampled(sampling) => {
-            let mut cfg = OracleConfig::for_sim(sim.as_sim(), spec.sample);
-            cfg.sampling = Some(sampling);
-            Some(ConformanceChecker::with_config(sim.as_sim(), cfg))
+impl TelemetryRun {
+    /// Which engine ran (`"sequential"` / `"sharded"`), told by whether
+    /// any shard reported in. Deliberately NOT part of the trace itself —
+    /// the trace is engine-invariant.
+    #[must_use]
+    pub fn engine(&self) -> &'static str {
+        if self.telemetry.per_shard_drained.is_empty() {
+            "sequential"
+        } else {
+            "sharded"
         }
-    };
-    let mut oracle_series = Vec::new();
-    let mut oracle_global = StreamStats::new();
-    let mut oracle_gradient = StreamStats::new();
-
-    let started = Instant::now();
-    if sampled {
-        crate::campaign::drive_sampled(sim, &spec.faults, spec.sample, spec.end_secs(), |t, s| {
-            // Every gauge here is engine-invariant at a quiescent
-            // instant, so sample records hash identically across
-            // engines. The allocation-free gauges read replaces a full
-            // clock snapshot — bit-identical values, bounded memory.
-            let g = s.gauges();
-            shared.on_sample(Sample {
-                t,
-                global_skew: g.global_skew,
-                queue_depth: g.queue_depth,
-                dirty_nodes: g.dirty_nodes,
-                events: g.events,
-            });
-            if let Some(c) = checker.as_mut() {
-                c.observe(s.as_sim());
-                let r = c.report_so_far();
-                oracle_global.observe(r.global.worst_utilization);
-                oracle_gradient.observe(r.gradient.worst_utilization);
-                oracle_series.push((t, r.global.worst_utilization, r.gradient.worst_utilization));
-            }
-        });
-    } else {
-        // Exactly the bench drive: fault replay, then one run to the end
-        // instant — so counters can be compared to a timed bench pass.
-        crate::campaign::apply_faults(sim, &spec.faults);
-        sim.run_until_secs(spec.end_secs());
-    }
-    let wall_secs = started.elapsed().as_secs_f64();
-
-    // Detach (flushes pending local counters), then unwrap the recorder.
-    drop(sim.take_telemetry());
-    let telemetry = shared.finish();
-
-    TelemetryRun {
-        scenario: spec.name.clone(),
-        seed,
-        threads: threads.max(1),
-        engine,
-        nodes,
-        wall_secs,
-        telemetry,
-        stats: sim.as_sim().stats(),
-        oracle_series,
-        oracle_report: checker.map(ConformanceChecker::finish),
-        oracle_global,
-        oracle_gradient,
     }
 }
 
-/// Runs one scenario × seed with full instrumentation over the normal
-/// observation grid (the campaign drive loop).
-///
-/// `threads <= 1` runs the sequential reference engine; larger values run
-/// the sharded engine with that many shards. With `trace` the result
-/// carries the sealed `gcs-trace/v1` JSONL log; with `conformance` the
-/// paper oracle observes every sample and the result carries the margin
-/// utilization series.
+/// The telemetry recorder as a pass observer.
+#[derive(Debug)]
+pub struct TelemetryObserver(SharedRecorder);
+
+impl TelemetryObserver {
+    /// A fresh recorder; with `trace` it also builds the sealed
+    /// `gcs-trace/v1` JSONL run log.
+    #[must_use]
+    pub fn new(trace: bool) -> Self {
+        TelemetryObserver(SharedRecorder::new(trace))
+    }
+
+    /// Packages what the recorder accumulated over the pass it rode.
+    #[must_use]
+    pub fn finish(self, pass: &Pass) -> TelemetryRun {
+        TelemetryRun {
+            pass: pass.clone(),
+            telemetry: self.0.finish(),
+            oracle: None,
+        }
+    }
+}
+
+impl Observer for TelemetryObserver {
+    fn attach(&mut self, engine: &mut dyn Engine, spec: &ScenarioSpec, seed: u64) {
+        // Embed the canonical `.scn` text so a trace artifact alone
+        // suffices to re-materialize the run (`gcs-scenarios replay`).
+        self.0.begin_run(
+            &spec.name,
+            seed,
+            engine.as_sim().node_count(),
+            Some(&crate::format::write(spec)),
+        );
+        engine.set_telemetry(self.0.sink());
+    }
+
+    fn sample(&mut self, t: f64, engine: &dyn Engine) {
+        // Every gauge here is engine-invariant at a quiescent instant, so
+        // sample records hash identically across engines. The
+        // allocation-free gauges read replaces a full clock snapshot —
+        // bit-identical values, bounded memory.
+        let g = engine.gauges();
+        self.0.on_sample(Sample {
+            t,
+            global_skew: g.global_skew,
+            queue_depth: g.queue_depth,
+            dirty_nodes: g.dirty_nodes,
+            events: g.events,
+        });
+    }
+
+    fn detach(&mut self, engine: &mut dyn Engine) {
+        // Dropping the sink flushes its pending local counters.
+        drop(engine.take_telemetry());
+    }
+}
+
+/// Runs one scenario × seed over its observation grid with the recorder
+/// as the only observer; with `trace` the result carries the sealed
+/// `gcs-trace/v1` JSONL log.
 ///
 /// # Errors
 ///
@@ -205,79 +128,10 @@ pub fn run_instrumented(
     seed: u64,
     threads: usize,
     trace: bool,
-    conformance: bool,
 ) -> Result<TelemetryRun, ScenarioError> {
-    let oracle = if conformance {
-        OracleRide::Exact
-    } else {
-        OracleRide::Off
-    };
-    run_instrumented_oracle(spec, seed, threads, trace, oracle)
-}
-
-/// [`run_instrumented`] with an explicit [`OracleRide`]: the general entry
-/// point the CLI uses to stream the sampled-source oracle alongside large
-/// runs on either engine.
-///
-/// # Errors
-///
-/// Returns [`ScenarioError`] if the spec fails to validate or build.
-pub fn run_instrumented_oracle(
-    spec: &ScenarioSpec,
-    seed: u64,
-    threads: usize,
-    trace: bool,
-    oracle: OracleRide,
-) -> Result<TelemetryRun, ScenarioError> {
-    if threads <= 1 {
-        let mut sim = spec.build(seed)?;
-        Ok(instrument(
-            &mut sim, spec, seed, threads, trace, oracle, true,
-        ))
-    } else {
-        let mut sim = build_parallel(spec, seed, threads)?;
-        Ok(instrument(
-            &mut sim, spec, seed, threads, trace, oracle, true,
-        ))
-    }
-}
-
-/// Runs one scenario × seed with instrumentation over the *bench* drive
-/// loop (no sampling grid, no trace): the run whose counters must match a
-/// timed [`bench::run_one`](crate::bench::run_one) pass exactly, proving
-/// the sink sees the run without changing it.
-///
-/// # Errors
-///
-/// Returns [`ScenarioError`] if the spec fails to validate or build.
-pub fn bench_instrumented(
-    spec: &ScenarioSpec,
-    seed: u64,
-    threads: usize,
-) -> Result<TelemetryRun, ScenarioError> {
-    if threads <= 1 {
-        let mut sim = spec.build(seed)?;
-        Ok(instrument(
-            &mut sim,
-            spec,
-            seed,
-            threads,
-            false,
-            OracleRide::Off,
-            false,
-        ))
-    } else {
-        let mut sim = build_parallel(spec, seed, threads)?;
-        Ok(instrument(
-            &mut sim,
-            spec,
-            seed,
-            threads,
-            false,
-            OracleRide::Off,
-            false,
-        ))
-    }
+    let mut recorder = TelemetryObserver::new(trace);
+    let pass = run_pass(spec, seed, threads, Stops::Grid, &mut [&mut recorder])?;
+    Ok(recorder.finish(&pass))
 }
 
 fn hist_json(h: &Histogram) -> Json {
@@ -302,23 +156,26 @@ fn hist_json(h: &Histogram) -> Json {
 }
 
 fn entry_json(r: &TelemetryRun) -> Json {
-    let tel = &r.telemetry;
+    let (pass, tel) = (&r.pass, &r.telemetry);
     let mut fields = vec![
-        ("scenario", Json::Str(r.scenario.clone())),
-        ("seed", Json::Int(r.seed)),
-        ("threads", Json::Int(r.threads as u64)),
-        ("engine", Json::Str(r.engine.to_string())),
-        ("nodes", Json::Int(r.nodes as u64)),
-        ("wall_secs", Json::Num(r.wall_secs)),
+        ("scenario", Json::Str(pass.scenario.clone())),
+        ("seed", Json::Int(pass.seed)),
+        ("threads", Json::Int(pass.threads as u64)),
+        ("engine", Json::Str(r.engine().to_string())),
+        ("nodes", Json::Int(pass.nodes as u64)),
+        ("wall_secs", Json::Num(pass.wall_secs)),
         (
             "counters",
             Json::Obj(vec![
-                ("events", Json::Int(r.stats.events)),
-                ("ticks", Json::Int(r.stats.ticks)),
-                ("mode_evaluations", Json::Int(r.stats.mode_evaluations)),
-                ("messages_sent", Json::Int(r.stats.messages_sent)),
-                ("messages_delivered", Json::Int(r.stats.messages_delivered)),
-                ("messages_dropped", Json::Int(r.stats.messages_dropped)),
+                ("events", Json::Int(pass.stats.events)),
+                ("ticks", Json::Int(pass.stats.ticks)),
+                ("mode_evaluations", Json::Int(pass.stats.mode_evaluations)),
+                ("messages_sent", Json::Int(pass.stats.messages_sent)),
+                (
+                    "messages_delivered",
+                    Json::Int(pass.stats.messages_delivered),
+                ),
+                ("messages_dropped", Json::Int(pass.stats.messages_dropped)),
                 ("floods", Json::Int(tel.local.floods)),
                 ("deliveries", Json::Int(tel.local.deliveries)),
                 ("rate_changes", Json::Int(tel.local.rate_changes)),
@@ -338,15 +195,7 @@ fn entry_json(r: &TelemetryRun) -> Json {
                 ("barrier_rounds", Json::Int(tel.barrier_rounds)),
                 ("stalled_shard_rounds", Json::Int(tel.stalled_shard_rounds)),
                 ("mailbox_events", Json::Int(tel.mailbox_events)),
-                (
-                    "per_shard_drained",
-                    Json::Arr(
-                        tel.per_shard_drained
-                            .iter()
-                            .map(|&v| Json::Int(v))
-                            .collect(),
-                    ),
-                ),
+                ("per_shard_drained", Json::ints(&tel.per_shard_drained)),
             ]),
         ),
         (
@@ -374,19 +223,24 @@ fn entry_json(r: &TelemetryRun) -> Json {
             ),
         ),
     ];
-    if !r.oracle_series.is_empty() {
+    if let Some(track) = &r.oracle {
+        let rep = &track.report;
         fields.push((
             "oracle_series",
             Json::Arr(
-                r.oracle_series
+                track
+                    .series
                     .iter()
                     .map(|&(t, g, l)| Json::Arr(vec![Json::Num(t), Json::Num(g), Json::Num(l)]))
                     .collect(),
             ),
         ));
-    }
-    if let Some(rep) = &r.oracle_report {
-        let stream = |s: &StreamStats| {
+        // Running summaries of the two utilization columns; a left-to-right
+        // fold over the deterministic sample order, so they are as
+        // engine-invariant as the series itself.
+        let stream = |column: fn(&(f64, f64, f64)) -> f64| {
+            let mut s = StreamStats::new();
+            track.series.iter().map(column).for_each(|v| s.observe(v));
             Json::Obj(vec![
                 ("count", Json::Int(s.count())),
                 ("min", Json::Num(s.min().unwrap_or(f64::NAN))),
@@ -403,8 +257,8 @@ fn entry_json(r: &TelemetryRun) -> Json {
                 ("global_worst", Json::Num(rep.global.worst_utilization)),
                 ("gradient_worst", Json::Num(rep.gradient.worst_utilization)),
                 ("weak_worst", Json::Num(rep.weak_edges.worst_utilization)),
-                ("global_util", stream(&r.oracle_global)),
-                ("gradient_util", stream(&r.oracle_gradient)),
+                ("global_util", stream(|&(_, global, _)| global)),
+                ("gradient_util", stream(|&(_, _, gradient)| gradient)),
             ]),
         ));
     }
@@ -425,71 +279,46 @@ fn entry_json(r: &TelemetryRun) -> Json {
 /// cleanly).
 #[must_use]
 pub fn telemetry_json(scale: Scale, entries: &[TelemetryRun]) -> String {
-    let head = Json::Obj(vec![
+    let head = vec![
         ("format", Json::Str(TELEMETRY_FORMAT.to_string())),
         ("scale", Json::Str(scale.name().to_string())),
-    ])
-    .to_string();
-    let mut out = String::new();
-    out.push_str(&head[..head.len() - 1]);
-    out.push_str(",\"entries\":[\n");
-    for (i, e) in entries.iter().enumerate() {
-        out.push_str(&entry_json(e).to_string());
-        if i + 1 < entries.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("]}\n");
-    out
-}
-
-/// Writes the telemetry artifact to `path`, creating parent directories
-/// as needed.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_telemetry(path: &Path, scale: Scale, entries: &[TelemetryRun]) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(telemetry_json(scale, entries).as_bytes())
-}
-
-/// Writes a sealed trace's raw JSONL bytes to `path`, creating parent
-/// directories as needed.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_trace(path: &Path, trace: &TraceOutput) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(trace.text.as_bytes())
+    ];
+    json::document(head, "entries", entries.iter().map(entry_json))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conformance::OracleObserver;
     use crate::registry;
+    use gcs_analysis::oracle::OracleSampling;
+
+    /// One pass with the oracle and the recorder both attached.
+    fn ride(
+        spec: &ScenarioSpec,
+        seed: u64,
+        threads: usize,
+        sampling: Option<OracleSampling>,
+    ) -> TelemetryRun {
+        let mut oracle = OracleObserver::new(sampling);
+        let mut recorder = TelemetryObserver::new(true);
+        let observers: &mut [&mut dyn Observer] = &mut [&mut oracle, &mut recorder];
+        let pass = run_pass(spec, seed, threads, Stops::Grid, observers).unwrap();
+        TelemetryRun {
+            oracle: Some(oracle.finish()),
+            ..recorder.finish(&pass)
+        }
+    }
 
     #[test]
     fn instrumented_run_collects_counters_and_trace() {
         let spec = registry::find("ring-steady")
             .expect("built-in")
             .scaled(Scale::Tiny);
-        let run = run_instrumented(&spec, 0, 1, true, false).unwrap();
-        assert_eq!(run.engine, "sequential");
-        assert!(run.stats.events > 0);
-        assert_eq!(run.telemetry.ticks, run.stats.ticks);
+        let run = run_instrumented(&spec, 0, 1, true).unwrap();
+        assert_eq!(run.engine(), "sequential");
+        assert!(run.pass.stats.events > 0);
+        assert_eq!(run.telemetry.ticks, run.pass.stats.ticks);
         assert!(run.telemetry.local.deliveries > 0, "flood traffic flows");
         assert!(run.telemetry.local.flood_merges > 0);
         assert!(!run.telemetry.samples.is_empty());
@@ -508,8 +337,8 @@ mod tests {
         let spec = registry::find("churn-burst")
             .expect("built-in")
             .scaled(Scale::Tiny);
-        let seq = run_instrumented(&spec, 3, 1, true, false).unwrap();
-        let par = run_instrumented(&spec, 3, 2, true, false).unwrap();
+        let seq = run_instrumented(&spec, 3, 1, true).unwrap();
+        let par = run_instrumented(&spec, 3, 2, true).unwrap();
         let (a, b) = (
             seq.telemetry.trace.as_ref().unwrap(),
             par.telemetry.trace.as_ref().unwrap(),
@@ -524,26 +353,18 @@ mod tests {
     }
 
     #[test]
-    fn bench_instrumented_matches_timed_bench_counters_exactly() {
+    fn end_only_instrumented_pass_matches_timed_bench_counters_exactly() {
         let spec = registry::find("ring-steady")
             .expect("built-in")
             .scaled(Scale::Tiny);
         for threads in [1usize, 2] {
             let timed = crate::bench::run_one(&spec, 0, threads).unwrap();
-            let inst = bench_instrumented(&spec, 0, threads).unwrap();
+            let mut recorder = TelemetryObserver::new(false);
+            let inst = run_pass(&spec, 0, threads, Stops::EndOnly, &mut [&mut recorder]).unwrap();
+            assert!(recorder.finish(&inst).telemetry.samples.is_empty());
             assert_eq!(
-                (
-                    inst.stats.events,
-                    inst.stats.ticks,
-                    inst.stats.mode_evaluations,
-                    inst.stats.messages_delivered
-                ),
-                (
-                    timed.events,
-                    timed.ticks,
-                    timed.mode_evaluations,
-                    timed.messages_delivered
-                ),
+                crate::bench::BenchEntry::of(&spec, &inst).gated(),
+                timed.gated(),
                 "threads {threads}: instrumentation must not change the run"
             );
         }
@@ -554,24 +375,21 @@ mod tests {
         let spec = registry::find("self-heal")
             .expect("built-in")
             .scaled(Scale::Tiny);
-        let run = run_instrumented(&spec, 1, 1, false, true).unwrap();
-        assert_eq!(run.oracle_series.len(), run.telemetry.samples.len());
-        assert!(run
-            .oracle_series
+        let run = ride(&spec, 1, 1, None);
+        let track = run.oracle.as_ref().expect("oracle rode along");
+        assert_eq!(track.series.len(), run.telemetry.samples.len());
+        assert!(track
+            .series
             .iter()
             .all(|&(_, g, l)| (0.0..=1.0).contains(&g) && (0.0..=1.0).contains(&l)));
         assert_eq!(run.telemetry.faults, 1, "the scripted fault is traced");
-        let rep = run.oracle_report.as_ref().expect("oracle rode along");
+        let rep = &track.report;
         assert!(rep.is_conformant(), "{:?}", rep.violations());
         assert_eq!(rep.sampled_sources, 0, "exact mode draws no sources");
         assert_eq!(
-            run.oracle_global.count(),
-            run.telemetry.samples.len() as u64
-        );
-        assert_eq!(
-            run.oracle_global.max(),
+            track.series.last().map(|&(_, global, _)| global),
             Some(rep.global.worst_utilization),
-            "the running summary tracks the report's worst case"
+            "the running series ends at the report's worst case"
         );
     }
 
@@ -580,20 +398,20 @@ mod tests {
         let spec = registry::find("churn-burst")
             .expect("built-in")
             .scaled(Scale::Tiny);
-        let ride = OracleRide::Sampled(gcs_analysis::oracle::OracleSampling::new(0.5, 13));
-        let seq = run_instrumented_oracle(&spec, 3, 1, true, ride).unwrap();
-        let par = run_instrumented_oracle(&spec, 3, 2, true, ride).unwrap();
+        let sampling = Some(OracleSampling::new(0.5, 13));
+        let seq = ride(&spec, 3, 1, sampling);
+        let par = ride(&spec, 3, 2, sampling);
         assert_eq!(
             seq.telemetry.trace.as_ref().unwrap().text,
             par.telemetry.trace.as_ref().unwrap().text,
             "the oracle ride-along must not perturb the trace"
         );
-        assert_eq!(seq.oracle_report, par.oracle_report);
-        assert_eq!(seq.oracle_series, par.oracle_series);
-        assert_eq!(seq.oracle_global, par.oracle_global);
-        assert_eq!(seq.oracle_gradient, par.oracle_gradient);
-        let rep = seq.oracle_report.expect("oracle rode along");
-        assert!(rep.sampled_sources > 0, "sampled mode actually sampled");
+        assert_eq!(seq.oracle, par.oracle, "verdict and series");
+        let track = seq.oracle.expect("oracle rode along");
+        assert!(
+            track.report.sampled_sources > 0,
+            "sampled mode actually sampled"
+        );
     }
 
     #[test]
@@ -602,8 +420,8 @@ mod tests {
             .expect("built-in")
             .scaled(Scale::Tiny);
         let runs = vec![
-            run_instrumented(&spec, 0, 1, true, false).unwrap(),
-            run_instrumented(&spec, 0, 2, true, false).unwrap(),
+            run_instrumented(&spec, 0, 1, true).unwrap(),
+            run_instrumented(&spec, 0, 2, true).unwrap(),
         ];
         let json = telemetry_json(Scale::Tiny, &runs);
         assert!(json.starts_with("{\"format\":\"gcs-telemetry/v1\""));

@@ -9,27 +9,41 @@
 //! [`campaign_json`](crate::campaign::campaign_json) exactly: floats are
 //! written in shortest round-trip notation and re-parsed with correct
 //! rounding, so a parsed artifact is bit-identical to the
-//! [`CampaignRow`]s that produced it (property-tested). Legacy
-//! `gcs-baseline/v1` files still parse (their rows simply carry no
-//! envelope, so only the scalar columns gate).
+//! [`CampaignRow`]s that produced it (property-tested).
 
 use gcs_analysis::{EnsembleStats, Table};
 
 use crate::campaign::{CampaignRow, ScenarioOutcome};
-use crate::json::{self, arr_field, f64_field, field, str_field, u64_field, Json, JsonValue};
+use crate::json::{
+    self, arr_field, f64_field, field, str_field, u64_field, u64s_field, Json, JsonValue,
+};
 use crate::spec::{DriftSpec, DynamicsSpec, Metric, Scale, ScenarioSpec, TopologySpec};
 
 /// The artifact format tag the campaign writer emits.
 pub const CAMPAIGN_FORMAT: &str = "gcs-campaign/v1";
-/// The legacy scalar-only baseline format (still readable).
-pub const BASELINE_FORMAT_V1: &str = "gcs-baseline/v1";
-/// The baseline format the writer emits: scalars + trajectory envelopes
-/// + per-scenario tolerances.
+/// The baseline format: scalars + trajectory envelopes + per-scenario
+/// tolerances.
 pub const BASELINE_FORMAT: &str = "gcs-baseline/v2";
 
-/// Near-zero metrics (a skew of `1e-12` vs `2e-12`) must not trip the
-/// relative gate; drifts below this many seconds are never significant.
-const ABSOLUTE_FLOOR: f64 = 1e-6;
+/// Near-zero metrics (a skew of `1e-12` vs `2e-12`) must not trip a
+/// relative gate; drifts below this many seconds (or this much
+/// utilization) are never significant. Shared with the trend-series gate.
+pub(crate) const ABSOLUTE_FLOOR: f64 = 1e-6;
+
+/// Signed relative drift of `current` from `baseline` (`+0.25` = 25 %
+/// above). A significant move away from a (near-)zero baseline has no
+/// finite ratio and reports ±∞, so it still ranks as the worst drift and
+/// prints as `+inf%` rather than masquerading as `+0.0%`.
+pub(crate) fn relative_drift(baseline: f64, current: f64) -> f64 {
+    let delta = current - baseline;
+    if baseline.abs() >= ABSOLUTE_FLOOR {
+        delta / baseline.abs()
+    } else if delta.abs() <= ABSOLUTE_FLOOR {
+        0.0
+    } else {
+        f64::INFINITY.copysign(delta)
+    }
+}
 
 // ---------------------------------------------------------------------
 // Reading campaign artifacts
@@ -120,10 +134,6 @@ fn campaign_from_doc(doc: &JsonValue) -> Result<CampaignArtifact, String> {
             "expected format {CAMPAIGN_FORMAT:?}, got {format:?}"
         ));
     }
-    let seeds = arr_field(doc, "seeds", "artifact")?
-        .iter()
-        .map(|s| s.as_u64().ok_or_else(|| "non-integer seed".to_string()))
-        .collect::<Result<Vec<u64>, String>>()?;
     let mut rows = Vec::new();
     for sc in arr_field(doc, "scenarios", "artifact")? {
         let name = str_field(sc, "name", "scenario")?;
@@ -147,7 +157,7 @@ fn campaign_from_doc(doc: &JsonValue) -> Result<CampaignArtifact, String> {
     Ok(CampaignArtifact {
         campaign: str_field(doc, "campaign", "artifact")?,
         scale: str_field(doc, "scale", "artifact")?,
-        seeds,
+        seeds: u64s_field(doc, "seeds", "artifact")?,
         rows,
     })
 }
@@ -239,8 +249,8 @@ pub struct EnvelopeStats {
 
 /// The compact per-scenario statistics a baseline pins: ensemble mean and
 /// p90 of the primary metric and of both skew maxima, the mean
-/// stabilization time derived from the trajectories, and (since
-/// `gcs-baseline/v2`) the trajectory-envelope means.
+/// stabilization time derived from the trajectories, and the
+/// trajectory-envelope means.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrendRow {
     /// Scenario name.
@@ -265,18 +275,16 @@ pub struct TrendRow {
     pub p90_local: f64,
     /// Mean stabilization time (see [`stabilization_time`]).
     pub mean_stabilization: f64,
-    /// Trajectory-envelope means. `None` only for rows read back from a
-    /// legacy `gcs-baseline/v1` file, whose envelope columns then simply
-    /// do not gate.
-    pub envelope: Option<EnvelopeStats>,
+    /// Trajectory-envelope means.
+    pub envelope: EnvelopeStats,
 }
 
 impl TrendRow {
     /// The compared columns, as `(label, value)` pairs: seven scalar
-    /// columns, plus the three envelope columns when present.
+    /// columns plus the three envelope columns.
     #[must_use]
-    pub fn columns(&self) -> Vec<(&'static str, f64)> {
-        let mut cols = vec![
+    pub fn columns(&self) -> [(&'static str, f64); 10] {
+        [
             ("primary mean", self.mean_primary),
             ("primary p90", self.p90_primary),
             ("global mean", self.mean_global),
@@ -284,13 +292,10 @@ impl TrendRow {
             ("local mean", self.mean_local),
             ("local p90", self.p90_local),
             ("stabilization", self.mean_stabilization),
-        ];
-        if let Some(env) = self.envelope {
-            cols.push(("peak time", env.mean_peak_time));
-            cols.push(("growth slope", env.mean_growth_slope));
-            cols.push(("recovery slope", env.mean_recovery_slope));
-        }
-        cols
+            ("peak time", self.envelope.mean_peak_time),
+            ("growth slope", self.envelope.mean_growth_slope),
+            ("recovery slope", self.envelope.mean_recovery_slope),
+        ]
     }
 }
 
@@ -355,11 +360,11 @@ pub fn summarize(rows: &[CampaignRow]) -> Vec<TrendRow> {
                 // canonicalization is a no-op on real, time-sorted
                 // trajectories), computed once per outcome above.
                 mean_stabilization: env_mean(|e| e.settling_time),
-                envelope: Some(EnvelopeStats {
+                envelope: EnvelopeStats {
                     mean_peak_time: env_mean(|e| e.peak_time),
                     mean_growth_slope: env_mean(|e| e.growth_slope),
                     mean_recovery_slope: env_mean(|e| e.recovery_slope),
-                }),
+                },
             }
         })
         .collect()
@@ -475,14 +480,13 @@ pub fn default_tolerances(summary: &TrendSummary) -> Vec<(String, f64)> {
 }
 
 /// Serializes a summary as a `gcs-baseline/v2` document (one scenario per
-/// line, so checked-in baselines diff cleanly). Rows without envelope
-/// stats (read back from a v1 file) keep omitting the envelope fields;
-/// the tolerance table is embedded as relative fractions (`0.25` =
-/// ±25 %), exactly as held in memory, so the file round-trips bit-exactly.
+/// line, so checked-in baselines diff cleanly). The tolerance table is
+/// embedded as relative fractions (`0.25` = ±25 %), exactly as held in
+/// memory, so the file round-trips bit-exactly.
 #[must_use]
 pub fn baseline_json(summary: &TrendSummary) -> String {
     let row_json = |r: &TrendRow| {
-        let mut fields = vec![
+        Json::Obj(vec![
             ("name", Json::Str(r.name.clone())),
             ("nodes", Json::Int(r.nodes)),
             ("metric", Json::Str(r.metric.clone())),
@@ -494,89 +498,52 @@ pub fn baseline_json(summary: &TrendSummary) -> String {
             ("mean_local_skew", Json::Num(r.mean_local)),
             ("p90_local_skew", Json::Num(r.p90_local)),
             ("mean_stabilization", Json::Num(r.mean_stabilization)),
-        ];
-        if let Some(env) = r.envelope {
-            fields.push(("mean_peak_time", Json::Num(env.mean_peak_time)));
-            fields.push(("mean_growth_slope", Json::Num(env.mean_growth_slope)));
-            fields.push(("mean_recovery_slope", Json::Num(env.mean_recovery_slope)));
-        }
-        Json::Obj(fields)
+            ("mean_peak_time", Json::Num(r.envelope.mean_peak_time)),
+            ("mean_growth_slope", Json::Num(r.envelope.mean_growth_slope)),
+            (
+                "mean_recovery_slope",
+                Json::Num(r.envelope.mean_recovery_slope),
+            ),
+        ])
     };
-    let head = Json::Obj(vec![
+    let tolerances = summary
+        .tolerances
+        .iter()
+        .map(|(name, tol)| (name.clone(), Json::Num(*tol)))
+        .collect();
+    let head = vec![
         ("format", Json::Str(BASELINE_FORMAT.to_string())),
         ("campaign", Json::Str(summary.campaign.clone())),
         ("scale", Json::Str(summary.scale.clone())),
-        (
-            "seeds",
-            Json::Arr(summary.seeds.iter().map(|&s| Json::Int(s)).collect()),
-        ),
-    ]);
-    // Splice the dynamic-keyed parts in by hand (the writer's object type
-    // carries static keys only): the tolerance table, then one scenario
-    // per line.
-    let head = head.to_string();
-    let mut out = String::new();
-    out.push_str(&head[..head.len() - 1]);
-    out.push_str(",\"tolerances\":{");
-    for (i, (name, tol)) in summary.tolerances.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{}:{}", Json::Str(name.clone()), Json::Num(*tol)));
-    }
-    out.push_str("},\"scenarios\":[\n");
-    for (i, r) in summary.rows.iter().enumerate() {
-        out.push_str(&row_json(r).to_string());
-        if i + 1 < summary.rows.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("]}\n");
-    out
+        ("seeds", Json::ints(&summary.seeds)),
+        ("tolerances", Json::Map(tolerances)),
+    ];
+    json::document(head, "scenarios", summary.rows.iter().map(row_json))
 }
 
-/// Reads a baseline document — `gcs-baseline/v2` or a legacy
-/// `gcs-baseline/v1` (whose rows then carry no envelope and whose
-/// tolerance table is empty).
+/// Reads a `gcs-baseline/v2` document.
 ///
 /// # Errors
 ///
-/// Returns a message on malformed JSON, a wrong `format` tag, or a
-/// missing/mistyped field.
+/// Returns a message on malformed JSON, a wrong `format` tag (the
+/// retired `gcs-baseline/v1` included), or a missing/mistyped field.
 pub fn read_baseline(text: &str) -> Result<TrendSummary, String> {
     baseline_from_doc(&json::parse(text)?)
 }
 
 fn baseline_from_doc(doc: &JsonValue) -> Result<TrendSummary, String> {
     let format = str_field(doc, "format", "baseline")?;
-    if format != BASELINE_FORMAT && format != BASELINE_FORMAT_V1 {
+    if format != BASELINE_FORMAT {
+        // The one other tag ever written is the retired scalar-only v1.
         return Err(format!(
-            "expected format {BASELINE_FORMAT:?} (or legacy {BASELINE_FORMAT_V1:?}), \
-             got {format:?}"
+            "expected format {BASELINE_FORMAT:?}, got {format:?} (a \"gcs-baseline/v1\" file \
+             is no longer read: re-distill its campaign artifact with `gcs-scenarios baseline`)"
         ));
     }
-    let seeds = arr_field(doc, "seeds", "baseline")?
-        .iter()
-        .map(|s| s.as_u64().ok_or_else(|| "non-integer seed".to_string()))
-        .collect::<Result<Vec<u64>, String>>()?;
     let mut rows = Vec::new();
     for sc in arr_field(doc, "scenarios", "baseline")? {
         let name = str_field(sc, "name", "baseline scenario")?;
         let what = format!("baseline scenario {name:?}");
-        // A v1 row never carries the envelope; a v2 row normally does,
-        // but a v2 file re-serialized from a v1 source keeps that row's
-        // envelope absent — tolerated on read, exactly like on write, so
-        // `baseline` never emits a document it cannot read back.
-        let envelope = if sc.get("mean_peak_time").is_some() {
-            Some(EnvelopeStats {
-                mean_peak_time: f64_field(sc, "mean_peak_time", &what)?,
-                mean_growth_slope: f64_field(sc, "mean_growth_slope", &what)?,
-                mean_recovery_slope: f64_field(sc, "mean_recovery_slope", &what)?,
-            })
-        } else {
-            None
-        };
         rows.push(TrendRow {
             nodes: u64_field(sc, "nodes", &what)?,
             metric: str_field(sc, "metric", &what)?,
@@ -588,8 +555,12 @@ fn baseline_from_doc(doc: &JsonValue) -> Result<TrendSummary, String> {
             mean_local: f64_field(sc, "mean_local_skew", &what)?,
             p90_local: f64_field(sc, "p90_local_skew", &what)?,
             mean_stabilization: f64_field(sc, "mean_stabilization", &what)?,
+            envelope: EnvelopeStats {
+                mean_peak_time: f64_field(sc, "mean_peak_time", &what)?,
+                mean_growth_slope: f64_field(sc, "mean_growth_slope", &what)?,
+                mean_recovery_slope: f64_field(sc, "mean_recovery_slope", &what)?,
+            },
             name,
-            envelope,
         });
     }
     let mut tolerances = Vec::new();
@@ -611,7 +582,7 @@ fn baseline_from_doc(doc: &JsonValue) -> Result<TrendSummary, String> {
     Ok(TrendSummary {
         campaign: str_field(doc, "campaign", "baseline")?,
         scale: str_field(doc, "scale", "baseline")?,
-        seeds,
+        seeds: u64s_field(doc, "seeds", "baseline")?,
         rows,
         tolerances,
     })
@@ -627,9 +598,10 @@ fn baseline_from_doc(doc: &JsonValue) -> Result<TrendSummary, String> {
 pub fn read_summary(text: &str) -> Result<TrendSummary, String> {
     let doc = json::parse(text)?;
     match str_field(&doc, "format", "artifact")?.as_str() {
-        BASELINE_FORMAT | BASELINE_FORMAT_V1 => baseline_from_doc(&doc),
         CAMPAIGN_FORMAT => Ok(TrendSummary::from_campaign(&campaign_from_doc(&doc)?)),
-        other => Err(format!("unknown artifact format {other:?}")),
+        // Everything else is a baseline or an error the baseline reader
+        // words (it names the retired v1 tag).
+        _ => baseline_from_doc(&doc),
     }
 }
 
@@ -652,20 +624,11 @@ pub struct DriftFinding {
 }
 
 impl DriftFinding {
-    /// Signed relative drift (`+0.25` = 25 % above baseline). A
-    /// significant move away from a (near-)zero baseline has no finite
-    /// ratio and reports ±∞, so it still ranks as the worst drift and
-    /// prints as `+inf%` rather than masquerading as `+0.0%`.
+    /// Signed relative drift (`+0.25` = 25 % above baseline; ±∞ away
+    /// from a near-zero one).
     #[must_use]
     pub fn relative(&self) -> f64 {
-        let delta = self.current - self.baseline;
-        if self.baseline.abs() >= ABSOLUTE_FLOOR {
-            delta / self.baseline.abs()
-        } else if delta.abs() <= ABSOLUTE_FLOOR {
-            0.0
-        } else {
-            f64::INFINITY.copysign(delta)
-        }
+        relative_drift(self.baseline, self.current)
     }
 }
 
@@ -692,8 +655,8 @@ impl CompareReport {
 /// count). A per-scenario override in the *baseline*'s tolerance table
 /// takes precedence over `tol` — tight for deterministic topologies,
 /// loose for seed-realized random families. Envelope columns (peak time,
-/// growth/recovery slope) gate whenever both sides carry them, so a
-/// doubled recovery slope fails even when every mean stays flat.
+/// growth/recovery slope) gate like the scalar ones, so a doubled
+/// recovery slope fails even when every mean stays flat.
 /// Scenario-set mismatches and changed seed counts are findings too —
 /// the baseline must be refreshed deliberately, not silently outgrown.
 #[must_use]
@@ -727,52 +690,55 @@ pub fn compare(baseline: &TrendSummary, current: &TrendSummary, tol: f64) -> Com
          growth/recovery slope) fails the gate; refresh the baseline deliberately \
          when a change is intended.",
     );
-    let recovery_cell = |r: &TrendRow| {
-        r.envelope
-            .map_or("-".to_string(), |e| fmt(e.mean_recovery_slope))
+    // One table row; a side the scenario is absent from shows as `-`.
+    let cell = |row: Option<&TrendRow>, column: fn(&TrendRow) -> f64| {
+        row.map_or("-".to_string(), |r| fmt(column(r)))
+    };
+    let mut render = |name: &str, tol: Option<f64>, base, cur, worst: &str, status: &str| {
+        table.row([
+            name.to_string(),
+            tol.map_or("-".to_string(), |t| format!("±{:.0}%", t * 100.0)),
+            cell(base, |r| r.mean_primary),
+            cell(cur, |r| r.mean_primary),
+            cell(base, |r| r.p90_global),
+            cell(cur, |r| r.p90_global),
+            cell(base, |r| r.envelope.mean_recovery_slope),
+            cell(cur, |r| r.envelope.mean_recovery_slope),
+            worst.to_string(),
+            status.to_string(),
+        ]);
+    };
+    let structural = |name: &str, column: &str| DriftFinding {
+        scenario: name.to_string(),
+        column: column.to_string(),
+        baseline: f64::NAN,
+        current: f64::NAN,
     };
 
     for base_row in &baseline.rows {
-        let row_tol = baseline.tolerance_for(&base_row.name, tol);
-        let Some(cur_row) = current.rows.iter().find(|r| r.name == base_row.name) else {
-            findings.push(DriftFinding {
-                scenario: base_row.name.clone(),
-                column: "missing scenario".to_string(),
-                baseline: f64::NAN,
-                current: f64::NAN,
-            });
-            table.row([
-                base_row.name.clone(),
-                format!("±{:.0}%", row_tol * 100.0),
-                fmt(base_row.mean_primary),
-                "-".to_string(),
-                fmt(base_row.p90_global),
-                "-".to_string(),
-                recovery_cell(base_row),
-                "-".to_string(),
-                "-".to_string(),
-                "MISSING".to_string(),
-            ]);
+        let name = &base_row.name;
+        let row_tol = baseline.tolerance_for(name, tol);
+        let Some(cur_row) = current.rows.iter().find(|r| r.name == *name) else {
+            findings.push(structural(name, "missing scenario"));
+            render(name, Some(row_tol), Some(base_row), None, "-", "MISSING");
             continue;
         };
         let mut row_findings = Vec::new();
         if cur_row.runs != base_row.runs {
             row_findings.push(DriftFinding {
-                scenario: base_row.name.clone(),
+                scenario: name.clone(),
                 column: "runs".to_string(),
                 baseline: base_row.runs as f64,
                 current: cur_row.runs as f64,
             });
         }
         let mut worst: Option<DriftFinding> = None;
-        // zip() stops at the shorter column list, so a legacy v1 side
-        // simply leaves the envelope columns ungated.
-        for ((label, base), (_, cur)) in base_row.columns().iter().zip(cur_row.columns().iter()) {
+        for ((label, base), (_, cur)) in base_row.columns().into_iter().zip(cur_row.columns()) {
             let finding = DriftFinding {
-                scenario: base_row.name.clone(),
-                column: (*label).to_string(),
-                baseline: *base,
-                current: *cur,
+                scenario: name.clone(),
+                column: label.to_string(),
+                baseline: base,
+                current: cur,
             };
             let out_of_tol = (cur - base).abs() > row_tol * base.abs() + ABSOLUTE_FLOOR;
             if worst
@@ -786,47 +752,22 @@ pub fn compare(baseline: &TrendSummary, current: &TrendSummary, tol: f64) -> Com
             }
         }
         let status = if row_findings.is_empty() {
-            "ok".to_string()
+            "ok"
         } else {
-            "DRIFT".to_string()
+            "DRIFT"
         };
         let worst_cell = worst.map_or("-".to_string(), |w| {
             format!("{} {:+.1}%", w.column, w.relative() * 100.0)
         });
-        table.row([
-            base_row.name.clone(),
-            format!("±{:.0}%", row_tol * 100.0),
-            fmt(base_row.mean_primary),
-            fmt(cur_row.mean_primary),
-            fmt(base_row.p90_global),
-            fmt(cur_row.p90_global),
-            recovery_cell(base_row),
-            recovery_cell(cur_row),
-            worst_cell,
-            status,
-        ]);
+        let (base, cur) = (Some(base_row), Some(cur_row));
+        render(name, Some(row_tol), base, cur, &worst_cell, status);
         findings.append(&mut row_findings);
     }
     for cur_row in &current.rows {
         if !baseline.rows.iter().any(|r| r.name == cur_row.name) {
-            findings.push(DriftFinding {
-                scenario: cur_row.name.clone(),
-                column: "new scenario (refresh the baseline)".to_string(),
-                baseline: f64::NAN,
-                current: f64::NAN,
-            });
-            table.row([
-                cur_row.name.clone(),
-                "-".to_string(),
-                "-".to_string(),
-                fmt(cur_row.mean_primary),
-                "-".to_string(),
-                fmt(cur_row.p90_global),
-                "-".to_string(),
-                recovery_cell(cur_row),
-                "-".to_string(),
-                "NEW".to_string(),
-            ]);
+            let name = &cur_row.name;
+            findings.push(structural(name, "new scenario (refresh the baseline)"));
+            render(name, None, None, Some(cur_row), "-", "NEW");
         }
     }
     CompareReport { table, findings }
@@ -850,7 +791,7 @@ mod tests {
             registry::find("self-heal").unwrap().scaled(Scale::Tiny),
         ];
         let seeds = vec![0, 1];
-        let rows = run_campaign(&specs, &seeds).unwrap();
+        let (rows, _) = run_campaign(&specs, &seeds, false, |_, _, _| {}).unwrap();
         (seeds, rows)
     }
 
@@ -883,52 +824,30 @@ mod tests {
         let mut from_campaign = summary.clone();
         from_campaign.tolerances = Vec::new();
         assert_eq!(read_summary(&campaign_text).unwrap(), from_campaign);
+        // The checked-in baseline re-serializes byte-for-byte.
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../scenarios/baseline-tiny.json"
+        );
+        let text = std::fs::read_to_string(path).unwrap();
+        assert_eq!(baseline_json(&read_baseline(&text).unwrap()), text);
     }
 
     #[test]
-    fn legacy_v1_baselines_still_parse() {
+    fn v1_baselines_are_rejected_naming_both_formats() {
         // A v1 document as PR 3's writer emitted it: no envelope fields,
-        // no tolerance table.
+        // no tolerance table. Its rows cannot gate the envelope columns,
+        // so it is refused with the way out spelled out.
         let text = "{\"format\":\"gcs-baseline/v1\",\"campaign\":\"old\",\"scale\":\"tiny\",\
                     \"seeds\":[0,1],\"scenarios\":[\n\
                     {\"name\":\"ring-steady\",\"nodes\":4,\"metric\":\"global-skew\",\"runs\":2,\
                     \"mean_primary\":0.01,\"p90_primary\":0.012,\"mean_global_skew\":0.01,\
                     \"p90_global_skew\":0.012,\"mean_local_skew\":0.005,\"p90_local_skew\":0.006,\
                     \"mean_stabilization\":1.5}\n]}\n";
-        let summary = read_baseline(text).unwrap();
-        assert_eq!(summary.rows.len(), 1);
-        assert_eq!(summary.rows[0].envelope, None);
-        assert!(summary.tolerances.is_empty());
-        assert_eq!(read_summary(text).unwrap(), summary);
-        // Comparing a v1 baseline against a v2 current gates the scalar
-        // columns only (the envelope columns have no baseline).
-        let mut current = summary.clone();
-        current.rows[0].envelope = Some(EnvelopeStats {
-            mean_peak_time: 3.0,
-            mean_growth_slope: 0.01,
-            mean_recovery_slope: 0.02,
-        });
-        assert!(compare(&summary, &current, 0.05).passed());
-    }
-
-    #[test]
-    fn v2_reserialization_of_a_v1_baseline_reads_back() {
-        // `gcs-scenarios baseline` accepts a legacy v1 baseline as input
-        // and re-emits it as v2; the envelope-less rows must survive the
-        // round trip rather than poison the new file.
-        let v1 = "{\"format\":\"gcs-baseline/v1\",\"campaign\":\"old\",\"scale\":\"tiny\",\
-                  \"seeds\":[0],\"scenarios\":[\n\
-                  {\"name\":\"ring-steady\",\"nodes\":4,\"metric\":\"global-skew\",\"runs\":1,\
-                  \"mean_primary\":0.01,\"p90_primary\":0.01,\"mean_global_skew\":0.01,\
-                  \"p90_global_skew\":0.01,\"mean_local_skew\":0.005,\"p90_local_skew\":0.005,\
-                  \"mean_stabilization\":1.5}\n]}\n";
-        let mut summary = read_baseline(v1).unwrap();
-        summary.tolerances = default_tolerances(&summary);
-        let v2_text = baseline_json(&summary);
-        assert!(v2_text.starts_with("{\"format\":\"gcs-baseline/v2\""));
-        let back = read_baseline(&v2_text).expect("v2 file with v1-sourced rows must parse");
-        assert_eq!(back, summary);
-        assert_eq!(back.rows[0].envelope, None);
+        for err in [read_baseline(text), read_summary(text)].map(Result::unwrap_err) {
+            assert!(err.contains("gcs-baseline/v1"), "{err}");
+            assert!(err.contains("gcs-baseline/v2"), "{err}");
+        }
     }
 
     #[test]
@@ -998,7 +917,7 @@ mod tests {
         let specs = vec![registry::find("geometric-dense")
             .unwrap()
             .scaled(Scale::Tiny)];
-        let rows = run_campaign(&specs, &[0]).unwrap();
+        let (rows, _) = run_campaign(&specs, &[0], false, |_, _, _| {}).unwrap();
         let summary = TrendSummary::from_rows("r", Scale::Tiny, &[0], &rows);
         assert_eq!(default_tolerances(&summary)[0].1, TOL_LOOSE);
     }
@@ -1012,8 +931,7 @@ mod tests {
         let base = TrendSummary::from_rows("smoke", Scale::Tiny, &seeds, &rows);
         let mut cur = base.clone();
         for row in &mut cur.rows {
-            let env = row.envelope.as_mut().unwrap();
-            env.mean_recovery_slope *= 1.4;
+            row.envelope.mean_recovery_slope *= 1.4;
         }
         let report = compare(&base, &cur, TOL_TIGHT);
         assert!(!report.passed(), "slope drift must gate");

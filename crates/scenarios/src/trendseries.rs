@@ -11,9 +11,10 @@
 //! writes, diffs cleanly, and can be seeded from a checked-in
 //! `BENCH_*.json` artifact (`gcs-scenarios trend-append`).
 //!
-//! Gating is orientation-aware per metric: throughput regresses *down*,
-//! oracle utilization regresses *up*, and wall-clock is recorded but never
-//! gated (CI runners are too noisy for it). Tolerances reuse the
+//! Gating is per metric: oracle utilization and skew regress *up*;
+//! wall-clock and throughput are recorded but never gated (the rows are
+//! runs of tens of milliseconds on noisy CI runners — `benchmark/` is
+//! where speed is measured). Tolerances reuse the
 //! [`trend`](crate::trend) classification: tight for deterministic
 //! scenarios, loose for seed-realized random families.
 
@@ -22,7 +23,7 @@ use gcs_analysis::Table;
 use crate::bench::BenchEntry;
 use crate::conformance::ConformanceRow;
 use crate::json::{self, field, str_field, u64_field, Json, JsonValue};
-use crate::trend::{TOL_LOOSE, TOL_TIGHT};
+use crate::trend::{relative_drift, ABSOLUTE_FLOOR, TOL_LOOSE, TOL_TIGHT};
 
 /// The per-line format tag.
 pub const TREND_FORMAT: &str = "gcs-trend/v1";
@@ -33,10 +34,6 @@ pub const MIN_HISTORY: usize = 2;
 
 /// Default trailing-window size the gate compares the newest point against.
 pub const DEFAULT_WINDOW: usize = 5;
-
-/// Relative drifts under this absolute floor never count (same floor as
-/// the campaign gate: a 1e-12 vs 2e-12 utilization is not a regression).
-const ABSOLUTE_FLOOR: f64 = 1e-6;
 
 /// One appended observation: a `(kind, scenario, seed, threads)` run at
 /// some instant, carrying a flat name → value metric map.
@@ -84,30 +81,27 @@ impl TrendPoint {
     }
 }
 
-/// Which direction is a regression for a metric.
+/// Whether, and which way, a metric can regress.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Orientation {
-    /// Bigger is better (throughput): a drop beyond tolerance regresses.
-    HigherBetter,
     /// Smaller is better (oracle utilization, skew): a rise regresses.
     LowerBetter,
-    /// Recorded for the record, never gated (wall-clock, raw counts).
+    /// Recorded for the record, never gated (wall-clock, throughput,
+    /// raw counts).
     Informational,
 }
 
-/// The gate orientation of a metric name. Throughput gates downward;
-/// oracle-utilization and skew metrics gate upward; everything else —
-/// wall-clock, build time, raw event/sample counts — is informational
-/// (deterministic counters are already exactly gated by `bench-compare`,
-/// and wall-clock is runner noise).
+/// The gate orientation of a metric name. Oracle-utilization and skew
+/// metrics gate upward; everything else — wall-clock, throughput, build
+/// time, raw event/sample counts — is informational: deterministic
+/// counters are already exactly gated by `bench-compare`, and timings of
+/// runs this short are runner noise (`benchmark/` measures speed).
 #[must_use]
 pub fn orientation(metric: &str) -> Orientation {
-    match metric {
-        "events_per_sec" => Orientation::HigherBetter,
-        m if m.ends_with("_worst") || m.ends_with("_skew") || m == "min_margin_deficit" => {
-            Orientation::LowerBetter
-        }
-        _ => Orientation::Informational,
+    if metric.ends_with("_worst") || metric.ends_with("_skew") || metric == "min_margin_deficit" {
+        Orientation::LowerBetter
+    } else {
+        Orientation::Informational
     }
 }
 
@@ -140,6 +134,7 @@ pub fn point_from_conformance(
     threads: u64,
     row: &ConformanceRow,
 ) -> TrendPoint {
+    let r = &row.report;
     TrendPoint {
         when: when.to_string(),
         kind: "conformance".to_string(),
@@ -148,37 +143,27 @@ pub fn point_from_conformance(
         seed: row.seed,
         threads,
         metrics: vec![
-            (
-                "global_worst".to_string(),
-                row.report.global.worst_utilization,
-            ),
-            (
-                "gradient_worst".to_string(),
-                row.report.gradient.worst_utilization,
-            ),
-            ("samples".to_string(), row.report.samples as f64),
-            (
-                "sampled_sources".to_string(),
-                row.report.sampled_sources as f64,
-            ),
-            (
-                "violations".to_string(),
-                row.report.violations().len() as f64,
-            ),
-            (
-                "weak_worst".to_string(),
-                row.report.weak_edges.worst_utilization,
-            ),
+            ("global_worst".to_string(), r.global.worst_utilization),
+            ("gradient_worst".to_string(), r.gradient.worst_utilization),
+            ("samples".to_string(), r.samples as f64),
+            ("sampled_sources".to_string(), r.sampled_sources as f64),
+            ("violations".to_string(), r.violations().len() as f64),
+            ("weak_worst".to_string(), r.weak_edges.worst_utilization),
         ],
     }
 }
 
-/// Serializes one point as a single JSONL line (no trailing newline).
-/// Metric keys are dynamic, so the map is spliced by hand exactly like the
-/// baseline writer's tolerance table.
+/// Serializes one point as a single JSONL line (no trailing newline),
+/// its metric map sorted by name.
 #[must_use]
 pub fn point_json(p: &TrendPoint) -> String {
-    let head = Json::Obj(vec![
+    let mut metrics: Vec<(String, Json)> = p
+        .metrics
+        .iter()
+        .map(|(name, v)| (name.clone(), Json::Num(*v)))
+        .collect();
+    metrics.sort_by(|a, b| a.0.cmp(&b.0));
+    Json::Obj(vec![
         ("format", Json::Str(TREND_FORMAT.to_string())),
         ("when", Json::Str(p.when.clone())),
         ("kind", Json::Str(p.kind.clone())),
@@ -186,21 +171,9 @@ pub fn point_json(p: &TrendPoint) -> String {
         ("scenario", Json::Str(p.scenario.clone())),
         ("seed", Json::Int(p.seed)),
         ("threads", Json::Int(p.threads)),
+        ("metrics", Json::Map(metrics)),
     ])
-    .to_string();
-    let mut out = String::new();
-    out.push_str(&head[..head.len() - 1]);
-    out.push_str(",\"metrics\":{");
-    let mut metrics = p.metrics.clone();
-    metrics.sort_by(|a, b| a.0.cmp(&b.0));
-    for (i, (name, v)) in metrics.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{}:{}", Json::Str(name.clone()), Json::Num(*v)));
-    }
-    out.push_str("}}");
-    out
+    .to_string()
 }
 
 /// Parses a whole `TREND_*.jsonl` series (blank lines tolerated), in file
@@ -248,29 +221,6 @@ pub fn read_series(text: &str) -> Result<Vec<TrendPoint>, String> {
     Ok(points)
 }
 
-/// Appends points to a series file (creating it and parent directories on
-/// first use) — one line per point, never rewriting history.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn append_points(path: &std::path::Path, points: &[TrendPoint]) -> std::io::Result<()> {
-    use std::io::Write as _;
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)?;
-    for p in points {
-        writeln!(f, "{}", point_json(p))?;
-    }
-    Ok(())
-}
-
 /// One out-of-tolerance trend observation, carrying everything the
 /// `--explain` flag prints: which tolerance fired and the historical
 /// window the newest point was compared against.
@@ -286,8 +236,6 @@ pub struct TrendFinding {
     pub threads: u64,
     /// The regressing metric.
     pub metric: String,
-    /// The metric's gate orientation (never `Informational` here).
-    pub orientation: Orientation,
     /// Newest value.
     pub current: f64,
     /// Median of the trailing window.
@@ -302,34 +250,20 @@ pub struct TrendFinding {
 }
 
 impl TrendFinding {
-    /// Signed relative drift of the newest point vs the window median,
-    /// oriented so positive is always *worse*.
+    /// Signed relative drift of the newest point vs the window median;
+    /// positive is *worse* (every gated metric is lower-is-better).
     #[must_use]
     pub fn relative(&self) -> f64 {
-        let delta = match self.orientation {
-            Orientation::HigherBetter => self.median - self.current,
-            _ => self.current - self.median,
-        };
-        if self.median.abs() >= ABSOLUTE_FLOOR {
-            delta / self.median.abs()
-        } else if delta.abs() <= ABSOLUTE_FLOOR {
-            0.0
-        } else {
-            f64::INFINITY.copysign(delta)
-        }
+        relative_drift(self.median, self.current)
     }
 
     /// The `--explain` paragraph: which tolerance fired and the window it
     /// was judged against.
     #[must_use]
     pub fn explain(&self) -> String {
-        let dir = match self.orientation {
-            Orientation::HigherBetter => "dropped below",
-            _ => "rose above",
-        };
         let window: Vec<String> = self.window.iter().map(|v| format!("{v:.6}")).collect();
         format!(
-            "{} {} seed {} threads {} [{}]: {:.6} {} the ±{:.0}% band around the \
+            "{} {} seed {} threads {} [{}]: {:.6} rose above the ±{:.0}% band around the \
              median {:.6} of its last {} point(s) [{}]; tolerance source: {}",
             self.kind,
             self.scenario,
@@ -337,7 +271,6 @@ impl TrendFinding {
             self.threads,
             self.metric,
             self.current,
-            dir,
             self.tolerance * 100.0,
             self.median,
             self.window.len(),
@@ -394,10 +327,9 @@ fn median(sorted: &mut [f64]) -> f64 {
 /// Gates the newest point of every series in `points` against the median
 /// of its trailing `window` predecessors (at least [`MIN_HISTORY`]; series
 /// with less history are reported as `building` and never fail).
-/// Orientation decides the failing direction per metric via
-/// [`orientation`]; informational metrics are recorded in the table but
-/// never gate. `tol_override` replaces the per-scenario tolerance table
-/// when given.
+/// [`orientation`] decides per metric whether a rise gates; informational
+/// metrics are recorded in the table but never gate. `tol_override`
+/// replaces the per-scenario tolerance table when given.
 #[must_use]
 pub fn trend_gate(
     points: &[TrendPoint],
@@ -417,10 +349,9 @@ pub fn trend_gate(
         ],
     );
     table.caption(
-        "Newest point per series vs the median of its trailing window. Throughput \
-         (events_per_sec) gates downward, oracle utilization (\"*_worst\") gates \
-         upward, wall-clock and raw counts are informational. `building` = not \
-         enough history to gate yet.",
+        "Newest point per series vs the median of its trailing window. Oracle \
+         utilization (\"*_worst\") and skew gate upward; wall-clock, throughput and \
+         raw counts are informational. `building` = not enough history to gate yet.",
     );
 
     // Series in first-appearance order, keyed by everything but `when`.
@@ -456,18 +387,13 @@ pub fn trend_gate(
             } else if orient == Orientation::Informational {
                 status = "info";
             } else {
-                let breach = match orient {
-                    Orientation::HigherBetter => med - current > tol * med.abs() + ABSOLUTE_FLOOR,
-                    Orientation::LowerBetter => current - med > tol * med.abs() + ABSOLUTE_FLOOR,
-                    Orientation::Informational => false,
-                };
+                let breach = current - med > tol * med.abs() + ABSOLUTE_FLOOR;
                 let finding = TrendFinding {
                     kind: newest.kind.clone(),
                     scenario: newest.scenario.clone(),
                     seed: newest.seed,
                     threads: newest.threads,
                     metric: metric.clone(),
-                    orientation: orient,
                     current: *current,
                     median: med,
                     window: prior.clone(),
@@ -541,11 +467,24 @@ mod tests {
         assert_eq!(back, pts);
         assert!(read_series("{\"format\":\"nope\"}\n").is_err());
         assert_eq!(read_series("\n\n").unwrap(), Vec::new());
+        // The checked-in series re-serializes byte-for-byte.
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../results/TREND_engine.jsonl"
+        );
+        let text = std::fs::read_to_string(path).unwrap();
+        let lines: String = read_series(&text)
+            .unwrap()
+            .iter()
+            .map(|p| point_json(p) + "\n")
+            .collect();
+        assert_eq!(lines, text);
     }
 
     #[test]
     fn orientation_classifies_known_metrics() {
-        assert_eq!(orientation("events_per_sec"), Orientation::HigherBetter);
+        // Throughput of runs this short is noise: recorded, never gated.
+        assert_eq!(orientation("events_per_sec"), Orientation::Informational);
         assert_eq!(orientation("global_worst"), Orientation::LowerBetter);
         assert_eq!(orientation("gradient_worst"), Orientation::LowerBetter);
         assert_eq!(orientation("wall_secs"), Orientation::Informational);
@@ -554,46 +493,55 @@ mod tests {
 
     #[test]
     fn gate_needs_history_before_failing() {
-        // One prior point only: still "building", even on a huge drop.
+        // One prior point only: still "building", even on a huge rise.
         let pts = vec![
-            point("ring-100k", "1", &[("events_per_sec", 1.0e6)]),
-            point("ring-100k", "2", &[("events_per_sec", 1.0e3)]),
+            point("ring-100k", "1", &[("gradient_worst", 0.001)]),
+            point("ring-100k", "2", &[("gradient_worst", 1.0)]),
         ];
         assert!(trend_gate(&pts, DEFAULT_WINDOW, None).passed());
     }
 
     #[test]
-    fn throughput_drop_beyond_tolerance_regresses() {
+    fn utilization_rise_beyond_tolerance_regresses_and_timings_never_do() {
         let mut pts: Vec<TrendPoint> = (0..5)
             .map(|i| {
                 point(
                     "ring-100k",
                     &i.to_string(),
-                    &[("events_per_sec", 1.0e6), ("wall_secs", 30.0)],
+                    &[
+                        ("gradient_worst", 0.5),
+                        ("events_per_sec", 1.0e6),
+                        ("wall_secs", 30.0),
+                    ],
                 )
             })
             .collect();
-        // ring-100k is deterministic: tight ±25 %. A 40 % drop fails...
+        // ring-100k is deterministic: tight ±25 %. A 40 % rise fails, while
+        // throughput halving next to it is only recorded...
         pts.push(point(
             "ring-100k",
             "5",
-            &[("events_per_sec", 0.6e6), ("wall_secs", 50.0)],
+            &[
+                ("gradient_worst", 0.7),
+                ("events_per_sec", 0.5e6),
+                ("wall_secs", 60.0),
+            ],
         ));
         let report = trend_gate(&pts, DEFAULT_WINDOW, None);
         assert!(!report.passed());
-        assert_eq!(report.findings.len(), 1, "wall_secs must not gate");
+        assert_eq!(report.findings.len(), 1, "timings must not gate");
         let f = &report.findings[0];
-        assert_eq!(f.metric, "events_per_sec");
+        assert_eq!(f.metric, "gradient_worst");
         assert_eq!(f.window.len(), 5);
         assert!(
             f.tolerance_source.contains("tight"),
             "{}",
             f.tolerance_source
         );
-        assert!(f.explain().contains("dropped below"), "{}", f.explain());
-        // ... and a 10 % drop passes.
+        assert!(f.explain().contains("rose above"), "{}", f.explain());
+        // ... and a 10 % rise passes.
         let last = pts.last_mut().unwrap();
-        last.metrics[0].1 = 0.9e6;
+        last.metrics[0].1 = 0.55;
         assert!(trend_gate(&pts, DEFAULT_WINDOW, None).passed());
     }
 
@@ -623,26 +571,26 @@ mod tests {
 
     #[test]
     fn window_limits_how_far_back_the_median_looks() {
-        // History: five slow points, then three fast ones. Window 3 only
-        // sees the fast era, so a return to the slow rate regresses.
+        // History: five high points, then three low ones. Window 3 only
+        // sees the low era, so a return to the high level regresses.
         let mut pts: Vec<TrendPoint> = (0..5)
-            .map(|i| point("ring-100k", &i.to_string(), &[("events_per_sec", 1.0e6)]))
+            .map(|i| point("ring-100k", &i.to_string(), &[("gradient_worst", 0.8)]))
             .collect();
         for i in 5..8 {
             pts.push(point(
                 "ring-100k",
                 &i.to_string(),
-                &[("events_per_sec", 2.0e6)],
+                &[("gradient_worst", 0.4)],
             ));
         }
-        pts.push(point("ring-100k", "8", &[("events_per_sec", 1.0e6)]));
+        pts.push(point("ring-100k", "8", &[("gradient_worst", 0.8)]));
         assert!(
             !trend_gate(&pts, 3, None).passed(),
-            "window 3: fast era only"
+            "window 3: low era only"
         );
-        // A window spanning the slow era pulls the median down to 1.5e6;
-        // the same point is then a 33 % drop — still failing tight, but
-        // passing a 40 % override. The window genuinely changes the verdict.
+        // A window spanning the high era pulls the median back up to 0.8,
+        // and the same point is no rise at all: the window genuinely
+        // changes the verdict.
         assert!(trend_gate(&pts, 8, Some(0.40)).passed());
         assert!(!trend_gate(&pts, 3, Some(0.40)).passed());
     }
@@ -653,12 +601,12 @@ mod tests {
         let mut pts = Vec::new();
         for i in 0..4 {
             for seed in [0u64, 1] {
-                let mut p = point("ring-100k", &i.to_string(), &[("events_per_sec", 1.0e6)]);
+                let mut p = point("ring-100k", &i.to_string(), &[("gradient_worst", 0.5)]);
                 p.seed = seed;
                 pts.push(p);
             }
         }
-        let mut bad = point("ring-100k", "4", &[("events_per_sec", 0.5e6)]);
+        let mut bad = point("ring-100k", "4", &[("gradient_worst", 1.0)]);
         bad.seed = 1;
         pts.push(bad);
         let report = trend_gate(&pts, DEFAULT_WINDOW, None);

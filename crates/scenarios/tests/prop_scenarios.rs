@@ -62,7 +62,7 @@ fn run_campaign_is_bit_identical_to_sequential_runs() {
         registry::find("hypercube-log").unwrap().scaled(Scale::Tiny),
     ];
     let seeds = [0u64, 1, 2];
-    let rows = campaign::run_campaign(&specs, &seeds).unwrap();
+    let (rows, _) = campaign::run_campaign(&specs, &seeds, false, |_, _, _| {}).unwrap();
     for (spec, row) in specs.iter().zip(&rows) {
         for (&seed, outcome) in seeds.iter().zip(&row.outcomes) {
             let solo = campaign::run_scenario(spec, seed).unwrap();
@@ -224,11 +224,11 @@ proptest! {
                 mean_local: v(4),
                 p90_local: v(5),
                 mean_stabilization: v(6),
-                envelope: Some(trend::EnvelopeStats {
+                envelope: trend::EnvelopeStats {
                     mean_peak_time: v(7),
                     mean_growth_slope: v(8),
                     mean_recovery_slope: v(9),
-                }),
+                },
             }],
             tolerances: vec![("prop-row".to_string(), finite(tol_bits).abs().min(1e100))],
         };
@@ -237,42 +237,4 @@ proptest! {
         prop_assert_eq!(&back, &summary, "value round-trip");
         prop_assert_eq!(trend::baseline_json(&back), text, "byte round-trip");
     }
-}
-
-/// The exact v1 document PR 3's writer would emit for a tiny two-scenario
-/// campaign still parses — and gates — against a fresh v2 summary.
-#[test]
-fn legacy_v1_baseline_gates_a_fresh_campaign() {
-    let specs = vec![registry::find("line-worstcase")
-        .unwrap()
-        .scaled(Scale::Tiny)];
-    let seeds = [0u64, 1];
-    let rows = campaign::run_campaign(&specs, &seeds).unwrap();
-    let current = trend::TrendSummary::from_rows("all", Scale::Tiny, &seeds, &rows);
-    // Hand-build the v1 text from the current values (what a PR 3 file
-    // would hold had behaviour not changed).
-    let r = &current.rows[0];
-    let v1 = format!(
-        "{{\"format\":\"gcs-baseline/v1\",\"campaign\":\"all\",\"scale\":\"tiny\",\
-         \"seeds\":[0,1],\"scenarios\":[\n\
-         {{\"name\":\"{}\",\"nodes\":{},\"metric\":\"{}\",\"runs\":{},\
-         \"mean_primary\":{},\"p90_primary\":{},\"mean_global_skew\":{},\
-         \"p90_global_skew\":{},\"mean_local_skew\":{},\"p90_local_skew\":{},\
-         \"mean_stabilization\":{}}}\n]}}\n",
-        r.name,
-        r.nodes,
-        r.metric,
-        r.runs,
-        r.mean_primary,
-        r.p90_primary,
-        r.mean_global,
-        r.p90_global,
-        r.mean_local,
-        r.p90_local,
-        r.mean_stabilization,
-    );
-    let baseline = trend::read_baseline(&v1).expect("v1 parses");
-    assert!(baseline.rows[0].envelope.is_none());
-    let report = trend::compare(&baseline, &current, 0.05);
-    assert!(report.passed(), "{:?}", report.findings);
 }

@@ -18,10 +18,10 @@ use std::time::{Duration, Instant};
 use gcs_net::{EdgeKey, EdgeParams, EdgeParamsMap, NodeId};
 use gcs_protocol::runtime::derive_run_config;
 use gcs_protocol::{EstimateMode, Params};
-use gcs_scenarios::json::Json;
+use gcs_scenarios::json::{self, Json};
 use gcs_scenarios::{
-    campaign, format, registry, telemetry, trend, trendseries, ConformanceOptions, OracleRide,
-    Scale, ScenarioSpec,
+    campaign, format, registry, telemetry, trend, trendseries, ConformanceOptions, Scale,
+    ScenarioSpec, TelemetryRun,
 };
 
 const USAGE: &str = "\
@@ -42,33 +42,25 @@ USAGE:
         which run by name or via `bench`). The per-scenario summary
         includes the engine's deterministic counters (events, ticks,
         mode evaluations, deliveries) summed across seeds.
-        --seeds N   seeds 0..N          (default 4)
-        --scale S   tiny|default|full   (default default)
+        --seeds N, --scale S, --progress  see FLAGS (defaults 4, default)
         --out DIR   artifact directory  (default results)
-        --progress  print one line per completed scenario x seed, in
-                    canonical (scenario-major) order
-        --telemetry FILE  also drive every scenario x seed instrumented
-                    (sequential engine) and write the gcs-telemetry/v1
-                    artifact to FILE
+        --telemetry FILE  attach the telemetry recorder — it rides the same
+                    pass — and write the gcs-telemetry/v1 artifact to FILE
     gcs-scenarios bench [selection] [--seeds N] [--scale S] [--out FILE]
         Engine-throughput benchmark: drive scenarios end to end
         (sequentially, no observation sampling) and write the
         gcs-engine-bench/v1 artifact with wall-clock and events/sec per
         scenario x seed. `all` (the default) sweeps the whole registry,
         bench-class scenarios included.
-        --seeds N     seeds 0..N          (default 1)
+        --seeds N, --scale S, --trend FILE  see FLAGS (defaults 1, default)
         --repeat R    keep the fastest of R runs per entry (default 1)
-        --scale S     tiny|default|full   (default default)
-        --threads LST comma list of worker counts, one row each; 1 = the
-                      sequential reference, >1 = the sharded engine
+        --threads LST comma list of --threads values, one row each
                       (default 1)
         --out FILE    artifact path       (default results/BENCH_engine.json)
-        --trend FILE  also append one gcs-trend/v1 point per entry to the
-                      longitudinal TREND_*.jsonl series (see trend-gate)
-        --telemetry FILE  re-drive every timed entry with the telemetry
-                      sink attached, assert the deterministic counters
-                      are IDENTICAL to the timed pass (zero
-                      instrumentation drift), and write the
+        --telemetry FILE  re-drive every timed entry (a deliberate second
+                      pass) with the telemetry recorder attached, assert
+                      the deterministic counters are IDENTICAL to the timed
+                      pass (zero instrumentation drift), and write the
                       gcs-telemetry/v1 artifact to FILE
     gcs-scenarios trace <name|file.scn> [--seed N] [--threads T] [--scale S]
                         [--out FILE]
@@ -78,8 +70,7 @@ USAGE:
         produces the identical trace from the sequential engine and the
         sharded engine at every shard count.
         --seed N     run seed            (default 0)
-        --threads T  1 = sequential, >1 = sharded with T shards (default 1)
-        --scale S    tiny|default|full   (default tiny)
+        --threads T, --scale S  see FLAGS (defaults 1, tiny)
         --out FILE   write the trace here instead of stdout
     gcs-scenarios node-smoke [--procs P] [--per-proc K] [--secs S]
                              [--refresh R]
@@ -112,8 +103,7 @@ USAGE:
         byte-for-byte against the original. Bit-identity is the
         contract; on divergence prints the same machine-readable record
         as trace-diff and exits with code 3.
-        --threads T  replaying engine: 1 = sequential, >1 = sharded with
-                     T shards (default 1; the outcome is invariant)
+        --threads T  the replaying engine, see FLAGS (default 1)
     gcs-scenarios chaos-search <name|file.scn> [--seed S] [--budget N]
                   [--seeds K] [--scale SC] [--threads T] [--log FILE]
                   [--resume FILE] [--export FILE] [--rename NAME]
@@ -131,8 +121,7 @@ USAGE:
         --seed S     search RNG seed (default 0)
         --budget N   candidate evaluations (default 32)
         --seeds K    score each candidate over run seeds 0..K (default 1)
-        --scale SC   tiny|default|full (default default)
-        --threads T  engine threads per evaluation (default 1)
+        --scale SC, --threads T  see FLAGS (defaults default, 1)
         --log FILE   write the gcs-chaos/v1 search log here
         --resume FILE  start from the frontier of a previous search log
                      instead of the base scenario
@@ -154,8 +143,8 @@ USAGE:
         trajectory is retained, so memory stays bounded at engine scale.
         Exits non-zero on any bound violation, and on an unknown scenario
         or set name. The theorem-level CI gate.
-        --seeds N   seeds 0..N          (default 2)
-        --scale S   tiny|default|full   (default tiny)
+        --seeds N, --scale S, --threads T, --progress, --trend FILE
+                    see FLAGS (defaults 2, tiny, 1)
         --oracle-sample P  sampled-pairs oracle: stratified per-snapshot
                     source draws at rate P in (0,1] instead of the exact
                     all-pairs sweep. A violating pair escapes one snapshot
@@ -165,17 +154,9 @@ USAGE:
                     shard count.
         --oracle-seed N  base seed for the sampled source draws (default
                     0; mixed with each run seed)
-        --threads T 1 = sequential reference engine, >1 = the sharded
-                    engine with T shards per run (default 1)
-        --trend FILE  also append one gcs-trend/v1 point per run (bound
-                    utilizations, sample counts) to the longitudinal
-                    TREND_*.jsonl series (see trend-gate)
-        --progress  print one line per completed scenario x seed, in
-                    canonical (scenario-major) order
-        --telemetry FILE  also drive every scenario x seed instrumented
-                    with the oracle riding along (same exact/sampled mode)
-                    and write the gcs-telemetry/v1 artifact (including the
-                    bound-margin utilization time series) to FILE
+        --telemetry FILE  attach the telemetry recorder — it rides the same
+                    pass, next to the oracle — and write the gcs-telemetry/v1
+                    artifact (with the bound-margin utilization series) to FILE
     gcs-scenarios trend-append <bench.json> [--out FILE]
         Distill a gcs-engine-bench/v1 artifact into gcs-trend/v1 points
         (one per scenario x seed x threads entry, stamped now) and append
@@ -185,10 +166,10 @@ USAGE:
                              [--explain]
         Gate the newest point of every (kind, scale, scenario, seed,
         threads) series in an append-only TREND_*.jsonl file against the
-        median of its trailing window. Orientation-aware: events_per_sec
-        regresses downward, oracle \"*_worst\" utilizations regress
-        upward; wall-clock and raw counts are informational. Series with
-        fewer than 2 prior points report `building` and never fail.
+        median of its trailing window. Oracle \"*_worst\" utilizations
+        regress upward; wall-clock, events_per_sec and raw counts are
+        informational (benchmark/ measures speed). Series with fewer
+        than 2 prior points report `building` and never fail.
         Exits non-zero on any regression beyond tolerance.
         --window N  trailing points the median spans (default 5)
         --tol PCT   override the per-scenario tolerance table (tight for
@@ -215,13 +196,25 @@ USAGE:
         it to FILE (default: stdout). Check the summary in to pin the
         current behaviour; hand-tune tolerances in the file if needed.
     gcs-scenarios compare <baseline> <campaign.json>... [--tol PCT]
-        Diff a fresh campaign against a baseline (gcs-baseline/v2, legacy
-        v1, or a raw gcs-campaign/v1 artifact) and exit non-zero on any
-        per-scenario drift beyond the scenario's tolerance — its override
+        Diff a fresh campaign against a baseline (gcs-baseline/v2 or a raw
+        gcs-campaign/v1 artifact) and exit non-zero on any per-scenario
+        drift beyond the scenario's tolerance — its override
         from the baseline's tolerance table when present, else PCT
         percent (default 20). With several campaign files (e.g. an
         unexpanded results/campaign_*.json glob) the newest is compared.
         The CI regression gate.
+
+FLAGS
+    Flags and positionals may come in any order; a flag's value never
+    starts with `--`. Shared by the verbs that list them:
+    --seeds N     run seeds 0..N
+    --scale S     tiny|default|full
+    --threads T   1 = the sequential reference engine, >1 = the sharded
+                  engine with T shards; results are identical at every T
+    --progress    print one line per completed scenario x seed, in
+                  canonical (scenario-major) order
+    --trend FILE  also append one gcs-trend/v1 point per run to the
+                  longitudinal TREND_*.jsonl series (see trend-gate)
 
 SELECTIONS
     Where a command takes a [selection], it accepts a .scn file path or a
@@ -267,33 +260,106 @@ impl From<String> for Failure {
 
 impl From<&str> for Failure {
     fn from(msg: &str) -> Self {
-        Failure {
-            code: 1,
-            msg: msg.to_string(),
-        }
+        Failure::at(1, msg)
     }
 }
 
+/// A cursor over one verb's arguments. Take the flags first (`value`,
+/// `switch`), then the positionals, then `finish` — which rejects
+/// whatever is left, so a mistyped flag is never silently ignored. On the
+/// command line flags and positionals may come in any order.
+struct Args(Vec<String>);
+
+impl Args {
+    /// The parsed value of `flag VALUE` (the last one when repeated), or
+    /// `None` when the flag is absent. Fails with `"<flag> needs <what>"`
+    /// when the value is missing, is itself a `--flag` (so `--out
+    /// --progress` cannot create a directory named `--progress`), or
+    /// `parse` rejects it.
+    fn value<T>(
+        &mut self,
+        flag: &str,
+        what: &str,
+        parse: impl Fn(&str) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        let mut found = None;
+        while let Some(i) = self.0.iter().position(|a| a == flag) {
+            self.0.remove(i);
+            let raw = (i < self.0.len() && !self.0[i].starts_with("--")).then(|| self.0.remove(i));
+            let parsed = raw.as_deref().and_then(&parse);
+            found = Some(parsed.ok_or_else(|| format!("{flag} needs {what}"))?);
+        }
+        Ok(found)
+    }
+
+    /// Whether the value-less `flag` was given.
+    fn switch(&mut self, flag: &str) -> bool {
+        let before = self.0.len();
+        self.0.retain(|a| a != flag);
+        self.0.len() != before
+    }
+
+    /// The next argument that is not a `--flag`.
+    fn positional(&mut self) -> Option<String> {
+        let i = self.0.iter().position(|a| !a.starts_with("--"))?;
+        Some(self.0.remove(i))
+    }
+
+    /// Rejects whatever no call above consumed.
+    fn finish(self) -> Result<(), String> {
+        match self.0.first() {
+            None => Ok(()),
+            Some(a) if a.starts_with("--") => Err(format!("unknown option {a:?}")),
+            Some(a) => Err(format!("unexpected argument {a:?}")),
+        }
+    }
+
+    /// The `--seeds N` (seeds `0..N`) and `--scale S` pair the sweeping
+    /// verbs share.
+    fn seeds_and_scale(&mut self, seeds: u64, scale: Scale) -> Result<(Vec<u64>, Scale), String> {
+        let n = self.value("--seeds", "a positive integer", positive)?;
+        let picked = self.value("--scale", "tiny|default|full", Scale::parse)?;
+        Ok(((0..n.unwrap_or(seeds)).collect(), picked.unwrap_or(scale)))
+    }
+}
+
+/// A strictly positive integer (`--seeds N`, `--threads T`, `--repeat R`).
+fn positive<T: std::str::FromStr + PartialOrd + Default>(v: &str) -> Option<T> {
+    v.parse().ok().filter(|n| *n > T::default())
+}
+
+/// A finite number at or above zero (`--tol PCT`).
+fn non_negative(v: &str) -> Option<f64> {
+    v.parse().ok().filter(|t: &f64| t.is_finite() && *t >= 0.0)
+}
+
+/// Any file or directory path.
+fn path(v: &str) -> Option<PathBuf> {
+    Some(PathBuf::from(v))
+}
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let result: Result<(), Failure> = match args.first().map(String::as_str) {
-        Some("list") => cmd_list().map_err(Failure::from),
-        Some("show") => cmd_show(&args[1..]).map_err(Failure::from),
-        Some("validate") => cmd_validate(&args[1..]).map_err(Failure::from),
-        Some("run") => cmd_run(&args[1..]).map_err(Failure::from),
-        Some("bench") => cmd_bench(&args[1..]).map_err(Failure::from),
-        Some("bench-compare") => cmd_bench_compare(&args[1..]).map_err(Failure::from),
-        Some("trace") => cmd_trace(&args[1..]).map_err(Failure::from),
-        Some("node-smoke") => cmd_node_smoke(&args[1..]).map_err(Failure::from),
-        Some("trace-diff") => cmd_trace_diff(&args[1..]),
-        Some("replay") => cmd_replay(&args[1..]),
-        Some("chaos-search") => cmd_chaos_search(&args[1..]),
-        Some("conformance") => cmd_conformance(&args[1..]).map_err(Failure::from),
-        Some("trend-append") => cmd_trend_append(&args[1..]).map_err(Failure::from),
-        Some("trend-gate") => cmd_trend_gate(&args[1..]).map_err(Failure::from),
-        Some("export") => cmd_export(&args[1..]).map_err(Failure::from),
-        Some("baseline") => cmd_baseline(&args[1..]).map_err(Failure::from),
-        Some("compare") => cmd_compare(&args[1..]).map_err(Failure::from),
+    let mut argv = std::env::args().skip(1);
+    let verb = argv.next();
+    let args = Args(argv.collect());
+    let result: Result<(), Failure> = match verb.as_deref() {
+        Some("list") => cmd_list(args).map_err(Failure::from),
+        Some("show") => cmd_show(args).map_err(Failure::from),
+        Some("validate") => cmd_validate(args).map_err(Failure::from),
+        Some("run") => cmd_run(args).map_err(Failure::from),
+        Some("bench") => cmd_bench(args).map_err(Failure::from),
+        Some("bench-compare") => cmd_bench_compare(args).map_err(Failure::from),
+        Some("trace") => cmd_trace(args).map_err(Failure::from),
+        Some("node-smoke") => cmd_node_smoke(args).map_err(Failure::from),
+        Some("trace-diff") => cmd_trace_diff(args),
+        Some("replay") => cmd_replay(args),
+        Some("chaos-search") => cmd_chaos_search(args),
+        Some("conformance") => cmd_conformance(args).map_err(Failure::from),
+        Some("trend-append") => cmd_trend_append(args).map_err(Failure::from),
+        Some("trend-gate") => cmd_trend_gate(args).map_err(Failure::from),
+        Some("export") => cmd_export(args).map_err(Failure::from),
+        Some("baseline") => cmd_baseline(args).map_err(Failure::from),
+        Some("compare") => cmd_compare(args).map_err(Failure::from),
         Some("--help" | "-h" | "help") | None => {
             print!("{USAGE}");
             Ok(())
@@ -311,7 +377,8 @@ fn main() -> ExitCode {
     }
 }
 
-fn cmd_list() -> Result<(), String> {
+fn cmd_list(args: Args) -> Result<(), String> {
+    args.finish()?;
     let specs = registry::all();
     println!("{} built-in scenarios:\n", specs.len());
     println!(
@@ -332,17 +399,19 @@ fn cmd_list() -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_show(args: &[String]) -> Result<(), String> {
-    let name = args.first().ok_or("show needs a scenario name")?;
-    let spec = registry::find(name)
+fn cmd_show(mut args: Args) -> Result<(), String> {
+    let name = args.positional().ok_or("show needs a scenario name")?;
+    args.finish()?;
+    let spec = registry::find(&name)
         .ok_or_else(|| format!("no built-in scenario {name:?} (try `gcs-scenarios list`)"))?;
     print!("{}", format::write(&spec));
     Ok(())
 }
 
-fn cmd_validate(args: &[String]) -> Result<(), String> {
-    let dir = args.first().ok_or("validate needs a directory")?;
-    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+fn cmd_validate(mut args: Args) -> Result<(), String> {
+    let dir = args.positional().ok_or("validate needs a directory")?;
+    args.finish()?;
+    let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
         .map_err(|e| format!("cannot read {dir}: {e}"))?
         .filter_map(Result::ok)
         .map(|e| e.path())
@@ -398,79 +467,23 @@ fn validate_file(path: &Path) -> Result<ScenarioSpec, String> {
     Ok(spec)
 }
 
-/// Parses the value of a positive-integer flag (`--seeds N`, `--repeat R`).
-fn positive_flag(args: &[String], i: usize, flag: &str) -> Result<u64, String> {
-    args.get(i + 1)
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .ok_or_else(|| format!("{flag} needs a positive integer"))
-}
-
-/// Parses the value of a `--scale` flag.
-fn scale_flag(args: &[String], i: usize) -> Result<Scale, String> {
-    args.get(i + 1)
-        .and_then(|v| Scale::parse(v))
-        .ok_or_else(|| "--scale needs tiny|default|full".to_string())
-}
-
-/// Parses the value of a `--out` flag.
-fn out_flag(args: &[String], i: usize, what: &str) -> Result<PathBuf, String> {
-    Ok(PathBuf::from(
-        args.get(i + 1)
-            .ok_or_else(|| format!("--out needs a {what}"))?,
-    ))
-}
-
-fn cmd_run(args: &[String]) -> Result<(), String> {
+fn cmd_run(mut args: Args) -> Result<(), String> {
+    let (seeds, scale) = args.seeds_and_scale(4, Scale::Default)?;
+    let out_dir = args.value("--out", "a directory", path)?;
+    let progress = args.switch("--progress");
+    let telemetry_out = args.value("--telemetry", "a file", path)?;
     let target = args
-        .first()
+        .positional()
         .ok_or("run needs a scenario name, .scn file, or `all`")?;
-    let mut seeds_n = 4u64;
-    let mut scale = Scale::Default;
-    let mut out_dir = PathBuf::from("results");
-    let mut progress = false;
-    let mut telemetry_out: Option<PathBuf> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seeds" => {
-                seeds_n = positive_flag(args, i, "--seeds")?;
-                i += 2;
-            }
-            "--scale" => {
-                scale = scale_flag(args, i)?;
-                i += 2;
-            }
-            "--out" => {
-                out_dir = out_flag(args, i, "directory")?;
-                i += 2;
-            }
-            "--progress" => {
-                progress = true;
-                i += 1;
-            }
-            "--telemetry" => {
-                telemetry_out = Some(
-                    args.get(i + 1)
-                        .map(PathBuf::from)
-                        .ok_or("--telemetry needs a file")?,
-                );
-                i += 2;
-            }
-            other => return Err(format!("unknown option {other:?}")),
-        }
-    }
+    args.finish()?;
 
     // `run all` sweeps the campaign set: the bench-class engine-scale
     // scenarios would dwarf the statistics runs and are not pinned by the
     // baseline (they run by name or via `bench`).
-    let (title, specs) = if target == "all" {
-        ("all".to_string(), registry::campaign())
-    } else {
-        resolve_specs(target)?
+    let (title, specs) = match target.as_str() {
+        "all" => ("all".to_string(), resolve_specs("campaign", scale)?.1),
+        other => resolve_specs(other, scale)?,
     };
-    let specs: Vec<ScenarioSpec> = specs.iter().map(|s| s.scaled(scale)).collect();
-    let seeds: Vec<u64> = (0..seeds_n).collect();
     println!(
         "campaign {title:?}: {} scenario(s) x {} seed(s), scale {}",
         specs.len(),
@@ -479,8 +492,13 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     );
 
     let started = std::time::Instant::now();
-    let rows = if progress {
-        campaign::run_campaign_progress(&specs, &seeds, |spec, seed, result| match result {
+    // The recorder, when asked for, rides the campaign's own pass.
+    let (rows, runs) = campaign::run_campaign(
+        &specs,
+        &seeds,
+        telemetry_out.is_some(),
+        |spec, seed, result| match result {
+            _ if !progress => {}
             Ok(o) => println!(
                 "done {:<18} seed {:>3}: {} {:.6} ({} events)",
                 spec.name,
@@ -490,10 +508,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
                 o.events
             ),
             Err(e) => println!("FAIL {:<18} seed {:>3}: {e}", spec.name, seed),
-        })
-    } else {
-        campaign::run_campaign(&specs, &seeds)
-    }
+        },
+    )
     .map_err(|e| e.to_string())?;
     println!(
         "\n{:<18} {:>5} {:<17} {:>10} {:>10} {:>10} {:>10} {:>10} {:>6} {:>11} {:>8} {:>11} {:>11}",
@@ -530,8 +546,13 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             sum(|o| o.messages_delivered)
         );
     }
-    let path = campaign::write_campaign(&out_dir, &title, scale, &seeds, &rows)
-        .map_err(|e| format!("cannot write artifact: {e}"))?;
+    let path = out_dir
+        .unwrap_or_else(|| PathBuf::from("results"))
+        .join(format!("campaign_{}.json", now_millis()));
+    write_file(
+        &path,
+        &campaign::campaign_json(&title, scale, &seeds, &rows),
+    )?;
     println!(
         "\n{} run(s) in {:.1}s; wrote {}",
         rows.len() * seeds.len(),
@@ -539,119 +560,37 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         path.display()
     );
     if let Some(tpath) = telemetry_out {
-        write_instrumented(&tpath, &specs, &seeds, scale, None)?;
+        write_telemetry(&tpath, scale, &runs)?;
     }
     Ok(())
 }
 
-/// Drives every scenario × seed instrumented on the sequential engine and
-/// writes the `gcs-telemetry/v1` artifact (shared by `run --telemetry`
-/// and `conformance --telemetry`; the latter passes its
-/// [`ConformanceOptions`] so the oracle rides along — in the same
-/// exact/sampled mode as the gate itself — and the artifact carries the
-/// bound-margin series).
-fn write_instrumented(
-    path: &Path,
-    specs: &[ScenarioSpec],
-    seeds: &[u64],
-    scale: Scale,
-    oracle: Option<&ConformanceOptions>,
-) -> Result<(), String> {
-    let mut runs = Vec::with_capacity(specs.len() * seeds.len());
-    for spec in specs {
-        for &seed in seeds {
-            let ride = match oracle {
-                None => OracleRide::Off,
-                Some(opts) => match opts.sampling_for(seed) {
-                    Some(sampling) => OracleRide::Sampled(sampling),
-                    None => OracleRide::Exact,
-                },
-            };
-            runs.push(
-                telemetry::run_instrumented_oracle(spec, seed, 1, false, ride)
-                    .map_err(|e| e.to_string())?,
-            );
-        }
-    }
-    telemetry::write_telemetry(path, scale, &runs)
-        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-    println!(
-        "wrote {} ({} instrumented run(s))",
-        path.display(),
-        runs.len()
-    );
+/// Writes the `gcs-telemetry/v1` artifact for the instrumented runs a
+/// verb collected and says so.
+fn write_telemetry(path: &Path, scale: Scale, runs: &[TelemetryRun]) -> Result<(), String> {
+    write_file(path, &telemetry::telemetry_json(scale, runs))?;
+    let n = runs.len();
+    println!("wrote {} ({n} instrumented run(s))", path.display());
     Ok(())
 }
 
 /// Runs the engine-throughput benchmark and writes `BENCH_engine.json`.
-fn cmd_bench(args: &[String]) -> Result<(), String> {
-    let mut target = "all".to_string();
-    let mut seeds_n = 1u64;
-    let mut repeat = 1u32;
-    let mut scale = Scale::Default;
-    let mut threads: Vec<usize> = vec![1];
-    let mut out = PathBuf::from("results/BENCH_engine.json");
-    let mut telemetry_out: Option<PathBuf> = None;
-    let mut trend_out: Option<PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--trend" => {
-                trend_out = Some(
-                    args.get(i + 1)
-                        .map(PathBuf::from)
-                        .ok_or("--trend needs a file")?,
-                );
-                i += 2;
-            }
-            "--threads" => {
-                let raw = args
-                    .get(i + 1)
-                    .ok_or_else(|| "--threads needs a comma list, e.g. 1,2,4".to_string())?;
-                threads = raw
-                    .split(',')
-                    .map(|p| match p.trim().parse::<usize>() {
-                        Ok(t) if t > 0 => Ok(t),
-                        _ => Err(format!("--threads: {p:?} is not a positive integer")),
-                    })
-                    .collect::<Result<_, _>>()?;
-                i += 2;
-            }
-            "--repeat" => {
-                repeat = u32::try_from(positive_flag(args, i, "--repeat")?)
-                    .map_err(|_| "--repeat is out of range".to_string())?;
-                i += 2;
-            }
-            "--seeds" => {
-                seeds_n = positive_flag(args, i, "--seeds")?;
-                i += 2;
-            }
-            "--scale" => {
-                scale = scale_flag(args, i)?;
-                i += 2;
-            }
-            "--out" => {
-                out = out_flag(args, i, "file")?;
-                i += 2;
-            }
-            "--telemetry" => {
-                telemetry_out = Some(
-                    args.get(i + 1)
-                        .map(PathBuf::from)
-                        .ok_or("--telemetry needs a file")?,
-                );
-                i += 2;
-            }
-            other if other.starts_with("--") => return Err(format!("unknown option {other:?}")),
-            other => {
-                target = other.to_string();
-                i += 1;
-            }
-        }
-    }
-    let (title, specs) = resolve_specs(&target)?;
-    let specs: Vec<ScenarioSpec> = specs.iter().map(|s| s.scaled(scale)).collect();
-    let seeds: Vec<u64> = (0..seeds_n).collect();
+fn cmd_bench(mut args: Args) -> Result<(), String> {
+    let (seeds, scale) = args.seeds_and_scale(1, Scale::Default)?;
+    let repeat = args.value("--repeat", "a positive integer", positive)?;
+    let threads = args.value("--threads", "a comma list, e.g. 1,2,4", |raw| {
+        raw.split(',')
+            .map(|p| positive::<usize>(p.trim()))
+            .collect::<Option<Vec<usize>>>()
+    })?;
+    let threads = threads.unwrap_or_else(|| vec![1]);
+    let out = args.value("--out", "a file", path)?;
+    let out = out.unwrap_or_else(|| PathBuf::from("results/BENCH_engine.json"));
+    let telemetry_out = args.value("--telemetry", "a file", path)?;
+    let trend_out = args.value("--trend", "a file", path)?;
+    let target = args.positional().unwrap_or_else(|| "all".to_string());
+    args.finish()?;
+    let (title, specs) = resolve_specs(&target, scale)?;
     println!(
         "engine bench {title:?}: {} scenario(s) x {} seed(s) x threads {:?}, scale {}",
         specs.len(),
@@ -659,7 +598,7 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         threads,
         scale.name()
     );
-    let entries = gcs_scenarios::bench::run_suite(&specs, &seeds, &threads, repeat)
+    let entries = gcs_scenarios::bench::run_suite(&specs, &seeds, &threads, repeat.unwrap_or(1))
         .map_err(|e| e.to_string())?;
     println!(
         "\n{:<18} {:>6} {:>5} {:>4} {:>10} {:>12} {:>12} {:>10} {:>10}",
@@ -679,89 +618,64 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
             e.mode_evaluations
         );
     }
-    gcs_scenarios::bench::write_bench(&out, scale, &seeds, &entries)
-        .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
+    write_file(
+        &out,
+        &gcs_scenarios::bench::bench_json(scale, &seeds, &entries),
+    )?;
     println!("\nwrote {}", out.display());
     if let Some(tpath) = trend_out {
-        let when = now_millis();
-        let points: Vec<trendseries::TrendPoint> = entries
-            .iter()
-            .map(|e| trendseries::point_from_bench(&when, scale.name(), e))
-            .collect();
-        trendseries::append_points(&tpath, &points)
-            .map_err(|e| format!("cannot append to {}: {e}", tpath.display()))?;
-        println!(
-            "appended {} trend point(s) to {}",
-            points.len(),
-            tpath.display()
-        );
+        let (when, scale) = (now_millis(), scale.name());
+        let point = |e| trendseries::point_from_bench(&when, scale, e);
+        append_trend(&tpath, entries.iter().map(point))?;
     }
     if let Some(tpath) = telemetry_out {
-        // Re-drive every timed entry with the sink attached. The
-        // instrumented counters must be IDENTICAL to the timed pass:
-        // telemetry observes the run, it must never change it.
+        // Re-drive every timed entry — deliberately a second pass — with
+        // the recorder attached. Its counters must be IDENTICAL to the
+        // timed pass: telemetry observes the run, it must never change
+        // it. This is the negative control for every verb that lets the
+        // recorder ride the pass it already makes.
         let mut runs = Vec::with_capacity(entries.len());
-        for e in &entries {
-            let spec = specs.iter().find(|s| s.name == e.scenario).ok_or_else(|| {
-                format!(
-                    "bench entry {:?} (seed {}, threads {}) does not match any resolved \
-                     scenario — the timed sweep and the telemetry re-drive must run the \
-                     same selection",
-                    e.scenario, e.seed, e.threads
-                )
-            })?;
-            let inst = telemetry::bench_instrumented(spec, e.seed, e.threads)
-                .map_err(|x| x.to_string())?;
-            if (
-                inst.stats.events,
-                inst.stats.ticks,
-                inst.stats.mode_evaluations,
-                inst.stats.messages_delivered,
-            ) != (e.events, e.ticks, e.mode_evaluations, e.messages_delivered)
-            {
+        // `run_suite` returns its entries spec-major, in input order.
+        let per_spec = seeds.len() * threads.len();
+        for (e, spec) in entries
+            .iter()
+            .zip(specs.iter().flat_map(|s| std::iter::repeat_n(s, per_spec)))
+        {
+            let mut recorder = telemetry::TelemetryObserver::new(false);
+            let pass = campaign::run_pass(
+                spec,
+                e.seed,
+                e.threads,
+                campaign::Stops::EndOnly,
+                &mut [&mut recorder],
+            )
+            .map_err(|x| x.to_string())?;
+            if gcs_scenarios::BenchEntry::of(spec, &pass).gated() != e.gated() {
                 return Err(format!(
                     "instrumentation drift: {} seed {} threads {}: the instrumented run's \
                      deterministic counters diverged from the timed run",
                     e.scenario, e.seed, e.threads
                 ));
             }
-            runs.push(inst);
+            runs.push(recorder.finish(&pass));
         }
-        telemetry::write_telemetry(&tpath, scale, &runs)
-            .map_err(|e| format!("cannot write {}: {e}", tpath.display()))?;
-        println!(
-            "wrote {} ({} instrumented run(s), zero counter drift vs the timed suite)",
-            tpath.display(),
-            runs.len()
-        );
+        write_telemetry(&tpath, scale, &runs)?;
+        println!("zero counter drift vs the timed suite");
     }
     Ok(())
 }
 
 /// Gates the deterministic engine counters of two bench artifacts.
-fn cmd_bench_compare(args: &[String]) -> Result<(), String> {
-    let mut subset = false;
-    let mut paths: Vec<&String> = Vec::new();
-    for a in args {
-        if a == "--subset" {
-            subset = true;
-        } else if a.starts_with("--") {
-            return Err(format!("unknown option {a:?}"));
-        } else {
-            paths.push(a);
-        }
-    }
-    let [baseline_path, current_path] = paths[..] else {
+fn cmd_bench_compare(mut args: Args) -> Result<(), String> {
+    let subset = args.switch("--subset");
+    let (Some(baseline_path), Some(current_path)) = (args.positional(), args.positional()) else {
         return Err(
             "bench-compare needs exactly [--subset] <baseline.json> <current.json>".to_string(),
         );
     };
-    let read = |path: &str| -> Result<gcs_scenarios::BenchArtifact, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        gcs_scenarios::bench::read_bench(&text).map_err(|e| format!("{path}: {e}"))
-    };
-    let baseline = read(baseline_path)?;
-    let current = read(current_path)?;
+    args.finish()?;
+    let baseline = read_artifact(&baseline_path, gcs_scenarios::bench::read_bench)?;
+    let current = read_artifact(&current_path, gcs_scenarios::bench::read_bench)?;
     let report = gcs_scenarios::bench::compare_counters(&baseline, &current, subset);
     println!("{}", report.table);
     if report.passed() {
@@ -794,75 +708,37 @@ fn cmd_bench_compare(args: &[String]) -> Result<(), String> {
 }
 
 /// Emits the deterministic `gcs-trace/v1` run log for one scenario.
-fn cmd_trace(args: &[String]) -> Result<(), String> {
+fn cmd_trace(mut args: Args) -> Result<(), String> {
+    let seed = args.value("--seed", "a non-negative integer", |v| v.parse().ok())?;
+    let threads = args.value("--threads", "a positive integer", positive)?;
+    let scale = args.value("--scale", "tiny|default|full", Scale::parse)?;
+    let out = args.value("--out", "a file", path)?;
     let target = args
-        .first()
+        .positional()
         .ok_or("trace needs a scenario name or .scn file")?;
-    let mut seed = 0u64;
-    let mut threads = 1usize;
-    let mut scale = Scale::Tiny;
-    let mut out: Option<PathBuf> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" => {
-                seed = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--seed needs a non-negative integer")?;
-                i += 2;
-            }
-            "--threads" => {
-                threads = usize::try_from(positive_flag(args, i, "--threads")?)
-                    .map_err(|_| "--threads is out of range".to_string())?;
-                i += 2;
-            }
-            "--scale" => {
-                scale = scale_flag(args, i)?;
-                i += 2;
-            }
-            "--out" => {
-                out = Some(out_flag(args, i, "file")?);
-                i += 2;
-            }
-            other => return Err(format!("unknown option {other:?}")),
-        }
-    }
-    if target == "all" {
-        return Err("trace runs exactly one scenario (a name or a .scn file)".to_string());
-    }
-    let (_, specs) = resolve_specs(target)?;
-    let spec = specs[0].scaled(scale);
-    let run = telemetry::run_instrumented(&spec, seed, threads, true, false)
+    args.finish()?;
+    let seed: u64 = seed.unwrap_or(0);
+    let spec = resolve_one("trace runs", &target, scale.unwrap_or(Scale::Tiny))?;
+    let run = telemetry::run_instrumented(&spec, seed, threads.unwrap_or(1), true)
         .map_err(|e| e.to_string())?;
-    let trace = run.telemetry.trace.as_ref().ok_or_else(|| {
-        format!(
-            "instrumented run of {:?} (seed {seed}) produced no trace even though \
-             tracing was requested — the telemetry sink dropped its run log",
-            spec.name
-        )
-    })?;
+    let Some(trace) = &run.telemetry.trace else {
+        return Err("the telemetry recorder dropped the run log it was asked for".to_string());
+    };
+    let summary = format!(
+        "{} record(s), {}, engine {}",
+        trace.records,
+        trace.hash_hex(),
+        run.engine()
+    );
     match out {
         Some(path) => {
-            telemetry::write_trace(&path, trace)
-                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-            println!(
-                "wrote {} ({} record(s), {}, engine {})",
-                path.display(),
-                trace.records,
-                trace.hash_hex(),
-                run.engine
-            );
+            write_file(&path, &trace.text)?;
+            println!("wrote {} ({summary})", path.display());
         }
         None => {
             // Trace to stdout, summary to stderr, so the JSONL pipes clean.
             print!("{}", trace.text);
-            eprintln!(
-                "{} record(s), {}, engine {}",
-                trace.records,
-                trace.hash_hex(),
-                run.engine
-            );
+            eprintln!("{summary}");
         }
     }
     Ok(())
@@ -1008,33 +884,15 @@ fn wait_until(child: &mut Child, deadline: Instant) -> Result<Option<ExitStatus>
     }
 }
 
-fn cmd_node_smoke(args: &[String]) -> Result<(), String> {
-    let mut procs = 3u64;
-    let mut per_proc = 2u64;
-    let mut secs = 4.0f64;
-    let mut refresh = 0.2f64;
-    let mut i = 0;
-    while i < args.len() {
-        let float = |args: &[String], i: usize, flag: &str| -> Result<f64, String> {
-            let v: f64 = args
-                .get(i + 1)
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| format!("{flag} needs a number"))?;
-            if v.is_finite() && v > 0.0 {
-                Ok(v)
-            } else {
-                Err(format!("{flag} must be a positive finite number"))
-            }
-        };
-        match args[i].as_str() {
-            "--procs" => procs = positive_flag(args, i, "--procs")?,
-            "--per-proc" => per_proc = positive_flag(args, i, "--per-proc")?,
-            "--secs" => secs = float(args, i, "--secs")?,
-            "--refresh" => refresh = float(args, i, "--refresh")?,
-            other => return Err(format!("unknown option {other:?}")),
-        }
-        i += 2;
-    }
+fn cmd_node_smoke(mut args: Args) -> Result<(), String> {
+    let seconds = |v: &str| v.parse().ok().filter(|s: &f64| s.is_finite() && *s > 0.0);
+    let procs = args.value("--procs", "a positive integer", positive)?;
+    let per_proc = args.value("--per-proc", "a positive integer", positive)?;
+    let secs = args.value("--secs", "a positive finite number", seconds)?;
+    let refresh = args.value("--refresh", "a positive finite number", seconds)?;
+    args.finish()?;
+    let (procs, per_proc): (u64, u64) = (procs.unwrap_or(3), per_proc.unwrap_or(2));
+    let (secs, refresh) = (secs.unwrap_or(4.0), refresh.unwrap_or(0.2));
     if procs < 2 {
         return Err("node-smoke needs at least 2 daemon processes".to_string());
     }
@@ -1233,15 +1091,14 @@ fn divergence_json(d: &gcs_telemetry::TraceDiff) -> String {
 }
 
 /// Verifies and byte-compares two sealed traces.
-fn cmd_trace_diff(args: &[String]) -> Result<(), Failure> {
-    let [a_path, b_path] = args else {
-        return Err("trace-diff needs exactly <a.jsonl> <b.jsonl>"
-            .to_string()
-            .into());
+fn cmd_trace_diff(mut args: Args) -> Result<(), Failure> {
+    let (Some(a_path), Some(b_path)) = (args.positional(), args.positional()) else {
+        return Err("trace-diff needs exactly <a.jsonl> <b.jsonl>".into());
     };
+    args.finish()?;
     let read = |p: &String| std::fs::read_to_string(p).map_err(|e| format!("cannot read {p}: {e}"));
-    let a = read(a_path)?;
-    let b = read(b_path)?;
+    let a = read(&a_path)?;
+    let b = read(&b_path)?;
     // Verify both seals first: a diff of tampered traces proves nothing.
     let (records, hash) = gcs_telemetry::verify_trace(&a).map_err(|e| format!("{a_path}: {e}"))?;
     gcs_telemetry::verify_trace(&b).map_err(|e| format!("{b_path}: {e}"))?;
@@ -1263,24 +1120,14 @@ fn cmd_trace_diff(args: &[String]) -> Result<(), Failure> {
 
 /// Re-materializes a run from a sealed trace artifact and asserts
 /// bit-identity.
-fn cmd_replay(args: &[String]) -> Result<(), Failure> {
+fn cmd_replay(mut args: Args) -> Result<(), Failure> {
+    let threads = args.value("--threads", "a positive integer", positive)?;
     let path = args
-        .first()
-        .ok_or_else(|| "replay needs a gcs-trace/v1 artifact".to_string())?;
-    let mut threads = 1usize;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--threads" => {
-                threads = usize::try_from(positive_flag(args, i, "--threads")?)
-                    .map_err(|_| "--threads is out of range".to_string())?;
-                i += 2;
-            }
-            other => return Err(format!("unknown option {other:?}").into()),
-        }
-    }
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let outcome = gcs_scenarios::replay_trace(&text, threads).map_err(|e| e.to_string())?;
+        .positional()
+        .ok_or("replay needs a gcs-trace/v1 artifact")?;
+    args.finish()?;
+    let threads = threads.unwrap_or(1);
+    let outcome = read_artifact(&path, |text| gcs_scenarios::replay_trace(text, threads))?;
     let a = &outcome.artifact;
     match &outcome.divergence {
         None => {
@@ -1304,103 +1151,42 @@ fn cmd_replay(args: &[String]) -> Result<(), Failure> {
 }
 
 /// Seeded adversarial fault-schedule search over one base scenario.
-fn cmd_chaos_search(args: &[String]) -> Result<(), Failure> {
-    let target = args
-        .first()
-        .ok_or_else(|| "chaos-search needs a scenario name or .scn file".to_string())?;
+fn cmd_chaos_search(mut args: Args) -> Result<(), Failure> {
     let mut opts = gcs_scenarios::ChaosOptions::default();
-    let mut seeds_n = 1u64;
-    let mut scale = Scale::Default;
-    let mut log_out: Option<PathBuf> = None;
-    let mut resume: Option<PathBuf> = None;
-    let mut export: Option<PathBuf> = None;
-    let mut rename: Option<String> = None;
-    let mut trend_out: Option<PathBuf> = None;
-    let mut violation_out = PathBuf::from("results/CHAOS_violation.jsonl");
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" => {
-                opts.seed = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--seed needs a non-negative integer")?;
-                i += 2;
-            }
-            "--budget" => {
-                opts.budget = u32::try_from(positive_flag(args, i, "--budget")?)
-                    .map_err(|_| "--budget is out of range".to_string())?;
-                i += 2;
-            }
-            "--seeds" => {
-                seeds_n = positive_flag(args, i, "--seeds")?;
-                i += 2;
-            }
-            "--scale" => {
-                scale = scale_flag(args, i)?;
-                i += 2;
-            }
-            "--threads" => {
-                opts.threads = usize::try_from(positive_flag(args, i, "--threads")?)
-                    .map_err(|_| "--threads is out of range".to_string())?;
-                i += 2;
-            }
-            "--log" => {
-                log_out = Some(out_flag(args, i, "file")?);
-                i += 2;
-            }
-            "--resume" => {
-                resume = Some(PathBuf::from(
-                    args.get(i + 1).ok_or("--resume needs a file")?,
-                ));
-                i += 2;
-            }
-            "--export" => {
-                export = Some(PathBuf::from(
-                    args.get(i + 1).ok_or("--export needs a file")?,
-                ));
-                i += 2;
-            }
-            "--rename" => {
-                rename = Some(args.get(i + 1).ok_or("--rename needs a name")?.clone());
-                i += 2;
-            }
-            "--trend" => {
-                trend_out = Some(PathBuf::from(
-                    args.get(i + 1).ok_or("--trend needs a file")?,
-                ));
-                i += 2;
-            }
-            "--violation-out" => {
-                violation_out =
-                    PathBuf::from(args.get(i + 1).ok_or("--violation-out needs a file")?);
-                i += 2;
-            }
-            other => return Err(format!("unknown option {other:?}").into()),
-        }
+    if let Some(seed) = args.value("--seed", "a non-negative integer", |v| v.parse().ok())? {
+        opts.seed = seed;
     }
-    opts.run_seeds = (0..seeds_n).collect();
-    if target == "all" {
-        return Err(
-            "chaos-search attacks exactly one scenario (a name or a .scn file)"
-                .to_string()
-                .into(),
-        );
+    if let Some(budget) = args.value("--budget", "a positive integer", positive)? {
+        opts.budget = budget;
     }
-    let (_, specs) = resolve_specs(target)?;
+    if let Some(threads) = args.value("--threads", "a positive integer", positive)? {
+        opts.threads = threads;
+    }
+    let (run_seeds, scale) = args.seeds_and_scale(1, Scale::Default)?;
+    opts.run_seeds = run_seeds;
+    let log_out = args.value("--log", "a file", path)?;
+    let resume = args.value("--resume", "a file", |v| Some(v.to_string()))?;
+    let export = args.value("--export", "a file", path)?;
+    let rename = args.value("--rename", "a name", |v| Some(v.to_string()))?;
+    let trend_out = args.value("--trend", "a file", path)?;
+    let violation_out = args.value("--violation-out", "a file", path)?;
+    let violation_out =
+        violation_out.unwrap_or_else(|| PathBuf::from("results/CHAOS_violation.jsonl"));
+    let target = args
+        .positional()
+        .ok_or("chaos-search needs a scenario name or .scn file")?;
+    args.finish()?;
+    let named = resolve_one("chaos-search attacks", &target, scale)?;
     let base = match &resume {
         Some(log_path) => {
-            let text = std::fs::read_to_string(log_path)
-                .map_err(|e| format!("cannot read {}: {e}", log_path.display()))?;
-            let frontier = gcs_scenarios::frontier_from_log(&text).map_err(|e| e.to_string())?;
+            let frontier = read_artifact(log_path, gcs_scenarios::frontier_from_log)?;
             println!(
-                "resuming from the frontier of {} ({})",
-                log_path.display(),
+                "resuming from the frontier of {log_path} ({})",
                 frontier.name
             );
             frontier
         }
-        None => specs[0].scaled(scale),
+        None => named,
     };
     println!(
         "chaos-search {:?}: seed {}, budget {}, {} run seed(s), scale {}, objective = worst \
@@ -1428,7 +1214,7 @@ fn cmd_chaos_search(args: &[String]) -> Result<(), Failure> {
         result.best.run_seed
     );
     if let Some(path) = &log_out {
-        write_text(path, &result.log)?;
+        write_file(path, &result.log)?;
         println!("wrote search log to {}", path.display());
     }
     if let Some(path) = &export {
@@ -1437,7 +1223,7 @@ fn cmd_chaos_search(args: &[String]) -> Result<(), Failure> {
             spec.name.clone_from(name);
         }
         spec.validate().map_err(|e| e.to_string())?;
-        write_text(path, &gcs_scenarios::format::write(&spec))?;
+        write_file(path, &gcs_scenarios::format::write(&spec))?;
         println!(
             "exported best schedule as {} ({})",
             path.display(),
@@ -1457,9 +1243,7 @@ fn cmd_chaos_search(args: &[String]) -> Result<(), Failure> {
                 ("evaluated".to_string(), f64::from(result.evaluated)),
             ],
         };
-        trendseries::append_points(path, &[point])
-            .map_err(|e| format!("cannot append to {}: {e}", path.display()))?;
-        println!("appended 1 trend point to {}", path.display());
+        append_trend(path, [point])?;
     }
     match result.violation {
         None => {
@@ -1470,7 +1254,7 @@ fn cmd_chaos_search(args: &[String]) -> Result<(), Failure> {
             Ok(())
         }
         Some(v) => {
-            write_text(&violation_out, &v.trace)?;
+            write_file(&violation_out, &v.trace)?;
             for line in &v.violations {
                 eprintln!("VIOLATION {}: {line}", v.candidate.spec.name);
             }
@@ -1489,99 +1273,39 @@ fn cmd_chaos_search(args: &[String]) -> Result<(), Failure> {
     }
 }
 
-/// Writes text to a path, creating parent directories as needed.
-fn write_text(path: &Path, text: &str) -> Result<(), String> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)
-                .map_err(|e| format!("cannot create {}: {e}", parent.display()))?;
-        }
-    }
-    std::fs::write(path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))
+/// Writes an artifact through the one file writer, wording its failure.
+fn write_file(path: &Path, text: &str) -> Result<(), String> {
+    json::write_file(path, text, false).map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
 /// Runs the conformance oracles over a scenario selection.
-fn cmd_conformance(args: &[String]) -> Result<(), String> {
-    let mut target = "all".to_string();
-    let mut seeds_n = 2u64;
-    let mut scale = Scale::Tiny;
-    let mut progress = false;
-    let mut opts = ConformanceOptions::default();
-    let mut telemetry_out: Option<PathBuf> = None;
-    let mut trend_out: Option<PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seeds" => {
-                seeds_n = positive_flag(args, i, "--seeds")?;
-                i += 2;
-            }
-            "--scale" => {
-                scale = scale_flag(args, i)?;
-                i += 2;
-            }
-            "--oracle-sample" => {
-                let p: f64 = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|p: &f64| *p > 0.0 && *p <= 1.0)
-                    .ok_or("--oracle-sample needs a rate in (0, 1]")?;
-                opts.oracle_sample = Some(p);
-                i += 2;
-            }
-            "--oracle-seed" => {
-                opts.oracle_seed = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--oracle-seed needs a non-negative integer")?;
-                i += 2;
-            }
-            "--threads" => {
-                opts.threads = usize::try_from(positive_flag(args, i, "--threads")?)
-                    .map_err(|_| "--threads is out of range".to_string())?;
-                i += 2;
-            }
-            "--progress" => {
-                progress = true;
-                i += 1;
-            }
-            "--telemetry" => {
-                telemetry_out = Some(
-                    args.get(i + 1)
-                        .map(PathBuf::from)
-                        .ok_or("--telemetry needs a file")?,
-                );
-                i += 2;
-            }
-            "--trend" => {
-                trend_out = Some(
-                    args.get(i + 1)
-                        .map(PathBuf::from)
-                        .ok_or("--trend needs a file")?,
-                );
-                i += 2;
-            }
-            other if other.starts_with("--") => return Err(format!("unknown option {other:?}")),
-            other => {
-                target = other.to_string();
-                i += 1;
-            }
-        }
-    }
-    let (title, specs) = resolve_specs(&target)?;
-    let specs: Vec<ScenarioSpec> = specs.iter().map(|s| s.scaled(scale)).collect();
-    let seeds: Vec<u64> = (0..seeds_n).collect();
+fn cmd_conformance(mut args: Args) -> Result<(), String> {
+    let (seeds, scale) = args.seeds_and_scale(2, Scale::Tiny)?;
+    let rate = |v: &str| v.parse().ok().filter(|p: &f64| *p > 0.0 && *p <= 1.0);
+    let seed = |v: &str| v.parse().ok();
+    let defaults = ConformanceOptions::default();
+    let opts = ConformanceOptions {
+        oracle_sample: args.value("--oracle-sample", "a rate in (0, 1]", rate)?,
+        oracle_seed: args
+            .value("--oracle-seed", "a non-negative integer", seed)?
+            .unwrap_or(defaults.oracle_seed),
+        threads: args
+            .value("--threads", "a positive integer", positive)?
+            .unwrap_or(defaults.threads),
+    };
+    let progress = args.switch("--progress");
+    let telemetry_out = args.value("--telemetry", "a file", path)?;
+    let trend_out = args.value("--trend", "a file", path)?;
+    let target = args.positional().unwrap_or_else(|| "all".to_string());
+    args.finish()?;
+    let (title, specs) = resolve_specs(&target, scale)?;
     println!(
-        "conformance {title:?}: {} scenario(s) x {} seed(s), scale {}, {} engine — checking \
-         every sampled snapshot against the Theorem 5.6 / 5.22 bounds",
+        "conformance {title:?}: {} scenario(s) x {} seed(s), scale {}, {} engine thread(s) — \
+         checking every sampled snapshot against the Theorem 5.6 / 5.22 bounds",
         specs.len(),
         seeds.len(),
         scale.name(),
-        if opts.threads <= 1 {
-            "sequential".to_string()
-        } else {
-            format!("{}-shard", opts.threads)
-        }
+        opts.threads
     );
     if let Some(p) = opts.oracle_sample {
         // The escape bound is per snapshot and per pair: at rate p a
@@ -1594,21 +1318,23 @@ fn cmd_conformance(args: &[String]) -> Result<(), String> {
         );
     }
     let started = std::time::Instant::now();
-    let rows = if progress {
-        gcs_scenarios::conformance::run_conformance_progress_with(&specs, &seeds, &opts, {
-            |spec: &ScenarioSpec, seed, result: &Result<_, _>| match result {
-                Ok(r) => println!(
-                    "done {:<18} seed {:>3}: {}",
-                    spec.name,
-                    seed,
-                    if r.is_conformant() { "ok" } else { "VIOLATION" }
-                ),
-                Err(e) => println!("FAIL {:<18} seed {:>3}: {e}", spec.name, seed),
-            }
-        })
-    } else {
-        gcs_scenarios::conformance::run_conformance_with(&specs, &seeds, &opts)
-    }
+    // The recorder, when asked for, rides the oracle's own pass.
+    let (rows, runs) = gcs_scenarios::conformance::run_conformance(
+        &specs,
+        &seeds,
+        &opts,
+        telemetry_out.is_some(),
+        |spec, seed, result| match result {
+            _ if !progress => {}
+            Ok(r) => println!(
+                "done {:<18} seed {:>3}: {}",
+                spec.name,
+                seed,
+                if r.is_conformant() { "ok" } else { "VIOLATION" }
+            ),
+            Err(e) => println!("FAIL {:<18} seed {:>3}: {e}", spec.name, seed),
+        },
+    )
     .map_err(|e| e.to_string())?;
     println!("\n{}", gcs_scenarios::conformance::conformance_table(&rows));
     let violations = gcs_scenarios::conformance::violations(&rows);
@@ -1618,23 +1344,12 @@ fn cmd_conformance(args: &[String]) -> Result<(), String> {
         started.elapsed().as_secs_f64()
     );
     if let Some(tpath) = trend_out {
-        let when = now_millis();
-        let points: Vec<trendseries::TrendPoint> = rows
-            .iter()
-            .map(|r| {
-                trendseries::point_from_conformance(&when, scale.name(), opts.threads as u64, r)
-            })
-            .collect();
-        trendseries::append_points(&tpath, &points)
-            .map_err(|e| format!("cannot append to {}: {e}", tpath.display()))?;
-        println!(
-            "appended {} trend point(s) to {}",
-            points.len(),
-            tpath.display()
-        );
+        let (when, scale, threads) = (now_millis(), scale.name(), opts.threads as u64);
+        let point = |r| trendseries::point_from_conformance(&when, scale, threads, r);
+        append_trend(&tpath, rows.iter().map(point))?;
     }
     if let Some(tpath) = telemetry_out {
-        write_instrumented(&tpath, &specs, &seeds, scale, Some(&opts))?;
+        write_telemetry(&tpath, scale, &runs)?;
     }
     if violations.is_empty() {
         println!("ok: every run conforms to the paper bounds");
@@ -1662,22 +1377,32 @@ fn cmd_conformance(args: &[String]) -> Result<(), String> {
 }
 
 /// Resolves a `run`/`bench`/`conformance` target into a title and spec
-/// list: a `.scn` file on disk, or a [`registry::select`] selection — a
-/// comma list of built-in names and sets (`all`, `campaign`, `bench`,
-/// `fault-heavy`). A selection that matches nothing is a hard error, so a
-/// typo'd scenario name can never turn a CI gate into an empty (vacuously
-/// green) sweep.
-fn resolve_specs(target: &str) -> Result<(String, Vec<ScenarioSpec>), String> {
-    let path = Path::new(target);
-    if target.ends_with(".scn") || path.exists() {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read {target}: {e}"))?;
-        let spec = format::parse(&text).map_err(|e| format!("{target}: {e}"))?;
+/// list at `scale`: a `.scn` file on disk, or a [`registry::select`]
+/// selection — a comma list of built-in names and sets (`all`,
+/// `campaign`, `bench`, `fault-heavy`). A selection that matches nothing
+/// is a hard error, so a typo'd scenario name can never turn a CI gate
+/// into an empty (vacuously green) sweep.
+fn resolve_specs(target: &str, scale: Scale) -> Result<(String, Vec<ScenarioSpec>), String> {
+    if target.ends_with(".scn") || Path::new(target).exists() {
+        let spec = read_artifact(target, format::parse)?;
         spec.validate().map_err(|e| format!("{target}: {e}"))?;
-        return Ok((spec.name.clone(), vec![spec]));
+        return Ok((spec.name.clone(), vec![spec.scaled(scale)]));
     }
     let specs = registry::select(target)?;
-    Ok((target.to_string(), specs))
+    Ok((
+        target.to_string(),
+        specs.iter().map(|s| s.scaled(scale)).collect(),
+    ))
+}
+
+/// Resolves the target of a verb that takes exactly one scenario.
+fn resolve_one(verb: &str, target: &str, scale: Scale) -> Result<ScenarioSpec, String> {
+    match resolve_specs(target, scale)?.1.as_slice() {
+        [spec] => Ok(spec.clone()),
+        _ => Err(format!(
+            "{verb} exactly one scenario (a name or a .scn file)"
+        )),
+    }
 }
 
 /// Unix-millisecond stamp for appended trend points. The gate orders by
@@ -1689,77 +1414,64 @@ fn now_millis() -> String {
 }
 
 /// Seeds (or extends) a trend series from a `gcs-engine-bench/v1` artifact.
-fn cmd_trend_append(args: &[String]) -> Result<(), String> {
+fn cmd_trend_append(mut args: Args) -> Result<(), String> {
+    let out = args.value("--out", "a file", path)?;
+    let out = out.unwrap_or_else(|| PathBuf::from("results/TREND_engine.jsonl"));
     let input = args
-        .first()
+        .positional()
         .ok_or("trend-append needs a gcs-engine-bench/v1 artifact")?;
-    let mut out = PathBuf::from("results/TREND_engine.jsonl");
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                out = out_flag(args, i, "file")?;
-                i += 2;
-            }
-            other => return Err(format!("unknown option {other:?}")),
-        }
-    }
-    let text = std::fs::read_to_string(input).map_err(|e| format!("cannot read {input}: {e}"))?;
-    let artifact = gcs_scenarios::bench::read_bench(&text).map_err(|e| format!("{input}: {e}"))?;
+    args.finish()?;
+    let artifact = read_artifact(&input, gcs_scenarios::bench::read_bench)?;
     let when = now_millis();
-    let points: Vec<trendseries::TrendPoint> = artifact
-        .entries
-        .iter()
-        .map(|e| trendseries::point_from_bench(&when, &artifact.scale, e))
+    let point = |e| trendseries::point_from_bench(&when, &artifact.scale, e);
+    append_trend(&out, artifact.entries.iter().map(point))
+}
+
+/// Reads the file at `path` and parses it, naming the path in either
+/// failure.
+fn read_artifact<T, E: std::fmt::Display>(
+    path: &str,
+    parse: impl FnOnce(&str) -> Result<T, E>,
+) -> Result<T, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    parse(&text).map_err(|e| format!("{path}: {e}"))
+}
+
+/// Appends points to a `TREND_*.jsonl` series and says so.
+fn append_trend(
+    path: &Path,
+    points: impl IntoIterator<Item = trendseries::TrendPoint>,
+) -> Result<(), String> {
+    // One self-describing line per point, never rewriting history.
+    let lines: Vec<String> = points
+        .into_iter()
+        .map(|p| trendseries::point_json(&p) + "\n")
         .collect();
-    trendseries::append_points(&out, &points)
-        .map_err(|e| format!("cannot append to {}: {e}", out.display()))?;
-    println!(
-        "appended {} trend point(s) from {input} to {}",
-        points.len(),
-        out.display()
-    );
+    json::write_file(path, &lines.concat(), true)
+        .map_err(|e| format!("cannot append to {}: {e}", path.display()))?;
+    let n = lines.len();
+    println!("appended {n} trend point(s) to {}", path.display());
     Ok(())
 }
 
 /// Gates the newest point of every trend series against its own history.
-fn cmd_trend_gate(args: &[String]) -> Result<(), String> {
+fn cmd_trend_gate(mut args: Args) -> Result<(), String> {
+    let window = args.value("--window", "a positive integer", positive)?;
+    let tol_pct = args.value("--tol", "a non-negative percentage", non_negative)?;
+    let explain = args.switch("--explain");
     let input = args
-        .first()
+        .positional()
         .ok_or("trend-gate needs a TREND_*.jsonl file")?;
-    let mut window = trendseries::DEFAULT_WINDOW;
-    let mut tol_override: Option<f64> = None;
-    let mut explain = false;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--window" => {
-                window = usize::try_from(positive_flag(args, i, "--window")?)
-                    .map_err(|_| "--window is out of range".to_string())?;
-                i += 2;
-            }
-            "--tol" => {
-                let pct: f64 = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|t: &f64| t.is_finite() && *t >= 0.0)
-                    .ok_or("--tol needs a non-negative percentage")?;
-                tol_override = Some(pct / 100.0);
-                i += 2;
-            }
-            "--explain" => {
-                explain = true;
-                i += 1;
-            }
-            other => return Err(format!("unknown option {other:?}")),
-        }
-    }
-    let text = std::fs::read_to_string(input).map_err(|e| format!("cannot read {input}: {e}"))?;
-    let points = trendseries::read_series(&text).map_err(|e| format!("{input}: {e}"))?;
+    args.finish()?;
+    let points = read_artifact(&input, trendseries::read_series)?;
     if points.is_empty() {
         return Err(format!("{input} holds no trend points"));
     }
-    let report = trendseries::trend_gate(&points, window, tol_override);
+    let report = trendseries::trend_gate(
+        &points,
+        window.unwrap_or(trendseries::DEFAULT_WINDOW),
+        tol_pct.map(|pct| pct / 100.0),
+    );
     println!("{}", report.table);
     if report.passed() {
         println!(
@@ -1798,21 +1510,13 @@ fn cmd_trend_gate(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn cmd_baseline(args: &[String]) -> Result<(), String> {
-    let input = args.first().ok_or("baseline needs a campaign artifact")?;
-    let mut out: Option<PathBuf> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                out = Some(PathBuf::from(args.get(i + 1).ok_or("--out needs a file")?));
-                i += 2;
-            }
-            other => return Err(format!("unknown option {other:?}")),
-        }
-    }
-    let text = std::fs::read_to_string(input).map_err(|e| format!("cannot read {input}: {e}"))?;
-    let mut summary = trend::read_summary(&text).map_err(|e| format!("{input}: {e}"))?;
+fn cmd_baseline(mut args: Args) -> Result<(), String> {
+    let out = args.value("--out", "a file", path)?;
+    let input = args
+        .positional()
+        .ok_or("baseline needs a campaign artifact")?;
+    args.finish()?;
+    let mut summary = read_artifact(&input, trend::read_summary)?;
     if summary.tolerances.is_empty() {
         // Pin the default per-scenario tolerance table alongside the
         // stats: tight for deterministic scenarios, loose for
@@ -1823,8 +1527,7 @@ fn cmd_baseline(args: &[String]) -> Result<(), String> {
     match out {
         None => print!("{baseline}"),
         Some(path) => {
-            std::fs::write(&path, baseline)
-                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+            write_file(&path, &baseline)?;
             println!(
                 "wrote {} ({} scenario(s), {} seed(s))",
                 path.display(),
@@ -1836,31 +1539,15 @@ fn cmd_baseline(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_compare(args: &[String]) -> Result<(), String> {
-    let baseline_path = args.first().ok_or("compare needs a baseline file")?;
+fn cmd_compare(mut args: Args) -> Result<(), String> {
+    let tol_pct = args.value("--tol", "a non-negative percentage", non_negative)?;
+    let tol_pct = tol_pct.unwrap_or(20.0);
+    let baseline_path = args.positional().ok_or("compare needs a baseline file")?;
     // Everything positional after the baseline is a campaign artifact —
     // `results/campaign_*.json` may glob to several accumulated runs;
     // the newest one (by modification time) is the campaign under test.
-    let mut campaign_paths: Vec<&String> = Vec::new();
-    let mut tol_pct = 20.0f64;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--tol" => {
-                tol_pct = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|t: &f64| t.is_finite() && *t >= 0.0)
-                    .ok_or("--tol needs a non-negative percentage")?;
-                i += 2;
-            }
-            other if other.starts_with("--") => return Err(format!("unknown option {other:?}")),
-            _ => {
-                campaign_paths.push(&args[i]);
-                i += 1;
-            }
-        }
-    }
+    let campaign_paths: Vec<String> = std::iter::from_fn(|| args.positional()).collect();
+    args.finish()?;
     let current_path = campaign_paths
         .iter()
         .max_by_key(|p| {
@@ -1875,12 +1562,8 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
             campaign_paths.len()
         );
     }
-    let read = |path: &str| -> Result<trend::TrendSummary, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        trend::read_summary(&text).map_err(|e| format!("{path}: {e}"))
-    };
-    let baseline = read(baseline_path)?;
-    let current = read(current_path)?;
+    let baseline = read_artifact(&baseline_path, trend::read_summary)?;
+    let current = read_artifact(current_path, trend::read_summary)?;
     let report = trend::compare(&baseline, &current, tol_pct / 100.0);
     println!("{}", report.table);
     if report.passed() {
@@ -1912,14 +1595,13 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn cmd_export(args: &[String]) -> Result<(), String> {
-    let dir = args.first().ok_or("export needs a directory")?;
-    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
+fn cmd_export(mut args: Args) -> Result<(), String> {
+    let dir = args.positional().ok_or("export needs a directory")?;
+    args.finish()?;
     let specs = registry::all();
     for spec in &specs {
-        let path = Path::new(dir).join(format!("{}.scn", spec.name));
-        std::fs::write(&path, format::write(spec))
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        let path = Path::new(&dir).join(format!("{}.scn", spec.name));
+        write_file(&path, &format::write(spec))?;
         println!("wrote {}", path.display());
     }
     println!("exported {} scenario(s) to {dir}", specs.len());

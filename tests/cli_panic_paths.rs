@@ -81,6 +81,23 @@ fn bench_rejects_an_unknown_option_readably() {
 }
 
 #[test]
+fn a_flag_is_never_taken_as_another_flags_value() {
+    // `run ring-steady --out --progress` used to run the whole campaign
+    // and write it into a directory named `--progress`.
+    let dir = std::env::temp_dir().join(format!("gcs-cli-flagvalue-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = bin()
+        .current_dir(&dir)
+        .args(["run", "ring-steady", "--scale", "tiny", "--seeds", "1"])
+        .args(["--out", "--progress"])
+        .output()
+        .unwrap();
+    assert_clean_failure(&out, "--out needs a directory");
+    assert!(!dir.join("--progress").exists(), "nothing may be written");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn unknown_command_prints_usage_and_fails() {
     let out = bin().arg("frobnicate").output().unwrap();
     assert_clean_failure(&out, "frobnicate");

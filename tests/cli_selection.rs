@@ -77,6 +77,84 @@ fn named_sets_and_comma_lists_resolve() {
 }
 
 #[test]
+fn positionals_are_accepted_in_any_position() {
+    // `run --seeds 1 ring-steady` used to fail with `unknown option "1"`
+    // while `bench --seeds 1 ring-steady` worked.
+    let dir = std::env::temp_dir().join(format!("gcs-cli-anypos-{}", std::process::id()));
+    for verb in ["run", "bench", "conformance"] {
+        let mut cmd = bin();
+        cmd.args([verb, "--seeds", "1", "--scale", "tiny"]);
+        if verb != "conformance" {
+            cmd.args(["--out", dir.join(verb).to_str().unwrap()]);
+        }
+        let out = cmd.arg("ring-steady").output().unwrap();
+        assert!(out.status.success(), "{verb}: {}", stderr(&out));
+        assert!(stdout(&out).contains("1 scenario(s)"), "{verb}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn telemetry_rides_the_pass_without_changing_what_it_produces() {
+    let dir = std::env::temp_dir().join(format!("gcs-cli-ride-{}", std::process::id()));
+    let telemetry = dir.join("telemetry.json");
+    let common = ["self-heal,churn-burst", "--seeds", "2", "--scale", "tiny"];
+
+    // `run`: the campaign artifact is byte-identical with and without.
+    let artifact = |sub: &str, extra: &[&str]| {
+        let out_dir = dir.join(sub);
+        let out = bin()
+            .arg("run")
+            .args(common)
+            .args(["--out", out_dir.to_str().unwrap()])
+            .args(extra)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{}", stderr(&out));
+        let file = std::fs::read_dir(&out_dir)
+            .unwrap()
+            .next()
+            .unwrap()
+            .unwrap();
+        std::fs::read(file.path()).unwrap()
+    };
+    let plain = artifact("plain", &[]);
+    let ridden = artifact("ridden", &["--telemetry", telemetry.to_str().unwrap()]);
+    assert!(plain == ridden, "run --telemetry changed the campaign");
+    let text = std::fs::read_to_string(&telemetry).unwrap();
+    assert_eq!(text.matches("\"engine\":\"sequential\"").count(), 4);
+
+    // `conformance`: the same table and verdict, and the artifact carries
+    // the oracle's utilization series from the pass it rode (2 shards).
+    let table = |extra: &[&str]| {
+        let out = bin()
+            .arg("conformance")
+            .args(common)
+            .args(["--threads", "2"])
+            .args(extra)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{}", stderr(&out));
+        stdout(&out)
+            .lines()
+            .filter(|l| !l.starts_with("wrote ") && !l.contains(" run(s) in "))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    let plain = table(&[]);
+    assert!(plain.contains("conformance sweep"), "{plain}");
+    assert_eq!(plain, table(&["--telemetry", telemetry.to_str().unwrap()]));
+    let text = std::fs::read_to_string(&telemetry).unwrap();
+    assert_eq!(text.matches("\"oracle_series\":[[").count(), 4);
+    assert_eq!(
+        text.matches("\"threads\":2,\"engine\":\"sharded\"").count(),
+        4
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn sampled_conformance_with_trend_gates_end_to_end() {
     let dir = std::env::temp_dir().join(format!("gcs-cli-trend-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

@@ -24,18 +24,14 @@ fn perturbed_recovery_slope_fails_compare_with_a_readable_table() {
     // regression shape PR 3's scalar gate was blind to.
     let specs = vec![tiny("self-heal")];
     let seeds = [0u64, 1, 2];
-    let rows = campaign::run_campaign(&specs, &seeds).unwrap();
+    let (rows, _) = campaign::run_campaign(&specs, &seeds, false, |_, _, _| {}).unwrap();
     let baseline = trend::TrendSummary::from_rows("all", Scale::Tiny, &seeds, &rows);
     assert!(
-        baseline.rows[0].envelope.unwrap().mean_recovery_slope > 0.0,
+        baseline.rows[0].envelope.mean_recovery_slope > 0.0,
         "self-heal must have a measurable recovery slope"
     );
     let mut current = baseline.clone();
-    current.rows[0]
-        .envelope
-        .as_mut()
-        .unwrap()
-        .mean_recovery_slope *= 1.4;
+    current.rows[0].envelope.mean_recovery_slope *= 1.4;
 
     let report = trend::compare(&baseline, &current, trend::TOL_TIGHT);
     assert!(!report.passed(), "a +40% recovery slope must fail the gate");
@@ -124,7 +120,9 @@ fn conformance_sweep_catches_an_understated_envelope() {
     // honest oracle (the `conformance` CLI exits zero on this), and the
     // violations() helper surfaces nothing.
     let specs = vec![tiny("self-heal"), tiny("byzantine-est")];
-    let rows = conformance::run_conformance(&specs, &[0]).unwrap();
+    let (rows, _) =
+        conformance::run_conformance(&specs, &[0], &Default::default(), false, |_, _, _| {})
+            .unwrap();
     assert!(conformance::violations(&rows).is_empty());
     // The sweep table renders one row per run with a verdict column.
     let table = conformance::conformance_table(&rows).to_string();

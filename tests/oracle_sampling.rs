@@ -18,7 +18,7 @@
 //!    across shard counts.
 
 use gcs_analysis::oracle::OracleSampling;
-use gcs_scenarios::conformance::{run_scenario_conformance, run_scenario_conformance_with};
+use gcs_scenarios::conformance::run_scenario_conformance;
 use gcs_scenarios::{registry, ConformanceOptions, Scale, TopologySpec};
 
 fn opts(rate: f64, oracle_seed: u64, threads: usize) -> ConformanceOptions {
@@ -39,10 +39,10 @@ fn sampled_is_a_conservative_projection_of_exact() {
     for name in ["grid-sensor", "line-worstcase", "churn-burst"] {
         let spec = registry::find(name).expect("registry scenario");
         for seed in [0u64, 1] {
-            let exact = run_scenario_conformance(&spec, seed).unwrap();
+            let exact =
+                run_scenario_conformance(&spec, seed, &ConformanceOptions::default()).unwrap();
             for rate in [0.1, 0.3, 0.7] {
-                let sampled =
-                    run_scenario_conformance_with(&spec, seed, &opts(rate, 5, 1)).unwrap();
+                let sampled = run_scenario_conformance(&spec, seed, &opts(rate, 5, 1)).unwrap();
                 let ctx = format!("{name} seed {seed} rate {rate}");
                 assert!(sampled.sampled_sources > 0, "{ctx}: sampled mode ran");
                 assert_eq!(sampled.samples, exact.samples, "{ctx}: same snapshots");
@@ -107,8 +107,8 @@ fn ring_stratification_matches_the_detection_probability_knob() {
     assert_eq!(k, 10, "max(8, ceil(0.25 * 40))");
 
     for seed in [0u64, 3] {
-        let exact = run_scenario_conformance(&spec, seed).unwrap();
-        let sampled = run_scenario_conformance_with(&spec, seed, &opts(rate, 0, 1)).unwrap();
+        let exact = run_scenario_conformance(&spec, seed, &ConformanceOptions::default()).unwrap();
+        let sampled = run_scenario_conformance(&spec, seed, &opts(rate, 0, 1)).unwrap();
         let s = sampled.samples;
         assert!(s > 0);
         assert_eq!(sampled.sampled_sources, s * k as u64);
@@ -159,13 +159,12 @@ fn sampled_verdict_is_shard_count_invariant() {
         let spec = registry::find(name).unwrap().scaled(Scale::Tiny);
         for rate in [0.2, 0.5] {
             for seed in [0u64, 2] {
-                let reference = run_scenario_conformance_with(&spec, seed, &opts(rate, 9, 1));
+                let reference = run_scenario_conformance(&spec, seed, &opts(rate, 9, 1));
                 let reference = reference.unwrap();
                 assert!(reference.sampled_sources > 0);
                 for threads in [2usize, 3, 4] {
                     let sharded =
-                        run_scenario_conformance_with(&spec, seed, &opts(rate, 9, threads))
-                            .unwrap();
+                        run_scenario_conformance(&spec, seed, &opts(rate, 9, threads)).unwrap();
                     assert_eq!(
                         sharded, reference,
                         "{name} rate {rate} seed {seed} x{threads}"

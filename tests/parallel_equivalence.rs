@@ -241,12 +241,12 @@ fn trace_bytes_are_identical_across_engines_and_shard_counts() {
     use gradient_clock_sync::scenarios::telemetry::run_instrumented;
     for spec in grid() {
         for seed in 0..2u64 {
-            let reference = run_instrumented(&spec, seed, 1, true, false).expect("runs");
+            let reference = run_instrumented(&spec, seed, 1, true).expect("runs");
             let ref_trace = reference.telemetry.trace.as_ref().expect("trace on");
             gradient_clock_sync::telemetry::verify_trace(&ref_trace.text)
                 .expect("sequential trace seals");
             for shards in [2usize, 7] {
-                let candidate = run_instrumented(&spec, seed, shards, true, false).expect("runs");
+                let candidate = run_instrumented(&spec, seed, shards, true).expect("runs");
                 let cand_trace = candidate.telemetry.trace.as_ref().expect("trace on");
                 assert_eq!(
                     ref_trace.text, cand_trace.text,
@@ -289,8 +289,8 @@ fn trace_diff_pinpoints_the_first_divergent_record() {
         amount: 0.25,
     });
 
-    let base = run_instrumented(&spec, 0, 1, true, false).expect("runs");
-    let pert = run_instrumented(&perturbed, 0, 2, true, false).expect("runs");
+    let base = run_instrumented(&spec, 0, 1, true).expect("runs");
+    let pert = run_instrumented(&perturbed, 0, 2, true).expect("runs");
     let a = base.telemetry.trace.as_ref().expect("trace on");
     let b = pert.telemetry.trace.as_ref().expect("trace on");
     assert_ne!(a.hash, b.hash, "the perturbation must change the hash");
@@ -329,6 +329,106 @@ fn trace_diff_pinpoints_the_first_divergent_record() {
     // Everything before the divergence is byte-identical.
     let prefix = |t: &str| t.lines().take(d.line - 1).collect::<Vec<_>>().join("\n");
     assert_eq!(prefix(&a_run), prefix(&b_run));
+}
+
+#[test]
+fn one_pass_with_every_observer_equals_one_pass_each() {
+    // The property that makes riding an existing pass safe (`run
+    // --telemetry`, `conformance --telemetry`): observers only look. One
+    // pass with the campaign, oracle and trace observers all attached
+    // must yield the outcome, the report and the sealed trace bytes of
+    // three single-observer passes — at the same shard count, and on the
+    // sequential engine.
+    use gradient_clock_sync::scenarios::{
+        run_campaign, run_pass, Observer, OracleObserver, OutcomeObserver, Stops, TelemetryObserver,
+    };
+    let specs: Vec<ScenarioSpec> = ["churn-burst", "self-heal"]
+        .iter()
+        .map(|n| registry::find(n).expect("built-in").scaled(Scale::Tiny))
+        .collect();
+    for spec in &specs {
+        for seed in 0..2u64 {
+            let pass = |shards: usize, observers: &mut [&mut dyn Observer]| {
+                run_pass(spec, seed, shards, Stops::Grid, observers).expect("runs")
+            };
+            let ctx = |what: &str, shards: usize| {
+                format!(
+                    "{} seed {seed}: {what} diverged at {shards} shard(s)",
+                    spec.name
+                )
+            };
+            let mut reference = None;
+            for shards in [1usize, 3] {
+                let (mut outcome, mut oracle, mut recorder) = (
+                    OutcomeObserver::new(spec),
+                    OracleObserver::new(None),
+                    TelemetryObserver::new(true),
+                );
+                let shared = pass(shards, &mut [&mut outcome, &mut oracle, &mut recorder]);
+                let together = (
+                    outcome.finish(&shared),
+                    oracle.finish().report,
+                    recorder
+                        .finish(&shared)
+                        .telemetry
+                        .trace
+                        .expect("trace on")
+                        .text,
+                );
+
+                let mut outcome = OutcomeObserver::new(spec);
+                let alone = pass(shards, &mut [&mut outcome]);
+                assert_eq!(alone.stats, shared.stats, "{}", ctx("counters", shards));
+                assert_eq!(
+                    outcome.finish(&alone),
+                    together.0,
+                    "{}",
+                    ctx("outcome", shards)
+                );
+                let mut oracle = OracleObserver::new(None);
+                pass(shards, &mut [&mut oracle]);
+                assert_eq!(
+                    oracle.finish().report,
+                    together.1,
+                    "{}",
+                    ctx("report", shards)
+                );
+                let mut recorder = TelemetryObserver::new(true);
+                let alone = pass(shards, &mut [&mut recorder]);
+                let trace = recorder.finish(&alone).telemetry.trace.expect("trace on");
+                assert_eq!(trace.text, together.2, "{}", ctx("trace", shards));
+
+                let reference = reference.get_or_insert_with(|| together.clone());
+                assert_eq!(
+                    &together,
+                    reference,
+                    "{}",
+                    ctx("the sequential engine", shards)
+                );
+            }
+        }
+    }
+
+    // The campaign entry with the recorder riding along makes that one
+    // pass per scenario × seed: same rows as without it, and each
+    // instrumented run carries the very counters and sample instants of
+    // the outcome next to it.
+    let seeds = [0u64, 1];
+    let (plain, none) = run_campaign(&specs, &seeds, false, |_, _, _| {}).expect("runs");
+    let (ridden, runs) = run_campaign(&specs, &seeds, true, |_, _, _| {}).expect("runs");
+    assert!(none.is_empty());
+    assert_eq!(plain, ridden, "the recorder must not change the campaign");
+    let outcomes: Vec<_> = ridden.iter().flat_map(|r| &r.outcomes).collect();
+    assert_eq!(runs.len(), outcomes.len());
+    for (run, outcome) in runs.iter().zip(outcomes) {
+        assert_eq!(
+            (run.pass.seed, run.pass.stats.events),
+            (outcome.seed, outcome.events)
+        );
+        let sampled: Vec<f64> = run.telemetry.samples.iter().map(|s| s.t).collect();
+        let observed: Vec<f64> = outcome.trajectory.iter().map(|&(t, _)| t).collect();
+        assert_eq!(sampled, observed);
+    }
 }
 
 #[test]

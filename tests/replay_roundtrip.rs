@@ -34,7 +34,7 @@ fn grid() -> Vec<ScenarioSpec> {
 }
 
 fn trace_of(spec: &ScenarioSpec, seed: u64) -> String {
-    let run = run_instrumented(spec, seed, 1, true, false).expect("instrumented run");
+    let run = run_instrumented(spec, seed, 1, true).expect("instrumented run");
     run.telemetry
         .trace
         .as_ref()

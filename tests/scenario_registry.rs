@@ -58,7 +58,8 @@ fn checked_in_scenario_files_match_the_registry() {
 fn campaign_smoke_via_prelude_types() {
     use gradient_clock_sync::scenarios::campaign;
     let spec = registry::find("flash-join").unwrap().scaled(Scale::Tiny);
-    let rows = campaign::run_campaign(std::slice::from_ref(&spec), &[0, 1]).unwrap();
+    let (rows, _) =
+        campaign::run_campaign(std::slice::from_ref(&spec), &[0, 1], false, |_, _, _| {}).unwrap();
     assert_eq!(rows.len(), 1);
     assert_eq!(rows[0].stats.runs, 2);
     assert!(rows[0].stats.stddev.is_finite());
