@@ -18,9 +18,9 @@
 //! | [`experiments::e10_partition`] | §1/§3.1 — why connectivity is required: skew across an open cut |
 //! | [`ablations`] | A1 µ/σ sweep, A2 insertion duration, A3 κ slack (eq. 9), A4 refresh period |
 //!
-//! Every experiment returns [`Table`]s; `cargo bench -p gcs-bench` prints
-//! the quick suite, `cargo run --release -p gcs-bench --bin experiments --
-//! full` the full-size one.
+//! Every experiment returns [`Table`]s; `cargo run --release -p gcs-bench
+//! --bin experiments` prints the quick suite, `… -- full` the full-size
+//! one. Speed is not measured here: that is `benchmark/`'s job.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,11 +37,11 @@ pub use gcs_analysis::parallel_map;
 
 use gcs_analysis::Table;
 
-/// Experiment sizing: `Quick` keeps `cargo bench` snappy; `Full` is the
+/// Experiment sizing: `Quick` keeps the default run snappy; `Full` is the
 /// EXPERIMENTS.md configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Small sweeps (bench target default).
+    /// Small sweeps (the default).
     Quick,
     /// Full sweeps used for the recorded results.
     Full,

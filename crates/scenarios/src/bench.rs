@@ -1,14 +1,14 @@
-//! Engine-throughput benchmarking: drive registry scenarios end to end,
-//! measure wall-clock and events/second, and emit the machine-readable
-//! `BENCH_engine.json` artifact (`gcs-engine-bench/v1`) that the repo's
-//! bench trajectory tracks across PRs.
+//! The engine counter gate: drive registry scenarios end to end, count
+//! what the engine did, and emit the machine-readable `BENCH_engine.json`
+//! artifact (`gcs-engine-bench/v1`) that [`compare_counters`] gates
+//! exactly, per `(scenario, seed, threads)`.
 //!
-//! This is deliberately *not* a statistics campaign: runs execute
-//! sequentially (wall-clock timing must not share cores), skip the
-//! observation sampling grid, and report engine counters
-//! ([`SimStats`](gcs_core::SimStats)) next to the timings, so a throughput
-//! regression can be attributed (more events? slower events? more mode
-//! evaluations?) straight from the artifact.
+//! This is deliberately *not* a statistics campaign, and not a speed
+//! measurement either (`benchmark/` is where speed is measured): runs skip
+//! the observation sampling grid and report only the deterministic engine
+//! counters ([`SimStats`](gcs_core::SimStats)) — pure functions of
+//! scenario + seed + code, so any divergence between two artifacts, or
+//! between two thread counts, is a real behavioural change.
 
 use crate::campaign::{run_pass, Pass, Stops};
 use crate::error::ScenarioError;
@@ -18,7 +18,7 @@ use crate::spec::{Scale, ScenarioSpec};
 /// The artifact format tag.
 pub const BENCH_FORMAT: &str = "gcs-engine-bench/v1";
 
-/// One scenario × seed engine-throughput measurement.
+/// The engine counters of one scenario × seed × threads run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchEntry {
     /// Scenario name.
@@ -32,14 +32,8 @@ pub struct BenchEntry {
     pub threads: usize,
     /// Simulated seconds driven (`warmup + duration`).
     pub sim_secs: f64,
-    /// Wall-clock seconds to build the simulation.
-    pub build_secs: f64,
-    /// Wall-clock seconds to drive it to the end.
-    pub wall_secs: f64,
     /// Events processed.
     pub events: u64,
-    /// Throughput: `events / wall_secs`.
-    pub events_per_sec: f64,
     /// Tick events processed.
     pub ticks: u64,
     /// Per-node mode decisions actually evaluated (`ticks × nodes` minus
@@ -50,7 +44,7 @@ pub struct BenchEntry {
 }
 
 impl BenchEntry {
-    /// The measurement an end-only [`Pass`] of `spec` amounts to.
+    /// The counters an end-only [`Pass`] of `spec` amounts to.
     #[must_use]
     pub fn of(spec: &ScenarioSpec, pass: &Pass) -> Self {
         BenchEntry {
@@ -59,10 +53,7 @@ impl BenchEntry {
             seed: pass.seed,
             threads: pass.threads,
             sim_secs: spec.end_secs(),
-            build_secs: pass.build_secs,
-            wall_secs: pass.wall_secs,
             events: pass.stats.events,
-            events_per_sec: pass.stats.events as f64 / pass.wall_secs.max(1e-9),
             ticks: pass.stats.ticks,
             mode_evaluations: pass.stats.mode_evaluations,
             messages_delivered: pass.stats.messages_delivered,
@@ -70,7 +61,7 @@ impl BenchEntry {
     }
 
     /// The deterministic columns — pure functions of scenario + seed +
-    /// code, unlike the timings — that every gate compares exactly.
+    /// code — that every gate compares exactly.
     #[must_use]
     pub fn gated(&self) -> [(&'static str, u64); 5] {
         [
@@ -83,9 +74,9 @@ impl BenchEntry {
     }
 }
 
-/// Runs one scenario once, for throughput: an end-only [`run_pass`] with
-/// no observers — build, replay scripted faults, drive to the end
-/// instant — timed.
+/// Runs one scenario once, for its counters: an end-only [`run_pass`]
+/// with no observers — build, replay scripted faults, drive to the end
+/// instant.
 ///
 /// # Errors
 ///
@@ -99,12 +90,10 @@ pub fn run_one(
     Ok(BenchEntry::of(spec, &pass))
 }
 
-/// Runs `specs × seeds` sequentially (never in parallel — the timings are
-/// the point) and returns the entries in input order. Each combination is
-/// driven `repeat` times and the fastest wall-clock run is kept — the
-/// standard way to strip scheduler noise from a throughput number; the
-/// engine counters are asserted identical across repetitions (determinism
-/// cross-check for free).
+/// Runs `specs × seeds × threads` and returns the entries in input order
+/// (spec-major, then seed, then thread count). Every thread count must
+/// agree on every deterministic counter — cross-engine determinism,
+/// asserted for free.
 ///
 /// # Errors
 ///
@@ -112,49 +101,31 @@ pub fn run_one(
 ///
 /// # Panics
 ///
-/// Panics if `repeat` is zero, or if two repetitions of the same seeded
-/// run disagree on any engine counter (a determinism bug).
+/// Panics if `threads` is empty, or if two thread counts of the same
+/// seeded run disagree on any engine counter (a determinism bug).
 pub fn run_suite(
     specs: &[ScenarioSpec],
     seeds: &[u64],
     threads: &[usize],
-    repeat: u32,
 ) -> Result<Vec<BenchEntry>, ScenarioError> {
-    assert!(repeat > 0, "need at least one repetition");
     assert!(!threads.is_empty(), "need at least one thread count");
     let mut entries = Vec::with_capacity(specs.len() * seeds.len() * threads.len());
     for spec in specs {
         for &seed in seeds {
-            let mut per_thread: Vec<BenchEntry> = Vec::with_capacity(threads.len());
+            let first = entries.len();
             for &t in threads {
-                let mut best = run_one(spec, seed, t)?;
-                for _ in 1..repeat {
-                    let again = run_one(spec, seed, t)?;
-                    assert_eq!(
-                        again.gated(),
-                        best.gated(),
-                        "{} seed {seed} threads {t}: engine counters diverged across repetitions",
-                        spec.name
-                    );
-                    if again.wall_secs < best.wall_secs {
-                        best = again;
-                    }
-                }
-                per_thread.push(best);
+                entries.push(run_one(spec, seed, t)?);
             }
-            // Cross-engine determinism for free: every thread count must
-            // agree on every deterministic counter.
-            for e in &per_thread[1..] {
+            for e in &entries[first + 1..] {
                 assert_eq!(
                     e.gated(),
-                    per_thread[0].gated(),
+                    entries[first].gated(),
                     "{} seed {seed}: counters diverged between {} and {} threads",
                     spec.name,
-                    per_thread[0].threads,
+                    entries[first].threads,
                     e.threads
                 );
             }
-            entries.append(&mut per_thread);
         }
     }
     Ok(entries)
@@ -170,10 +141,7 @@ pub fn bench_json(scale: Scale, seeds: &[u64], entries: &[BenchEntry]) -> String
             ("seed", Json::Int(e.seed)),
             ("threads", Json::Int(e.threads as u64)),
             ("sim_secs", Json::Num(e.sim_secs)),
-            ("build_secs", Json::Num(e.build_secs)),
-            ("wall_secs", Json::Num(e.wall_secs)),
             ("events", Json::Int(e.events)),
-            ("events_per_sec", Json::Num(e.events_per_sec)),
             ("ticks", Json::Int(e.ticks)),
             ("mode_evaluations", Json::Int(e.mode_evaluations)),
             ("messages_delivered", Json::Int(e.messages_delivered)),
@@ -198,7 +166,9 @@ pub struct BenchArtifact {
     pub entries: Vec<BenchEntry>,
 }
 
-/// Parses a `gcs-engine-bench/v1` artifact back into its entries.
+/// Parses a `gcs-engine-bench/v1` artifact back into its entries. Keys it
+/// does not name are ignored, so artifacts written when rows also carried
+/// wall-clock columns still gate.
 ///
 /// # Errors
 ///
@@ -219,20 +189,10 @@ pub fn read_bench(text: &str) -> Result<BenchArtifact, String> {
             nodes: usize::try_from(u64_field(e, "nodes", &what)?)
                 .map_err(|err| format!("{what}: {err}"))?,
             seed: u64_field(e, "seed", &what)?,
-            // Absent in pre-threads artifacts: those rows ran the
-            // sequential engine.
-            threads: e
-                .get("threads")
-                .map_or(Ok(1u64), |v| {
-                    v.as_u64()
-                        .ok_or_else(|| format!("{what}: non-integer threads"))
-                })
-                .and_then(|v| usize::try_from(v).map_err(|err| format!("{what}: {err}")))?,
+            threads: usize::try_from(u64_field(e, "threads", &what)?)
+                .map_err(|err| format!("{what}: {err}"))?,
             sim_secs: f64_field(e, "sim_secs", &what)?,
-            build_secs: f64_field(e, "build_secs", &what)?,
-            wall_secs: f64_field(e, "wall_secs", &what)?,
             events: u64_field(e, "events", &what)?,
-            events_per_sec: f64_field(e, "events_per_sec", &what)?,
             ticks: u64_field(e, "ticks", &what)?,
             mode_evaluations: u64_field(e, "mode_evaluations", &what)?,
             messages_delivered: u64_field(e, "messages_delivered", &what)?,
@@ -285,9 +245,8 @@ impl BenchCompareReport {
 /// Compares the *deterministic engine counters* of two bench artifacts
 /// **exactly** — `events`, `ticks`, `mode_evaluations`, and
 /// `messages_delivered` are pure functions of scenario + seed + code, so
-/// any divergence is a real behavioural change even where wall-clock is
-/// noise. Entries are matched by `(scenario, seed, threads)`; wall-clock
-/// and throughput columns are reported but never gated.
+/// any divergence is a real behavioural change. Entries are matched by
+/// `(scenario, seed, threads)`.
 ///
 /// With `subset` the gate only requires the *baseline entries that the
 /// current artifact also ran* to match — entries the current run skipped
@@ -329,8 +288,7 @@ pub fn compare_counters(
     );
     table.caption(
         "events/ticks/mode_evaluations/messages_delivered are deterministic per \
-         (scenario, seed): gated exactly. wall_secs is scheduler noise: reported \
-         in the artifact, never gated.",
+         (scenario, seed): gated exactly.",
     );
     let mut row = |e: &BenchEntry, cells: [String; 4]| {
         let run = [
@@ -395,12 +353,11 @@ mod tests {
         let spec = registry::find("ring-steady")
             .expect("built-in")
             .scaled(Scale::Tiny);
-        let entries = run_suite(std::slice::from_ref(&spec), &[0, 1], &[1, 2], 2).unwrap();
+        let entries = run_suite(std::slice::from_ref(&spec), &[0, 1], &[1, 2]).unwrap();
         assert_eq!(entries.len(), 4, "one row per (seed, threads)");
         for e in &entries {
             assert_eq!(e.scenario, "ring-steady");
             assert!(e.events > 0);
-            assert!(e.events_per_sec > 0.0);
             assert!(e.ticks > 0);
             assert!(e.mode_evaluations > 0);
         }
@@ -413,13 +370,11 @@ mod tests {
                 .collect::<Vec<_>>(),
             vec![(0, 1), (0, 2), (1, 1), (1, 2)]
         );
-        // Same seed twice: identical engine counters (timings differ).
-        let again = run_one(&spec, 0, 1).unwrap();
-        assert_eq!(again.events, entries[0].events);
-        assert_eq!(again.mode_evaluations, entries[0].mode_evaluations);
+        // Same seed twice: the identical row.
+        assert_eq!(run_one(&spec, 0, 1).unwrap(), entries[0]);
         let json = bench_json(Scale::Tiny, &[0, 1], &entries);
         assert!(json.starts_with("{\"format\":\"gcs-engine-bench/v1\""));
-        assert!(json.contains("\"events_per_sec\""));
+        assert!(json.contains("\"mode_evaluations\""));
         assert!(json.contains("\"threads\":2"));
         assert!(json.ends_with("]}\n"));
     }
@@ -429,7 +384,7 @@ mod tests {
         let spec = registry::find("line-worstcase")
             .expect("built-in")
             .scaled(Scale::Tiny);
-        let entries = run_suite(std::slice::from_ref(&spec), &[0, 1], &[1, 2], 1).unwrap();
+        let entries = run_suite(std::slice::from_ref(&spec), &[0, 1], &[1, 2]).unwrap();
         let text = bench_json(Scale::Tiny, &[0, 1], &entries);
         let artifact = read_bench(&text).unwrap();
         assert_eq!(artifact.scale, "tiny");
@@ -438,13 +393,19 @@ mod tests {
             artifact.entries, entries,
             "parsed entries must be bit-identical"
         );
-        // Pre-threads artifacts (no "threads" key) parse as sequential rows.
-        let legacy = text
-            .replace(",\"threads\":1", "")
-            .replace(",\"threads\":2", "");
-        assert!(!legacy.contains("\"threads\""));
-        let parsed = read_bench(&legacy).unwrap();
-        assert!(parsed.entries.iter().all(|e| e.threads == 1));
+        // A row without its "threads" key is malformed, not sequential.
+        let err = read_bench(&text.replace(",\"threads\":2", "")).unwrap_err();
+        assert!(
+            err.contains("line-worstcase") && err.contains("threads"),
+            "{err}"
+        );
+        // Rows written when the artifact also carried wall-clock columns
+        // parse to the same entries: the reader never looks at those keys.
+        let timed = text.replace(
+            ",\"events\":",
+            ",\"build_secs\":0.001,\"wall_secs\":0.02,\"events_per_sec\":1e6,\"events\":",
+        );
+        assert_eq!(read_bench(&timed).unwrap(), artifact);
         // Every checked-in artifact re-serializes byte-for-byte.
         for name in ["BENCH_engine.json", "BENCH_engine_tiny.json"] {
             let path = format!("{}/../../results/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -460,13 +421,10 @@ mod tests {
         let spec = registry::find("line-worstcase")
             .expect("built-in")
             .scaled(Scale::Tiny);
-        let entries = run_suite(std::slice::from_ref(&spec), &[0], &[1], 1).unwrap();
+        let entries = run_suite(std::slice::from_ref(&spec), &[0], &[1]).unwrap();
         let artifact = read_bench(&bench_json(Scale::Tiny, &[0], &entries)).unwrap();
-        // Identical runs pass; wall-clock differences are ignored.
-        let mut rerun = artifact.clone();
-        rerun.entries[0].wall_secs *= 10.0;
-        rerun.entries[0].events_per_sec /= 10.0;
-        let report = compare_counters(&artifact, &rerun, false);
+        // Identical runs pass.
+        let report = compare_counters(&artifact, &artifact.clone(), false);
         assert!(report.passed(), "{:?}", report.findings);
         // A single off-by-one event count fails the gate exactly.
         let mut drifted = artifact.clone();
@@ -497,7 +455,7 @@ mod tests {
         let spec = registry::find("line-worstcase")
             .expect("built-in")
             .scaled(Scale::Tiny);
-        let full = run_suite(std::slice::from_ref(&spec), &[0], &[1, 2], 1).unwrap();
+        let full = run_suite(std::slice::from_ref(&spec), &[0], &[1, 2]).unwrap();
         let baseline = read_bench(&bench_json(Scale::Tiny, &[0], &full)).unwrap();
         // A partial rerun covering only the 2-thread row.
         let partial = BenchArtifact {

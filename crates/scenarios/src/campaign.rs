@@ -110,9 +110,9 @@ pub trait Observer {
 pub enum Stops {
     /// At every instant of the spec's observation grid.
     Grid,
-    /// Nowhere before the end instant — the throughput drive, whose
-    /// wall-clock must not include observation stops. Observers are
-    /// attached and detached but never sampled.
+    /// Nowhere before the end instant — the counter drive (`bench`),
+    /// which only needs the engine's totals. Observers are attached and
+    /// detached but never sampled.
     EndOnly,
 }
 
@@ -127,8 +127,6 @@ pub struct Pass {
     pub threads: usize,
     /// Node count after scaling.
     pub nodes: usize,
-    /// Wall-clock seconds to build the engine.
-    pub build_secs: f64,
     /// Wall-clock seconds for the drive (excludes build and attach).
     pub wall_secs: f64,
     /// The engine's deterministic counters at the end instant.
@@ -151,9 +149,7 @@ pub fn run_pass(
     stops: Stops,
     observers: &mut [&mut dyn Observer],
 ) -> Result<Pass, ScenarioError> {
-    let built = Instant::now();
     let mut engine = spec.engine(seed, threads)?;
-    let build_secs = built.elapsed().as_secs_f64();
     for o in observers.iter_mut() {
         o.attach(&mut *engine, spec, seed);
     }
@@ -179,7 +175,6 @@ pub fn run_pass(
         seed,
         threads: threads.max(1),
         nodes: engine.as_sim().node_count(),
-        build_secs,
         wall_secs,
         stats: engine.as_sim().stats(),
     })

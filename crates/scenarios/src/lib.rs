@@ -12,13 +12,15 @@
 //! * [`format`] — the line-oriented `.scn` text format (hand-rolled parser
 //!   and canonical writer with exact round-trip; grammar in
 //!   `scenarios/README.md`);
-//! * [`registry`] — ≥ 20 named built-in scenarios spanning
+//! * [`registry`] — a table of the checked-in `scenarios/*.scn` files:
+//!   ≥ 20 named built-in scenarios spanning
 //!   ring/line/grid/torus/geometric/small-world/scale-free/hypercube
 //!   topologies and churn-storm / churn-burst / byzantine-est /
 //!   flash-join / partition-heal / mobile-swarm / drift-flip dynamics,
 //!   including the `bench`-class engine-scale entries (`ring-1k`,
 //!   `geometric-4k`) that the default campaigns exclude;
-//! * [`presets`] — parametric families shared with the experiment harness;
+//! * [`presets`] — parametric families the experiment harness and the
+//!   benchmark resize;
 //! * [`campaign`] — the one run driver: [`run_pass`] builds the engine
 //!   for `(spec, seed, threads)` ([`ScenarioSpec::engine`]), replays the
 //!   scripted faults, steps the observation grid and feeds any list of
@@ -34,12 +36,13 @@
 //!   engine, exact or in sampled-source mode ([`ConformanceOptions`])
 //!   for conformance at 10⁵-node scale;
 //! * [`trendseries`] — the append-only `gcs-trend/v1` JSONL series the
-//!   nightly pipeline grows (`trend-append`) and the orientation-aware
-//!   windowed regression gate over it (`trend-gate`);
-//! * [`bench`] — end-only passes, timed: the engine-throughput harness
+//!   nightly pipeline grows (`conformance --trend`) and the
+//!   orientation-aware windowed regression gate over it (`trend-gate`);
+//! * [`bench`] — end-only passes, counted: the engine counter sweep
 //!   behind `gcs-scenarios bench` and the `BENCH_engine.json`
 //!   (`gcs-engine-bench/v1`) artifact, plus the exact deterministic
-//!   counter gate behind `gcs-scenarios bench-compare`;
+//!   counter gate behind `gcs-scenarios bench-compare` (speed is
+//!   measured by `benchmark/`, not here);
 //! * [`chaos`] — bit-exact trace replay (a sealed `gcs-trace/v1`
 //!   artifact re-materializes its run stand-alone via the embedded
 //!   `.scn` record) and the seeded adversarial fault-schedule search
@@ -52,8 +55,7 @@
 //!   behind the `--telemetry` flag of `run`/`bench`/`conformance`;
 //! * the `gcs-scenarios` CLI (`list | validate <dir> | run <name|file> |
 //!   bench | bench-compare | trace | trace-diff | replay | chaos-search |
-//!   conformance | trend-append | trend-gate | baseline | compare |
-//!   export <dir> | show <name>`).
+//!   conformance | trend-gate | baseline | compare | show <name>`).
 //!
 //! # Example
 //!

@@ -1,6 +1,7 @@
-//! Parametric scenario families shared by the built-in registry and the
-//! experiment harness (`gcs-bench` sizes them per sweep point instead of
-//! re-assembling schedules by hand).
+//! Parametric scenario families the experiment harness and the benchmark
+//! resize (`gcs-bench` sizes them per sweep point instead of re-assembling
+//! schedules by hand). The built-in registry holds one checked-in instance
+//! of each; `tests/scenario_registry.rs` ties the two.
 
 use gcs_core::Params;
 use gcs_net::EdgeParams;
@@ -72,66 +73,6 @@ pub fn churn(name: &str, topology: TopologySpec) -> ScenarioSpec {
     spec.insertion_scale = Some(0.02);
     spec.warmup = 5.0;
     spec.duration = 30.0;
-    spec
-}
-
-/// Correlated churn bursts over any topology: a spanning tree stays up
-/// while every other edge goes down *simultaneously* for `down` seconds,
-/// every `period` seconds — the adversary the independent-phase
-/// [`churn`] preset can never produce, because it forces the staged
-/// insertion machinery to re-insert the whole non-backbone edge set at
-/// once (the registry's `churn-burst` is the grid instance).
-#[must_use]
-pub fn churn_burst(name: &str, topology: TopologySpec, period: f64, down: f64) -> ScenarioSpec {
-    let mut spec = base(name, topology);
-    spec.dynamics = DynamicsSpec::ChurnBurst {
-        period,
-        down,
-        skew: 0.002,
-    };
-    spec.insertion_scale = Some(0.02);
-    spec.warmup = 5.0;
-    spec.duration = 30.0;
-    spec
-}
-
-/// Byzantine-flavoured estimate faults on a ring of `n` nodes: the
-/// adversarial *hiding* estimate layer (every edge understates its true
-/// skew by up to `ε`, the worst error inequality (1) permits) combined
-/// with a script of alternating-sign clock corruptions on spread-out
-/// nodes — each injection pulls the network in the opposite direction
-/// while the estimates actively mask the damage. The §5.2
-/// self-stabilization guarantee must still recover every time.
-#[must_use]
-pub fn byzantine_est(n: usize, first_at: f64, amount: f64) -> ScenarioSpec {
-    let mut spec = base("byzantine-est", TopologySpec::Ring { n });
-    spec.description = "Adversarial hiding estimates plus alternating-sign corruption \
-                        scripts: Byzantine-flavoured fault recovery (section 5.2)"
-        .to_string();
-    spec.drift = DriftSpec::RandomConstant;
-    spec.estimates = EstimateSpec::OracleHide;
-    // Spread-out targets that survive the tiny-scale halving, pulling in
-    // alternating directions at staggered times.
-    spec.faults = vec![
-        FaultSpec::ClockOffset {
-            at: first_at,
-            node: 0,
-            amount,
-        },
-        FaultSpec::ClockOffset {
-            at: first_at * 1.5,
-            node: n / 2 - 1,
-            amount: -amount,
-        },
-        FaultSpec::ClockOffset {
-            at: first_at * 2.0,
-            node: n / 4,
-            amount: 0.5 * amount,
-        },
-    ];
-    spec.warmup = 10.0;
-    spec.duration = 40.0;
-    spec.metric = Metric::FinalGlobalSkew;
     spec
 }
 

@@ -1,47 +1,67 @@
 //! The built-in registry: named, validated scenarios spanning every
 //! topology family and dynamics generator the subsystem supports.
 //!
-//! These are the canonical workloads — the `scenarios/` directory at the
-//! repo root holds their canonical `.scn` serializations (regenerate with
-//! `gcs-scenarios export scenarios/`), the examples build from them, and
-//! `gcs-scenarios run all` sweeps the lot.
+//! The registry is data: the `scenarios/` directory at the repo root holds
+//! one canonical `.scn` file per scenario, and this module is the table
+//! that names them. Adding a scenario — hand-written, or the best-found
+//! schedule of a `gcs-scenarios chaos-search --export` — means dropping
+//! the file in `scenarios/` and adding its row here. The examples build
+//! from these, and `gcs-scenarios run all` sweeps the lot.
 
-use crate::presets;
-use crate::spec::{DriftSpec, DynamicsSpec, EstimateSpec, Metric, ScenarioSpec, TopologySpec};
+use crate::format;
+use crate::spec::ScenarioSpec;
+
+/// One registry row: a scenario's name and its checked-in `.scn` text
+/// (the file is named after the scenario).
+macro_rules! scn {
+    ($name:literal) => {
+        (
+            $name,
+            include_str!(concat!("../../../scenarios/", $name, ".scn")),
+        )
+    };
+}
+
+/// Every built-in scenario, sorted by name.
+const SCENARIOS: [(&str, &str); 24] = [
+    scn!("adversarial-corruption"),
+    scn!("adversarial-partition"),
+    scn!("byzantine-est"),
+    scn!("churn-burst"),
+    scn!("churn-storm"),
+    scn!("drift-flip"),
+    scn!("flash-join"),
+    scn!("geometric-100k"),
+    scn!("geometric-4k"),
+    scn!("geometric-dense"),
+    scn!("grid-sensor"),
+    scn!("hypercube-log"),
+    scn!("line-shortcut"),
+    scn!("line-worstcase"),
+    scn!("mobile-swarm"),
+    scn!("partition-heal"),
+    scn!("ring-100k"),
+    scn!("ring-1k"),
+    scn!("ring-chord"),
+    scn!("ring-steady"),
+    scn!("scale-free-hubs"),
+    scn!("self-heal"),
+    scn!("small-world-hub"),
+    scn!("torus-messages"),
+];
+
+/// Parsing is infallible for checked-in canonical files — the registry
+/// tests and `validate scenarios/` both cover them.
+fn parsed(scn: &str) -> ScenarioSpec {
+    format::parse(scn).expect("checked-in scenario file parses")
+}
 
 /// All built-in scenarios, sorted by name. Every entry passes
 /// [`ScenarioSpec::validate`] at every [`Scale`](crate::Scale) (enforced
 /// by tests).
 #[must_use]
 pub fn all() -> Vec<ScenarioSpec> {
-    let mut specs = vec![
-        adversarial_corruption(),
-        adversarial_partition(),
-        ring_steady(),
-        line_worstcase(),
-        grid_sensor(),
-        torus_messages(),
-        geometric_dense(),
-        small_world_hub(),
-        scale_free_hubs(),
-        hypercube_log(),
-        churn_storm(),
-        churn_burst(),
-        byzantine_est(),
-        flash_join(),
-        ring_chord(),
-        line_shortcut(),
-        partition_heal(),
-        mobile_swarm(),
-        drift_flip(),
-        self_heal(),
-        ring_1k(),
-        geometric_4k(),
-        ring_100k(),
-        geometric_100k(),
-    ];
-    specs.sort_by(|a, b| a.name.cmp(&b.name));
-    specs
+    SCENARIOS.iter().map(|(_, scn)| parsed(scn)).collect()
 }
 
 /// The default campaign set: every built-in except the `bench`-class
@@ -76,7 +96,8 @@ pub fn fault_heavy() -> Vec<ScenarioSpec> {
 /// Looks up a built-in scenario by name.
 #[must_use]
 pub fn find(name: &str) -> Option<ScenarioSpec> {
-    all().into_iter().find(|s| s.name == name)
+    let (_, scn) = SCENARIOS.iter().find(|(n, _)| *n == name)?;
+    Some(parsed(scn))
 }
 
 /// Resolves a CLI selection token into a scenario list: a named set
@@ -113,249 +134,6 @@ pub fn select(selection: &str) -> Result<Vec<ScenarioSpec>, String> {
         return Err("selection matched no scenarios".to_string());
     }
     Ok(specs)
-}
-
-/// Best-found schedules from `gcs-scenarios chaos-search`, checked in as
-/// canonical `.scn` data rather than re-coded by hand: the adversary's
-/// output *is* the scenario, and re-running the ratchet workflow
-/// (search → export → regenerate baselines) replaces the file wholesale.
-/// Parsing is infallible for checked-in canonical files — the registry
-/// tests and `validate scenarios/` both cover them.
-fn adversarial(scn: &str) -> ScenarioSpec {
-    crate::format::parse(scn).expect("checked-in adversarial schedule parses")
-}
-
-fn adversarial_corruption() -> ScenarioSpec {
-    adversarial(include_str!(
-        "../../../scenarios/adversarial-corruption.scn"
-    ))
-}
-
-fn adversarial_partition() -> ScenarioSpec {
-    adversarial(include_str!("../../../scenarios/adversarial-partition.scn"))
-}
-
-fn ring_steady() -> ScenarioSpec {
-    let mut s = presets::base("ring-steady", TopologySpec::Ring { n: 8 });
-    s.description =
-        "Steady-state ring under alternating worst-case drift (the quickstart scenario)"
-            .to_string();
-    s.drift = DriftSpec::Alternating;
-    s.warmup = 10.0;
-    s.duration = 50.0;
-    s
-}
-
-fn line_worstcase() -> ScenarioSpec {
-    presets::line_worstcase(16)
-}
-
-fn grid_sensor() -> ScenarioSpec {
-    let mut s = presets::base("grid-sensor", TopologySpec::Grid { w: 6, h: 6 });
-    s.description =
-        "TDMA sensor grid with biased estimates: the paper's motivating deployment".to_string();
-    s.drift = DriftSpec::RandomConstant;
-    s.estimates = EstimateSpec::OracleBias;
-    s.metric = Metric::LocalSkew;
-    s
-}
-
-fn torus_messages() -> ScenarioSpec {
-    let mut s = presets::base("torus-messages", TopologySpec::Torus { w: 4, h: 4 });
-    s.description = "Message-borne estimates (floods + dead reckoning) on a 2-D torus".to_string();
-    s.drift = DriftSpec::RandomConstant;
-    s.estimates = EstimateSpec::Messages;
-    s.duration = 20.0;
-    s
-}
-
-fn geometric_dense() -> ScenarioSpec {
-    let mut s = presets::base(
-        "geometric-dense",
-        TopologySpec::Geometric {
-            n: 24,
-            radius: 0.35,
-        },
-    );
-    s.description = "Random geometric graph with slowly wandering oscillators".to_string();
-    s.drift = DriftSpec::RandomWalk {
-        period: 5.0,
-        step: 0.25,
-    };
-    s
-}
-
-fn small_world_hub() -> ScenarioSpec {
-    let mut s = presets::base(
-        "small-world-hub",
-        TopologySpec::SmallWorld {
-            n: 24,
-            k: 4,
-            beta: 0.2,
-        },
-    );
-    s.description = "Watts-Strogatz small world: shortcuts shrink the kappa-diameter".to_string();
-    s.drift = DriftSpec::RandomConstant;
-    s.metric = Metric::LocalSkew;
-    s
-}
-
-fn scale_free_hubs() -> ScenarioSpec {
-    let mut s = presets::base("scale-free-hubs", TopologySpec::ScaleFree { n: 32, m: 2 });
-    s.description = "Barabasi-Albert hubs with biased estimates: degree-skewed load".to_string();
-    s.drift = DriftSpec::RandomConstant;
-    s.estimates = EstimateSpec::OracleBias;
-    s.metric = Metric::LocalSkew;
-    s
-}
-
-fn hypercube_log() -> ScenarioSpec {
-    let mut s = presets::base("hypercube-log", TopologySpec::Hypercube { dim: 4 });
-    s.description =
-        "Hypercube: the log-diameter family the gradient bound is most sensitive to".to_string();
-    s
-}
-
-fn churn_storm() -> ScenarioSpec {
-    let mut s = presets::churn("churn-storm", TopologySpec::Grid { w: 4, h: 4 });
-    s.description = "Heavy exponential churn over a grid; a spanning tree preserves \
-                     connectivity (experiment E8)"
-        .to_string();
-    s
-}
-
-fn churn_burst() -> ScenarioSpec {
-    let mut s = presets::churn_burst("churn-burst", TopologySpec::Grid { w: 4, h: 4 }, 8.0, 1.5);
-    s.description = "Correlated churn bursts: every non-backbone grid edge drops at once, \
-                     every 8 s (mass staged re-insertion)"
-        .to_string();
-    s
-}
-
-fn byzantine_est() -> ScenarioSpec {
-    presets::byzantine_est(12, 12.0, 0.4)
-}
-
-fn flash_join() -> ScenarioSpec {
-    let mut s = presets::base("flash-join", TopologySpec::Ring { n: 12 });
-    s.description =
-        "Four chords appear at once: concurrent staged insertions (Theorem 5.25)".to_string();
-    s.dynamics = DynamicsSpec::Insertion {
-        at: 5.0,
-        count: 4,
-        skew: 0.002,
-    };
-    s.insertion_scale = Some(0.05);
-    s.warmup = 5.0;
-    s.duration = 40.0;
-    s
-}
-
-fn ring_chord() -> ScenarioSpec {
-    presets::ring_chord(16, 0.05)
-}
-
-fn line_shortcut() -> ScenarioSpec {
-    presets::shortcut_gradient(12, 0.05, 2.0, 2.0)
-}
-
-fn partition_heal() -> ScenarioSpec {
-    presets::partition_heal(16, 10.0, 40.0)
-}
-
-fn mobile_swarm() -> ScenarioSpec {
-    let mut s = presets::base("mobile-swarm", TopologySpec::Complete { n: 12 });
-    s.description = "Random-waypoint swarm: links appear and disappear with distance \
-                     (topology supplies only the node count)"
-        .to_string();
-    s.drift = DriftSpec::RandomConstant;
-    s.dynamics = DynamicsSpec::Mobility {
-        radius: 0.5,
-        hysteresis: 1.2,
-        speed_min: 0.01,
-        speed_max: 0.03,
-        sample: 0.5,
-        skew: 0.002,
-    };
-    s.insertion_scale = Some(0.05);
-    s.warmup = 0.0;
-    s.duration = 120.0;
-    s
-}
-
-fn drift_flip() -> ScenarioSpec {
-    presets::drift_flip(12, 5.0)
-}
-
-fn self_heal() -> ScenarioSpec {
-    presets::self_heal(8, 15.0, 1.0)
-}
-
-fn ring_1k() -> ScenarioSpec {
-    let mut s = presets::base("ring-1k", TopologySpec::Ring { n: 1024 });
-    s.description = "Engine-scale benchmark: a 1024-node ring under alternating worst-case \
-                     drift (the tick-loop throughput workload)"
-        .to_string();
-    s.drift = DriftSpec::Alternating;
-    s.bench = true;
-    s.tiny_nodes = Some(32);
-    s.warmup = 2.0;
-    s.duration = 8.0;
-    s
-}
-
-fn geometric_4k() -> ScenarioSpec {
-    let mut s = presets::base(
-        "geometric-4k",
-        TopologySpec::Geometric {
-            n: 4096,
-            radius: 0.03,
-        },
-    );
-    s.description = "Engine-scale benchmark: a 4096-node random geometric graph with \
-                     independent constant drift (the message-path throughput workload)"
-        .to_string();
-    s.drift = DriftSpec::RandomConstant;
-    s.bench = true;
-    s.tiny_nodes = Some(64);
-    s.warmup = 1.0;
-    s.duration = 2.0;
-    s
-}
-
-fn ring_100k() -> ScenarioSpec {
-    let mut s = presets::base("ring-100k", TopologySpec::Ring { n: 100_000 });
-    s.description = "Parallel-engine-scale benchmark: a 100,000-node ring under alternating \
-                     worst-case drift (the sharded tick-loop workload)"
-        .to_string();
-    s.drift = DriftSpec::Alternating;
-    s.bench = true;
-    s.tiny_nodes = Some(64);
-    s.warmup = 0.5;
-    s.duration = 1.0;
-    s.sample = 0.25;
-    s
-}
-
-fn geometric_100k() -> ScenarioSpec {
-    let mut s = presets::base(
-        "geometric-100k",
-        TopologySpec::Geometric {
-            n: 100_000,
-            radius: 0.007,
-        },
-    );
-    s.description = "Parallel-engine-scale benchmark: a 100,000-node random geometric graph \
-                     (average degree ~15) with independent constant drift (the sharded \
-                     message-path workload)"
-        .to_string();
-    s.drift = DriftSpec::RandomConstant;
-    s.bench = true;
-    s.tiny_nodes = Some(64);
-    s.warmup = 0.1;
-    s.duration = 0.2;
-    s.sample = 0.05;
-    s
 }
 
 #[cfg(test)]
@@ -418,7 +196,8 @@ mod tests {
         names.dedup();
         assert_eq!(names.len(), specs.len(), "duplicate names");
         assert!(names.windows(2).all(|w| w[0] < w[1]), "sorted by name");
-        for s in &specs {
+        for ((row, _), s) in SCENARIOS.iter().zip(&specs) {
+            assert_eq!(*row, s.name, "`find` looks rows up by the table's name");
             s.validate().unwrap_or_else(|e| panic!("{}: {e}", s.name));
             assert!(!s.description.is_empty(), "{} needs a description", s.name);
         }

@@ -7,7 +7,7 @@
 //!   observation instant and optionally builds the sealed `gcs-trace/v1`
 //!   run log. It rides whatever pass is being made — the campaign's, the
 //!   conformance oracle's, or one of its own ([`run_instrumented`]) — and
-//!   never changes it: `bench --telemetry` re-drives every timed entry
+//!   never changes it: `bench --telemetry` re-drives every entry
 //!   with it attached and fails on any counter drift;
 //! * [`telemetry_json`] — the `gcs-telemetry/v1` artifact, the
 //!   machine-readable run log that sits next to `BENCH_engine.json`.

@@ -76,15 +76,6 @@ fn read_stats(v: &JsonValue, what: &str) -> Result<EnsembleStats, String> {
     })
 }
 
-/// Engine counters were added to outcomes after the first artifacts
-/// shipped; older files simply lack the field, which reads as 0.
-fn legacy_u64_field(v: &JsonValue, name: &str) -> u64 {
-    field(v, name, "")
-        .ok()
-        .and_then(JsonValue::as_u64)
-        .unwrap_or(0)
-}
-
 fn read_outcome(v: &JsonValue, what: &str) -> Result<ScenarioOutcome, String> {
     let mut trajectory = Vec::new();
     for (i, pt) in arr_field(v, "trajectory", what)?.iter().enumerate() {
@@ -110,9 +101,9 @@ fn read_outcome(v: &JsonValue, what: &str) -> Result<ScenarioOutcome, String> {
         messages_sent: u64_field(v, "messages_sent", what)?,
         messages_delivered: u64_field(v, "messages_delivered", what)?,
         messages_dropped: u64_field(v, "messages_dropped", what)?,
-        events: legacy_u64_field(v, "events"),
-        ticks: legacy_u64_field(v, "ticks"),
-        mode_evaluations: legacy_u64_field(v, "mode_evaluations"),
+        events: u64_field(v, "events", what)?,
+        ticks: u64_field(v, "ticks", what)?,
+        mode_evaluations: u64_field(v, "mode_evaluations", what)?,
         trajectory,
     })
 }
@@ -804,6 +795,10 @@ mod tests {
         assert_eq!(artifact.scale, "tiny");
         assert_eq!(artifact.seeds, seeds);
         assert_eq!(artifact.rows, rows, "parsed rows must be bit-identical");
+        // An outcome without its engine counters is malformed, not zero.
+        let ticks = format!(",\"ticks\":{}", rows[0].outcomes[0].ticks);
+        let err = read_campaign(&text.replacen(&ticks, "", 1)).unwrap_err();
+        assert!(err.contains("missing field \"ticks\""), "{err}");
     }
 
     #[test]

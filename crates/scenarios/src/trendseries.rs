@@ -8,19 +8,16 @@
 //! [`trend_gate`] compares each series' newest point against the median of
 //! its trailing window. The format is append-only JSONL — one
 //! self-describing point per line — so the history survives partial
-//! writes, diffs cleanly, and can be seeded from a checked-in
-//! `BENCH_*.json` artifact (`gcs-scenarios trend-append`).
+//! writes and diffs cleanly.
 //!
 //! Gating is per metric: oracle utilization and skew regress *up*;
-//! wall-clock and throughput are recorded but never gated (the rows are
-//! runs of tens of milliseconds on noisy CI runners — `benchmark/` is
-//! where speed is measured). Tolerances reuse the
+//! everything else a point carries (raw counts, the adversary's
+//! `best_util`) is recorded but never gated. Tolerances reuse the
 //! [`trend`](crate::trend) classification: tight for deterministic
 //! scenarios, loose for seed-realized random families.
 
 use gcs_analysis::Table;
 
-use crate::bench::BenchEntry;
 use crate::conformance::ConformanceRow;
 use crate::json::{self, field, str_field, u64_field, Json, JsonValue};
 use crate::trend::{relative_drift, ABSOLUTE_FLOOR, TOL_LOOSE, TOL_TIGHT};
@@ -43,7 +40,7 @@ pub struct TrendPoint {
     /// monotone token works — the gate orders by file position, not by
     /// parsing this).
     pub when: String,
-    /// Observation kind: `"bench"` or `"conformance"`.
+    /// Observation kind: `"conformance"` or `"chaos"`.
     pub kind: String,
     /// Scale token the run used.
     pub scale: String,
@@ -102,25 +99,6 @@ pub fn orientation(metric: &str) -> Orientation {
         Orientation::LowerBetter
     } else {
         Orientation::Informational
-    }
-}
-
-/// Distills one bench entry into a trend point.
-#[must_use]
-pub fn point_from_bench(when: &str, scale: &str, e: &BenchEntry) -> TrendPoint {
-    TrendPoint {
-        when: when.to_string(),
-        kind: "bench".to_string(),
-        scale: scale.to_string(),
-        scenario: e.scenario.clone(),
-        seed: e.seed,
-        threads: e.threads as u64,
-        metrics: vec![
-            ("build_secs".to_string(), e.build_secs),
-            ("events".to_string(), e.events as f64),
-            ("events_per_sec".to_string(), e.events_per_sec),
-            ("wall_secs".to_string(), e.wall_secs),
-        ],
     }
 }
 
@@ -226,7 +204,7 @@ pub fn read_series(text: &str) -> Result<Vec<TrendPoint>, String> {
 /// window the newest point was compared against.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrendFinding {
-    /// Observation kind (`bench` / `conformance`).
+    /// Observation kind (`conformance` / `chaos`).
     pub kind: String,
     /// Scenario name.
     pub scenario: String,
@@ -467,18 +445,6 @@ mod tests {
         assert_eq!(back, pts);
         assert!(read_series("{\"format\":\"nope\"}\n").is_err());
         assert_eq!(read_series("\n\n").unwrap(), Vec::new());
-        // The checked-in series re-serializes byte-for-byte.
-        let path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../results/TREND_engine.jsonl"
-        );
-        let text = std::fs::read_to_string(path).unwrap();
-        let lines: String = read_series(&text)
-            .unwrap()
-            .iter()
-            .map(|p| point_json(p) + "\n")
-            .collect();
-        assert_eq!(lines, text);
     }
 
     #[test]
@@ -612,29 +578,5 @@ mod tests {
         let report = trend_gate(&pts, DEFAULT_WINDOW, None);
         assert_eq!(report.findings.len(), 1);
         assert_eq!(report.findings[0].seed, 1);
-    }
-
-    #[test]
-    fn distillers_produce_gateable_points() {
-        let e = BenchEntry {
-            scenario: "ring-100k".to_string(),
-            nodes: 100_000,
-            seed: 0,
-            threads: 2,
-            sim_secs: 1.5,
-            build_secs: 0.5,
-            wall_secs: 30.0,
-            events: 44_000_000,
-            events_per_sec: 1.46e6,
-            ticks: 987,
-            mode_evaluations: 1,
-            messages_delivered: 2,
-        };
-        let p = point_from_bench("123", "default", &e);
-        assert_eq!(p.kind, "bench");
-        assert_eq!(p.threads, 2);
-        assert_eq!(p.metric("events_per_sec"), Some(1.46e6));
-        let line = point_json(&p);
-        assert_eq!(read_series(&line).unwrap()[0], p);
     }
 }

@@ -1,4 +1,4 @@
-//! The `gcs-scenarios` CLI: list, validate, run, export, and show
+//! The `gcs-scenarios` CLI: list, validate, run, gate, and show
 //! declarative scenarios.
 //!
 //! ```sh
@@ -6,7 +6,6 @@
 //! cargo run --release --bin gcs-scenarios -- validate scenarios/
 //! cargo run --release --bin gcs-scenarios -- run churn-storm --seeds 4
 //! cargo run --release --bin gcs-scenarios -- run all --seeds 2 --scale tiny
-//! cargo run --release --bin gcs-scenarios -- export scenarios/
 //! ```
 
 use std::io::BufRead;
@@ -47,19 +46,21 @@ USAGE:
         --telemetry FILE  attach the telemetry recorder — it rides the same
                     pass — and write the gcs-telemetry/v1 artifact to FILE
     gcs-scenarios bench [selection] [--seeds N] [--scale S] [--out FILE]
-        Engine-throughput benchmark: drive scenarios end to end
-        (sequentially, no observation sampling) and write the
-        gcs-engine-bench/v1 artifact with wall-clock and events/sec per
-        scenario x seed. `all` (the default) sweeps the whole registry,
-        bench-class scenarios included.
-        --seeds N, --scale S, --trend FILE  see FLAGS (defaults 1, default)
-        --repeat R    keep the fastest of R runs per entry (default 1)
+        Engine counter sweep: drive scenarios end to end (no observation
+        sampling) and write the gcs-engine-bench/v1 artifact with the
+        engine's deterministic counters per scenario x seed x threads —
+        what bench-compare gates. It counts, it does not time: speed is
+        measured by benchmark/ (see benchmark/README.md). `all` (the
+        default) sweeps the whole registry, bench-class scenarios
+        included.
+        --seeds N, --scale S  see FLAGS (defaults 1, default)
         --threads LST comma list of --threads values, one row each
-                      (default 1)
+                      (default 1); rows of one seed must agree on every
+                      counter
         --out FILE    artifact path       (default results/BENCH_engine.json)
-        --telemetry FILE  re-drive every timed entry (a deliberate second
-                      pass) with the telemetry recorder attached, assert
-                      the deterministic counters are IDENTICAL to the timed
+        --telemetry FILE  re-drive every entry (a deliberate second pass)
+                      with the telemetry recorder attached, assert the
+                      deterministic counters are IDENTICAL to the first
                       pass (zero instrumentation drift), and write the
                       gcs-telemetry/v1 artifact to FILE
     gcs-scenarios trace <name|file.scn> [--seed N] [--threads T] [--scale S]
@@ -157,19 +158,13 @@ USAGE:
         --telemetry FILE  attach the telemetry recorder — it rides the same
                     pass, next to the oracle — and write the gcs-telemetry/v1
                     artifact (with the bound-margin utilization series) to FILE
-    gcs-scenarios trend-append <bench.json> [--out FILE]
-        Distill a gcs-engine-bench/v1 artifact into gcs-trend/v1 points
-        (one per scenario x seed x threads entry, stamped now) and append
-        them to FILE (default results/TREND_engine.jsonl). Seeds the
-        nightly trend trajectory from a checked-in BENCH_*.json point.
     gcs-scenarios trend-gate <trend.jsonl> [--window N] [--tol PCT]
                              [--explain]
         Gate the newest point of every (kind, scale, scenario, seed,
         threads) series in an append-only TREND_*.jsonl file against the
         median of its trailing window. Oracle \"*_worst\" utilizations
-        regress upward; wall-clock, events_per_sec and raw counts are
-        informational (benchmark/ measures speed). Series with fewer
-        than 2 prior points report `building` and never fail.
+        regress upward; every other metric is informational. Series
+        with fewer than 2 prior points report `building` and never fail.
         Exits non-zero on any regression beyond tolerance.
         --window N  trailing points the median spans (default 5)
         --tol PCT   override the per-scenario tolerance table (tight for
@@ -181,12 +176,11 @@ USAGE:
         Gate the deterministic engine counters (events, ticks,
         mode_evaluations, messages_delivered) of a fresh
         gcs-engine-bench/v1 artifact EXACTLY against a checked-in one,
-        matched by (scenario, seed, threads). Wall-clock is never gated.
+        matched by (scenario, seed, threads). Keys the gate does not
+        name (older artifacts carry wall-clock columns) are ignored.
         Exits non-zero on any counter mismatch or entry-set change.
         --subset  only gate baseline rows the current artifact also ran
                   (for partial CI reruns); fails if nothing overlaps.
-    gcs-scenarios export <dir>
-        Write every built-in scenario to <dir>/<name>.scn.
     gcs-scenarios baseline <campaign.json> [--out FILE]
         Distill a gcs-campaign/v1 artifact into a compact gcs-baseline/v2
         summary (per-scenario mean/p90 skews, stabilization time, and
@@ -217,8 +211,8 @@ FLAGS
                   longitudinal TREND_*.jsonl series (see trend-gate)
 
 SELECTIONS
-    Where a command takes a [selection], it accepts a .scn file path or a
-    comma list of built-in scenario names and sets: `all` (whole
+    Where a command takes a [selection], it accepts a file path ending in
+    .scn or a comma list of built-in scenario names and sets: `all` (whole
     registry), `campaign` (statistics tier), `bench` (engine-scale tier),
     `fault-heavy` (every scenario with faults or dynamic topology).
     A name that matches nothing is a hard error, never an empty sweep.
@@ -323,7 +317,7 @@ impl Args {
     }
 }
 
-/// A strictly positive integer (`--seeds N`, `--threads T`, `--repeat R`).
+/// A strictly positive integer (`--seeds N`, `--threads T`).
 fn positive<T: std::str::FromStr + PartialOrd + Default>(v: &str) -> Option<T> {
     v.parse().ok().filter(|n| *n > T::default())
 }
@@ -355,9 +349,7 @@ fn main() -> ExitCode {
         Some("replay") => cmd_replay(args),
         Some("chaos-search") => cmd_chaos_search(args),
         Some("conformance") => cmd_conformance(args).map_err(Failure::from),
-        Some("trend-append") => cmd_trend_append(args).map_err(Failure::from),
         Some("trend-gate") => cmd_trend_gate(args).map_err(Failure::from),
-        Some("export") => cmd_export(args).map_err(Failure::from),
         Some("baseline") => cmd_baseline(args).map_err(Failure::from),
         Some("compare") => cmd_compare(args).map_err(Failure::from),
         Some("--help" | "-h" | "help") | None => {
@@ -455,11 +447,11 @@ fn validate_file(path: &Path) -> Result<ScenarioSpec, String> {
     let spec = format::parse(&text).map_err(|e| e.to_string())?;
     spec.validate().map_err(|e| e.to_string())?;
     // The repo keeps scenario files in canonical form so diffs stay
-    // meaningful; `gcs-scenarios export` regenerates them.
+    // meaningful; `show` and `chaos-search --export` write it.
     let canonical = format::write(&spec);
     if canonical != text {
         return Err(
-            "file is not in canonical form (regenerate with `gcs-scenarios export`)".to_string(),
+            "file is not in canonical form (`gcs-scenarios show <name>` prints it)".to_string(),
         );
     }
     // A spec that parses but cannot build is rot; seed 0 stands in for all.
@@ -574,10 +566,9 @@ fn write_telemetry(path: &Path, scale: Scale, runs: &[TelemetryRun]) -> Result<(
     Ok(())
 }
 
-/// Runs the engine-throughput benchmark and writes `BENCH_engine.json`.
+/// Runs the engine counter sweep and writes `BENCH_engine.json`.
 fn cmd_bench(mut args: Args) -> Result<(), String> {
     let (seeds, scale) = args.seeds_and_scale(1, Scale::Default)?;
-    let repeat = args.value("--repeat", "a positive integer", positive)?;
     let threads = args.value("--threads", "a comma list, e.g. 1,2,4", |raw| {
         raw.split(',')
             .map(|p| positive::<usize>(p.trim()))
@@ -587,7 +578,6 @@ fn cmd_bench(mut args: Args) -> Result<(), String> {
     let out = args.value("--out", "a file", path)?;
     let out = out.unwrap_or_else(|| PathBuf::from("results/BENCH_engine.json"));
     let telemetry_out = args.value("--telemetry", "a file", path)?;
-    let trend_out = args.value("--trend", "a file", path)?;
     let target = args.positional().unwrap_or_else(|| "all".to_string());
     args.finish()?;
     let (title, specs) = resolve_specs(&target, scale)?;
@@ -598,24 +588,23 @@ fn cmd_bench(mut args: Args) -> Result<(), String> {
         threads,
         scale.name()
     );
-    let entries = gcs_scenarios::bench::run_suite(&specs, &seeds, &threads, repeat.unwrap_or(1))
-        .map_err(|e| e.to_string())?;
+    let entries =
+        gcs_scenarios::bench::run_suite(&specs, &seeds, &threads).map_err(|e| e.to_string())?;
     println!(
-        "\n{:<18} {:>6} {:>5} {:>4} {:>10} {:>12} {:>12} {:>10} {:>10}",
-        "scenario", "nodes", "seed", "thr", "wall s", "events", "events/sec", "ticks", "evals"
+        "\n{:<18} {:>6} {:>5} {:>4} {:>12} {:>10} {:>10} {:>12}",
+        "scenario", "nodes", "seed", "thr", "events", "ticks", "evals", "delivered"
     );
     for e in &entries {
         println!(
-            "{:<18} {:>6} {:>5} {:>4} {:>10.3} {:>12} {:>12.0} {:>10} {:>10}",
+            "{:<18} {:>6} {:>5} {:>4} {:>12} {:>10} {:>10} {:>12}",
             e.scenario,
             e.nodes,
             e.seed,
             e.threads,
-            e.wall_secs,
             e.events,
-            e.events_per_sec,
             e.ticks,
-            e.mode_evaluations
+            e.mode_evaluations,
+            e.messages_delivered
         );
     }
     write_file(
@@ -623,15 +612,10 @@ fn cmd_bench(mut args: Args) -> Result<(), String> {
         &gcs_scenarios::bench::bench_json(scale, &seeds, &entries),
     )?;
     println!("\nwrote {}", out.display());
-    if let Some(tpath) = trend_out {
-        let (when, scale) = (now_millis(), scale.name());
-        let point = |e| trendseries::point_from_bench(&when, scale, e);
-        append_trend(&tpath, entries.iter().map(point))?;
-    }
     if let Some(tpath) = telemetry_out {
-        // Re-drive every timed entry — deliberately a second pass — with
-        // the recorder attached. Its counters must be IDENTICAL to the
-        // timed pass: telemetry observes the run, it must never change
+        // Re-drive every entry — deliberately a second pass — with the
+        // recorder attached. Its counters must be IDENTICAL to the first
+        // pass: telemetry observes the run, it must never change
         // it. This is the negative control for every verb that lets the
         // recorder ride the pass it already makes.
         let mut runs = Vec::with_capacity(entries.len());
@@ -653,14 +637,14 @@ fn cmd_bench(mut args: Args) -> Result<(), String> {
             if gcs_scenarios::BenchEntry::of(spec, &pass).gated() != e.gated() {
                 return Err(format!(
                     "instrumentation drift: {} seed {} threads {}: the instrumented run's \
-                     deterministic counters diverged from the timed run",
+                     deterministic counters diverged from the plain run",
                     e.scenario, e.seed, e.threads
                 ));
             }
             runs.push(recorder.finish(&pass));
         }
         write_telemetry(&tpath, scale, &runs)?;
-        println!("zero counter drift vs the timed suite");
+        println!("zero counter drift vs the plain suite");
     }
     Ok(())
 }
@@ -1377,13 +1361,15 @@ fn cmd_conformance(mut args: Args) -> Result<(), String> {
 }
 
 /// Resolves a `run`/`bench`/`conformance` target into a title and spec
-/// list at `scale`: a `.scn` file on disk, or a [`registry::select`]
-/// selection — a comma list of built-in names and sets (`all`,
-/// `campaign`, `bench`, `fault-heavy`). A selection that matches nothing
-/// is a hard error, so a typo'd scenario name can never turn a CI gate
-/// into an empty (vacuously green) sweep.
+/// list at `scale`: a file iff it ends in `.scn` (whatever else the
+/// working directory holds — an entry named `all` or `ring-steady` must
+/// not shadow the selection), otherwise a [`registry::select`] selection
+/// — a comma list of built-in names and sets (`all`, `campaign`, `bench`,
+/// `fault-heavy`). A selection that matches nothing is a hard error, so a
+/// typo'd scenario name can never turn a CI gate into an empty (vacuously
+/// green) sweep.
 fn resolve_specs(target: &str, scale: Scale) -> Result<(String, Vec<ScenarioSpec>), String> {
-    if target.ends_with(".scn") || Path::new(target).exists() {
+    if target.ends_with(".scn") {
         let spec = read_artifact(target, format::parse)?;
         spec.validate().map_err(|e| format!("{target}: {e}"))?;
         return Ok((spec.name.clone(), vec![spec.scaled(scale)]));
@@ -1411,20 +1397,6 @@ fn now_millis() -> String {
     std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or_else(|_| "0".to_string(), |d| d.as_millis().to_string())
-}
-
-/// Seeds (or extends) a trend series from a `gcs-engine-bench/v1` artifact.
-fn cmd_trend_append(mut args: Args) -> Result<(), String> {
-    let out = args.value("--out", "a file", path)?;
-    let out = out.unwrap_or_else(|| PathBuf::from("results/TREND_engine.jsonl"));
-    let input = args
-        .positional()
-        .ok_or("trend-append needs a gcs-engine-bench/v1 artifact")?;
-    args.finish()?;
-    let artifact = read_artifact(&input, gcs_scenarios::bench::read_bench)?;
-    let when = now_millis();
-    let point = |e| trendseries::point_from_bench(&when, &artifact.scale, e);
-    append_trend(&out, artifact.entries.iter().map(point))
 }
 
 /// Reads the file at `path` and parses it, naming the path in either
@@ -1593,17 +1565,4 @@ fn cmd_compare(mut args: Args) -> Result<(), String> {
             report.findings.len()
         ))
     }
-}
-
-fn cmd_export(mut args: Args) -> Result<(), String> {
-    let dir = args.positional().ok_or("export needs a directory")?;
-    args.finish()?;
-    let specs = registry::all();
-    for spec in &specs {
-        let path = Path::new(&dir).join(format!("{}.scn", spec.name));
-        write_file(&path, &format::write(spec))?;
-        println!("wrote {}", path.display());
-    }
-    println!("exported {} scenario(s) to {dir}", specs.len());
-    Ok(())
 }

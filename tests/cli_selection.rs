@@ -1,4 +1,5 @@
-//! CLI-level regression tests for scenario selection and the trend verbs.
+//! CLI-level regression tests for scenario selection, the engine counter
+//! gate and the trend verbs.
 //!
 //! The conformance gate used to resolve its target leniently; a typo'd
 //! scenario name must be a hard error (exit ≠ 0), never an empty —
@@ -222,40 +223,89 @@ fn sampled_conformance_with_trend_gates_end_to_end() {
 }
 
 #[test]
-fn trend_append_seeds_a_series_from_a_bench_artifact() {
-    let dir = std::env::temp_dir().join(format!("gcs-cli-append-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let trend = dir.join("TREND_engine.jsonl");
+fn a_selection_is_a_file_only_when_it_ends_in_scn() {
+    // `bench ring-steady` used to fail with `cannot read ring-steady: Is a
+    // directory` whenever the working directory had an entry of that name;
+    // a stray `all` broke `run all` the same way.
+    let dir = std::env::temp_dir().join(format!("gcs-cli-cwd-{}", std::process::id()));
+    std::fs::create_dir_all(dir.join("ring-steady")).unwrap();
+    std::fs::write(dir.join("all"), "not a scenario\n").unwrap();
+    for (verb, target, sweep) in [
+        ("bench", "ring-steady", "1 scenario(s)"),
+        ("run", "all", "20 scenario(s)"),
+    ] {
+        let out = bin()
+            .current_dir(&dir)
+            .args([verb, target, "--seeds", "1", "--scale", "tiny", "--out"])
+            .arg(dir.join(format!("{verb}-out")))
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{verb} {target}: {}", stderr(&out));
+        assert!(stdout(&out).contains(sweep), "{verb} {target}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
 
-    let repo = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    let artifact = repo.join("results/BENCH_engine_tiny.json");
+#[test]
+fn bench_compare_gates_counters_exactly_and_ignores_retired_keys() {
+    let dir = std::env::temp_dir().join(format!("gcs-cli-gate-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let fresh = dir.join("BENCH_fresh.json");
     let out = bin()
         .args([
-            "trend-append",
-            artifact.to_str().unwrap(),
-            "--out",
-            trend.to_str().unwrap(),
+            "bench",
+            "ring-steady",
+            "--scale",
+            "tiny",
+            "--threads",
+            "1,2",
         ])
+        .args(["--out", fresh.to_str().unwrap()])
         .output()
         .unwrap();
     assert!(out.status.success(), "{}", stderr(&out));
-    let text = std::fs::read_to_string(&trend).unwrap();
-    assert!(text.lines().count() > 0);
-    assert!(text.starts_with("{\"format\":\"gcs-trend/v1\""));
+    let text = std::fs::read_to_string(&fresh).unwrap();
+    assert_eq!(text.matches("\"scenario\":\"ring-steady\"").count(), 2);
+    assert!(!text.contains("_secs\":0.") && !text.contains("events_per_sec"));
+    let compare = |baseline: &PathBuf| {
+        bin()
+            .arg("bench-compare")
+            .args([baseline, &fresh])
+            .output()
+            .unwrap()
+    };
 
-    // One point per series: everything is `building`, the gate passes.
-    let out = bin()
-        .args(["trend-gate", trend.to_str().unwrap()])
-        .output()
-        .unwrap();
+    // A baseline written when rows still carried the three wall-clock
+    // keys gates a fresh artifact: the reader never looks at them.
+    let old = dir.join("BENCH_old.json");
+    let spliced = text.replace(
+        ",\"events\":",
+        ",\"build_secs\":0.000031,\"wall_secs\":0.0123,\"events\":",
+    );
+    let spliced = spliced.replace(",\"ticks\":", ",\"events_per_sec\":1234567.8,\"ticks\":");
+    assert_eq!(spliced.matches("events_per_sec").count(), 2);
+    std::fs::write(&old, spliced).unwrap();
+    let out = compare(&old);
     assert!(out.status.success(), "{}", stderr(&out));
-    assert!(stdout(&out).contains("building"));
+    assert!(stdout(&out).contains("2 entr(ies) counter-identical"));
+
+    // One forged event count: exit 1, naming the scenario and the counter.
+    let forged = dir.join("BENCH_forged.json");
+    std::fs::write(&forged, regex_replace(&text, "\"events\":", 1.0)).unwrap();
+    let out = compare(&forged);
+    assert_eq!(out.status.code(), Some(1));
+    let err = stderr(&out);
+    assert!(
+        err.contains("MISMATCH ring-steady seed 0 threads 1: events "),
+        "{err}"
+    );
+    assert!(err.contains("1 counter mismatch(es)"), "{err}");
 
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Replaces the number following `key` in a JSONL line with `value` (a
-/// two-line stand-in for a regex dependency).
+/// Replaces the number following the first `key` in a JSON text with
+/// `value` (a two-line stand-in for a regex dependency).
 fn regex_replace(line: &str, key: &str, value: f64) -> String {
     let start = line.find(key).expect("metric present") + key.len();
     let end = start + line[start..].find([',', '}']).expect("number terminator");

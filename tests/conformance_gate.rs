@@ -133,7 +133,7 @@ fn conformance_sweep_catches_an_understated_envelope() {
 #[test]
 fn counter_gate_fails_on_a_single_event() {
     let spec = tiny("ring-steady");
-    let entries = bench::run_suite(std::slice::from_ref(&spec), &[0], &[1], 1).unwrap();
+    let entries = bench::run_suite(std::slice::from_ref(&spec), &[0], &[1]).unwrap();
     let artifact = bench::read_bench(&bench::bench_json(Scale::Tiny, &[0], &entries)).unwrap();
     let mut drifted = artifact.clone();
     drifted.entries[0].mode_evaluations += 1;

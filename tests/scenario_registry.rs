@@ -5,7 +5,7 @@
 use std::path::Path;
 
 use gradient_clock_sync::prelude::*;
-use gradient_clock_sync::scenarios::{format, Scale};
+use gradient_clock_sync::scenarios::{format, presets, Scale, TopologySpec};
 
 #[test]
 fn registry_is_broad_and_builds_real_simulations() {
@@ -27,31 +27,53 @@ fn registry_is_broad_and_builds_real_simulations() {
 
 #[test]
 fn checked_in_scenario_files_match_the_registry() {
+    // The registry is a table of these files: the directory holds exactly
+    // the registry's names, and every file is in canonical form.
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios");
-    let specs = registry::all();
-    for spec in &specs {
-        let path = dir.join(format!("{}.scn", spec.name));
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "{} missing ({e}); regenerate with `cargo run --bin gcs-scenarios -- \
-                 export scenarios/`",
-                path.display()
-            )
-        });
-        assert_eq!(
-            text,
-            format::write(spec),
-            "{} is stale; regenerate with `gcs-scenarios export scenarios/`",
-            path.display()
-        );
-    }
-    // And nothing extra lingers.
-    let on_disk = std::fs::read_dir(&dir)
+    let mut on_disk: Vec<String> = std::fs::read_dir(&dir)
         .unwrap()
         .filter_map(Result::ok)
-        .filter(|e| e.path().extension().is_some_and(|x| x == "scn"))
-        .count();
-    assert_eq!(on_disk, specs.len(), "stray .scn files in scenarios/");
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "scn"))
+        .map(|p| p.file_stem().unwrap().to_str().unwrap().to_string())
+        .collect();
+    on_disk.sort();
+    let names: Vec<String> = registry::all().into_iter().map(|s| s.name).collect();
+    assert_eq!(
+        on_disk, names,
+        "a .scn file in scenarios/ needs its row in registry.rs, and vice versa"
+    );
+    for name in &names {
+        let text = std::fs::read_to_string(dir.join(format!("{name}.scn"))).unwrap();
+        let spec = format::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(spec.name, *name, "{name}.scn is named after its scenario");
+        assert_eq!(format::write(&spec), text, "{name}.scn is not canonical");
+    }
+}
+
+#[test]
+fn preset_families_reproduce_their_registry_instances() {
+    // The experiment harness and the benchmark resize these families; the
+    // campaign runs the checked-in instance. They must be the same
+    // workload, or the two would drift apart silently.
+    let mut churn_storm = presets::churn("churn-storm", TopologySpec::Grid { w: 4, h: 4 });
+    churn_storm.description = registry::find("churn-storm").unwrap().description;
+    for spec in [
+        presets::line_worstcase(16),
+        presets::ring_chord(16, 0.05),
+        presets::shortcut_gradient(12, 0.05, 2.0, 2.0),
+        presets::drift_flip(12, 5.0),
+        presets::self_heal(8, 15.0, 1.0),
+        presets::partition_heal(16, 10.0, 40.0),
+        churn_storm,
+    ] {
+        assert_eq!(
+            Some(&spec),
+            registry::find(&spec.name).as_ref(),
+            "{}",
+            spec.name
+        );
+    }
 }
 
 #[test]
