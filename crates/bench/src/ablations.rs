@@ -1,4 +1,4 @@
-//! Ablations of the design choices DESIGN.md calls out: the parameters the
+//! Ablations of the design choices the paper leaves open: the parameters the
 //! paper constrains (µ/σ, the insertion duration `I`, the κ slack of
 //! eq. 9) and the estimate refresh period.
 //!

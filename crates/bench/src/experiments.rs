@@ -1,4 +1,4 @@
-//! The nine theorem experiments (see crate docs and DESIGN.md §3).
+//! The theorem experiments (the crate docs map each to its paper result).
 //!
 //! Every experiment sources its workload — topology, edge schedule,
 //! drift, estimate layer, fault injections — from the scenario subsystem

@@ -38,7 +38,8 @@ pub use gcs_analysis::parallel_map;
 use gcs_analysis::Table;
 
 /// Experiment sizing: `Quick` keeps the default run snappy; `Full` is the
-/// EXPERIMENTS.md configuration.
+/// `experiments -- full` configuration (README § "Building, testing,
+/// benchmarking").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Small sweeps (the default).

@@ -2,8 +2,8 @@
 //! selection logic of Listing 3, plus the [`ModePolicy`] abstraction that
 //! lets baseline algorithms reuse the same node substrate.
 //!
-//! The triggers quantify over integer levels `s ∈ ℕ`. As discussed in
-//! DESIGN.md, `s = 0` must be excluded (otherwise a node holding the global
+//! The triggers quantify over integer levels `s ∈ ℕ`, and
+//! `s = 0` must be excluded (otherwise a node holding the global
 //! maximum could be forced into fast mode, contradicting Theorem 5.6's
 //! proof), so the scan ranges over `s ≥ 1`. The scan terminates at the first
 //! level at which no neighbour can satisfy the existential clause anymore —

@@ -20,7 +20,9 @@
 //! [`Frame::decode`] works on a growing receive buffer: it either
 //! consumes exactly one frame, reports that more bytes are needed, or
 //! rejects the stream as corrupt (oversized length prefix, unknown kind,
-//! payload length not matching the kind).
+//! payload length not matching the kind, a FLOOD float no sender could
+//! have meant). A peer's bytes are hostile input: no sequence of them
+//! panics the decoder.
 
 use gcs_net::NodeId;
 use gcs_sim::SimTime;
@@ -81,6 +83,9 @@ pub enum WireError {
         /// The length the prefix claimed.
         len: u32,
     },
+    /// A FLOOD float no encoder-side value produces: the named field is
+    /// NaN or infinite, or `sent_at` is negative.
+    BadFloat(&'static str),
 }
 
 impl std::fmt::Display for WireError {
@@ -95,6 +100,9 @@ impl std::fmt::Display for WireError {
             WireError::UnknownKind(k) => write!(f, "unknown frame kind {k}"),
             WireError::BadLength { kind, len } => {
                 write!(f, "frame kind {kind} cannot have payload length {len}")
+            }
+            WireError::BadFloat(field) => {
+                write!(f, "flood field {field} is not a finite, in-range number")
             }
         }
     }
@@ -196,15 +204,26 @@ impl Frame {
                     let raw = get_u64(buf, at);
                     NodeId(u32::try_from(raw).unwrap_or(u32::MAX))
                 };
+                // `SimTime::from_secs` asserts, and the four flood values
+                // are max-merged into node state unchecked: a NaN or an
+                // infinity must stop here.
+                let finite = |at, field| {
+                    let v = get_f64(buf, at);
+                    v.is_finite().then_some(v).ok_or(WireError::BadFloat(field))
+                };
+                let sent_at = finite(21, "sent_at")?;
+                if sent_at < 0.0 {
+                    return Err(WireError::BadFloat("sent_at"));
+                }
                 Frame::Flood {
                     src: node(5),
                     dst: node(13),
-                    sent_at: SimTime::from_secs(get_f64(buf, 21)),
+                    sent_at: SimTime::from_secs(sent_at),
                     msg: FloodMsg {
-                        logical: get_f64(buf, 29),
-                        max_est: get_f64(buf, 37),
-                        min_lb: get_f64(buf, 45),
-                        max_ub: get_f64(buf, 53),
+                        logical: finite(29, "logical")?,
+                        max_est: finite(37, "max_est")?,
+                        min_lb: finite(45, "min_lb")?,
+                        max_ub: finite(53, "max_ub")?,
                     },
                 }
             }
@@ -242,7 +261,10 @@ impl FrameReader {
     /// # Errors
     ///
     /// Propagates [`WireError`] from [`Frame::decode`]; the stream is
-    /// corrupt and the connection should be dropped.
+    /// corrupt and the connection should be dropped. The error is sticky:
+    /// the offending bytes stay buffered, so every later call returns it
+    /// again whatever is appended — a reader never resynchronises into the
+    /// middle of a corrupt stream.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
         match Frame::decode(&self.buf)? {
             Some((frame, consumed)) => {
@@ -256,6 +278,8 @@ impl FrameReader {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn flood() -> Frame {
@@ -324,6 +348,35 @@ mod tests {
         );
     }
 
+    /// A FLOOD-shaped frame (right length, right kind) over raw words:
+    /// `src`, `dst`, then the five float bit patterns.
+    fn raw_flood(words: [u64; 7]) -> Vec<u8> {
+        let mut bytes = FLOOD_LEN.to_le_bytes().to_vec();
+        bytes.push(KIND_FLOOD);
+        for w in words {
+            put_u64(&mut bytes, w);
+        }
+        bytes
+    }
+
+    #[test]
+    fn floods_no_sender_could_have_meant_are_rejected() {
+        let fields = ["sent_at", "logical", "max_est", "min_lb", "max_ub"];
+        for (i, field) in fields.into_iter().enumerate() {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut words = [3, 4, 0, 0, 0, 0, 0];
+                words[2 + i] = bad.to_bits();
+                let got = Frame::decode(&raw_flood(words));
+                assert_eq!(got, Err(WireError::BadFloat(field)), "{field} = {bad}");
+            }
+        }
+        let negative = raw_flood([3, 4, (-1.0f64).to_bits(), 0, 0, 0, 0]);
+        assert_eq!(
+            Frame::decode(&negative),
+            Err(WireError::BadFloat("sent_at"))
+        );
+    }
+
     #[test]
     fn reader_reassembles_a_fragmented_stream() {
         let mut stream = Vec::new();
@@ -345,5 +398,100 @@ mod tests {
             }
         }
         assert_eq!(got, frames);
+    }
+
+    /// One segment of a hostile stream, from a selector and seven words:
+    /// the three well-formed frames, a FLOOD-shaped frame whose floats are
+    /// drawn from the patterns a decoder must survive, or plain garbage.
+    fn segment(sel: u8, w: [u64; 7]) -> Vec<u8> {
+        const HOSTILE: [f64; 6] = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -1.0,
+            -0.0,
+            f64::MAX,
+        ];
+        let hostile = |w: u64| match w % 8 {
+            k @ 0..=5 => HOSTILE[k as usize].to_bits(),
+            6 => w,
+            _ => (w as f64).to_bits(),
+        };
+        // Exponent bits cleared: a small non-negative finite number.
+        let benign = |w: u64| w >> 12;
+        // IDs as drawn, the five floats through `float`.
+        let flood = |float: fn(u64) -> u64| {
+            raw_flood(std::array::from_fn(
+                |i| if i < 2 { w[i] } else { float(w[i]) },
+            ))
+        };
+        match sel % 5 {
+            0 => Frame::Hello {
+                first: w[0],
+                count: w[1],
+            }
+            .to_bytes(),
+            1 => flood(benign),
+            2 => Frame::Shutdown.to_bytes(),
+            3 => flood(hostile),
+            _ => {
+                let bytes: Vec<u8> = w.iter().flat_map(|v| v.to_le_bytes()).collect();
+                bytes[..(w[0] % 57) as usize].to_vec()
+            }
+        }
+    }
+
+    /// Feeds `stream` cut at `cuts`, draining after every piece; returns
+    /// the frames and the first error.
+    fn drain(stream: &[u8], cuts: &[usize]) -> (Vec<Frame>, Option<WireError>) {
+        let mut reader = FrameReader::new();
+        let mut frames = Vec::new();
+        let mut at = 0;
+        for &cut in cuts.iter().chain([&stream.len()]) {
+            let cut = cut.clamp(at, stream.len());
+            reader.extend(&stream[at..cut]);
+            at = cut;
+            loop {
+                match reader.next_frame() {
+                    Ok(Some(f)) => frames.push(f),
+                    Ok(None) => break,
+                    Err(e) => {
+                        // Sticky: more bytes never un-corrupt the stream.
+                        reader.extend(&Frame::Shutdown.to_bytes());
+                        assert_eq!(reader.next_frame(), Err(e));
+                        return (frames, Some(e));
+                    }
+                }
+            }
+        }
+        (frames, None)
+    }
+
+    proptest! {
+        #[test]
+        fn reader_survives_arbitrary_bytes_at_arbitrary_splits(
+            segments in proptest::collection::vec(
+                (any::<u8>(), proptest::collection::vec(any::<u64>(), 7)),
+                0..12,
+            ),
+            cuts in proptest::collection::vec(0usize..700, 0..24),
+        ) {
+            let stream: Vec<u8> = segments
+                .iter()
+                .flat_map(|(sel, w)| segment(*sel, w.as_slice().try_into().unwrap()))
+                .collect();
+            let mut cuts = cuts;
+            cuts.sort_unstable();
+            // Where the bytes are cut never changes what comes out.
+            let whole = drain(&stream, &[]);
+            prop_assert_eq!(&drain(&stream, &cuts), &whole);
+            // Every yielded frame is one the encoder produces: it survives
+            // its own encoding bit-exactly — which a NaN (unequal to
+            // itself) or anything else `decode` refuses would not.
+            for frame in &whole.0 {
+                let bytes = frame.to_bytes();
+                prop_assert_eq!(Frame::decode(&bytes), Ok(Some((*frame, bytes.len()))));
+            }
+        }
     }
 }

@@ -223,8 +223,6 @@ pub struct ChaosViolation {
 /// Everything one search produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosResult {
-    /// Base scenario name.
-    pub base: String,
     /// Candidates actually scored (excluding the base; less than the
     /// budget only when a violation aborted the search).
     pub evaluated: u32,
@@ -570,7 +568,6 @@ pub fn chaos_search(
     log.push('\n');
 
     Ok(ChaosResult {
-        base: base.name.clone(),
         evaluated,
         skipped,
         best,

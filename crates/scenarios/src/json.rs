@@ -8,7 +8,6 @@
 //! artifact touches the filesystem.
 
 use std::fmt;
-use std::io::Write as _;
 use std::path::Path;
 
 /// A JSON value tree.
@@ -124,23 +123,17 @@ pub fn document(
     out
 }
 
-/// Writes `text` at `path` — appending to what is there with `append`,
-/// replacing it otherwise — after creating the parent directories.
+/// Writes `text` at `path`, replacing what is there, after creating the
+/// parent directories.
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors.
-pub fn write_file(path: &Path, text: &str, append: bool) -> std::io::Result<()> {
+pub fn write_file(path: &Path, text: &str) -> std::io::Result<()> {
     if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
         std::fs::create_dir_all(parent)?;
     }
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .write(true)
-        .append(append)
-        .truncate(!append)
-        .open(path)?;
-    f.write_all(text.as_bytes())
+    std::fs::write(path, text)
 }
 
 // ---------------------------------------------------------------------

@@ -29,15 +29,13 @@
 //!   ([`OutcomeObserver`]) plus the `results/campaign_*.json` artifact;
 //! * [`trend`] — the artifact reader, `gcs-baseline/v2` summaries
 //!   (scalar stats + trajectory envelopes + per-scenario tolerances),
-//!   and the tolerance-gated baseline comparison CI runs;
+//!   and the tolerance-gated comparison CI runs against the two
+//!   checked-in points, `scenarios/baseline-{tiny,default}.json`;
 //! * [`conformance`] — the paper-bound gate as an observer
 //!   ([`OracleObserver`]): every sampled snapshot checked against the
 //!   Theorem 5.6 / 5.22 bounds of [`gcs_analysis::oracle`], on either
 //!   engine, exact or in sampled-source mode ([`ConformanceOptions`])
 //!   for conformance at 10⁵-node scale;
-//! * [`trendseries`] — the append-only `gcs-trend/v1` JSONL series the
-//!   nightly pipeline grows (`conformance --trend`) and the
-//!   orientation-aware windowed regression gate over it (`trend-gate`);
 //! * [`bench`] — end-only passes, counted: the engine counter sweep
 //!   behind `gcs-scenarios bench` and the `BENCH_engine.json`
 //!   (`gcs-engine-bench/v1`) artifact, plus the exact deterministic
@@ -55,7 +53,7 @@
 //!   behind the `--telemetry` flag of `run`/`bench`/`conformance`;
 //! * the `gcs-scenarios` CLI (`list | validate <dir> | run <name|file> |
 //!   bench | bench-compare | trace | trace-diff | replay | chaos-search |
-//!   conformance | trend-gate | baseline | compare | show <name>`).
+//!   conformance | baseline | compare | show <name>`).
 //!
 //! # Example
 //!
@@ -83,7 +81,6 @@ pub mod registry;
 pub mod spec;
 pub mod telemetry;
 pub mod trend;
-pub mod trendseries;
 
 pub use bench::{BenchArtifact, BenchCompareReport, BenchEntry};
 pub use campaign::{
@@ -105,7 +102,4 @@ pub use spec::{
 pub use telemetry::{run_instrumented, TelemetryObserver, TelemetryRun, TELEMETRY_FORMAT};
 pub use trend::{
     CampaignArtifact, CompareReport, EnvelopeStats, TrajectoryEnvelope, TrendRow, TrendSummary,
-};
-pub use trendseries::{
-    trend_gate, TrendFinding, TrendGateReport, TrendPoint, DEFAULT_WINDOW, TREND_FORMAT,
 };

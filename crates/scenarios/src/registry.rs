@@ -81,10 +81,10 @@ pub fn bench() -> Vec<ScenarioSpec> {
 }
 
 /// The fault-heavy subset of the campaign: every scenario with scripted
-/// clock corruptions or non-static dynamics. This is what the nightly
-/// conformance trend runs at default scale — the runs where the envelope
-/// allowances (fault credit, insertion widening, partition terms) are
-/// actually exercised.
+/// clock corruptions or non-static dynamics. This is what CI's
+/// `campaign-gate` drives through the exact oracle at default scale — the
+/// runs where the envelope allowances (fault credit, insertion widening,
+/// partition terms) are actually exercised.
 #[must_use]
 pub fn fault_heavy() -> Vec<ScenarioSpec> {
     campaign()
@@ -148,11 +148,12 @@ mod tests {
         assert_eq!(campaign.len() + bench.len(), specs.len());
         assert!(campaign.iter().all(|s| !s.bench));
         assert!(bench.iter().all(|s| s.bench));
-        // The campaign set is pinned by the checked-in baseline: growing
-        // it requires refreshing scenarios/baseline-tiny.json in the same
-        // change (PR 5 grew it 16 -> 18 with churn-burst/byzantine-est;
-        // PR 9 grew it 18 -> 20 with the chaos-search adversarial pair
-        // and regenerated the baseline plus BENCH_engine_tiny.json).
+        // The campaign set is pinned by the checked-in baselines: growing
+        // it requires refreshing scenarios/baseline-{tiny,default}.json in
+        // the same change (PR 5 grew it 16 -> 18 with
+        // churn-burst/byzantine-est; PR 9 grew it 18 -> 20 with the
+        // chaos-search adversarial pair and regenerated the baseline plus
+        // BENCH_engine_tiny.json).
         assert_eq!(
             campaign.len(),
             20,

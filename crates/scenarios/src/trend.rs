@@ -5,6 +5,13 @@
 //! and compare a fresh campaign against a checked-in baseline: the
 //! regression gate CI hangs off (`gcs-scenarios baseline` / `compare`).
 //!
+//! The gate compares against a checked-in *point*
+//! (`scenarios/baseline-tiny.json`, `scenarios/baseline-default.json`),
+//! never a history: a run is a pure function of (scenario, seed, scale,
+//! code), so between code changes a series of it is a constant, and a
+//! point neither needs nights of warm-up nor forgets a regression the way
+//! a trailing-window median does.
+//!
 //! The reader is hand-rolled like the writer (no serde) and inverts
 //! [`campaign_json`](crate::campaign::campaign_json) exactly: floats are
 //! written in shortest round-trip notation and re-parsed with correct
@@ -26,15 +33,14 @@ pub const CAMPAIGN_FORMAT: &str = "gcs-campaign/v1";
 pub const BASELINE_FORMAT: &str = "gcs-baseline/v2";
 
 /// Near-zero metrics (a skew of `1e-12` vs `2e-12`) must not trip a
-/// relative gate; drifts below this many seconds (or this much
-/// utilization) are never significant. Shared with the trend-series gate.
-pub(crate) const ABSOLUTE_FLOOR: f64 = 1e-6;
+/// relative gate; drifts below this many seconds are never significant.
+const ABSOLUTE_FLOOR: f64 = 1e-6;
 
 /// Signed relative drift of `current` from `baseline` (`+0.25` = 25 %
 /// above). A significant move away from a (near-)zero baseline has no
 /// finite ratio and reports ±∞, so it still ranks as the worst drift and
 /// prints as `+inf%` rather than masquerading as `+0.0%`.
-pub(crate) fn relative_drift(baseline: f64, current: f64) -> f64 {
+fn relative_drift(baseline: f64, current: f64) -> f64 {
     let delta = current - baseline;
     if baseline.abs() >= ABSOLUTE_FLOOR {
         delta / baseline.abs()
@@ -425,9 +431,7 @@ impl TrendSummary {
 
 /// Whether a scenario's outcome depends on the run seed structurally —
 /// a seed-realized random topology, stochastic dynamics, or randomized
-/// drift — rather than only through message-delay noise. The trend-series
-/// gate ([`trendseries`](crate::trendseries)) reuses this classification
-/// for its per-scenario tolerances.
+/// drift — rather than only through message-delay noise.
 #[must_use]
 pub fn seed_sensitive(spec: &ScenarioSpec) -> bool {
     matches!(
@@ -819,13 +823,6 @@ mod tests {
         let mut from_campaign = summary.clone();
         from_campaign.tolerances = Vec::new();
         assert_eq!(read_summary(&campaign_text).unwrap(), from_campaign);
-        // The checked-in baseline re-serializes byte-for-byte.
-        let path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../scenarios/baseline-tiny.json"
-        );
-        let text = std::fs::read_to_string(path).unwrap();
-        assert_eq!(baseline_json(&read_baseline(&text).unwrap()), text);
     }
 
     #[test]

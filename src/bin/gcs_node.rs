@@ -60,7 +60,7 @@ USAGE:
     --uds PATH        bind a Unix domain socket listener instead
     --first N         first hosted virtual node ID        (default 0)
     --count K         number of hosted virtual nodes      (default 1)
-    --total M         cluster-wide node count             (default first+count)
+    --total M         cluster-wide node count, <= 1024    (default first+count)
     --peers LIST      comma list of peer daemons to dial; TCP addresses,
                       or unix:PATH for Unix domain sockets
     --rho R           hardware drift bound                (default 1e-3)
@@ -77,6 +77,11 @@ USAGE:
 The cluster topology is the complete graph over IDs 0..M: every hosted
 node treats every other ID as a fully inserted neighbour.
 ";
+
+/// The largest `--total`: the daemon wires the complete graph over
+/// `0..total`, so `run` allocates O(total²) edges before it binds — about
+/// half a million at this cap. It also keeps every ID inside `u32`.
+const MAX_TOTAL: u64 = 1024;
 
 struct Options {
     listen: Option<String>,
@@ -169,15 +174,22 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     if o.count == 0 {
         return Err("--count must be at least 1".to_string());
     }
+    // Bounded before anything is sized from them: a flag is input.
+    let end = o.first.saturating_add(o.count);
     if o.total == 0 {
-        o.total = o.first + o.count;
+        o.total = end;
     }
-    if o.first + o.count > o.total {
+    if o.total > MAX_TOTAL {
         return Err(format!(
-            "hosted IDs [{}, {}) exceed --total {}",
-            o.first,
-            o.first + o.count,
+            "--total {} (default: --first + --count) exceeds the limit {MAX_TOTAL}: the \
+             complete graph over 0..total is built up front, O(total²) edges",
             o.total
+        ));
+    }
+    if end > o.total {
+        return Err(format!(
+            "hosted IDs --first {} + --count {} exceed --total {}",
+            o.first, o.count, o.total
         ));
     }
     if o.listen.is_some() == o.uds.is_some() {
@@ -237,12 +249,12 @@ impl Listener {
 }
 
 /// One peer connection: stream, frame reassembly, pending output, and
-/// the node-ID range its HELLO announced (for routing).
+/// the half-open node-ID range its HELLO announced (for routing).
 struct Conn {
     stream: Stream,
     reader: FrameReader,
     outbuf: Vec<u8>,
-    range: Option<(u64, u64)>,
+    range: Option<std::ops::Range<u64>>,
     dead: bool,
 }
 
@@ -258,7 +270,7 @@ impl Conn {
     }
 
     fn owns(&self, id: u64) -> bool {
-        matches!(self.range, Some((first, count)) if (first..first + count).contains(&id))
+        self.range.as_ref().is_some_and(|r| r.contains(&id))
     }
 
     fn queue(&mut self, frame: &Frame) {
@@ -348,8 +360,10 @@ impl Hosted {
     }
 }
 
+/// The [`NodeId`] of a cluster ID below `--total`, which `parse_options`
+/// caps at [`MAX_TOTAL`] — so distinct IDs never alias.
 fn node_id(id: u64) -> NodeId {
-    NodeId(u32::try_from(id).unwrap_or(u32::MAX))
+    NodeId(u32::try_from(id).expect("cluster IDs are below MAX_TOTAL"))
 }
 
 fn run(args: &[String]) -> Result<(), String> {
@@ -483,7 +497,21 @@ fn run(args: &[String]) -> Result<(), String> {
         for conn in &mut conns {
             for frame in conn.pump(&mut scratch) {
                 match frame {
-                    Frame::Hello { first, count } => conn.range = Some((first, count)),
+                    // A peer's HELLO is input too: a range that overflows
+                    // or leaves the cluster drops the connection.
+                    Frame::Hello { first, count } => {
+                        let end = first.checked_add(count).filter(|&end| end <= o.total);
+                        let Some(end) = end else {
+                            eprintln!(
+                                "gcs-node: dropping peer: HELLO range {first} + {count} exceeds \
+                                 --total {}",
+                                o.total
+                            );
+                            conn.dead = true;
+                            break;
+                        };
+                        conn.range = Some(first..end);
+                    }
                     Frame::Flood {
                         src,
                         dst,

@@ -19,8 +19,8 @@ use gcs_protocol::runtime::derive_run_config;
 use gcs_protocol::{EstimateMode, Params};
 use gcs_scenarios::json::{self, Json};
 use gcs_scenarios::{
-    campaign, format, registry, telemetry, trend, trendseries, ConformanceOptions, Scale,
-    ScenarioSpec, TelemetryRun,
+    campaign, format, registry, telemetry, trend, ConformanceOptions, Scale, ScenarioSpec,
+    TelemetryRun,
 };
 
 const USAGE: &str = "\
@@ -108,7 +108,7 @@ USAGE:
     gcs-scenarios chaos-search <name|file.scn> [--seed S] [--budget N]
                   [--seeds K] [--scale SC] [--threads T] [--log FILE]
                   [--resume FILE] [--export FILE] [--rename NAME]
-                  [--trend FILE] [--violation-out FILE]
+                  [--violation-out FILE]
         Adversarial fault-schedule search: a seeded greedy-mutation loop
         over fault scripts (clock offsets, est-bias corruption,
         partition/churn-burst timing) inside the .scn validation
@@ -129,8 +129,6 @@ USAGE:
         --export FILE  write the best-found schedule as canonical .scn
         --rename NAME  rename the exported schedule (required when the
                      export will join the registry next to its base)
-        --trend FILE append one gcs-trend/v1 point (kind chaos, metric
-                     best_util) to the longitudinal series
         --violation-out FILE  where the violating run's trace artifact
                      goes (default results/CHAOS_violation.jsonl)
     gcs-scenarios conformance [selection] [--seeds N] [--scale S]
@@ -144,7 +142,7 @@ USAGE:
         trajectory is retained, so memory stays bounded at engine scale.
         Exits non-zero on any bound violation, and on an unknown scenario
         or set name. The theorem-level CI gate.
-        --seeds N, --scale S, --threads T, --progress, --trend FILE
+        --seeds N, --scale S, --threads T, --progress
                     see FLAGS (defaults 2, tiny, 1)
         --oracle-sample P  sampled-pairs oracle: stratified per-snapshot
                     source draws at rate P in (0,1] instead of the exact
@@ -158,20 +156,6 @@ USAGE:
         --telemetry FILE  attach the telemetry recorder — it rides the same
                     pass, next to the oracle — and write the gcs-telemetry/v1
                     artifact (with the bound-margin utilization series) to FILE
-    gcs-scenarios trend-gate <trend.jsonl> [--window N] [--tol PCT]
-                             [--explain]
-        Gate the newest point of every (kind, scale, scenario, seed,
-        threads) series in an append-only TREND_*.jsonl file against the
-        median of its trailing window. Oracle \"*_worst\" utilizations
-        regress upward; every other metric is informational. Series
-        with fewer than 2 prior points report `building` and never fail.
-        Exits non-zero on any regression beyond tolerance.
-        --window N  trailing points the median spans (default 5)
-        --tol PCT   override the per-scenario tolerance table (tight for
-                    deterministic scenarios, loose for seed-realized
-                    random families) with one percentage for everything
-        --explain   print, per finding, which tolerance fired and the
-                    historical window values it was judged against
     gcs-scenarios bench-compare [--subset] <baseline.json> <current.json>
         Gate the deterministic engine counters (events, ticks,
         mode_evaluations, messages_delivered) of a fresh
@@ -207,8 +191,6 @@ FLAGS
                   engine with T shards; results are identical at every T
     --progress    print one line per completed scenario x seed, in
                   canonical (scenario-major) order
-    --trend FILE  also append one gcs-trend/v1 point per run to the
-                  longitudinal TREND_*.jsonl series (see trend-gate)
 
 SELECTIONS
     Where a command takes a [selection], it accepts a file path ending in
@@ -349,7 +331,6 @@ fn main() -> ExitCode {
         Some("replay") => cmd_replay(args),
         Some("chaos-search") => cmd_chaos_search(args),
         Some("conformance") => cmd_conformance(args).map_err(Failure::from),
-        Some("trend-gate") => cmd_trend_gate(args).map_err(Failure::from),
         Some("baseline") => cmd_baseline(args).map_err(Failure::from),
         Some("compare") => cmd_compare(args).map_err(Failure::from),
         Some("--help" | "-h" | "help") | None => {
@@ -538,9 +519,13 @@ fn cmd_run(mut args: Args) -> Result<(), String> {
             sum(|o| o.messages_delivered)
         );
     }
+    // Named by a unix-millisecond stamp: reruns accumulate side by side.
+    let stamp = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_millis());
     let path = out_dir
         .unwrap_or_else(|| PathBuf::from("results"))
-        .join(format!("campaign_{}.json", now_millis()));
+        .join(format!("campaign_{stamp}.json"));
     write_file(
         &path,
         &campaign::campaign_json(&title, scale, &seeds, &rows),
@@ -1152,7 +1137,6 @@ fn cmd_chaos_search(mut args: Args) -> Result<(), Failure> {
     let resume = args.value("--resume", "a file", |v| Some(v.to_string()))?;
     let export = args.value("--export", "a file", path)?;
     let rename = args.value("--rename", "a name", |v| Some(v.to_string()))?;
-    let trend_out = args.value("--trend", "a file", path)?;
     let violation_out = args.value("--violation-out", "a file", path)?;
     let violation_out =
         violation_out.unwrap_or_else(|| PathBuf::from("results/CHAOS_violation.jsonl"));
@@ -1214,21 +1198,6 @@ fn cmd_chaos_search(mut args: Args) -> Result<(), Failure> {
             spec.name
         );
     }
-    if let Some(path) = &trend_out {
-        let point = trendseries::TrendPoint {
-            when: now_millis(),
-            kind: "chaos".to_string(),
-            scale: scale.name().to_string(),
-            scenario: result.base.clone(),
-            seed: opts.seed,
-            threads: opts.threads.max(1) as u64,
-            metrics: vec![
-                ("best_util".to_string(), result.best.utilization),
-                ("evaluated".to_string(), f64::from(result.evaluated)),
-            ],
-        };
-        append_trend(path, [point])?;
-    }
     match result.violation {
         None => {
             println!(
@@ -1259,7 +1228,7 @@ fn cmd_chaos_search(mut args: Args) -> Result<(), Failure> {
 
 /// Writes an artifact through the one file writer, wording its failure.
 fn write_file(path: &Path, text: &str) -> Result<(), String> {
-    json::write_file(path, text, false).map_err(|e| format!("cannot write {}: {e}", path.display()))
+    json::write_file(path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
 /// Runs the conformance oracles over a scenario selection.
@@ -1279,7 +1248,6 @@ fn cmd_conformance(mut args: Args) -> Result<(), String> {
     };
     let progress = args.switch("--progress");
     let telemetry_out = args.value("--telemetry", "a file", path)?;
-    let trend_out = args.value("--trend", "a file", path)?;
     let target = args.positional().unwrap_or_else(|| "all".to_string());
     args.finish()?;
     let (title, specs) = resolve_specs(&target, scale)?;
@@ -1327,11 +1295,6 @@ fn cmd_conformance(mut args: Args) -> Result<(), String> {
         rows.len(),
         started.elapsed().as_secs_f64()
     );
-    if let Some(tpath) = trend_out {
-        let (when, scale, threads) = (now_millis(), scale.name(), opts.threads as u64);
-        let point = |r| trendseries::point_from_conformance(&when, scale, threads, r);
-        append_trend(&tpath, rows.iter().map(point))?;
-    }
     if let Some(tpath) = telemetry_out {
         write_telemetry(&tpath, scale, &runs)?;
     }
@@ -1391,14 +1354,6 @@ fn resolve_one(verb: &str, target: &str, scale: Scale) -> Result<ScenarioSpec, S
     }
 }
 
-/// Unix-millisecond stamp for appended trend points. The gate orders by
-/// file position, not by parsing this — it is for humans reading the file.
-fn now_millis() -> String {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or_else(|_| "0".to_string(), |d| d.as_millis().to_string())
-}
-
 /// Reads the file at `path` and parses it, naming the path in either
 /// failure.
 fn read_artifact<T, E: std::fmt::Display>(
@@ -1407,79 +1362,6 @@ fn read_artifact<T, E: std::fmt::Display>(
 ) -> Result<T, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     parse(&text).map_err(|e| format!("{path}: {e}"))
-}
-
-/// Appends points to a `TREND_*.jsonl` series and says so.
-fn append_trend(
-    path: &Path,
-    points: impl IntoIterator<Item = trendseries::TrendPoint>,
-) -> Result<(), String> {
-    // One self-describing line per point, never rewriting history.
-    let lines: Vec<String> = points
-        .into_iter()
-        .map(|p| trendseries::point_json(&p) + "\n")
-        .collect();
-    json::write_file(path, &lines.concat(), true)
-        .map_err(|e| format!("cannot append to {}: {e}", path.display()))?;
-    let n = lines.len();
-    println!("appended {n} trend point(s) to {}", path.display());
-    Ok(())
-}
-
-/// Gates the newest point of every trend series against its own history.
-fn cmd_trend_gate(mut args: Args) -> Result<(), String> {
-    let window = args.value("--window", "a positive integer", positive)?;
-    let tol_pct = args.value("--tol", "a non-negative percentage", non_negative)?;
-    let explain = args.switch("--explain");
-    let input = args
-        .positional()
-        .ok_or("trend-gate needs a TREND_*.jsonl file")?;
-    args.finish()?;
-    let points = read_artifact(&input, trendseries::read_series)?;
-    if points.is_empty() {
-        return Err(format!("{input} holds no trend points"));
-    }
-    let report = trendseries::trend_gate(
-        &points,
-        window.unwrap_or(trendseries::DEFAULT_WINDOW),
-        tol_pct.map(|pct| pct / 100.0),
-    );
-    println!("{}", report.table);
-    if report.passed() {
-        println!(
-            "ok: no trend regression across {} point(s) in {input}",
-            points.len()
-        );
-        Ok(())
-    } else {
-        for f in &report.findings {
-            eprintln!(
-                "REGRESSION {} {} seed {} threads {}: {} {:.6} vs window median {:.6} \
-                 ({:+.1}%, tolerance ±{:.0}%)",
-                f.kind,
-                f.scenario,
-                f.seed,
-                f.threads,
-                f.metric,
-                f.current,
-                f.median,
-                f.relative() * 100.0,
-                f.tolerance * 100.0
-            );
-            if explain {
-                eprintln!("  {}", f.explain());
-            }
-        }
-        Err(format!(
-            "{} trend regression(s) beyond tolerance{}",
-            report.findings.len(),
-            if explain {
-                ""
-            } else {
-                " (re-run with --explain for the window each finding was judged against)"
-            }
-        ))
-    }
 }
 
 fn cmd_baseline(mut args: Args) -> Result<(), String> {

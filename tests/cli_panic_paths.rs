@@ -1,5 +1,5 @@
-//! Negative-path CLI regression tests for `gcs-scenarios` failure
-//! handling.
+//! Negative-path CLI regression tests for `gcs-scenarios` and `gcs-node`
+//! failure handling.
 //!
 //! The `trace` and `bench --telemetry` verbs used to reach `.expect()`
 //! calls on user-reachable failure paths, killing the process with a
@@ -102,4 +102,45 @@ fn unknown_command_prints_usage_and_fails() {
     let out = bin().arg("frobnicate").output().unwrap();
     assert_clean_failure(&out, "frobnicate");
     assert!(stderr(&out).contains("USAGE"), "usage rides along");
+}
+
+#[test]
+fn node_daemon_bounds_its_id_flags_before_allocating() {
+    // `--first u64::MAX --count 1` used to panic on the add in debug and
+    // host zero nodes in release; IDs above u32::MAX aliased; `--total`
+    // sized an O(total²) edge table with no cap. Each is a readable
+    // refusal naming the flag and the limit, before anything is bound.
+    for (flags, needle) in [
+        (
+            &["--first", "18446744073709551615", "--count", "1"][..],
+            "--total 18446744073709551615 (default: --first + --count) exceeds the limit 1024",
+        ),
+        (
+            &["--first", "4294967296", "--count", "1"],
+            "--total 4294967297 (default: --first + --count) exceeds the limit 1024",
+        ),
+        (
+            &["--count", "2", "--total", "1000000"],
+            "--total 1000000 (default: --first + --count) exceeds the limit 1024",
+        ),
+        (
+            &[
+                "--first",
+                "18446744073709551615",
+                "--count",
+                "2",
+                "--total",
+                "4",
+            ],
+            "--first 18446744073709551615 + --count 2 exceed --total 4",
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_gcs-node"))
+            .args(["--listen", "127.0.0.1:0"])
+            .args(flags)
+            .output()
+            .unwrap();
+        assert_clean_failure(&out, needle);
+        assert!(out.stdout.is_empty(), "nothing was bound: {flags:?}");
+    }
 }

@@ -1,6 +1,7 @@
 //! Integration tests for the `gcs-node` socket daemon: a two-process
-//! Unix-domain-socket cluster exchanging wire floods, plus the
-//! `gcs-scenarios node-smoke` loopback harness end to end.
+//! Unix-domain-socket cluster exchanging wire floods, hostile bytes from
+//! a TCP client, plus the `gcs-scenarios node-smoke` loopback harness end
+//! to end.
 //!
 //! Everything here runs over loopback transports with piped stdin, so
 //! the tests are hermetic; a daemon whose stdin pipe closes shuts
@@ -9,9 +10,12 @@
 
 #![cfg(unix)]
 
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::process::{Child, ChildStdout, Command, Stdio};
 use std::time::{Duration, Instant};
+
+use gcs_protocol::wire::Frame;
 
 fn daemon() -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_gcs-node"));
@@ -100,6 +104,51 @@ fn two_daemons_exchange_floods_over_unix_sockets_and_shut_down_cleanly() {
     }
     assert!(!sock_a.exists(), "daemon A left its socket file behind");
     assert!(!sock_b.exists(), "daemon B left its socket file behind");
+}
+
+#[test]
+fn hostile_frames_drop_the_connection_not_the_daemon() {
+    let mut d = daemon()
+        .args(["--listen", "127.0.0.1:0"])
+        .args(["--first", "0", "--count", "1", "--total", "2"])
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut d_out = BufReader::new(d.stdout.take().unwrap());
+    let addr = announced_addr(&mut d_out);
+
+    // The 61-byte frame that used to kill the process: a well-formed
+    // FLOOD whose `sent_at` is NaN. And a HELLO whose range overflows.
+    let mut nan_flood = 57u32.to_le_bytes().to_vec();
+    nan_flood.push(2);
+    nan_flood.extend([0u8; 16]);
+    nan_flood.extend(f64::NAN.to_bits().to_le_bytes());
+    nan_flood.extend([0u8; 32]);
+    assert_eq!(nan_flood.len(), 61);
+    let wide_hello = Frame::Hello {
+        first: u64::MAX,
+        count: 2,
+    }
+    .to_bytes();
+    for hostile in [nan_flood, wide_hello] {
+        let mut peer = TcpStream::connect(&addr).unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        peer.write_all(&hostile).unwrap();
+        // The daemon hangs up on us: its HELLO, then end of stream.
+        let mut rest = Vec::new();
+        peer.read_to_end(&mut rest).expect("connection not dropped");
+    }
+
+    assert_eq!(d.try_wait().unwrap(), None, "the daemon died");
+    drop(d.stdin.take());
+    let status = wait_with_deadline(&mut d, 5).expect("daemon ignored stdin EOF");
+    assert_eq!(status.code(), Some(0), "{status}");
+    let lines: Vec<String> = d_out.lines().map_while(Result::ok).collect();
+    assert!(lines.iter().any(|l| l == "shutdown clean"), "{lines:?}");
+    let mut err = String::new();
+    d.stderr.take().unwrap().read_to_string(&mut err).unwrap();
+    assert!(err.contains("dropping corrupt peer stream"), "{err}");
+    assert!(err.contains("dropping peer: HELLO range"), "{err}");
 }
 
 #[test]

@@ -52,6 +52,30 @@ fn checked_in_scenario_files_match_the_registry() {
 }
 
 #[test]
+fn checked_in_baselines_are_what_their_file_names_promise() {
+    // CI's campaign-gate compares `run all --scale S --seeds 3` against
+    // baseline-S.json: each file pins exactly the campaign selection at
+    // its own scale and seeds, as the `baseline` verb wrote it.
+    use gradient_clock_sync::scenarios::trend;
+    let campaign: Vec<String> = registry::campaign().into_iter().map(|s| s.name).collect();
+    for scale in ["tiny", "default"] {
+        let file = format!("scenarios/baseline-{scale}.json");
+        let text = std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join(&file))
+            .unwrap_or_else(|e| panic!("{file}: {e}"));
+        let baseline = trend::read_baseline(&text).unwrap_or_else(|e| panic!("{file}: {e}"));
+        assert_eq!(baseline.scale, scale, "{file}");
+        assert_eq!(baseline.seeds, [0, 1, 2], "{file}");
+        let rows: Vec<&str> = baseline.rows.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(rows, campaign, "{file} pins the campaign selection");
+        assert_eq!(
+            trend::baseline_json(&baseline),
+            text,
+            "{file} was hand-edited"
+        );
+    }
+}
+
+#[test]
 fn preset_families_reproduce_their_registry_instances() {
     // The experiment harness and the benchmark resize these families; the
     // campaign runs the checked-in instance. They must be the same
