@@ -371,8 +371,21 @@ impl SimBuilder {
         let drift =
             self.drift
                 .realize(n, params.rho(), SimTime::from_secs(self.horizon), self.seed);
+        // Directed edges present at t = 0. Each node's neighbour table is
+        // sized for exactly its initial out-degree: at 10⁵ nodes, `Vec`'s
+        // minimum of four entries would be most of a ring node's memory.
+        let initial: std::collections::BTreeSet<(NodeId, NodeId)> =
+            schedule.initial_directed().iter().copied().collect();
+        let mut degree = vec![0; n];
+        for &(u, _) in &initial {
+            degree[u.index()] += 1;
+        }
         let nodes: Vec<NodeState> = (0..n)
-            .map(|i| NodeState::new(NodeId::from(i), drift.initial[i]))
+            .map(|i| {
+                let mut node = NodeState::new(NodeId::from(i), drift.initial[i]);
+                node.slots.reserve_exact(degree[i]);
+                node
+            })
             .collect();
 
         let mut queue: EventQueue<Event> = EventQueue::new();
@@ -415,8 +428,6 @@ impl SimBuilder {
         }
 
         let mut bias_rng = rng::stream(self.seed, "oracle-bias", 0);
-        let initial: std::collections::BTreeSet<(NodeId, NodeId)> =
-            schedule.initial_directed().iter().copied().collect();
         let rho = params.rho();
         // The stability certificates assume staged insertion (constant
         // per-edge weights); the decaying-weight strategy varies κ and δ
@@ -458,9 +469,9 @@ impl SimBuilder {
             telemetry: None,
             tel_local: LocalCounters::default(),
         };
-        // Initial graph: directed edges present at t = 0. Pairs present in
-        // both directions are fully inserted (N^s(0) = N(0), §4.2); loners
-        // are discovered at t = 0 like any later arrival.
+        // Initial graph: pairs present in both directions are fully
+        // inserted (N^s(0) = N(0), §4.2); loners are discovered at t = 0
+        // like any later arrival.
         for &(u, v) in &initial {
             sim.graph.insert_directed(u, v, SimTime::ZERO);
             let oracle_bias = bias_rng.gen_range(-1.0..=1.0);

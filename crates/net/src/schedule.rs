@@ -131,8 +131,9 @@ impl NetworkSchedule {
     ) -> Self {
         let mut s = NetworkSchedule::static_graph(base);
         for &(e, t) in insertions {
-            s.add_undirected_up(e, t, direction_skew);
+            s.append_undirected(e, t, direction_skew, EdgeEventKind::Up);
         }
+        s.sort_events();
         s
     }
 
@@ -184,15 +185,17 @@ impl NetworkSchedule {
                 } else {
                     0.0
                 };
-                if up {
-                    s.add_undirected_down(e, SimTime::from_secs(t), skew);
+                let kind = if up {
+                    EdgeEventKind::Down
                 } else {
-                    s.add_undirected_up(e, SimTime::from_secs(t), skew);
-                }
+                    EdgeEventKind::Up
+                };
+                s.append_undirected(e, SimTime::from_secs(t), skew, kind);
                 up = !up;
                 t += exp(&mut r, if up { opts.mean_up } else { opts.mean_down });
             }
         }
+        s.sort_events();
         s
     }
 
@@ -236,10 +239,11 @@ impl NetworkSchedule {
         let mut s = NetworkSchedule::static_graph(topo);
         for &e in topo.edges() {
             if left_set.contains(&e.lo()) != left_set.contains(&e.hi()) {
-                s.add_undirected_down(e, t_split, direction_skew);
-                s.add_undirected_up(e, t_merge, direction_skew);
+                s.append_undirected(e, t_split, direction_skew, EdgeEventKind::Down);
+                s.append_undirected(e, t_merge, direction_skew, EdgeEventKind::Up);
             }
         }
+        s.sort_events();
         s
     }
 
@@ -259,49 +263,44 @@ impl NetworkSchedule {
     /// Scripts both directions of `e` to appear: `lo → hi` at `t`,
     /// `hi → lo` at `t + direction_skew`.
     pub fn add_undirected_up(&mut self, e: EdgeKey, t: SimTime, direction_skew: f64) {
-        self.assert_edge(e);
-        self.push_event(EdgeEvent {
-            time: t,
-            from: e.lo(),
-            to: e.hi(),
-            kind: EdgeEventKind::Up,
-        });
-        self.push_event(EdgeEvent {
-            time: t + gcs_sim::SimDuration::from_secs(direction_skew),
-            from: e.hi(),
-            to: e.lo(),
-            kind: EdgeEventKind::Up,
-        });
+        for ev in undirected(e, t, direction_skew, EdgeEventKind::Up) {
+            self.push_event(ev);
+        }
     }
 
     /// Scripts both directions of `e` to disappear, offset by
     /// `direction_skew`.
     pub fn add_undirected_down(&mut self, e: EdgeKey, t: SimTime, direction_skew: f64) {
-        self.assert_edge(e);
-        self.push_event(EdgeEvent {
-            time: t,
-            from: e.lo(),
-            to: e.hi(),
-            kind: EdgeEventKind::Down,
-        });
-        self.push_event(EdgeEvent {
-            time: t + gcs_sim::SimDuration::from_secs(direction_skew),
-            from: e.hi(),
-            to: e.lo(),
-            kind: EdgeEventKind::Down,
-        });
+        for ev in undirected(e, t, direction_skew, EdgeEventKind::Down) {
+            self.push_event(ev);
+        }
     }
 
-    /// Appends a raw directed event.
+    /// Appends a raw directed event, keeping the script sorted (after every
+    /// event at the same instant). O(events) per call; the bulk generators
+    /// append and sort once instead.
     pub fn push_event(&mut self, ev: EdgeEvent) {
         self.assert_edge(EdgeKey::new(ev.from, ev.to));
         self.events.push(ev);
-        // Keep sorted; scripts are built mostly in order so this is cheap.
         let mut i = self.events.len() - 1;
         while i > 0 && self.events[i - 1].time > self.events[i].time {
             self.events.swap(i - 1, i);
             i -= 1;
         }
+    }
+
+    /// Appends both directions of a change without restoring the order;
+    /// the caller finishes with [`sort_events`](Self::sort_events).
+    fn append_undirected(&mut self, e: EdgeKey, t: SimTime, skew: f64, kind: EdgeEventKind) {
+        self.assert_edge(e);
+        self.events.extend(undirected(e, t, skew, kind));
+    }
+
+    /// Restores the time order after bulk appends. The sort is stable, so
+    /// the script equals what pushing the same sequence one event at a
+    /// time through [`push_event`](Self::push_event) yields.
+    fn sort_events(&mut self) {
+        self.events.sort_by_key(|ev| ev.time);
     }
 
     /// Number of nodes.
@@ -343,6 +342,25 @@ impl NetworkSchedule {
             self.n
         );
     }
+}
+
+/// Both directions of one undirected change: `lo → hi` at `t`, `hi → lo`
+/// at `t + direction_skew`.
+fn undirected(e: EdgeKey, t: SimTime, direction_skew: f64, kind: EdgeEventKind) -> [EdgeEvent; 2] {
+    [
+        EdgeEvent {
+            time: t,
+            from: e.lo(),
+            to: e.hi(),
+            kind,
+        },
+        EdgeEvent {
+            time: t + gcs_sim::SimDuration::from_secs(direction_skew),
+            from: e.hi(),
+            to: e.lo(),
+            kind,
+        },
+    ]
 }
 
 #[cfg(test)]
@@ -391,6 +409,34 @@ mod tests {
         );
         let times: Vec<f64> = s.events().iter().map(|e| e.time.as_secs()).collect();
         assert!(times.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    #[test]
+    fn bulk_append_then_sort_equals_incremental_pushes() {
+        // A random churn script with many same-instant events (coarse
+        // times, zero skews): the stable sort must reproduce the insertion
+        // sort's tie order exactly.
+        let topo = Topology::grid(4, 4);
+        let mut r = rng::stream(7, "churn-order", 0);
+        let mut bulk = NetworkSchedule::empty(topo.node_count());
+        let mut incremental = NetworkSchedule::empty(topo.node_count());
+        for _ in 0..2000 {
+            let e = topo.edges()[r.gen_range(0..topo.edges().len())];
+            let t = SimTime::from_secs(f64::from(r.gen_range(0u32..50)) * 0.5);
+            let skew = if r.gen::<bool>() { 0.0 } else { 0.25 };
+            let kind = if r.gen::<bool>() {
+                EdgeEventKind::Up
+            } else {
+                EdgeEventKind::Down
+            };
+            bulk.append_undirected(e, t, skew, kind);
+            match kind {
+                EdgeEventKind::Up => incremental.add_undirected_up(e, t, skew),
+                EdgeEventKind::Down => incremental.add_undirected_down(e, t, skew),
+            }
+        }
+        bulk.sort_events();
+        assert_eq!(bulk.events(), incremental.events());
     }
 
     #[test]

@@ -93,6 +93,15 @@ impl NeighborTable {
         self.entries.is_empty()
     }
 
+    /// Reserves room for exactly `additional` more neighbours. For a
+    /// table whose final degree is known up front (the engine's initial
+    /// graph); `Vec`'s amortised growth would hold at least four 152-byte
+    /// entries per node, twice a ring node's degree. Later inserts keep
+    /// amortised growth.
+    pub fn reserve_exact(&mut self, additional: usize) {
+        self.entries.reserve_exact(additional);
+    }
+
     fn position(&self, v: NodeId) -> Result<usize, usize> {
         self.entries.binary_search_by_key(&v, |e| e.id)
     }
@@ -726,5 +735,25 @@ mod tests {
         table.insert(NodeId(1), info, EdgeSlot::discovered(t(1.0), 2.0, 7));
         assert_eq!(table.len(), 3);
         assert_eq!(table.get(NodeId(1)).unwrap().generation, 7);
+    }
+
+    #[test]
+    fn reserve_exact_holds_exactly_the_initial_degree() {
+        use crate::edge_state::EdgeSlot;
+        let info = EdgeInfo {
+            params: EdgeParams::default(),
+            epsilon: 0.002,
+            kappa: 0.0135,
+            delta: 0.001,
+        };
+        for degree in [1usize, 2, 3, 12] {
+            let mut table = NeighborTable::default();
+            table.reserve_exact(degree);
+            for v in 0..degree {
+                table.insert(NodeId(v as u32), info, EdgeSlot::initial());
+            }
+            assert_eq!(table.len(), degree);
+            assert_eq!(table.entries.capacity(), degree);
+        }
     }
 }

@@ -141,10 +141,15 @@ pub enum TopologySpec {
     },
 }
 
+/// The largest node count a scenario may ask for: ample for the parked
+/// 10⁶-node tier, far below the `u32` node-id space, and small enough that
+/// an engine build fails by validation rather than by allocation.
+pub const MAX_NODES: usize = 2_000_000;
+
 impl TopologySpec {
-    /// Number of nodes the realized topology will have.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
+    /// Number of nodes the realized topology will have, or `None` when the
+    /// size parameters overflow `usize`.
+    fn checked_node_count(&self) -> Option<usize> {
         match *self {
             TopologySpec::Line { n }
             | TopologySpec::Ring { n }
@@ -153,10 +158,17 @@ impl TopologySpec {
             | TopologySpec::Gnp { n, .. }
             | TopologySpec::Geometric { n, .. }
             | TopologySpec::SmallWorld { n, .. }
-            | TopologySpec::ScaleFree { n, .. } => n,
-            TopologySpec::Grid { w, h } | TopologySpec::Torus { w, h } => w * h,
-            TopologySpec::Hypercube { dim } => 1 << dim,
+            | TopologySpec::ScaleFree { n, .. } => Some(n),
+            TopologySpec::Grid { w, h } | TopologySpec::Torus { w, h } => w.checked_mul(h),
+            TopologySpec::Hypercube { dim } => 1usize.checked_shl(dim),
         }
+    }
+
+    /// Number of nodes the realized topology will have (saturating; a
+    /// validated spec never saturates).
+    #[must_use]
+    pub fn node_count(&self) -> usize {
+        self.checked_node_count().unwrap_or(usize::MAX)
     }
 
     /// Materializes the topology. Random families draw from the run seed,
@@ -694,7 +706,16 @@ impl ScenarioSpec {
                     .to_string(),
             );
         }
-        let n = self.topology.node_count();
+        let n = match self.topology.checked_node_count() {
+            Some(n) if n <= MAX_NODES => n,
+            count => {
+                let count = count.map_or("overflows usize".to_string(), |n| n.to_string());
+                return fail(format!(
+                    "topology {} has more than MAX_NODES = {MAX_NODES} nodes ({count})",
+                    self.topology.family()
+                ));
+            }
+        };
         match self.topology {
             TopologySpec::Line { n } | TopologySpec::Star { n } | TopologySpec::Complete { n } => {
                 if n < 2 {
@@ -706,8 +727,8 @@ impl ScenarioSpec {
                     return fail("ring needs n >= 3".to_string());
                 }
             }
-            TopologySpec::Grid { w, h } => {
-                if w == 0 || h == 0 || w * h < 2 {
+            TopologySpec::Grid { .. } => {
+                if n < 2 {
                     return fail("grid needs w*h >= 2".to_string());
                 }
             }

@@ -98,6 +98,53 @@ fn a_flag_is_never_taken_as_another_flags_value() {
 }
 
 #[test]
+fn scenario_node_counts_are_bounded_before_anything_is_built() {
+    // `topology ring 5000000000` used to panic in `realize` under
+    // `validate` and abort on a 40 GB allocation under `run`; `grid w h`
+    // multiplied unchecked (a debug panic, a release wrap that validated).
+    let max = gcs_scenarios::spec::MAX_NODES;
+    let dir = std::env::temp_dir().join(format!("gcs-cli-maxnodes-{}", std::process::id()));
+    for (i, (topology, count)) in [
+        ("ring 5000000000".to_string(), "5000000000".to_string()),
+        (format!("line {}", max + 1), (max + 1).to_string()),
+        ("grid 2000 1001".to_string(), "2002000".to_string()),
+        (
+            "grid 4294967296 4294967297".to_string(),
+            "overflows usize".to_string(),
+        ),
+        (
+            "torus 18446744073709551615 2".to_string(),
+            "overflows usize".to_string(),
+        ),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let case = dir.join(format!("case{i}"));
+        std::fs::create_dir_all(&case).unwrap();
+        let file = case.join("huge.scn");
+        let text = std::fs::read_to_string(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/scenarios/ring-steady.scn"
+        ))
+        .unwrap()
+        .replace("topology ring 8", &format!("topology {topology}"));
+        std::fs::write(&file, text).unwrap();
+        let family = topology.split(' ').next().unwrap();
+        let needle = format!("topology {family} has more than MAX_NODES = {max} nodes ({count})");
+        let validate = bin().args(["validate"]).arg(&case).output().unwrap();
+        assert_clean_failure(&validate, &needle);
+        let run = bin()
+            .current_dir(&case)
+            .args(["run", "huge.scn", "--seeds", "1"])
+            .output()
+            .unwrap();
+        assert_clean_failure(&run, &needle);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn unknown_command_prints_usage_and_fails() {
     let out = bin().arg("frobnicate").output().unwrap();
     assert_clean_failure(&out, "frobnicate");

@@ -136,6 +136,41 @@ fn sharded_engine_is_bit_identical_across_the_grid() {
 }
 
 #[test]
+fn sub_bucket_delays_stay_bit_identical_across_shards() {
+    // Every registry scenario's delays (2–10 ms) exceed the calendar's
+    // 244 µs bucket width, so deliveries always land in a ring bucket.
+    // 50–150 µs delays land most of them in the already-open bucket
+    // instead — the sorted-insert path — on both engines.
+    use gradient_clock_sync::net::{EdgeParams, EdgeParamsMap};
+    let fast = EdgeParamsMap::uniform(EdgeParams::new(0.002, 0.010, 50e-6, 150e-6));
+    for name in ["torus-messages", "churn-storm"] {
+        let mut spec = registry::find(name).expect("built-in").scaled(Scale::Tiny);
+        // Floods refresh with the delay bound, so keep the run short.
+        spec.warmup = 0.5;
+        spec.duration = 1.5;
+        let builder = || {
+            spec.builder(0)
+                .expect("spec builds")
+                .edge_params(fast.clone())
+        };
+        let reference = drive(&spec, builder().build().expect("builds"));
+        assert!(reference.stats.messages_delivered > 0, "{name}: no traffic");
+        for shards in [2usize, 3] {
+            let sim = ParallelSimBuilder::new(builder())
+                .shards(shards)
+                .build()
+                .expect("parallel build");
+            let candidate = drive(&spec, sim);
+            assert_identical(
+                &format!("{name} with sub-bucket delays, {shards} shards"),
+                &reference,
+                &candidate,
+            );
+        }
+    }
+}
+
+#[test]
 fn conformance_reports_match_the_sequential_engine() {
     // The conformance oracle reads clocks, levels, weights, counters, and
     // the realized change log through the same observation surface — the
