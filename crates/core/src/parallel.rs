@@ -23,10 +23,12 @@
 //! `cut = min(target, next master event, earliest shard event + window)`.
 //! Within a segment, worker threads drain their shard's events `≤ cut`
 //! (clean `split_at_mut` borrows of the node array and hot columns — no
-//! locks, no `unsafe`), exchanging cross-shard deliveries through
-//! mailboxes at round barriers; then the master executes its events at
-//! `cut` sequentially (mode re-evaluation sweeps, edge up/down), routing
-//! any node-local events they spawn back to the owning shard.
+//! locks, no `unsafe`; rounds too small to pay for the threads drain the
+//! same borrows on the calling thread), exchanging cross-shard
+//! deliveries through mailboxes at round barriers; then the master
+//! executes its events at `cut` sequentially (mode re-evaluation sweeps,
+//! edge up/down), routing any node-local events they spawn back to the
+//! owning shard.
 //!
 //! # Why the merged order is the sequential order
 //!
@@ -67,6 +69,20 @@ use crate::sim::{BuildError, Event, SimBuilder, SimStats, Simulation};
 /// namespaced above this bit, keeping them disjoint from build-time keys
 /// (small integers) and from every other shard.
 const SEQ_NAMESPACE_SHIFT: u32 = 48;
+
+/// A drain round spawns worker threads only if the round before it
+/// drained at least this many events; below it the calling thread drains
+/// the active shards one after another. Measured on the 2-vCPU reference
+/// container, rings of 1k–32k nodes on two shards with every round forced
+/// down one path, five alternating runs each: a threaded round cost
+/// 23–57 µs more than an inline one at 0.5k–1.9k events per round, 1.08×
+/// the inline time at 3.7k, and 0.48× from 7.4k up, so two shards break
+/// even between 3.7k and 7.4k events. The constant sits lower because the
+/// previous round predicts the next only roughly: on `ring-100k-par2`
+/// (12.9k events per round on average) a cut at 4096 drained 15 % of the
+/// events inline, this one 4 %. `grid-36-par2` (25 events per round)
+/// never spawns.
+const THREAD_DRAIN_MIN_EVENTS: u64 = 1024;
 
 /// How the node set is split into shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -267,6 +283,8 @@ impl ParallelSimBuilder {
             shards: shard_states,
             starts,
             window,
+            last_round_events: 0,
+            thread_min_events: THREAD_DRAIN_MIN_EVENTS,
         })
     }
 }
@@ -382,6 +400,10 @@ pub struct ParallelSimulation {
     shards: Vec<Shard>,
     starts: Vec<usize>,
     window: f64,
+    /// Events the most recent drain round executed, across all shards.
+    last_round_events: u64,
+    /// [`THREAD_DRAIN_MIN_EVENTS`]; the tests pin it to force one path.
+    thread_min_events: u64,
 }
 
 impl std::ops::Deref for ParallelSimulation {
@@ -648,8 +670,14 @@ impl ParallelSimulation {
 
     /// One parallel round: every active shard drains on its own thread
     /// (the first active one on the calling thread), with disjoint
-    /// `split_at_mut` borrows of the node array and hot columns.
+    /// `split_at_mut` borrows of the node array and hot columns. After a
+    /// round of fewer than [`THREAD_DRAIN_MIN_EVENTS`] events the calling
+    /// thread drains them all, one after another, over the same borrows:
+    /// a shard's drain reads and writes only its own slices and outbox,
+    /// so the order the shards run in changes nothing.
     fn drain_round(&mut self, active: &[bool], cut: SimTime, strict: bool) {
+        let events_before: u64 = self.shards.iter().map(|s| s.stats.events).sum();
+        let threaded = self.last_round_events >= self.thread_min_events;
         let sim = &mut self.sim;
         let shared = SharedCtx {
             run: Run {
@@ -689,8 +717,10 @@ impl ParallelSimulation {
         let mut iter = works.into_iter().flatten();
         let first = iter.next().expect("at least one active shard");
         let rest: Vec<Work<'_>> = iter.collect();
-        if rest.is_empty() {
-            drain_one(first, &shared, cut, strict);
+        if rest.is_empty() || !threaded {
+            for w in std::iter::once(first).chain(rest) {
+                drain_one(w, &shared, cut, strict);
+            }
         } else {
             let shared = &shared;
             std::thread::scope(|scope| {
@@ -700,6 +730,8 @@ impl ParallelSimulation {
                 drain_one(first, shared, cut, strict);
             });
         }
+        let events_after: u64 = self.shards.iter().map(|s| s.stats.events).sum();
+        self.last_round_events = events_after - events_before;
     }
 
     /// Routes master-spawned node-local events to their owning shards
@@ -993,5 +1025,57 @@ mod tests {
             seq_sim.nodes[1].max_estimate().to_bits(),
             par.nodes[1].max_estimate().to_bits()
         );
+    }
+
+    /// A round drained on the calling thread and one drained by scoped
+    /// workers are the same computation: pinning every round to either
+    /// path reproduces the sequential engine bit for bit, on a churning
+    /// grid with message-mode estimates over three shards.
+    #[test]
+    fn inline_and_threaded_rounds_are_bit_identical() {
+        use gcs_net::{ChurnOptions, NetworkSchedule};
+        use gcs_protocol::EstimateMode;
+
+        let scenario = || {
+            let topo = Topology::grid(8, 8);
+            let churn = ChurnOptions {
+                horizon: 3.0,
+                mean_up: 0.4,
+                mean_down: 0.2,
+                ..ChurnOptions::default()
+            };
+            builder(23)
+                .schedule(NetworkSchedule::churn(&topo, churn, 23))
+                .estimates(EstimateMode::Messages)
+        };
+        let trace = |sim: &mut dyn Engine| {
+            let mut bits = Vec::new();
+            for k in 1..=12 {
+                sim.run_until_secs(0.25 * f64::from(k));
+                let snap = sim.as_sim().snapshot();
+                for v in [&snap.logical, &snap.hardware, &snap.max_estimates] {
+                    bits.extend(v.iter().map(|x| x.to_bits()));
+                }
+            }
+            let changes: Vec<String> = sim
+                .as_sim()
+                .change_log()
+                .iter()
+                .map(|c| format!("{c:?}"))
+                .collect();
+            (bits, changes, sim.as_sim().stats())
+        };
+        let reference = trace(&mut scenario().build().unwrap());
+        for thread_min_events in [0, u64::MAX] {
+            let mut par = ParallelSimBuilder::new(scenario())
+                .shards(3)
+                .build()
+                .unwrap();
+            par.thread_min_events = thread_min_events;
+            assert!(
+                trace(&mut par) == reference,
+                "thread_min_events {thread_min_events}"
+            );
+        }
     }
 }

@@ -17,7 +17,7 @@ use rand::Rng;
 use gcs_sim::{rng, SimTime};
 
 use crate::graph::{EdgeKey, NodeId};
-use crate::schedule::NetworkSchedule;
+use crate::schedule::{EdgeEventKind, NetworkSchedule};
 
 /// Parameters of the random-waypoint walk.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -121,14 +121,15 @@ impl RandomWaypoint {
                     };
                     if up[idx] && d > disconnect {
                         up[idx] = false;
-                        schedule.add_undirected_down(e, t, skew);
+                        schedule.append_undirected(e, t, skew, EdgeEventKind::Down);
                     } else if !up[idx] && d <= connect {
                         up[idx] = true;
-                        schedule.add_undirected_up(e, t, skew);
+                        schedule.append_undirected(e, t, skew, EdgeEventKind::Up);
                     }
                 }
             }
         }
+        schedule.sort_events();
         schedule
     }
 }
@@ -191,7 +192,6 @@ impl Walker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::EdgeEventKind;
 
     #[test]
     fn generation_is_deterministic() {

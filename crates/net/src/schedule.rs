@@ -289,9 +289,30 @@ impl NetworkSchedule {
         }
     }
 
+    /// Scripts a batch of undirected changes, each offset by
+    /// `direction_skew` like [`add_undirected_up`](Self::add_undirected_up),
+    /// appending them all and sorting once. The script equals what the
+    /// per-change `add_undirected_*` calls, in the same order, yield.
+    pub fn extend_undirected(
+        &mut self,
+        changes: impl IntoIterator<Item = (EdgeKey, SimTime, EdgeEventKind)>,
+        direction_skew: f64,
+    ) {
+        for (e, t, kind) in changes {
+            self.append_undirected(e, t, direction_skew, kind);
+        }
+        self.sort_events();
+    }
+
     /// Appends both directions of a change without restoring the order;
     /// the caller finishes with [`sort_events`](Self::sort_events).
-    fn append_undirected(&mut self, e: EdgeKey, t: SimTime, skew: f64, kind: EdgeEventKind) {
+    pub(crate) fn append_undirected(
+        &mut self,
+        e: EdgeKey,
+        t: SimTime,
+        skew: f64,
+        kind: EdgeEventKind,
+    ) {
         self.assert_edge(e);
         self.events.extend(undirected(e, t, skew, kind));
     }
@@ -299,7 +320,7 @@ impl NetworkSchedule {
     /// Restores the time order after bulk appends. The sort is stable, so
     /// the script equals what pushing the same sequence one event at a
     /// time through [`push_event`](Self::push_event) yields.
-    fn sort_events(&mut self) {
+    pub(crate) fn sort_events(&mut self) {
         self.events.sort_by_key(|ev| ev.time);
     }
 
@@ -437,6 +458,40 @@ mod tests {
         }
         bulk.sort_events();
         assert_eq!(bulk.events(), incremental.events());
+    }
+
+    #[test]
+    fn extend_undirected_equals_incremental_adds() {
+        // Batches on top of a script that already holds events, on the
+        // same coarse time grid, so ties fall both inside a batch and
+        // between a batch and what came before it.
+        let topo = Topology::grid(4, 4);
+        let mut r = rng::stream(11, "extend-order", 0);
+        let mut bulk = NetworkSchedule::empty(topo.node_count());
+        let mut incremental = NetworkSchedule::empty(topo.node_count());
+        for _ in 0..20 {
+            let skew = if r.gen::<bool>() { 0.0 } else { 0.25 };
+            let batch: Vec<(EdgeKey, SimTime, EdgeEventKind)> = (0..r.gen_range(0..100))
+                .map(|_| {
+                    let e = topo.edges()[r.gen_range(0..topo.edges().len())];
+                    let t = SimTime::from_secs(f64::from(r.gen_range(0u32..50)) * 0.5);
+                    let kind = if r.gen::<bool>() {
+                        EdgeEventKind::Up
+                    } else {
+                        EdgeEventKind::Down
+                    };
+                    (e, t, kind)
+                })
+                .collect();
+            for &(e, t, kind) in &batch {
+                match kind {
+                    EdgeEventKind::Up => incremental.add_undirected_up(e, t, skew),
+                    EdgeEventKind::Down => incremental.add_undirected_down(e, t, skew),
+                }
+            }
+            bulk.extend_undirected(batch, skew);
+            assert_eq!(bulk.events(), incremental.events());
+        }
     }
 
     #[test]

@@ -539,3 +539,87 @@ pub fn decide(
         unlock_margin,
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::flood::FloodMsg;
+
+    struct Silent;
+
+    impl Host for Silent {
+        fn send(&mut self, _dst: NodeId, _edge: EdgeParams, _msg: Message) {}
+        fn wake(&mut self, _at: SimTime, _timer: Timer) {}
+    }
+
+    /// The §3.1 lookup on a table wider than a cache line of ids: every
+    /// one of 64 neighbours (even ids) is found and its own slot takes the
+    /// sample, and every id between or beside them is rejected untouched.
+    #[test]
+    fn deliver_finds_every_neighbour_of_a_wide_table_and_nothing_else() {
+        let params = Params::builder().rho(0.01).mu(0.1).build().unwrap();
+        let run = Run {
+            params: &params,
+            refresh: 0.1,
+            mode: EstimateMode::Messages,
+        };
+        let info = EdgeInfo {
+            params: EdgeParams::default(),
+            epsilon: 0.002,
+            kappa: 0.0135,
+            delta: 0.001,
+        };
+        let mut node = NodeState::new(NodeId(1000), 1.0);
+        for k in 0..64u32 {
+            neighbor_initial(&mut node, NodeId(2 * k), info, 0.0);
+        }
+        let flood = |k: u32| {
+            Message::Flood(FloodMsg {
+                logical: f64::from(k),
+                max_est: 0.0,
+                min_lb: 0.0,
+                max_ub: 1.0e9,
+            })
+        };
+        let sent = SimTime::from_secs(0.5);
+        let at = SimTime::from_secs(1.0);
+
+        for v in (1..128u32).step_by(2).chain([128, 5000]) {
+            let got = deliver(&mut node, at, NodeId(v), sent, flood(v), &run, &mut Silent);
+            assert_eq!(got, Delivered::Rejected, "id {v} is no neighbour");
+        }
+        assert_eq!(
+            node.last_update(),
+            SimTime::ZERO,
+            "a rejection touches nothing"
+        );
+        assert!(node.slots.iter().all(|e| e.slot.estimate.is_none()));
+
+        for k in 0..64u32 {
+            let got = deliver(
+                &mut node,
+                at,
+                NodeId(2 * k),
+                sent,
+                flood(k),
+                &run,
+                &mut Silent,
+            );
+            assert!(
+                matches!(got, Delivered::Flood(m) if m.estimate_written),
+                "neighbour {} was not accepted: {got:?}",
+                2 * k
+            );
+        }
+        let credit = gcs_net::transport::min_transit_credit(info.params, params.rho());
+        for (k, entry) in (0..64u32).zip(node.slots.iter()) {
+            assert_eq!(entry.id, NodeId(2 * k));
+            let sample = entry.slot.estimate.expect("sample written").value;
+            assert_eq!(
+                sample,
+                f64::from(k) + credit,
+                "sample landed in the wrong slot"
+            );
+        }
+    }
+}

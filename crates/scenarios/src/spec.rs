@@ -14,7 +14,7 @@ use gcs_core::{
     Engine, ErrorModel, EstimateMode, ParallelSimBuilder, Params, SimBuilder, Simulation,
 };
 use gcs_net::mobility::RandomWaypoint;
-use gcs_net::{ChurnOptions, EdgeKey, NetworkSchedule, NodeId, Topology};
+use gcs_net::{ChurnOptions, EdgeEventKind, EdgeKey, NetworkSchedule, NodeId, Topology};
 use gcs_sim::{DriftModel, SimTime};
 
 use crate::error::ScenarioError;
@@ -981,22 +981,21 @@ impl ScenarioSpec {
                 NetworkSchedule::with_edge_insertion(&topo, &chords, skew)
             }
             DynamicsSpec::ChurnBurst { period, down, skew } => {
-                let mut s = NetworkSchedule::empty(topo.node_count());
-                for &e in topo.edges() {
-                    s.add_initial_undirected(e);
-                }
+                let mut s = NetworkSchedule::static_graph(&topo);
                 let backbone: BTreeSet<EdgeKey> = topo.spanning_tree().into_iter().collect();
+                let mut changes = Vec::new();
                 let mut t = period;
                 while t < end {
                     for &e in topo.edges() {
                         if backbone.contains(&e) {
                             continue;
                         }
-                        s.add_undirected_down(e, SimTime::from_secs(t), skew);
-                        s.add_undirected_up(e, SimTime::from_secs(t + down), skew);
+                        changes.push((e, SimTime::from_secs(t), EdgeEventKind::Down));
+                        changes.push((e, SimTime::from_secs(t + down), EdgeEventKind::Up));
                     }
                     t += period;
                 }
+                s.extend_undirected(changes, skew);
                 s
             }
             DynamicsSpec::Churn {
