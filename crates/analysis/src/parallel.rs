@@ -13,7 +13,7 @@
 //! Fan-outs nest — a conformance campaign fans scenario × seed jobs out
 //! here, and the oracle inside each job fans its gradient sweep out here
 //! again — so every worker is claimed from one process-wide
-//! [`WorkerBudget`]: an inner call gets what the outer ones left and runs
+//! `WorkerBudget`: an inner call gets what the outer ones left and runs
 //! on its caller's thread when that is nothing.
 
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -59,7 +59,7 @@ pub use gcs_protocol::{
     NeighborView, NodeView, Params, ParamsBuilder, ParamsError, StabilityCert,
 };
 pub use parallel::{
-    Engine, EngineGauges, ParallelBuildError, ParallelSimBuilder, ParallelSimulation, Partition,
+    Engine, EngineGauges, ParallelBuildError, ParallelSimBuilder, ParallelSimulation,
 };
 pub use sim::{BuildError, ChangeRecord, SimBuilder, SimStats, Simulation};
 pub use snapshot::{ClockSnapshot, Trace};

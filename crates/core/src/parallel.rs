@@ -12,7 +12,7 @@
 //!
 //! # Architecture
 //!
-//! Nodes are partitioned into contiguous-ID shards ([`Partition`]). Each
+//! Nodes are split into contiguous-ID shards of near-equal size. Each
 //! shard owns a calendar [`EventQueue`] holding every node-local event
 //! (floods, deliveries, rate changes, handshake timers) of its nodes, a
 //! namespaced sequence counter, and private scratch. The master
@@ -49,8 +49,7 @@
 //!   equal-latency edges) commute: bound merges are max/min operations and
 //!   per-sender estimate slots are disjoint.
 //!
-//! The equivalence test grid (scenarios × shard counts × partitioners)
-//! enforces all of this bit-for-bit, counters included.
+//! The equivalence test grid (scenarios × shard counts) enforces all of this bit-for-bit, counters included.
 
 use std::ops::Range;
 
@@ -62,7 +61,7 @@ use gcs_sim::{EventQueue, SimTime};
 use gcs_telemetry::{LocalCounters, TelemetrySink};
 
 use crate::node::NodeState;
-use crate::shard::{balanced_ranges, contiguous_ranges, owner, owning_node, LocalCtx, ShardSink};
+use crate::shard::{contiguous_ranges, owner, owning_node, LocalCtx, ShardSink};
 use crate::sim::{BuildError, Event, SimBuilder, SimStats, Simulation};
 
 /// Shard-spawned events take sequence keys from per-shard counters
@@ -84,18 +83,6 @@ const SEQ_NAMESPACE_SHIFT: u32 = 48;
 /// never spawns.
 const THREAD_DRAIN_MIN_EVENTS: u64 = 1024;
 
-/// How the node set is split into shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Partition {
-    /// Contiguous ID blocks of (nearly) equal node count.
-    #[default]
-    Contiguous,
-    /// Contiguous ID blocks balanced by node degree in the scenario's
-    /// edge universe — better load balance when degree is skewed (the
-    /// per-node event rate is roughly proportional to degree).
-    DegreeBalanced,
-}
-
 /// Why [`ParallelSimBuilder::build`] refused to construct an engine.
 #[derive(Debug)]
 pub enum ParallelBuildError {
@@ -108,18 +95,6 @@ pub enum ParallelBuildError {
     /// edges with positive `delay_min`), so no conservative window exists
     /// for more than one shard.
     NoLookahead,
-    /// A window override exceeded the model-derived lookahead bound.
-    ///
-    /// A window wider than the minimum transit latency would let a
-    /// cross-shard message land inside an already-drained window —
-    /// conservative synchronization is unsound past that bound, so the
-    /// builder rejects it at construction.
-    WindowTooWide {
-        /// The requested window (seconds).
-        requested: f64,
-        /// The largest sound window: the scenario's minimum `delay_min`.
-        max: f64,
-    },
 }
 
 impl std::fmt::Display for ParallelBuildError {
@@ -131,10 +106,6 @@ impl std::fmt::Display for ParallelBuildError {
             }
             ParallelBuildError::NoLookahead => f.write_str(
                 "scenario has no positive minimum transit latency: no conservative window exists",
-            ),
-            ParallelBuildError::WindowTooWide { requested, max } => write!(
-                f,
-                "window {requested} exceeds the lookahead bound {max} (minimum transit latency)"
             ),
         }
     }
@@ -149,26 +120,19 @@ impl From<BuildError> for ParallelBuildError {
 }
 
 /// Builder for [`ParallelSimulation`]: wraps a fully configured
-/// [`SimBuilder`] and adds the sharding knobs.
+/// [`SimBuilder`] and adds the shard count. The shards are contiguous ID
+/// ranges, and the window is derived from the scenario, never set.
 #[derive(Debug)]
 pub struct ParallelSimBuilder {
     inner: SimBuilder,
     shards: usize,
-    partition: Partition,
-    window_override: Option<f64>,
 }
 
 impl ParallelSimBuilder {
-    /// Wraps a configured sequential builder. Defaults: 1 shard,
-    /// contiguous partition, model-derived window.
+    /// Wraps a configured sequential builder. Default: 1 shard.
     #[must_use]
     pub fn new(inner: SimBuilder) -> Self {
-        ParallelSimBuilder {
-            inner,
-            shards: 1,
-            partition: Partition::Contiguous,
-            window_override: None,
-        }
+        ParallelSimBuilder { inner, shards: 1 }
     }
 
     /// Number of shards (worker parallelism). Clamped to the node count
@@ -176,25 +140,6 @@ impl ParallelSimBuilder {
     #[must_use]
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = n.max(1);
-        self
-    }
-
-    /// Partitioning strategy.
-    #[must_use]
-    pub fn partition(mut self, p: Partition) -> Self {
-        self.partition = p;
-        self
-    }
-
-    /// Overrides the synchronization window width (seconds).
-    ///
-    /// Only narrowing is allowed: build fails with
-    /// [`ParallelBuildError::WindowTooWide`] if the override exceeds the
-    /// scenario's minimum transit latency, because a wider window is not
-    /// a conservative lookahead and would break determinism.
-    #[must_use]
-    pub fn lookahead_override(mut self, window: f64) -> Self {
-        self.window_override = Some(window);
         self
     }
 
@@ -213,38 +158,21 @@ impl ParallelSimBuilder {
         let shards = self.shards.min(n);
 
         // Model-derived lookahead: the smallest minimum transit latency
-        // over the scenario's whole edge universe (§3.1 lower bound).
-        let lookahead = sim
-            .edge_info
-            .values()
-            .map(|info| info.params.delay_min)
-            .fold(f64::INFINITY, f64::min);
-        let window = match self.window_override {
-            Some(w) if w > lookahead => {
-                return Err(ParallelBuildError::WindowTooWide {
-                    requested: w,
-                    max: lookahead,
-                });
-            }
-            Some(w) => w,
-            None => lookahead,
+        // over the scenario's whole edge universe (§3.1 lower bound). One
+        // shard needs no cross-shard rendezvous, so no window at all.
+        let window = if shards == 1 {
+            f64::INFINITY
+        } else {
+            sim.edge_info
+                .values()
+                .map(|info| info.params.delay_min)
+                .fold(f64::INFINITY, f64::min)
         };
-        let window = if shards == 1 { f64::INFINITY } else { window };
         if window.is_nan() || window <= 0.0 {
             return Err(ParallelBuildError::NoLookahead);
         }
 
-        let ranges = match self.partition {
-            Partition::Contiguous => contiguous_ranges(n, shards),
-            Partition::DegreeBalanced => {
-                let mut degree = vec![0u64; n];
-                for key in sim.edge_info.keys() {
-                    degree[key.lo().index()] += 1;
-                    degree[key.hi().index()] += 1;
-                }
-                balanced_ranges(&degree, shards)
-            }
-        };
+        let ranges = contiguous_ranges(n, shards);
         let starts: Vec<usize> = ranges.iter().map(|r| r.start).collect();
         let mut shard_states: Vec<Shard> = ranges
             .into_iter()
@@ -399,6 +327,8 @@ pub struct ParallelSimulation {
     sim: Simulation,
     shards: Vec<Shard>,
     starts: Vec<usize>,
+    /// The synchronization window width in seconds (`INFINITY` for a
+    /// single shard, which needs no cross-shard rendezvous).
     window: f64,
     /// Events the most recent drain round executed, across all shards.
     last_round_events: u64,
@@ -415,19 +345,6 @@ impl std::ops::Deref for ParallelSimulation {
 }
 
 impl ParallelSimulation {
-    /// Number of shards.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The synchronization window width in seconds (`INFINITY` for a
-    /// single shard, which needs no cross-shard rendezvous).
-    #[must_use]
-    pub fn window(&self) -> f64 {
-        self.window
-    }
-
     /// Runs until simulated time `t` (inclusive), bit-identically to
     /// [`Simulation::run_until`] on the same configuration and seed.
     pub fn run_until(&mut self, target: SimTime) {
@@ -491,45 +408,11 @@ impl ParallelSimulation {
         self.sim.advance_all(target);
     }
 
-    /// [`run_until`](ParallelSimulation::run_until) with a plain seconds
-    /// argument.
-    pub fn run_until_secs(&mut self, secs: f64) {
-        self.run_until(SimTime::from_secs(secs));
-    }
-
-    /// Injects a clock fault (see [`Simulation::inject_clock_offset`]).
-    /// Shards are quiescent between `run_until` calls, so the master may
-    /// mutate node state directly.
-    pub fn inject_clock_offset(&mut self, u: NodeId, offset: f64) {
-        self.sim.inject_clock_offset(u, offset);
-    }
-
-    /// Installs a scripted estimate corruption (see
-    /// [`Simulation::inject_estimate_bias`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `bias` is finite and within `[-1, 1]`.
-    pub fn inject_estimate_bias(&mut self, u: NodeId, bias: f64) {
-        self.sim.inject_estimate_bias(u, bias);
-    }
-
-    /// Installs a telemetry sink (see [`Simulation::set_telemetry`]).
-    /// Master-side hooks report through it directly; shard workers count
-    /// into per-shard blocks that are folded in at stats merges.
-    pub fn set_telemetry(&mut self, sink: Box<dyn TelemetrySink>) {
-        self.sim.set_telemetry(sink);
-    }
-
-    /// Removes the telemetry sink (shard counter blocks were already
-    /// flushed by the stats merge at the end of the last `run_until`).
-    pub fn take_telemetry(&mut self) -> Option<Box<dyn TelemetrySink>> {
-        self.sim.take_telemetry()
-    }
-
     /// Pending events across the master queue and every shard queue. At
     /// quiescence (between `run_until` calls) the pending multiset is
     /// engine-invariant, so this gauge matches the sequential engine's.
+    /// It stays inherent: without it, a call on a `ParallelSimulation`
+    /// would resolve through `Deref` to the master queue's count alone.
     #[must_use]
     pub fn pending_events(&self) -> usize {
         self.sim.queue.len() + self.shards.iter().map(|s| s.queue.len()).sum::<usize>()
@@ -868,17 +751,21 @@ impl Engine for Simulation {
     }
 }
 
+/// Shards are quiescent between `run_until` calls, so faults and the
+/// telemetry sink go straight to the master. Master-side hooks report
+/// through the sink directly; shard workers count into per-shard blocks
+/// that the stats merge at the end of every `run_until` folds in.
 impl Engine for ParallelSimulation {
     fn run_until_secs(&mut self, secs: f64) {
-        ParallelSimulation::run_until_secs(self, secs);
+        self.run_until(SimTime::from_secs(secs));
     }
 
     fn inject_clock_offset(&mut self, u: NodeId, offset: f64) {
-        ParallelSimulation::inject_clock_offset(self, u, offset);
+        self.sim.inject_clock_offset(u, offset);
     }
 
     fn inject_estimate_bias(&mut self, u: NodeId, bias: f64) {
-        ParallelSimulation::inject_estimate_bias(self, u, bias);
+        self.sim.inject_estimate_bias(u, bias);
     }
 
     fn as_sim(&self) -> &Simulation {
@@ -886,11 +773,11 @@ impl Engine for ParallelSimulation {
     }
 
     fn set_telemetry(&mut self, sink: Box<dyn TelemetrySink>) {
-        ParallelSimulation::set_telemetry(self, sink);
+        self.sim.set_telemetry(sink);
     }
 
     fn take_telemetry(&mut self) -> Option<Box<dyn TelemetrySink>> {
-        ParallelSimulation::take_telemetry(self)
+        self.sim.take_telemetry()
     }
 
     fn pending_events(&self) -> usize {

@@ -117,37 +117,6 @@ pub(crate) fn contiguous_ranges(n: usize, shards: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
-/// Splits `n` nodes into `shards` contiguous ranges balanced by the given
-/// per-node weights (degrees in the scenario's edge universe): boundary
-/// `i` lands where the weight prefix sum crosses `i/shards` of the total.
-/// Every shard still gets at least one node.
-pub(crate) fn balanced_ranges(weights: &[u64], shards: usize) -> Vec<Range<usize>> {
-    let n = weights.len();
-    assert!(shards >= 1 && shards <= n);
-    // +1 per node keeps zero-degree stretches from collapsing into one
-    // shard and guarantees strictly increasing cut points exist.
-    let total: u64 = weights.iter().map(|&w| w + 1).sum();
-    let mut ranges = Vec::with_capacity(shards);
-    let mut start = 0usize;
-    let mut acc = 0u64;
-    let mut next = 0usize;
-    for (i, &w) in weights.iter().enumerate() {
-        acc += w + 1;
-        // Close the current shard once its weight quota is met, leaving
-        // enough nodes for the remaining shards.
-        let quota = total * (ranges.len() as u64 + 1) / shards as u64;
-        let remaining_shards = shards - ranges.len() - 1;
-        if ranges.len() < shards - 1 && acc >= quota && n - (i + 1) >= remaining_shards {
-            ranges.push(start..i + 1);
-            start = i + 1;
-        }
-        next = i + 1;
-    }
-    ranges.push(start..next);
-    debug_assert_eq!(ranges.len(), shards);
-    ranges
-}
-
 /// The engines' [`Host`]: what a node's handlers ask for becomes queue
 /// entries. A send draws its transit delay from the sender's own stream
 /// and is scheduled as a `Deliver`; a wake-up is scheduled as a `Timer`.
@@ -416,29 +385,6 @@ mod tests {
                 assert!(!ranges.last().unwrap().is_empty());
             }
         }
-    }
-
-    #[test]
-    fn balanced_ranges_cover_and_track_weight() {
-        // A degree-skewed profile: heavy head, light tail.
-        let weights: Vec<u64> = (0..32).map(|i| if i < 4 { 20 } else { 1 }).collect();
-        let ranges = balanced_ranges(&weights, 4);
-        assert_eq!(ranges.len(), 4);
-        assert_eq!(ranges[0].start, 0);
-        assert_eq!(ranges.last().unwrap().end, 32);
-        for w in ranges.windows(2) {
-            assert_eq!(w[0].end, w[1].start);
-        }
-        // The heavy head must not drag half the tail with it.
-        assert!(
-            ranges[0].len() < 16,
-            "first shard too large: {:?}",
-            ranges[0]
-        );
-        // Degenerate cases still cover.
-        let flat = balanced_ranges(&[0u64; 5], 5);
-        assert_eq!(flat.len(), 5);
-        assert!(flat.iter().all(|r| r.len() == 1));
     }
 
     #[test]

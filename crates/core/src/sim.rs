@@ -296,7 +296,7 @@ impl SimBuilder {
     }
 
     /// Sets the per-edge model parameters (default:
-    /// [`EdgeParams::default`] everywhere).
+    /// [`EdgeParams::default`](gcs_net::EdgeParams::default) everywhere).
     #[must_use]
     pub fn edge_params(mut self, map: EdgeParamsMap) -> Self {
         self.edge_params = map;
@@ -463,7 +463,6 @@ impl SimBuilder {
             },
             certs_enabled,
             full_reevaluation: false,
-            eager_advance: false,
             scratch: Scratch::default(),
             redirect: None,
             telemetry: None,
@@ -527,8 +526,6 @@ pub struct Simulation {
     certs_enabled: bool,
     /// Verification seam: evaluate every node at every tick.
     full_reevaluation: bool,
-    /// Verification seam: advance every node after every event.
-    eager_advance: bool,
     scratch: Scratch,
     /// Sharding seam: when set, node-local events spawned by
     /// *master-side* handlers (the leader check an edge-up schedules) are
@@ -688,9 +685,6 @@ impl Simulation {
             self.now = when;
             self.stats.events += 1;
             self.handle(when, event);
-            if self.eager_advance {
-                self.advance_all(when);
-            }
         }
         self.now = t;
         self.advance_all(t);
@@ -703,15 +697,6 @@ impl Simulation {
     /// therefore clocks, messages, and statistics) must not change.
     pub fn set_full_reevaluation(&mut self, on: bool) {
         self.full_reevaluation = on;
-    }
-
-    /// Verification seam: when enabled, every node is advanced after every
-    /// event (maximally eager integration). Bit-identical to the default
-    /// lazy advancement by construction — advancement only refreshes
-    /// caches, it never moves a node's integration anchor (see the
-    /// [`node`](crate::node) module docs).
-    pub fn set_eager_advancement(&mut self, on: bool) {
-        self.eager_advance = on;
     }
 
     /// [`run_until`](Simulation::run_until) with a plain seconds argument.

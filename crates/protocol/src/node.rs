@@ -27,10 +27,12 @@
 //! relies on:
 //!
 //! * **Query-invariance.** Advancing a node at extra intermediate instants
-//!   (eager `advance_all` per event, observation sampling, debug checks)
-//!   does not perturb any future value by even an ulp — the trajectory is a
-//!   pure function of the anchor sequence, which only events determine.
-//!   Lazy and eager advancement are therefore *bit-identical*.
+//!   (the full reference pass's tick sweeps, observation sampling, debug
+//!   checks) does not perturb any future value by even an ulp — the
+//!   trajectory is a pure function of the anchor sequence, which only
+//!   events determine. Lazy and eager advancement are therefore
+//!   *bit-identical* (the `advancement_is_query_invariant_bitwise`
+//!   property).
 //! * **O(1) advancement.** A node untouched for a thousand ticks catches up
 //!   with the same handful of multiply-adds as one advanced every tick.
 //!
@@ -722,54 +724,6 @@ mod tests {
     }
 
     #[test]
-    fn advancement_is_query_invariant_bitwise() {
-        // The same trajectory of discontinuities, queried on two different
-        // grids, yields bit-identical values at shared instants — the
-        // property the engine's lazy advancement rests on.
-        let p = params();
-        let mut lazy = NodeState::new(NodeId(0), 1.003);
-        let mut eager = NodeState::new(NodeId(0), 1.003);
-        let script = |n: &mut NodeState, chatty: bool| {
-            if chatty {
-                n.advance_to(t(0.25), &p);
-                n.advance_to(t(0.7), &p);
-            }
-            n.advance_to(t(1.0), &p);
-            n.set_mode(Mode::Fast);
-            if chatty {
-                for k in 0..40 {
-                    n.advance_to(t(1.0 + 0.05 * f64::from(k)), &p);
-                }
-            }
-            n.advance_to(t(3.0), &p);
-            n.merge_max_estimate(5.0);
-            if chatty {
-                n.advance_to(t(3.5), &p);
-            }
-            n.advance_to(t(4.0), &p);
-            n.set_hw_rate(0.997);
-            n.advance_to(t(10.0), &p);
-        };
-        script(&mut lazy, false);
-        script(&mut eager, true);
-        assert_eq!(lazy.logical().to_bits(), eager.logical().to_bits());
-        assert_eq!(lazy.hardware().to_bits(), eager.hardware().to_bits());
-        assert_eq!(
-            lazy.max_estimate().to_bits(),
-            eager.max_estimate().to_bits()
-        );
-        assert_eq!(
-            lazy.min_lower_bound().to_bits(),
-            eager.min_lower_bound().to_bits()
-        );
-        assert_eq!(
-            lazy.max_upper_bound().to_bits(),
-            eager.max_upper_bound().to_bits()
-        );
-        assert_eq!(lazy.fast_secs().to_bits(), eager.fast_secs().to_bits());
-    }
-
-    #[test]
     fn merge_flood_bounds_matches_sequential_merges() {
         let p = params();
         for (cm, cw, cp) in [
@@ -872,7 +826,84 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
+    /// Every value a caller can read off a node, as bits.
+    fn reads(n: &NodeState) -> ([u64; 8], Mode) {
+        let bits = [
+            n.logical(),
+            n.hardware(),
+            n.max_estimate(),
+            n.min_lower_bound(),
+            n.max_upper_bound(),
+            n.g_estimate(),
+            n.fast_secs(),
+            n.hw_rate(),
+        ]
+        .map(f64::to_bits);
+        (bits, n.mode())
+    }
+
+    /// Advances `sparse` from `from` straight to `to`, and `dense` there
+    /// through `extra` evenly spaced queries strictly in between.
+    fn walk(sparse: &mut NodeState, dense: &mut NodeState, from: f64, to: f64, extra: u32) {
+        let p = params();
+        for k in 1..=extra {
+            dense.advance_to(
+                t(from + (to - from) * f64::from(k) / f64::from(extra + 1)),
+                &p,
+            );
+        }
+        sparse.advance_to(t(to), &p);
+        dense.advance_to(t(to), &p);
+    }
+
     proptest! {
+        /// The property the engines' lazy advancement rests on: one script
+        /// of discontinuities, queried on a sparse and on a dense grid,
+        /// reads bit-identically at every instant both grids share.
+        /// `advance_to` only refreshes the cached values and never moves an
+        /// anchor, so how often a node is advanced cannot change a value.
+        #[test]
+        fn advancement_is_query_invariant_bitwise(
+            rate in 0.99f64..1.01,
+            script in proptest::collection::vec(
+                (0u8..4, 0.0f64..1.5, -2.0f64..2.0, -2.0f64..2.0, -2.0f64..2.0),
+                1..40,
+            ),
+            extra in 1u32..9,
+        ) {
+            let mut sparse = NodeState::new(NodeId(0), rate);
+            let mut dense = NodeState::new(NodeId(0), rate);
+            let mut now = 0.0;
+            for (op, gap, a, b, c) in script {
+                walk(&mut sparse, &mut dense, now, now + gap, extra);
+                now += gap;
+                prop_assert_eq!(reads(&sparse), reads(&dense));
+                let l = sparse.logical();
+                match op {
+                    0 => {
+                        let mode = if a < 0.0 { Mode::Slow } else { Mode::Fast };
+                        sparse.set_mode(mode);
+                        dense.set_mode(mode);
+                    }
+                    1 => prop_assert_eq!(
+                        sparse.merge_flood_bounds(l + a, l + b, l + c),
+                        dense.merge_flood_bounds(l + a, l + b, l + c)
+                    ),
+                    2 => {
+                        sparse.set_hw_rate(1.0 + 0.005 * a);
+                        dense.set_hw_rate(1.0 + 0.005 * a);
+                    }
+                    _ => {
+                        sparse.corrupt_logical(l + a);
+                        dense.corrupt_logical(l + a);
+                    }
+                }
+                prop_assert_eq!(reads(&sparse), reads(&dense));
+            }
+            walk(&mut sparse, &mut dense, now, now + 1.0, extra);
+            prop_assert_eq!(reads(&sparse), reads(&dense));
+        }
+
         #[test]
         fn id_column_tracks_a_btreemap_reference(
             ops in proptest::collection::vec((0u8..4, 0u32..24, any::<u64>()), 0..80),

@@ -2,7 +2,7 @@
 //!
 //! Hand-rolled (the workspace is hermetic — no serde): one `key value`
 //! pair per line, `#` comments and blank lines ignored, order of `key=val`
-//! arguments inside a line irrelevant on input. [`write`] emits the
+//! arguments inside a line irrelevant on input. [`write()`] emits the
 //! *canonical* form — fixed field order, canonical argument order, floats
 //! in shortest round-trip notation — and [`parse`] inverts it exactly:
 //!

@@ -9,7 +9,7 @@
 //!   and the observation plan, compiled through one seam
 //!   ([`ScenarioSpec::build`]) into a ready-to-run
 //!   [`Simulation`](gcs_core::Simulation);
-//! * [`format`] — the line-oriented `.scn` text format (hand-rolled parser
+//! * [`format`](mod@format) — the line-oriented `.scn` text format (hand-rolled parser
 //!   and canonical writer with exact round-trip; grammar in
 //!   `scenarios/README.md`);
 //! * [`registry`] — a table of the checked-in `scenarios/*.scn` files:
@@ -36,7 +36,7 @@
 //!   Theorem 5.6 / 5.22 bounds of [`gcs_analysis::oracle`], on either
 //!   engine, exact or in sampled-source mode ([`ConformanceOptions`])
 //!   for conformance at 10⁵-node scale;
-//! * [`bench`] — end-only passes, counted: the engine counter sweep
+//! * [`bench`](mod@bench) — end-only passes, counted: the engine counter sweep
 //!   behind `gcs-scenarios bench` and the `BENCH_engine.json`
 //!   (`gcs-engine-bench/v1`) artifact, plus the exact deterministic
 //!   counter gate behind `gcs-scenarios bench-compare` (speed is

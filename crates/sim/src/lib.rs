@@ -5,12 +5,15 @@
 //!
 //! * [`SimTime`] — a totally ordered, finite wall-clock time point,
 //! * [`EventQueue`] — a deterministic future-event list,
-//! * [`HardwareClock`] — a drifting clock integrated exactly between rate
-//!   changes (the clocks of §3 of the paper),
 //! * [`DriftModel`] — bounded-drift rate schedules, including the adversarial
 //!   ones used by the lower-bound experiments,
 //! * [`rng`] — seeded, splittable random-number streams so that every
 //!   simulation is reproducible from a single `u64` seed.
+//!
+//! The drifting clocks of §3 of the paper are not here: a node's hardware
+//! and logical clocks are integrated once, in closed form from an anchor,
+//! by `gcs-protocol`'s `NodeState`. A [`DriftSchedule`] only says when each
+//! rate changes.
 //!
 //! The kernel is intentionally free of any networking or algorithm logic;
 //! see `gcs-net` and `gcs-core` for those layers.
@@ -18,7 +21,7 @@
 //! # Example
 //!
 //! ```
-//! use gcs_sim::{EventQueue, HardwareClock, SimTime};
+//! use gcs_sim::{DriftModel, EventQueue, SimTime};
 //!
 //! let mut queue: EventQueue<&'static str> = EventQueue::new();
 //! queue.schedule(SimTime::from_secs(1.0), "hello");
@@ -28,21 +31,19 @@
 //! assert_eq!(ev, "world");
 //! assert_eq!(t, SimTime::from_secs(0.5));
 //!
-//! let mut clock = HardwareClock::new(1.01); // 1% fast
-//! clock.advance_to(SimTime::from_secs(10.0));
-//! assert!((clock.value() - 10.1).abs() < 1e-12);
+//! // Half the nodes 1% fast, half 1% slow, for the whole run.
+//! let drift = DriftModel::TwoBlock.realize(4, 0.01, SimTime::from_secs(10.0), 7);
+//! assert!(drift.respects_bound(0.01));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod clock;
 mod drift;
 mod event;
 pub mod rng;
 mod time;
 
-pub use clock::HardwareClock;
 pub use drift::{DriftModel, DriftSchedule, RateChange};
 pub use event::EventQueue;
 pub use time::{SimDuration, SimTime};

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use gcs_sim::{DriftModel, EventQueue, HardwareClock, SimDuration, SimTime};
+use gcs_sim::{DriftModel, EventQueue, SimTime};
 
 proptest! {
     #[test]
@@ -46,34 +46,6 @@ proptest! {
             got.entry((t.as_secs() * 10.0).round() as u64).or_default().push(v);
         }
         prop_assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn clock_integration_matches_closed_form(
-        segments in proptest::collection::vec((0.9f64..1.1, 0.01f64..5.0), 1..30),
-    ) {
-        let mut clock = HardwareClock::new(segments[0].0);
-        let mut t = SimTime::ZERO;
-        let mut expected = 0.0;
-        for &(rate, dt) in &segments {
-            clock.set_rate(rate);
-            t += SimDuration::from_secs(dt);
-            clock.advance_to(t);
-            expected += rate * dt;
-        }
-        prop_assert!((clock.value() - expected).abs() < 1e-9 * segments.len() as f64);
-    }
-
-    #[test]
-    fn value_at_is_consistent_with_advance(
-        rate in 0.5f64..2.0,
-        dt in 0.0f64..100.0,
-    ) {
-        let mut a = HardwareClock::new(rate);
-        let b = HardwareClock::new(rate);
-        let t = SimTime::from_secs(dt);
-        a.advance_to(t);
-        prop_assert!((a.value() - b.value_at(t)).abs() < 1e-12);
     }
 
     #[test]

@@ -30,6 +30,12 @@
 //! the default disposition (the harness treats that as the hard-stop
 //! path and asserts promptness, not gracefulness).
 //!
+//! Peers are untrusted. A connection announces its node range in one
+//! HELLO and may then only send FLOODs from nodes in that range; a
+//! corrupt frame, an out-of-cluster range, a second HELLO, or a FLOOD
+//! from an unannounced node drops that connection with a
+//! `gcs-node: dropping …` line on stderr, and the daemon keeps running.
+//!
 //! Exit codes: 0 = clean shutdown, 1 = configuration or socket error.
 
 use std::io::{Read, Write};
@@ -497,9 +503,20 @@ fn run(args: &[String]) -> Result<(), String> {
         for conn in &mut conns {
             for frame in conn.pump(&mut scratch) {
                 match frame {
-                    // A peer's HELLO is input too: a range that overflows
-                    // or leaves the cluster drops the connection.
+                    // A peer's HELLO is input too: a second HELLO, or a
+                    // range that overflows or leaves the cluster, drops
+                    // the connection.
                     Frame::Hello { first, count } => {
+                        if let Some(r) = &conn.range {
+                            eprintln!(
+                                "gcs-node: dropping peer: second HELLO {first} + {count} after \
+                                 {} + {}",
+                                r.start,
+                                r.end - r.start
+                            );
+                            conn.dead = true;
+                            break;
+                        }
                         let end = first.checked_add(count).filter(|&end| end <= o.total);
                         let Some(end) = end else {
                             eprintln!(
@@ -512,12 +529,30 @@ fn run(args: &[String]) -> Result<(), String> {
                         };
                         conn.range = Some(first..end);
                     }
+                    // Every legitimate FLOOD follows its sender's HELLO on
+                    // the same stream, so a FLOOD from a node the stream
+                    // never announced is an impersonation.
                     Frame::Flood {
                         src,
                         dst,
                         sent_at,
                         msg,
                     } => {
+                        if !conn.owns(u64::from(src.0)) {
+                            match &conn.range {
+                                None => eprintln!(
+                                    "gcs-node: dropping peer: FLOOD from node {} before any HELLO",
+                                    src.0
+                                ),
+                                Some(r) => eprintln!(
+                                    "gcs-node: dropping peer: FLOOD from node {} outside its \
+                                     HELLO range {}..{}",
+                                    src.0, r.start, r.end
+                                ),
+                            }
+                            conn.dead = true;
+                            break;
+                        }
                         if let Some(hosted) = core_for(&mut cores, o.first, u64::from(dst.0)) {
                             hosted.deliver(t, src, sent_at, msg);
                         }

@@ -6,7 +6,8 @@
 //!
 //! This umbrella crate re-exports the workspace's public API:
 //!
-//! * [`sim`] — discrete-event kernel, drifting hardware clocks
+//! * [`sim`] — discrete-event kernel: time, event queue, drift schedules,
+//!   seeded RNG streams
 //! * [`net`] — dynamic estimate graphs, topologies, churn schedules, transport
 //! * [`core`] — the `A_OPT` algorithm, its parameters, and the simulation driver
 //! * [`baselines`] — comparison policies (max-flood, single-level blocking)

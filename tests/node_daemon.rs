@@ -16,6 +16,9 @@ use std::process::{Child, ChildStdout, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use gcs_protocol::wire::Frame;
+use gcs_protocol::FloodMsg;
+use gradient_clock_sync::net::NodeId;
+use gradient_clock_sync::sim::SimTime;
 
 fn daemon() -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_gcs-node"));
@@ -110,7 +113,7 @@ fn two_daemons_exchange_floods_over_unix_sockets_and_shut_down_cleanly() {
 fn hostile_frames_drop_the_connection_not_the_daemon() {
     let mut d = daemon()
         .args(["--listen", "127.0.0.1:0"])
-        .args(["--first", "0", "--count", "1", "--total", "2"])
+        .args(["--first", "0", "--count", "1", "--total", "3"])
         .stderr(Stdio::piped())
         .spawn()
         .unwrap();
@@ -118,7 +121,11 @@ fn hostile_frames_drop_the_connection_not_the_daemon() {
     let addr = announced_addr(&mut d_out);
 
     // The 61-byte frame that used to kill the process: a well-formed
-    // FLOOD whose `sent_at` is NaN. And a HELLO whose range overflows.
+    // FLOOD whose `sent_at` is NaN. A HELLO whose range overflows. And
+    // three impersonations that decode cleanly, so only the connection's
+    // announced range can catch them: a FLOOD before any HELLO, a FLOOD
+    // from a node outside the announced range, and a second HELLO
+    // re-announcing the range.
     let mut nan_flood = 57u32.to_le_bytes().to_vec();
     nan_flood.push(2);
     nan_flood.extend([0u8; 16]);
@@ -130,7 +137,30 @@ fn hostile_frames_drop_the_connection_not_the_daemon() {
         count: 2,
     }
     .to_bytes();
-    for hostile in [nan_flood, wide_hello] {
+    let hello = |first| Frame::Hello { first, count: 1 }.to_bytes();
+    let flood_from = |src| {
+        Frame::Flood {
+            src: NodeId(src),
+            dst: NodeId(0),
+            sent_at: SimTime::ZERO,
+            msg: FloodMsg {
+                logical: 1.0,
+                max_est: 1.0,
+                min_lb: 1.0,
+                max_ub: 1.0,
+            },
+        }
+        .to_bytes()
+    };
+    let foreign_flood = [hello(1), flood_from(2)].concat();
+    let second_hello = [hello(1), hello(1)].concat();
+    for hostile in [
+        nan_flood,
+        wide_hello,
+        flood_from(1),
+        foreign_flood,
+        second_hello,
+    ] {
         let mut peer = TcpStream::connect(&addr).unwrap();
         peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         peer.write_all(&hostile).unwrap();
@@ -149,6 +179,15 @@ fn hostile_frames_drop_the_connection_not_the_daemon() {
     d.stderr.take().unwrap().read_to_string(&mut err).unwrap();
     assert!(err.contains("dropping corrupt peer stream"), "{err}");
     assert!(err.contains("dropping peer: HELLO range"), "{err}");
+    assert!(
+        err.contains("dropping peer: FLOOD from node 1 before any HELLO"),
+        "{err}"
+    );
+    assert!(
+        err.contains("dropping peer: FLOOD from node 2 outside its HELLO range 1..2"),
+        "{err}"
+    );
+    assert!(err.contains("dropping peer: second HELLO"), "{err}");
 }
 
 #[test]

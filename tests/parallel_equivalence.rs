@@ -1,8 +1,7 @@
 //! Bit-identity of the parallel sharded engine.
 //!
 //! The sharded engine's contract is stronger than "statistically the
-//! same": at every shard count, under both partitioners, it must
-//! reproduce the sequential reference **bit for bit** — every clock,
+//! same": at every shard count it must reproduce the sequential reference **bit for bit** — every clock,
 //! every mode, every realized change-log entry, and every deterministic
 //! counter, *including* `mode_evaluations` (the tick sweeps run
 //! sequentially on the master, so even the dirty-set bookkeeping is
@@ -12,7 +11,7 @@
 
 use gradient_clock_sync::analysis::oracle::ConformanceChecker;
 use gradient_clock_sync::core::{
-    ClockSnapshot, Engine, ParallelBuildError, ParallelSimBuilder, Partition, SimStats,
+    ClockSnapshot, Engine, ParallelBuildError, ParallelSimBuilder, SimStats,
 };
 use gradient_clock_sync::scenarios::campaign::drive_sampled;
 use gradient_clock_sync::scenarios::{registry, Scale, ScenarioSpec};
@@ -71,10 +70,9 @@ fn sequential(spec: &ScenarioSpec, seed: u64) -> Run {
     drive(spec, spec.build(seed).expect("spec builds"))
 }
 
-fn sharded(spec: &ScenarioSpec, seed: u64, shards: usize, partition: Partition) -> Run {
+fn sharded(spec: &ScenarioSpec, seed: u64, shards: usize) -> Run {
     let sim = ParallelSimBuilder::new(spec.builder(seed).expect("spec builds"))
         .shards(shards)
-        .partition(partition)
         .build()
         .expect("parallel build");
     drive(spec, sim)
@@ -122,14 +120,12 @@ fn sharded_engine_is_bit_identical_across_the_grid() {
         for seed in 0..2u64 {
             let reference = sequential(&spec, seed);
             for shards in [1usize, 2, 3, 7] {
-                for partition in [Partition::Contiguous, Partition::DegreeBalanced] {
-                    let candidate = sharded(&spec, seed, shards, partition);
-                    assert_identical(
-                        &format!("{} seed {seed}, {shards} shards, {partition:?}", spec.name),
-                        &reference,
-                        &candidate,
-                    );
-                }
+                let candidate = sharded(&spec, seed, shards);
+                assert_identical(
+                    &format!("{} seed {seed}, {shards} shards", spec.name),
+                    &reference,
+                    &candidate,
+                );
             }
         }
     }
@@ -221,48 +217,39 @@ fn conformance_reports_match_the_sequential_engine() {
 }
 
 #[test]
-fn oversized_lookahead_window_is_rejected_at_construction() {
-    // A window wider than the scenario's minimum transit latency is not a
-    // conservative lookahead: a cross-shard message could land inside an
-    // already-drained window. The builder must refuse it outright rather
-    // than silently produce a nondeterministic engine.
+fn zero_transit_latency_builds_one_shard_and_refuses_two() {
+    // The window is the scenario's minimum transit latency (§3.1), derived
+    // at build time and never set. With `delay_min = 0` no conservative
+    // window exists, so more than one shard is refused; one shard needs
+    // no window and stays bit-identical to the sequential engine.
+    use gradient_clock_sync::net::{EdgeParams, EdgeParamsMap};
+    let instant = EdgeParamsMap::uniform(EdgeParams::new(0.002, 0.010, 0.0, 0.004));
     let spec = registry::find("ring-steady")
         .expect("built-in")
         .scaled(Scale::Tiny);
-    let probe = ParallelSimBuilder::new(spec.builder(0).expect("builds"))
+    let builder = || {
+        spec.builder(0)
+            .expect("spec builds")
+            .edge_params(instant.clone())
+    };
+    let err = ParallelSimBuilder::new(builder())
         .shards(2)
-        .build()
-        .expect("model-derived window builds");
-    let max = probe.window();
-    assert!(
-        max.is_finite() && max > 0.0,
-        "scenario has a real lookahead"
-    );
-
-    let err = ParallelSimBuilder::new(spec.builder(0).expect("builds"))
-        .shards(2)
-        .lookahead_override(max * 2.0)
         .build()
         .map(|_| ())
-        .expect_err("over-wide window must be rejected");
-    match err {
-        ParallelBuildError::WindowTooWide { requested, max: m } => {
-            assert_eq!(requested, max * 2.0);
-            assert_eq!(m, max);
-        }
-        other => panic!("expected WindowTooWide, got {other:?}"),
-    }
+        .expect_err("no lookahead for two shards");
+    assert!(matches!(err, ParallelBuildError::NoLookahead), "{err:?}");
 
-    // Narrowing is allowed (merely slower), and still bit-identical.
-    let narrowed = ParallelSimBuilder::new(spec.builder(0).expect("builds"))
-        .shards(2)
-        .lookahead_override(max / 2.0)
+    let one = ParallelSimBuilder::new(builder())
+        .shards(1)
         .build()
-        .expect("narrower window is conservative");
-    assert_eq!(narrowed.window(), max / 2.0);
-    let candidate = drive(&spec, narrowed);
-    let reference = sequential(&spec, 0);
-    assert_identical("ring-steady narrowed window", &reference, &candidate);
+        .expect("one shard needs no window");
+    let reference = drive(&spec, builder().build().expect("builds"));
+    assert!(reference.stats.messages_delivered > 0, "no traffic");
+    assert_identical(
+        "ring-steady with zero transit latency, 1 shard",
+        &reference,
+        &drive(&spec, one),
+    );
 }
 
 #[test]
