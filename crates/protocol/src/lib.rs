@@ -11,9 +11,9 @@
 //! * the deterministic simulator in `gcs-core`: the sequential and the
 //!   sharded engine call [`handlers`] for every node-local event and turn
 //!   the effects into queue entries,
-//! * the `gcs-node` socket daemon, which multiplexes many [`NodeCore`]
-//!   virtual nodes — the other host of [`handlers`] — over a real
-//!   transport.
+//! * the `gcs-node` socket daemon, which binds the sans-IO
+//!   [`daemon::Daemon`] loop — many [`NodeCore`] virtual nodes, the other
+//!   host of [`handlers`] — to real sockets and a wall clock.
 //!
 //! # Paper-to-module map
 //!
@@ -28,10 +28,12 @@
 //! | [`params`] | the paper's parameter soup (`ρ`, `µ`, `ι`, `κ`, `G̃`, …) |
 //! | [`runtime`] | [`NodeCore`]: [`handlers`] hosted for real transports, plus the shared run-constant derivation |
 //! | [`wire`] | length-prefixed frames carrying floods over real sockets |
+//! | [`daemon`] | the daemon cluster's constants and its event loop, sans IO |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod daemon;
 pub mod edge_state;
 pub mod estimate;
 pub mod flood;

@@ -1,8 +1,8 @@
 //! [`NodeCore`]: one complete virtual node as a sans-IO state machine,
 //! plus the derivation of the run constants every harness must agree on.
 //!
-//! A `NodeCore` is what the `gcs-node` socket daemon multiplexes over a
-//! real transport: the caller owns time (it passes explicit [`SimTime`]
+//! A `NodeCore` is what [`Daemon`](crate::daemon::Daemon) multiplexes
+//! over a transport: the caller owns time (it passes explicit [`SimTime`]
 //! instants read from whatever clock it trusts) and transport (it carries
 //! the returned [`Send`]s and feeds received messages back in). Every
 //! state transition is a call into [`handlers`] —
@@ -14,9 +14,10 @@
 //! Scope: `NodeCore` runs the *message-mode* estimate layer (clock
 //! samples carried by the floods themselves; it has no scripted truth for
 //! the oracle layer to perturb) over neighbours installed fully inserted
-//! at startup. The staged-insertion handshake lives in [`handlers`] like
-//! everything else, but this host does not drive it yet: there is no wire
-//! frame for an offer and no neighbour-up input, so it never starts one.
+//! at startup ([`cluster_config`](crate::daemon::cluster_config)'s static
+//! complete graph). The staged-insertion handshake lives in [`handlers`],
+//! but this host does not drive it yet: there is no wire frame for an
+//! offer, no neighbour-up input and no timer queue, so it never starts one.
 
 use std::collections::HashMap;
 

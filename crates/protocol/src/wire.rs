@@ -238,7 +238,8 @@ impl Frame {
 }
 
 /// A streaming frame decoder: feed received bytes in, take decoded
-/// frames out. Keeps at most one partial frame buffered.
+/// frames out. Keeps at most one partial frame buffered once drained, as
+/// [`Daemon::on_bytes`](crate::daemon::Daemon::on_bytes) does after every read.
 #[derive(Debug, Default)]
 pub struct FrameReader {
     buf: Vec<u8>,
@@ -254,6 +255,11 @@ impl FrameReader {
     /// Appends freshly received bytes.
     pub fn extend(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
+    }
+
+    /// Bytes buffered, not yet decoded.
+    pub(crate) fn buffered(&self) -> usize {
+        self.buf.len()
     }
 
     /// Pops the next complete frame, if one is buffered.

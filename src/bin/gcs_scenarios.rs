@@ -14,9 +14,7 @@ use std::process::{Child, Command, ExitCode, ExitStatus, Stdio};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use gcs_net::{EdgeKey, EdgeParams, EdgeParamsMap, NodeId};
-use gcs_protocol::runtime::derive_run_config;
-use gcs_protocol::{EstimateMode, Params};
+use gcs_protocol::daemon::{cluster_config, MAX_TOTAL};
 use gcs_scenarios::json::{self, Json};
 use gcs_scenarios::{
     campaign, format, registry, telemetry, trend, ConformanceOptions, Scale, ScenarioSpec,
@@ -865,7 +863,15 @@ fn cmd_node_smoke(mut args: Args) -> Result<(), String> {
     if procs < 2 {
         return Err("node-smoke needs at least 2 daemon processes".to_string());
     }
-    let total = procs * per_proc;
+    // Bounded before anything is sized from them: the envelope below
+    // builds the O(total²) complete graph.
+    let total = procs.checked_mul(per_proc).filter(|&n| n <= MAX_TOTAL);
+    let total = total.ok_or_else(|| {
+        format!(
+            "--procs {procs} x --per-proc {per_proc} = {} exceeds the daemon limit {MAX_TOTAL}",
+            u128::from(procs) * u128::from(per_proc)
+        )
+    })?;
 
     let bin = std::env::current_exe()
         .map_err(|e| format!("cannot locate this executable: {e}"))?
@@ -879,44 +885,14 @@ fn cmd_node_smoke(mut args: Args) -> Result<(), String> {
         ));
     }
 
-    // The Theorem 5.22 envelope for the cluster the daemons will derive:
-    // same base parameters, same complete-graph universe, same
-    // derivation (`derive_run_config`), so the oracle bound and the
-    // daemons' runtime constants cannot drift apart. Every pair in a
-    // complete graph is one hop, so the pairwise bound is evaluated at
-    // the single-edge path weight.
-    let node = |id: u64| NodeId(u32::try_from(id).unwrap_or(u32::MAX));
-    let base = Params::builder()
-        .rho(1e-3)
-        .mu(0.1)
-        .refresh_period(refresh)
-        .build()
-        .map_err(|e| format!("invalid parameters: {e}"))?;
-    let edge = EdgeParams::try_new(1e-3, 0.05, 0.0, 0.05)
-        .map_err(|e| format!("invalid edge parameters: {e}"))?;
-    let edge_params = EdgeParamsMap::uniform(edge);
-    let mut universe = Vec::new();
-    for a in 0..total {
-        for b in (a + 1)..total {
-            universe.push(EdgeKey::new(node(a), node(b)));
-        }
-    }
-    let cfg = derive_run_config(
-        &base,
-        EstimateMode::Messages,
-        &edge_params,
-        &universe,
-        usize::try_from(total).map_err(|_| "--procs x --per-proc is out of range".to_string())?,
-    );
-    let g_hat = cfg
-        .params
-        .g_tilde()
-        .ok_or("the derived run configuration is missing G-tilde")?;
-    let kappa = cfg
-        .edge_info
-        .values()
-        .map(|e| e.kappa)
-        .fold(0.0f64, f64::max);
+    // The Theorem 5.22 envelope for the cluster the daemons run: the one
+    // cluster definition, so the oracle bound and the daemons' runtime
+    // constants cannot drift apart. Every pair in a complete graph is one
+    // hop, so the pairwise bound is evaluated at the single-edge weight.
+    let cfg = cluster_config(total, refresh);
+    let g_hat = cfg.params.g_tilde();
+    let g_hat = g_hat.ok_or("the derived run configuration is missing G-tilde")?;
+    let kappa = cfg.edge_info.values().map(|e| e.kappa).fold(0.0, f64::max);
     let envelope = gcs_analysis::gradient_bound(&cfg.params, g_hat, kappa);
 
     // Spawn the cluster: each daemon dials every earlier one, which wires

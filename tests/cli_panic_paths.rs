@@ -152,6 +152,27 @@ fn unknown_command_prints_usage_and_fails() {
 }
 
 #[test]
+fn node_smoke_bounds_its_cluster_size_before_building_anything() {
+    // The product used to overflow (a debug panic) or size an O(total²)
+    // universe before any daemon enforced its limit, failing later with a
+    // misleading "did not announce a listening address".
+    for (procs, per_proc, total) in [
+        ("2", "600", "1200"),
+        ("4294967296", "4294967296", "18446744073709551616"),
+    ] {
+        let out = bin()
+            .args(["node-smoke", "--procs", procs, "--per-proc", per_proc])
+            .output()
+            .unwrap();
+        let needle = format!(
+            "--procs {procs} x --per-proc {per_proc} = {total} exceeds the daemon limit 1024"
+        );
+        assert_clean_failure(&out, &needle);
+        assert!(out.stdout.is_empty(), "no daemon was spawned");
+    }
+}
+
+#[test]
 fn node_daemon_bounds_its_id_flags_before_allocating() {
     // `--first u64::MAX --count 1` used to panic on the add in debug and
     // host zero nodes in release; IDs above u32::MAX aliased; `--total`
