@@ -435,7 +435,7 @@ impl ParamsBuilder {
         self
     }
 
-    /// Caps the trigger-level scan.
+    /// Caps the trigger-level scan (default 64; at least 1).
     pub fn max_levels(&mut self, levels: u32) -> &mut Self {
         self.max_levels = levels;
         self
@@ -488,6 +488,12 @@ impl ParamsBuilder {
             if iota <= 0.0 {
                 return Err(ParamsError::IotaNotPositive(iota));
             }
+        }
+        if self.max_levels == 0 {
+            return Err(ParamsError::NotPositive {
+                name: "max_levels",
+                value: 0.0,
+            });
         }
         let halving = match self.insertion_strategy {
             InsertionStrategy::Staged => None,
@@ -602,6 +608,20 @@ mod tests {
     fn rejects_small_kappa_scale() {
         let err = Params::builder().kappa_scale(3.0).build().unwrap_err();
         assert!(matches!(err, ParamsError::KappaScaleTooSmall(_)));
+    }
+
+    #[test]
+    fn rejects_zero_max_levels() {
+        // A zero cap would leave the triggers no level to scan.
+        let err = Params::builder().max_levels(0).build().unwrap_err();
+        assert!(matches!(
+            err,
+            ParamsError::NotPositive {
+                name: "max_levels",
+                ..
+            }
+        ));
+        assert!(Params::builder().max_levels(1).build().is_ok());
     }
 
     #[test]

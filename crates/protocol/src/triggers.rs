@@ -8,6 +8,16 @@
 //! proof), so the scan ranges over `s ≥ 1`. The scan terminates at the first
 //! level at which no neighbour can satisfy the existential clause anymore —
 //! skews are bounded by the global skew, so this is a small number.
+//!
+//! Almost every decision ends at level 1. In the synchronized steady
+//! state neighbours sit well inside one `κ` of each other, so no
+//! neighbour meets either trigger's existential clause even at `s = 1`,
+//! and [`fast_trigger`] / [`slow_trigger`] return `false` after one pass
+//! over `N¹ᵤ`, before they compute the scan bound or loop over levels.
+//! The exit is exact: the existential thresholds `s·κ − ε` and
+//! `(s+½)·κ − δ − ε` never decrease as `s` grows (f64 multiplication and
+//! subtraction round monotonically, and `κ > 0`), and `N^sᵤ ⊆ N¹ᵤ`, so a
+//! clause no neighbour meets at level 1 is met by none at any level.
 
 use std::fmt;
 
@@ -99,6 +109,15 @@ impl NodeView<'_> {
         }
         hi.min(max_levels)
     }
+
+    /// Whether some neighbour in `N¹ᵤ` with an estimate meets `clause`, an
+    /// existential clause at `s = 1`. When none does, none does at any
+    /// level (the level-1 exit; see the module doc).
+    fn any_at_level_one(&self, clause: impl Fn(f64, &NeighborView) -> bool) -> bool {
+        self.neighbors
+            .iter()
+            .any(|n| n.level.includes(1) && n.estimate.is_some_and(|est| clause(est, n)))
+    }
 }
 
 /// The fast-mode trigger of Definition 4.5: there is a level `s ≥ 1` such
@@ -106,6 +125,10 @@ impl NodeView<'_> {
 /// `v ∈ N^sᵤ` satisfies `L_u − L̃ᵛᵤ ≤ s·κ + 2µτ + ε`.
 #[must_use]
 pub fn fast_trigger(view: &NodeView<'_>, max_levels: u32) -> bool {
+    // The loop's own comparison at s = 1 (`1.0 * κ` is `κ` exactly).
+    if !view.any_at_level_one(|est, n| est - view.logical >= n.kappa - n.epsilon) {
+        return false;
+    }
     let limit = view.scan_limit(max_levels);
     for s in 1..=limit {
         let mut exists_ahead = false;
@@ -144,6 +167,12 @@ pub fn fast_trigger(view: &NodeView<'_>, max_levels: u32) -> bool {
 /// `v ∈ N^sᵤ` satisfies `L̃ᵛᵤ − L_u ≤ (s+½)κ + δ + ε + µ(1+ρ)τ`.
 #[must_use]
 pub fn slow_trigger(view: &NodeView<'_>, max_levels: u32) -> bool {
+    // The loop's own comparison at s = 1, where `s + ½` is 1.5 exactly.
+    let behind =
+        |est: f64, n: &NeighborView| view.logical - est >= 1.5 * n.kappa - n.delta - n.epsilon;
+    if !view.any_at_level_one(behind) {
+        return false;
+    }
     let limit = view.scan_limit(max_levels);
     for s in 1..=limit {
         let mut exists_behind = false;
@@ -244,32 +273,30 @@ pub trait ModePolicy: fmt::Debug + Send {
 /// 3. else `L_u = M_u` ⇒ slow (slow max-estimate trigger),
 /// 4. else `L_u ≤ M_u − ι` ⇒ fast (fast max-estimate trigger),
 /// 5. else keep the current mode (the free region; footnote 6).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 pub struct AoptPolicy {
     max_levels: u32,
 }
 
 impl AoptPolicy {
-    /// Creates the policy with the given level-scan cap.
+    /// Creates the policy with the given level-scan cap, normally
+    /// [`Params::max_levels`](crate::Params::max_levels).
+    ///
+    /// # Panics
+    ///
+    /// If `max_levels` is 0, which [`ParamsBuilder::build`](crate::ParamsBuilder::build)
+    /// refuses: no level would be scanned, and the certificate's level
+    /// range `1..=max_levels` would be empty.
     #[must_use]
     pub fn new(max_levels: u32) -> Self {
+        assert!(max_levels >= 1, "the trigger-level cap must be at least 1");
         AoptPolicy { max_levels }
-    }
-}
-
-impl AoptPolicy {
-    fn cap(&self) -> u32 {
-        if self.max_levels == 0 {
-            64
-        } else {
-            self.max_levels
-        }
     }
 }
 
 impl ModePolicy for AoptPolicy {
     fn decide(&self, view: &NodeView<'_>) -> Mode {
-        let cap = self.cap();
+        let cap = self.max_levels;
         if slow_trigger(view, cap) {
             Mode::Slow
         } else if fast_trigger(view, cap) {
@@ -289,7 +316,7 @@ impl ModePolicy for AoptPolicy {
     }
 
     fn stability(&self, view: &NodeView<'_>, decided: Mode) -> Option<StabilityCert> {
-        let cap = self.cap();
+        let cap = self.max_levels;
         let triggered = slow_trigger(view, cap) || fast_trigger(view, cap);
         Some(self.certify(view, triggered, decided))
     }
@@ -297,7 +324,7 @@ impl ModePolicy for AoptPolicy {
     /// Decision and certificate sharing one pair of trigger scans — the
     /// tick-path entry point (the default would scan the triggers twice).
     fn decide_and_certify(&self, view: &NodeView<'_>) -> (Mode, Option<StabilityCert>) {
-        let cap = self.cap();
+        let cap = self.max_levels;
         let st = slow_trigger(view, cap);
         let ft = !st && fast_trigger(view, cap);
         let mode = if st {
@@ -326,7 +353,7 @@ impl AoptPolicy {
     /// step `κ`, so the distance to the nearest threshold over all levels
     /// `1..=cap` is a constant-time nearest-integer computation.
     fn certify(&self, view: &NodeView<'_>, triggered: bool, decided: Mode) -> StabilityCert {
-        let cap = f64::from(self.cap());
+        let cap = f64::from(self.max_levels);
         let mut estimate_margin = f64::INFINITY;
         for n in view.neighbors {
             // A neighbour without an estimate blocks the universal clauses
@@ -344,7 +371,7 @@ impl AoptPolicy {
             let y4 =
                 (d - (n.delta + n.epsilon + view.mu * (1.0 + view.rho) * n.tau)) * inv_kappa - 0.5;
             for y in [y1, y2, y3, y4] {
-                let nearest = y.round().clamp(1.0, cap);
+                let nearest = nearest_level(y, cap);
                 estimate_margin = estimate_margin.min((y - nearest).abs() * n.kappa);
             }
         }
@@ -371,6 +398,19 @@ impl AoptPolicy {
             m_margin,
             m_jump_sensitive,
         }
+    }
+}
+
+/// The level in `1..=cap` nearest to `y`, bit for bit what
+/// `y.round().clamp(1.0, cap)` returns. Below 1.5 that is always 1
+/// (`round` gives at most 1 there and the clamp lifts anything lower), so
+/// the common case, a neighbour within a level of the node, skips the
+/// rounding; NaN fails the comparison and takes the general path.
+fn nearest_level(y: f64, cap: f64) -> f64 {
+    if y < 1.5 {
+        1.0
+    } else {
+        y.round().clamp(1.0, cap)
     }
 }
 
@@ -531,5 +571,34 @@ mod tests {
             neighbor(9.9, Level::Infinite),
         ];
         assert_eq!(p.decide(&view(10.0, 10.0, &ns)), Mode::Slow);
+    }
+
+    #[test]
+    fn nearest_level_is_round_then_clamp_bit_for_bit() {
+        use rand::Rng;
+        let same = |a: f64, b: f64| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+        let mut rng = gcs_sim::rng::stream(7, "nearest-level", 0);
+        for cap in [1.0, 2.0, 64.0] {
+            let mut ys = vec![
+                1.5,
+                1.5f64.next_down(),
+                1.5f64.next_up(),
+                0.5,
+                -0.5,
+                2.5,
+                cap - 0.5,
+                cap + 0.5,
+                1e300,
+                -1e300,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::NAN,
+            ];
+            ys.extend((0..10_000).map(|_| rng.gen_range(-4.0..cap + 4.0)));
+            for y in ys {
+                let (got, want) = (nearest_level(y, cap), y.round().clamp(1.0, cap));
+                assert!(same(got, want), "y = {y}, cap = {cap}: {got} != {want}");
+            }
+        }
     }
 }

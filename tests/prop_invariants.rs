@@ -225,6 +225,78 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig { cases: 1024, ..ProptestConfig::default() })]
+
+    /// The triggers' level-1 exit at its exact boundary. Random floats
+    /// never land on a threshold, so each estimate is placed on one:
+    /// `L + (κ − ε)` (the fast trigger's level-1 existential clause) or
+    /// `L − (1.5κ − δ − ε)` (the slow one's), or one ulp either side, or
+    /// at a random offset of up to two `κ`; some neighbours have no
+    /// estimate or sit at level 0. `κ` is a multiple of 1/16 with
+    /// `ε = κ/16` and `δ = κ/8`, and `L` a multiple of 1/1024, so every sum
+    /// is exact and `est − L` equals the threshold bit for bit.
+    #[test]
+    fn trigger_level_one_exit_is_exact_at_its_boundary(
+        logical_k in -30_720i32..30_720,
+        raw_neighbors in proptest::collection::vec(
+            (0u8..3, -1i8..=1, 8u32..33, 0u8..5, -2.0f64..2.0),
+            1..6,
+        ),
+    ) {
+        use gradient_clock_sync::core::edge_state::Level;
+        use gradient_clock_sync::core::{triggers, Mode, NeighborView, NodeView};
+        let logical = f64::from(logical_k) / 1024.0;
+        let neighbors: Vec<NeighborView> = raw_neighbors
+            .into_iter()
+            .map(|(place, ulps, sixteenths, kind, offset)| {
+                let kappa = f64::from(sixteenths) / 16.0;
+                let (epsilon, delta) = (kappa / 16.0, kappa / 8.0);
+                let est = match place {
+                    0 => logical + (kappa - epsilon),
+                    1 => logical - (1.5 * kappa - delta - epsilon),
+                    _ => logical + offset * kappa,
+                };
+                let est = match ulps {
+                    -1 => est.next_down(),
+                    1 => est.next_up(),
+                    _ => est,
+                };
+                NeighborView {
+                    estimate: (kind != 0).then_some(est),
+                    kappa,
+                    epsilon,
+                    tau: 0.01,
+                    delta,
+                    level: match kind {
+                        1 => Level::Finite(0),
+                        2 => Level::Finite(1),
+                        3 => Level::Finite(3),
+                        _ => Level::Infinite,
+                    },
+                }
+            })
+            .collect();
+        let view = NodeView {
+            logical,
+            max_estimate: logical + 1.0,
+            current_mode: Mode::Slow,
+            iota: 0.01,
+            mu: 0.1,
+            rho: 0.01,
+            neighbors: &neighbors,
+        };
+        prop_assert_eq!(
+            triggers::fast_trigger(&view, 4096),
+            trigger_reference::fast(&view)
+        );
+        prop_assert_eq!(
+            triggers::slow_trigger(&view, 4096),
+            trigger_reference::slow(&view)
+        );
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig {
         cases: 64,
         .. ProptestConfig::default()
