@@ -29,7 +29,7 @@ use crate::flood::{FloodMsg, MergeOutcome};
 use crate::handlers::{self, Delivered, Host, Message, Run, Timer};
 use crate::node::{EdgeInfo, NodeState};
 use crate::params::Params;
-use crate::triggers::{AoptPolicy, Mode, ModePolicy, NeighborView};
+use crate::triggers::{AoptPolicy, Mode, NeighborView};
 
 /// One outbound message: the flood body to put on the wire for `dst`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -137,7 +137,7 @@ pub fn derive_run_config(
 pub struct NodeCore {
     state: NodeState,
     params: Params,
-    policy: Box<dyn ModePolicy>,
+    policy: AoptPolicy,
     refresh: f64,
     next_flood: SimTime,
     views: Vec<NeighborView>,
@@ -198,7 +198,7 @@ impl NodeCore {
         hw_rate: f64,
         first_flood: SimTime,
     ) -> Self {
-        let policy = Box::new(AoptPolicy::new(params.max_levels()));
+        let policy = AoptPolicy::new(params.max_levels());
         NodeCore {
             state: NodeState::new(id, hw_rate),
             params,
@@ -296,19 +296,28 @@ impl NodeCore {
     /// node re-decides every call, which is always bit-identical to the
     /// certified skip (that is the certificates' soundness contract).
     ///
-    /// It keeps no certificate cache, on purpose. At the daemon's degree
-    /// (63 in a 64-node cluster) a certificate costs about 5× the
-    /// policy's decision (≈ 800 vs 165 ns once the decision takes the
-    /// level-1 exit), and a cached certificate lapses at every new
-    /// estimate, which about half of a node's 2 ms steps bring. Paying a
-    /// certificate on those steps costs more per step than re-deciding on
-    /// every one (≈ 700 vs 606 ns on `node-loopback`).
+    /// A synchronized node decides straight off its neighbour table
+    /// ([`handlers::decide`]'s level-1 exit) and never fills `views`:
+    /// ≈ 190–260 ns at the daemon's degree (63 in a 64-node cluster) on
+    /// `node-loopback`, where it was 527–691 ns while every decision
+    /// filled them first.
+    ///
+    /// It keeps no certificate cache, on purpose. On that streamed path a
+    /// decision with its certificate still costs about 3× a bare decision
+    /// (≈ 810–1210 vs 240–380 ns at degree 63, 2-vCPU container), and a
+    /// cached certificate lapses at every new estimate, which about half
+    /// of a node's 2 ms steps bring. Paying a certificate on those steps
+    /// costs more per step than re-deciding on every one.
     pub fn evaluate(&mut self, t: SimTime) -> Mode {
         let run = message_run(&self.params, self.refresh);
         self.state.advance_to(t, run.params);
+        // Most decisions never fill `views`; sizing it with the table on
+        // the first call keeps the first one that does, maybe hours into a
+        // run, from allocating inside the loop.
+        self.views.reserve(self.state.slots.len());
         let decision = handlers::decide(
             &self.state,
-            &*self.policy,
+            &self.policy,
             false,
             &run,
             |_| None,

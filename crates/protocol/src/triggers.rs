@@ -18,6 +18,20 @@
 //! `(s+½)·κ − δ − ε` never decrease as `s` grows (f64 multiplication and
 //! subtraction round monotonically, and `κ > 0`), and `N^sᵤ ⊆ N¹ᵤ`, so a
 //! clause no neighbour meets at level 1 is met by none at any level.
+//!
+//! The hosts take that exit before they fill any view.
+//! [`handlers::decide`](crate::handlers::decide) hands an `A_OPT` policy
+//! ([`ModePolicy::as_aopt`]) one neighbour view at a time, built on the
+//! stack, and `AoptPolicy::decide_streamed` checks both level-1 clauses
+//! with the functions the two exits call ([`fast_trigger`]'s `ahead`,
+//! [`slow_trigger`]'s `behind`). When no neighbour meets either, it
+//! returns Listing 3's max-estimate branch and, if asked, the certificate
+//! with each neighbour's margin folded in as it goes by; the view vector
+//! is never written. The first neighbour that meets a clause sends the
+//! decision back to the filled views and the level scans. Every decision
+//! on `ring-1k`, `geo-4k`, `churn-1k` and `node-loopback` stays on the
+//! streamed path; fault scenarios leave it often (`self-heal` 58 %,
+//! `adversarial-partition` 97 % of decisions at default scale).
 
 use std::fmt;
 
@@ -114,10 +128,42 @@ impl NodeView<'_> {
     /// existential clause at `s = 1`. When none does, none does at any
     /// level (the level-1 exit; see the module doc).
     fn any_at_level_one(&self, clause: impl Fn(f64, &NeighborView) -> bool) -> bool {
-        self.neighbors
-            .iter()
-            .any(|n| n.level.includes(1) && n.estimate.is_some_and(|est| clause(est, n)))
+        self.neighbors.iter().any(|n| n.at_level_one(&clause))
     }
+
+    /// Listing 3's steps 3–5, the max-estimate branch: the mode when
+    /// neither trigger holds.
+    fn max_estimate_mode(&self) -> Mode {
+        if self.logical >= self.max_estimate {
+            // M_u is clamped to be >= L_u, so >= means equality.
+            Mode::Slow
+        } else if self.logical <= self.max_estimate - self.iota {
+            Mode::Fast
+        } else {
+            self.current_mode
+        }
+    }
+}
+
+impl NeighborView {
+    /// Whether this neighbour is in `N¹ᵤ` and has an estimate that meets
+    /// `clause`, an existential clause at `s = 1`.
+    fn at_level_one(&self, clause: impl Fn(f64, &NeighborView) -> bool) -> bool {
+        self.level.includes(1) && self.estimate.is_some_and(|est| clause(est, self))
+    }
+}
+
+/// Definition 4.5's existential clause for neighbour `n` at level `s`:
+/// `L̃ʷᵤ − L_u ≥ s·κ − ε`. At `s = 1` the product is `κ` exactly.
+fn ahead(logical: f64, est: f64, n: &NeighborView, s: f64) -> bool {
+    est - logical >= s * n.kappa - n.epsilon
+}
+
+/// Definition 4.6's existential clause for neighbour `n` at level `s`,
+/// given `sh = s + ½`: `L_u − L̃ʷᵤ ≥ (s+½)κ − δ − ε`. At `s = 1`, `sh` is
+/// 1.5 exactly.
+fn behind(logical: f64, est: f64, n: &NeighborView, sh: f64) -> bool {
+    logical - est >= sh * n.kappa - n.delta - n.epsilon
 }
 
 /// The fast-mode trigger of Definition 4.5: there is a level `s ≥ 1` such
@@ -125,8 +171,7 @@ impl NodeView<'_> {
 /// `v ∈ N^sᵤ` satisfies `L_u − L̃ᵛᵤ ≤ s·κ + 2µτ + ε`.
 #[must_use]
 pub fn fast_trigger(view: &NodeView<'_>, max_levels: u32) -> bool {
-    // The loop's own comparison at s = 1 (`1.0 * κ` is `κ` exactly).
-    if !view.any_at_level_one(|est, n| est - view.logical >= n.kappa - n.epsilon) {
+    if !view.any_at_level_one(|est, n| ahead(view.logical, est, n, 1.0)) {
         return false;
     }
     let limit = view.scan_limit(max_levels);
@@ -140,7 +185,7 @@ pub fn fast_trigger(view: &NodeView<'_>, max_levels: u32) -> bool {
             let sf = f64::from(s);
             match n.estimate {
                 Some(est) => {
-                    if est - view.logical >= sf * n.kappa - n.epsilon {
+                    if ahead(view.logical, est, n, sf) {
                         exists_ahead = true;
                     }
                     if view.logical - est > sf * n.kappa + 2.0 * view.mu * n.tau + n.epsilon {
@@ -167,10 +212,7 @@ pub fn fast_trigger(view: &NodeView<'_>, max_levels: u32) -> bool {
 /// `v ∈ N^sᵤ` satisfies `L̃ᵛᵤ − L_u ≤ (s+½)κ + δ + ε + µ(1+ρ)τ`.
 #[must_use]
 pub fn slow_trigger(view: &NodeView<'_>, max_levels: u32) -> bool {
-    // The loop's own comparison at s = 1, where `s + ½` is 1.5 exactly.
-    let behind =
-        |est: f64, n: &NeighborView| view.logical - est >= 1.5 * n.kappa - n.delta - n.epsilon;
-    if !view.any_at_level_one(behind) {
+    if !view.any_at_level_one(|est, n| behind(view.logical, est, n, 1.5)) {
         return false;
     }
     let limit = view.scan_limit(max_levels);
@@ -184,7 +226,7 @@ pub fn slow_trigger(view: &NodeView<'_>, max_levels: u32) -> bool {
             let sh = f64::from(s) + 0.5;
             match n.estimate {
                 Some(est) => {
-                    if view.logical - est >= sh * n.kappa - n.delta - n.epsilon {
+                    if behind(view.logical, est, n, sh) {
                         exists_behind = true;
                     }
                     if est - view.logical
@@ -264,6 +306,14 @@ pub trait ModePolicy: fmt::Debug + Send {
         let cert = self.stability(view, mode);
         (mode, cert)
     }
+
+    /// The [`AoptPolicy`] this policy decides and certifies exactly as, if
+    /// any. [`handlers::decide`](crate::handlers::decide) then tries
+    /// `A_OPT`'s level-1 exit straight off the neighbour table before it
+    /// fills any view. The default, `None`, always fills the views.
+    fn as_aopt(&self) -> Option<&AoptPolicy> {
+        None
+    }
 }
 
 /// The paper's mode logic (Listing 3):
@@ -296,19 +346,7 @@ impl AoptPolicy {
 
 impl ModePolicy for AoptPolicy {
     fn decide(&self, view: &NodeView<'_>) -> Mode {
-        let cap = self.max_levels;
-        if slow_trigger(view, cap) {
-            Mode::Slow
-        } else if fast_trigger(view, cap) {
-            Mode::Fast
-        } else if view.logical >= view.max_estimate {
-            // M_u is clamped to be >= L_u, so >= means equality.
-            Mode::Slow
-        } else if view.logical <= view.max_estimate - view.iota {
-            Mode::Fast
-        } else {
-            view.current_mode
-        }
+        self.listing3(view).0
     }
 
     fn name(&self) -> &'static str {
@@ -324,34 +362,36 @@ impl ModePolicy for AoptPolicy {
     /// Decision and certificate sharing one pair of trigger scans — the
     /// tick-path entry point (the default would scan the triggers twice).
     fn decide_and_certify(&self, view: &NodeView<'_>) -> (Mode, Option<StabilityCert>) {
-        let cap = self.max_levels;
-        let st = slow_trigger(view, cap);
-        let ft = !st && fast_trigger(view, cap);
-        let mode = if st {
-            Mode::Slow
-        } else if ft {
-            Mode::Fast
-        } else if view.logical >= view.max_estimate {
-            Mode::Slow
-        } else if view.logical <= view.max_estimate - view.iota {
-            Mode::Fast
-        } else {
-            view.current_mode
-        };
-        (mode, Some(self.certify(view, st || ft, mode)))
+        let (mode, triggered) = self.listing3(view);
+        (mode, Some(self.certify(view, triggered, mode)))
+    }
+
+    fn as_aopt(&self) -> Option<&AoptPolicy> {
+        Some(self)
     }
 }
 
 impl AoptPolicy {
+    /// Listing 3 over filled views: the mode, and whether a trigger
+    /// (rather than the max-estimate branch) decided it.
+    fn listing3(&self, view: &NodeView<'_>) -> (Mode, bool) {
+        let cap = self.max_levels;
+        if slow_trigger(view, cap) {
+            (Mode::Slow, true)
+        } else if fast_trigger(view, cap) {
+            (Mode::Fast, true)
+        } else {
+            (view.max_estimate_mode(), false)
+        }
+    }
+
     /// Listing 3's decision is a pure function of (a) the comparison of
     /// each `d = L̃ᵥᵤ − L_u` against the four per-level threshold families
     /// of Definitions 4.5/4.6, (b) the comparison of `m = M_u − L_u`
     /// against `0` and `ι`, (c) neighbour level membership, and (d) the
     /// current mode. (c) and (d) only change at events or level unlocks
     /// (the engine bounds those separately); this certificate bounds (a)
-    /// and (b). Each threshold family is an arithmetic progression with
-    /// step `κ`, so the distance to the nearest threshold over all levels
-    /// `1..=cap` is a constant-time nearest-integer computation.
+    /// and (b).
     fn certify(&self, view: &NodeView<'_>, triggered: bool, decided: Mode) -> StabilityCert {
         let cap = f64::from(self.max_levels);
         let mut estimate_margin = f64::INFINITY;
@@ -359,45 +399,106 @@ impl AoptPolicy {
             // A neighbour without an estimate blocks the universal clauses
             // until a delivery provides one — an event, not a drift.
             let Some(est) = n.estimate else { continue };
-            let d = est - view.logical;
-            let inv_kappa = 1.0 / n.kappa;
-            // FC exists:   d        >= s*k - eps
-            let y1 = (d + n.epsilon) * inv_kappa;
-            // FC forall:  -d        >  s*k + 2*mu*tau + eps
-            let y2 = (-d - (2.0 * view.mu * n.tau + n.epsilon)) * inv_kappa;
-            // SC exists:  -d        >= (s+1/2)*k - delta - eps
-            let y3 = (-d + n.delta + n.epsilon) * inv_kappa - 0.5;
-            // SC forall:   d        >  (s+1/2)*k + delta + eps + mu(1+rho)tau
-            let y4 =
-                (d - (n.delta + n.epsilon + view.mu * (1.0 + view.rho) * n.tau)) * inv_kappa - 0.5;
-            for y in [y1, y2, y3, y4] {
-                let nearest = nearest_level(y, cap);
-                estimate_margin = estimate_margin.min((y - nearest).abs() * n.kappa);
+            estimate_margin = estimate_margin.min(threshold_margin(view, est, n, cap));
+        }
+        certificate(view, triggered, decided, estimate_margin)
+    }
+
+    /// Listing 3 for a node with no neighbour a level away, fed the
+    /// neighbour views one at a time instead of as a filled slice.
+    /// `own` carries the node's scalars (its `neighbors` is not read).
+    ///
+    /// Returns `None` at the first neighbour in `N¹ᵤ` whose estimate meets
+    /// either trigger's existential clause at `s = 1`: the triggers must
+    /// then scan their levels over filled views. Otherwise neither trigger
+    /// holds (the level-1 exit; see the module doc), and the answer is
+    /// what [`decide`](ModePolicy::decide) — or, with `certify`,
+    /// [`decide_and_certify`](ModePolicy::decide_and_certify) — returns
+    /// over the same views, bit for bit: the max-estimate branch, and the
+    /// certificate with each neighbour's margin folded in as it streams
+    /// by.
+    // Forced inline, like `handlers`' per-neighbour view, so each view
+    // stays in registers: without both, `churn-1k` ran about 20 % slower
+    // than with the views filled.
+    #[inline(always)]
+    pub(crate) fn decide_streamed(
+        &self,
+        own: &NodeView<'_>,
+        certify: bool,
+        neighbors: impl Iterator<Item = NeighborView>,
+    ) -> Option<(Mode, Option<StabilityCert>)> {
+        let cap = f64::from(self.max_levels);
+        let logical = own.logical;
+        let mut estimate_margin = f64::INFINITY;
+        for n in neighbors {
+            if n.at_level_one(|est, n| ahead(logical, est, n, 1.0) || behind(logical, est, n, 1.5))
+            {
+                return None;
+            }
+            if certify {
+                let Some(est) = n.estimate else { continue };
+                estimate_margin = estimate_margin.min(threshold_margin(own, est, &n, cap));
             }
         }
-        // Within `estimate_margin`, both trigger outcomes are pinned, so
-        // the m-dependence of the decision can be analysed per branch.
-        let (m_margin, m_jump_sensitive) = if triggered {
-            // A trigger decided; m is not consulted at all.
-            (f64::INFINITY, false)
-        } else if decided == Mode::Fast {
-            // Fast via the max-estimate branch or hysteresis: stays fast
-            // while m > 0 (the band only keeps it fast), flips slow
-            // exactly when the clamp closes m to 0. Upward jumps only
-            // re-confirm fast.
-            let m = view.max_estimate - view.logical;
-            (m.max(0.0), false)
-        } else {
-            // Slow with no trigger: drift only shrinks m, which keeps the
-            // slow decision (via L = M at the bottom); only an upward
-            // merge jump reaching iota flips it.
-            (f64::INFINITY, true)
-        };
-        StabilityCert {
-            estimate_margin,
-            m_margin,
-            m_jump_sensitive,
-        }
+        let mode = own.max_estimate_mode();
+        let cert = certify.then(|| certificate(own, false, mode, estimate_margin));
+        Some((mode, cert))
+    }
+}
+
+/// How far neighbour `n`'s `d = L̃ᵥᵤ − L_u` may move before it crosses any
+/// of the four threshold families of Definitions 4.5/4.6 at any level in
+/// `1..=cap`. Each family is an arithmetic progression with step `κ`, so
+/// the distance to its nearest threshold is a constant-time
+/// nearest-integer computation.
+fn threshold_margin(view: &NodeView<'_>, est: f64, n: &NeighborView, cap: f64) -> f64 {
+    let d = est - view.logical;
+    let inv_kappa = 1.0 / n.kappa;
+    // FC exists:   d        >= s*k - eps
+    let y1 = (d + n.epsilon) * inv_kappa;
+    // FC forall:  -d        >  s*k + 2*mu*tau + eps
+    let y2 = (-d - (2.0 * view.mu * n.tau + n.epsilon)) * inv_kappa;
+    // SC exists:  -d        >= (s+1/2)*k - delta - eps
+    let y3 = (-d + n.delta + n.epsilon) * inv_kappa - 0.5;
+    // SC forall:   d        >  (s+1/2)*k + delta + eps + mu(1+rho)tau
+    let y4 = (d - (n.delta + n.epsilon + view.mu * (1.0 + view.rho) * n.tau)) * inv_kappa - 0.5;
+    let mut margin = f64::INFINITY;
+    for y in [y1, y2, y3, y4] {
+        margin = margin.min((y - nearest_level(y, cap)).abs() * n.kappa);
+    }
+    margin
+}
+
+/// The certificate of a decision whose neighbour margins fold to
+/// `estimate_margin`. Within that margin both trigger outcomes are
+/// pinned, so the decision's dependence on `m = M_u − L_u` follows from
+/// the branch that decided it.
+fn certificate(
+    view: &NodeView<'_>,
+    triggered: bool,
+    decided: Mode,
+    estimate_margin: f64,
+) -> StabilityCert {
+    let (m_margin, m_jump_sensitive) = if triggered {
+        // A trigger decided; m is not consulted at all.
+        (f64::INFINITY, false)
+    } else if decided == Mode::Fast {
+        // Fast via the max-estimate branch or hysteresis: stays fast
+        // while m > 0 (the band only keeps it fast), flips slow
+        // exactly when the clamp closes m to 0. Upward jumps only
+        // re-confirm fast.
+        let m = view.max_estimate - view.logical;
+        (m.max(0.0), false)
+    } else {
+        // Slow with no trigger: drift only shrinks m, which keeps the
+        // slow decision (via L = M at the bottom); only an upward
+        // merge jump reaching iota flips it.
+        (f64::INFINITY, true)
+    };
+    StabilityCert {
+        estimate_margin,
+        m_margin,
+        m_jump_sensitive,
     }
 }
 

@@ -94,12 +94,15 @@ proptest! {
 }
 
 /// Brute-force reference for the trigger definitions: scan every level up
-/// to a huge cap with no early termination.
+/// to a cap (huge unless a test needs the policy's own) with no early
+/// termination.
 mod trigger_reference {
     use gradient_clock_sync::core::NodeView;
 
-    pub fn fast(view: &NodeView<'_>) -> bool {
-        (1..=2000u32).any(|s| {
+    pub const HUGE: u32 = 2000;
+
+    pub fn fast(view: &NodeView<'_>, cap: u32) -> bool {
+        (1..=cap).any(|s| {
             let sf = f64::from(s);
             let mut exists = false;
             for n in view.neighbors {
@@ -122,8 +125,8 @@ mod trigger_reference {
         })
     }
 
-    pub fn slow(view: &NodeView<'_>) -> bool {
-        (1..=2000u32).any(|s| {
+    pub fn slow(view: &NodeView<'_>, cap: u32) -> bool {
+        (1..=cap).any(|s| {
             let sh = f64::from(s) + 0.5;
             let mut exists = false;
             for n in view.neighbors {
@@ -189,11 +192,11 @@ proptest! {
         // it must agree with the exhaustive reference exactly.
         prop_assert_eq!(
             triggers::fast_trigger(&view, 4096),
-            trigger_reference::fast(&view)
+            trigger_reference::fast(&view, trigger_reference::HUGE)
         );
         prop_assert_eq!(
             triggers::slow_trigger(&view, 4096),
-            trigger_reference::slow(&view)
+            trigger_reference::slow(&view, trigger_reference::HUGE)
         );
     }
 
@@ -287,12 +290,263 @@ proptest! {
         };
         prop_assert_eq!(
             triggers::fast_trigger(&view, 4096),
-            trigger_reference::fast(&view)
+            trigger_reference::fast(&view, trigger_reference::HUGE)
         );
         prop_assert_eq!(
             triggers::slow_trigger(&view, 4096),
-            trigger_reference::slow(&view)
+            trigger_reference::slow(&view, trigger_reference::HUGE)
         );
+    }
+}
+
+/// Decides exactly as `A_OPT` and counts the decisions it is asked for
+/// over filled views, so a test can see which path `handlers::decide`
+/// took.
+#[derive(Debug)]
+struct CountsFilled {
+    aopt: AoptPolicy,
+    filled: std::cell::Cell<u32>,
+}
+
+impl ModePolicy for CountsFilled {
+    fn decide(&self, view: &gradient_clock_sync::core::NodeView<'_>) -> Mode {
+        self.filled.set(self.filled.get() + 1);
+        self.aopt.decide(view)
+    }
+
+    fn decide_and_certify(
+        &self,
+        view: &gradient_clock_sync::core::NodeView<'_>,
+    ) -> (Mode, Option<gradient_clock_sync::core::StabilityCert>) {
+        self.filled.set(self.filled.get() + 1);
+        self.aopt.decide_and_certify(view)
+    }
+
+    fn name(&self) -> &'static str {
+        "aopt-counting"
+    }
+
+    fn as_aopt(&self) -> Option<&AoptPolicy> {
+        Some(&self.aopt)
+    }
+}
+
+/// The smallest `e` with `e − l ≥ thr`, where an existential clause of
+/// Definition 4.5 turns on. It steps ulp by ulp from `l + thr`, so keep
+/// both well away from 0, where the ulps shrink.
+fn first_ahead(l: f64, thr: f64) -> f64 {
+    let mut e = l + thr;
+    while e - l < thr {
+        e = e.next_up();
+    }
+    while e.next_down() - l >= thr {
+        e = e.next_down();
+    }
+    e
+}
+
+/// The largest `e` with `l − e ≥ thr`, where an existential clause of
+/// Definition 4.6 turns on.
+fn last_behind(l: f64, thr: f64) -> f64 {
+    let mut e = l - thr;
+    while l - e < thr {
+        e = e.next_down();
+    }
+    while l - e.next_up() >= thr {
+        e = e.next_up();
+    }
+    e
+}
+
+/// One neighbour of [`streamed_decisions_equal_the_filled_views_bit_for_bit`]:
+/// `((slot kind, insertion offset, κ₀ doublings), (estimate placement,
+/// ulps, offset), (κ in sixteenths, oracle bias))`.
+#[allow(clippy::type_complexity)]
+fn arb_neighbor() -> impl Strategy<Value = ((u8, i32, i32), (u8, i8, f64), (u32, f64))> {
+    (
+        (0u8..5, -4i32..13, 0i32..4),
+        (0u8..9, -1i8..=1, -2.0f64..2.0),
+        (8u32..33, -1.0f64..=1.0),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 4096, ..ProptestConfig::default() })]
+
+    /// `handlers::decide` decides `A_OPT`'s quiet case straight off the
+    /// neighbour table; it must return, bit for bit, what the policy
+    /// returns over views filled by `fill_views`, and fill them exactly
+    /// when some neighbour in `N¹` meets a level-1 existential clause.
+    /// Estimates sit on each level-1 threshold of the neighbour's own
+    /// `κ`, `ε`, `δ` (decayed ones included) or one ulp either side, at a
+    /// random offset of up to 2κ, within 0.9κ (the quiet majority), or
+    /// are missing; in a calm case every estimate stays just short of the
+    /// clauses, so quiet decisions see high degrees too. Slots are
+    /// `Initial`, `Pending`, `FollowerWait`, `Scheduled` before, at,
+    /// during, at the end of and after their insertion, or `Decaying`;
+    /// both estimate layers run, with and without a scripted bias, with
+    /// and without a certificate, at level caps 1, 3 and 64. Half the
+    /// cases have at most five neighbours, so one neighbour on a threshold
+    /// often decides alone.
+    #[test]
+    fn streamed_decisions_equal_the_filled_views_bit_for_bit(
+        (logical_k, m_step, current_fast, cap_pick, certify) in
+            (16_384i32..47_104, 0u8..5, proptest::bool::ANY, 0u8..3, proptest::bool::ANY),
+        (layer, scripted, strategy_pick, calm_pick) in (
+            0u8..4,
+            prop_oneof![Just(None), Just(Some(0.0)), (-1.0f64..=1.0).prop_map(Some)],
+            0u8..3,
+            0u8..3,
+        ),
+        raw_neighbors in prop_oneof![
+            proptest::collection::vec(arb_neighbor(), 0..6),
+            proptest::collection::vec(arb_neighbor(), 0..71),
+        ],
+    ) {
+        use gcs_protocol::edge_state::{EdgeSlot, EstimateEntry};
+        use gcs_protocol::handlers::{self, Run};
+        use gcs_protocol::{EdgeInfo, NodeState};
+        use gradient_clock_sync::net::NodeId;
+
+        let (decaying, calm) = (strategy_pick == 0, calm_pick == 0);
+        let iota = 1.0 / 64.0;
+        let cap = [1, 3, 64][usize::from(cap_pick)];
+        let halving = 0.25;
+        let mut pb = Params::builder();
+        pb.rho(0.01).mu(0.1).iota(iota).max_levels(cap);
+        if decaying {
+            pb.insertion_strategy(InsertionStrategy::DecayingWeight { halving });
+        }
+        let params = pb.build().unwrap();
+        let run = Run {
+            params: &params,
+            refresh: 0.1,
+            mode: match layer {
+                0 => EstimateMode::Messages,
+                1 => EstimateMode::Oracle(ErrorModel::None),
+                2 => EstimateMode::Oracle(ErrorModel::RandomBias),
+                _ => EstimateMode::Oracle(ErrorModel::Hide),
+            },
+        };
+
+        let logical = f64::from(logical_k) / 1024.0;
+        let mut node = NodeState::new(NodeId(1000), 1.0);
+        node.corrupt_logical(logical);
+        let m_offset = [0.0, iota / 2.0, iota, 2.0 * iota, 1.0][usize::from(m_step)];
+        node.merge_max_estimate(logical + m_offset);
+        node.set_mode(if current_fast { Mode::Fast } else { Mode::Slow });
+        if let Some(bias) = scripted {
+            node.corrupt_estimates(bias);
+        }
+        let insertion = 0.5;
+        for (v, &((kind, j, doublings), _, (sixteenths, oracle_bias))) in
+            raw_neighbors.iter().enumerate()
+        {
+            let kappa = f64::from(sixteenths) / 16.0;
+            let info = EdgeInfo {
+                params: EdgeParams::default(),
+                epsilon: kappa / 16.0,
+                kappa,
+                delta: kappa / 8.0,
+            };
+            let mut slot = EdgeSlot::initial();
+            slot.oracle_bias = oracle_bias;
+            slot.insert = match kind {
+                0 => InsertState::Initial,
+                1 => InsertState::Pending,
+                2 => InsertState::FollowerWait {
+                    l_ins: logical,
+                    g_tilde: 1.0,
+                    l_at_receive: logical,
+                },
+                // j < 0: before T₀; 0: at T₁ = T₀; 1..8: during; 8: at
+                // T∞; beyond: after.
+                3 => InsertState::Scheduled {
+                    t0: logical - f64::from(j) * insertion / 8.0,
+                    i: insertion,
+                },
+                _ => InsertState::Decaying {
+                    l0: logical - f64::from(j) * halving / 4.0,
+                    kappa0: kappa * f64::from(1 << doublings),
+                },
+            };
+            node.slots.insert(NodeId(v as u32), info, slot);
+        }
+
+        // Place each estimate against the thresholds of the neighbour's
+        // view as the decision will see it (a decayed κ moves them).
+        let mut views = Vec::new();
+        handlers::fill_views(&node, &run, |_| None, &mut views);
+        let mut truth = vec![None; raw_neighbors.len()];
+        for (v, (&(_, (place, ulps, offset), _), n)) in
+            raw_neighbors.iter().zip(&views).enumerate()
+        {
+            let fast_at = 1.0 * n.kappa - n.epsilon;
+            let slow_at = 1.5 * n.kappa - n.delta - n.epsilon;
+            let (est, ulps) = match (place, calm) {
+                (0, false) => (first_ahead(logical, fast_at), ulps),
+                (0, true) => (first_ahead(logical, fast_at), -1),
+                (1, false) => (last_behind(logical, slow_at), ulps),
+                (1, true) => (last_behind(logical, slow_at), 1),
+                (2, false) => (logical + offset * n.kappa, ulps),
+                (3, _) => continue,
+                _ => (logical + 0.45 * offset * n.kappa, ulps),
+            };
+            let est = match ulps {
+                -1 => est.next_down(),
+                1 => est.next_up(),
+                _ => est,
+            };
+            truth[v] = Some(est);
+            let hw_at_recv = node.hardware();
+            node.slots.get_mut(NodeId(v as u32)).unwrap().estimate =
+                Some(EstimateEntry { value: est, hw_at_recv });
+        }
+        let truth = |v: NodeId| truth[v.index()];
+
+        let policy = CountsFilled {
+            aopt: AoptPolicy::new(cap),
+            filled: std::cell::Cell::new(0),
+        };
+        let got = handlers::decide(&node, &policy, certify, &run, truth, &mut Vec::new());
+
+        let unlock_margin = handlers::fill_views(&node, &run, truth, &mut views);
+        let view = handlers::node_view(&node, &params, &views);
+        let (mode, cert) = if certify {
+            policy.aopt.decide_and_certify(&view)
+        } else {
+            (policy.aopt.decide(&view), None)
+        };
+        let cert_bits = |c: Option<gradient_clock_sync::core::StabilityCert>| {
+            c.map(|c| (c.estimate_margin.to_bits(), c.m_margin.to_bits(), c.m_jump_sensitive))
+        };
+        prop_assert_eq!(got.mode, mode);
+        prop_assert_eq!(cert_bits(got.cert), cert_bits(cert));
+        prop_assert_eq!(got.unlock_margin.to_bits(), unlock_margin.to_bits());
+
+        // The views are filled exactly when the quiet case fails.
+        let quiet = !views.iter().any(|n| {
+            n.level.includes(1)
+                && n.estimate.is_some_and(|est| {
+                    est - logical >= 1.0 * n.kappa - n.epsilon
+                        || logical - est >= 1.5 * n.kappa - n.delta - n.epsilon
+                })
+        });
+        prop_assert_eq!(policy.filled.get(), u32::from(!quiet), "quiet = {}", quiet);
+
+        // And both agree with Listing 3 over the exhaustive triggers.
+        let listing3 = if trigger_reference::slow(&view, cap) {
+            Mode::Slow
+        } else if trigger_reference::fast(&view, cap) {
+            Mode::Fast
+        } else if logical >= view.max_estimate {
+            Mode::Slow
+        } else if logical <= view.max_estimate - iota {
+            Mode::Fast
+        } else {
+            view.current_mode
+        };
+        prop_assert_eq!(got.mode, listing3);
     }
 }
 
