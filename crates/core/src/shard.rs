@@ -342,7 +342,7 @@ impl<S: EventSink> LocalCtx<'_, S> {
                 // policy's exact fast-branch float expression. (Between now
                 // and the next tick, m only drifts down, which can make
                 // this conservative but never unsound.)
-                if (outcome.estimate_written && run.mode == EstimateMode::Messages)
+                if (outcome.estimate_written.is_some() && run.mode == EstimateMode::Messages)
                     || (outcome.m_moved
                         && self.m_jump_sensitive[i]
                         && m_jump_triggers_fast(node, run.params.iota()))

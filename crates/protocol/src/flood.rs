@@ -27,15 +27,16 @@ pub struct FloodMsg {
 }
 
 /// What [`merge_flood`] changed on the receiving node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MergeOutcome {
     /// Whether any of the merged bounds actually moved (an upward `M`
     /// jump is the event that can flip a slow node fast, see
     /// [`m_jump_triggers_fast`]).
     pub m_moved: bool,
-    /// Whether a clock sample was stored in the sender's neighbour slot
-    /// (false when the sender is no longer a neighbour).
-    pub estimate_written: bool,
+    /// The clock sample stored in the sender's neighbour slot (`None`
+    /// when the sender is no longer a neighbour), so a host that tracks
+    /// its samples needs no second lookup.
+    pub estimate_written: Option<EstimateEntry>,
 }
 
 /// Samples the sender's state into a flood message.
@@ -62,7 +63,11 @@ pub fn flood_from(node: &NodeState) -> FloodMsg {
 /// come from the run's [`Params`](crate::Params). The §3.1 delivery rule
 /// is also the caller's job — this function assumes the message is
 /// deliverable (though a concurrently removed neighbour slot degrades
-/// gracefully to `estimate_written: false`).
+/// gracefully to `estimate_written: None`).
+// Inlined into its callers: returned through memory, the sample came back
+// as two 8-byte stores read by one 16-byte load, a failed store forward
+// that cost `NodeCore::on_message` about 10 % on `node-loopback`.
+#[inline]
 pub fn merge_flood(
     node: &mut NodeState,
     src: NodeId,
@@ -77,15 +82,14 @@ pub fn merge_flood(
         msg.min_lb,
         msg.max_ub + beta * edge.delay_bound(),
     );
-    let hw_now = node.hardware();
-    let mut estimate_written = false;
-    if let Some(slot) = node.slots.get_mut(src) {
-        slot.estimate = Some(EstimateEntry {
-            value: msg.logical + credit,
-            hw_at_recv: hw_now,
-        });
-        estimate_written = true;
-    }
+    let sample = EstimateEntry {
+        value: msg.logical + credit,
+        hw_at_recv: node.hardware(),
+    };
+    let estimate_written = node.slots.get_mut(src).map(|slot| {
+        slot.estimate = Some(sample);
+        sample
+    });
     MergeOutcome {
         m_moved,
         estimate_written,
@@ -142,11 +146,11 @@ mod tests {
         };
         let out = merge_flood(&mut node, NodeId(1), msg, edge, rho, beta);
         assert!(out.m_moved);
-        assert!(out.estimate_written);
         let credit = transport::min_transit_credit(edge, rho);
         assert_eq!(node.max_estimate(), 7.5 + credit);
         let slot = node.slots.get(NodeId(1)).unwrap();
         assert_eq!(slot.estimate.unwrap().value, 7.0 + credit);
+        assert_eq!(out.estimate_written, slot.estimate);
         // P merges by tightening and clamps at M from below; on a fresh
         // node the clamp wins.
         assert_eq!(node.max_upper_bound(), node.max_estimate());
@@ -188,7 +192,7 @@ mod tests {
         };
         let out = merge_flood(&mut node, NodeId(9), msg, edge, 0.01, 1.1);
         assert!(out.m_moved);
-        assert!(!out.estimate_written);
+        assert_eq!(out.estimate_written, None);
         assert!(node.slots.is_empty());
     }
 
@@ -213,7 +217,7 @@ mod tests {
         assert!(!out.m_moved);
         // The clock sample is still refreshed: newer is better even when
         // the advertised bounds are stale.
-        assert!(out.estimate_written);
+        assert!(out.estimate_written.is_some());
     }
 
     #[test]

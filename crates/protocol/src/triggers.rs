@@ -32,6 +32,12 @@
 //! on `ring-1k`, `geo-4k`, `churn-1k` and `node-loopback` stays on the
 //! streamed path; fault scenarios leave it often (`self-heal` 58 %,
 //! `adversarial-partition` 97 % of decisions at default scale).
+//!
+//! [`NodeCore`](crate::NodeCore) skips even that pass while it can: in
+//! message mode both level-1 clauses read a neighbour's clock sample only
+//! through one difference, so running bounds on it over the table and the
+//! smallest thresholds of `ahead_threshold` / `behind_threshold` at
+//! `s = 1` decide the quiet case for the whole table in O(1).
 
 use std::fmt;
 
@@ -133,7 +139,7 @@ impl NodeView<'_> {
 
     /// Listing 3's steps 3–5, the max-estimate branch: the mode when
     /// neither trigger holds.
-    fn max_estimate_mode(&self) -> Mode {
+    pub(crate) fn max_estimate_mode(&self) -> Mode {
         if self.logical >= self.max_estimate {
             // M_u is clamped to be >= L_u, so >= means equality.
             Mode::Slow
@@ -153,17 +159,30 @@ impl NeighborView {
     }
 }
 
+/// Definition 4.5's existential threshold for neighbour `n` at level `s`:
+/// `s·κ − ε`. At `s = 1` the product is `κ` exactly. `NodeCore`'s O(1)
+/// decision takes its floor from this same expression at `s = 1`.
+pub(crate) fn ahead_threshold(n: &NeighborView, s: f64) -> f64 {
+    s * n.kappa - n.epsilon
+}
+
+/// Definition 4.6's existential threshold for neighbour `n` at level `s`,
+/// given `sh = s + ½`: `(s+½)κ − δ − ε`. At `s = 1`, `sh` is 1.5 exactly;
+/// `NodeCore`'s floor uses it there too.
+pub(crate) fn behind_threshold(n: &NeighborView, sh: f64) -> f64 {
+    sh * n.kappa - n.delta - n.epsilon
+}
+
 /// Definition 4.5's existential clause for neighbour `n` at level `s`:
-/// `L̃ʷᵤ − L_u ≥ s·κ − ε`. At `s = 1` the product is `κ` exactly.
+/// `L̃ʷᵤ − L_u ≥ s·κ − ε`.
 fn ahead(logical: f64, est: f64, n: &NeighborView, s: f64) -> bool {
-    est - logical >= s * n.kappa - n.epsilon
+    est - logical >= ahead_threshold(n, s)
 }
 
 /// Definition 4.6's existential clause for neighbour `n` at level `s`,
-/// given `sh = s + ½`: `L_u − L̃ʷᵤ ≥ (s+½)κ − δ − ε`. At `s = 1`, `sh` is
-/// 1.5 exactly.
+/// given `sh = s + ½`: `L_u − L̃ʷᵤ ≥ (s+½)κ − δ − ε`.
 fn behind(logical: f64, est: f64, n: &NeighborView, sh: f64) -> bool {
-    logical - est >= sh * n.kappa - n.delta - n.epsilon
+    logical - est >= behind_threshold(n, sh)
 }
 
 /// The fast-mode trigger of Definition 4.5: there is a level `s ≥ 1` such

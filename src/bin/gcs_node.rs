@@ -34,7 +34,8 @@ USAGE:
              [--peers ADDR[,ADDR...]] [--refresh S] [--status-every S]
 
     --listen ADDR     bind a TCP listener (port 0 picks a free port)
-    --uds PATH        bind a Unix domain socket listener instead
+    --uds PATH        bind a Unix domain socket listener instead; PATH
+                      must be free or a stale socket (no listener answers)
     --first N         first hosted virtual node ID        (default 0)
     --count K         number of hosted virtual nodes      (default 1)
     --total M         cluster-wide node count, <= 1024    (default first+count)
@@ -229,7 +230,7 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         #[cfg(unix)]
         (None, Some(path)) => {
-            let _ = std::fs::remove_file(path);
+            clear_stale_socket(path)?;
             let l = UnixListener::bind(path).map_err(|e| format!("cannot bind {path}: {e}"))?;
             l.set_nonblocking(true)
                 .map_err(|e| format!("cannot configure {path}: {e}"))?;
@@ -320,6 +321,29 @@ fn run(args: &[String]) -> Result<(), String> {
     }
     println!("shutdown clean");
     Ok(())
+}
+
+/// Frees `path` for binding when a stale socket holds it: one no listener
+/// answers (a daemon that died without its graceful exit leaves it). A
+/// missing path is free already; anything else is refused untouched — a
+/// file that is not a socket, and a socket a live listener still serves.
+#[cfg(unix)]
+fn clear_stale_socket(path: &str) -> Result<(), String> {
+    use std::os::unix::fs::FileTypeExt;
+    let meta = match std::fs::symlink_metadata(path) {
+        Ok(meta) => meta,
+        Err(e) if e.kind() == ErrorKind::NotFound => return Ok(()),
+        Err(e) => return Err(format!("cannot inspect {path}: {e}")),
+    };
+    if !meta.file_type().is_socket() {
+        return Err(format!("{path} exists and is not a socket"));
+    }
+    match UnixStream::connect(path) {
+        Ok(_) => Err(format!("{path} is in use: a listener answers on it")),
+        Err(e) if e.kind() == ErrorKind::ConnectionRefused => std::fs::remove_file(path)
+            .map_err(|e| format!("cannot remove the stale socket {path}: {e}")),
+        Err(e) => Err(format!("cannot probe the socket {path}: {e}")),
+    }
 }
 
 fn dial(peer: &str) -> Result<Box<dyn Stream>, String> {

@@ -109,6 +109,77 @@ fn two_daemons_exchange_floods_over_unix_sockets_and_shut_down_cleanly() {
     assert!(!sock_b.exists(), "daemon B left its socket file behind");
 }
 
+/// Runs `gcs-node --uds path` with stdin closed and returns its exit
+/// code, stdout and stderr.
+fn uds_daemon_run(path: &std::path::Path) -> (Option<i32>, String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_gcs-node"))
+        .args(["--uds", path.to_str().unwrap()])
+        .args(["--first", "0", "--count", "1", "--total", "1"])
+        .stdin(Stdio::null())
+        .output()
+        .unwrap();
+    let text = |b: &[u8]| String::from_utf8_lossy(b).into_owned();
+    (out.status.code(), text(&out.stdout), text(&out.stderr))
+}
+
+#[test]
+fn uds_path_holding_a_regular_file_is_refused_and_left_intact() {
+    let path = std::env::temp_dir().join(format!("gcs-node-file-{}.txt", std::process::id()));
+    std::fs::write(&path, b"not a socket\n").unwrap();
+    let (code, stdout, stderr) = uds_daemon_run(&path);
+    let kept = std::fs::read(&path);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(code, Some(1), "{stdout}{stderr}");
+    assert!(
+        stderr.contains(&format!(
+            "error: {} exists and is not a socket",
+            path.display()
+        )),
+        "{stderr}"
+    );
+    assert_eq!(kept.unwrap(), b"not a socket\n", "the file was touched");
+}
+
+#[test]
+fn uds_path_served_by_a_live_listener_is_refused_and_kept() {
+    use std::os::unix::net::UnixListener;
+    let path = std::env::temp_dir().join(format!("gcs-node-live-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let live = UnixListener::bind(&path).unwrap();
+    let (code, stdout, stderr) = uds_daemon_run(&path);
+    let kept = path.exists();
+    // The daemon's probe reached the live listener, which still serves.
+    live.set_nonblocking(true).unwrap();
+    let probed = live.accept().is_ok();
+    drop(live);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(code, Some(1), "{stdout}{stderr}");
+    assert!(
+        stderr.contains("is in use: a listener answers on it"),
+        "{stderr}"
+    );
+    assert!(kept, "the live listener's socket file was unlinked");
+    assert!(probed, "the daemon never probed the listener");
+}
+
+#[test]
+fn uds_path_holding_a_stale_socket_is_reclaimed() {
+    use std::os::unix::net::UnixListener;
+    let path = std::env::temp_dir().join(format!("gcs-node-stale-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    // A listener that dies without unlinking leaves a socket nobody answers.
+    drop(UnixListener::bind(&path).unwrap());
+    assert!(path.exists());
+    let (code, stdout, stderr) = uds_daemon_run(&path);
+    assert_eq!(code, Some(0), "{stdout}{stderr}");
+    assert!(
+        stdout.starts_with(&format!("listening unix:{}\n", path.display())),
+        "{stdout}"
+    );
+    assert!(stdout.lines().any(|l| l == "shutdown clean"), "{stdout}");
+    assert!(!path.exists(), "the daemon left its socket file behind");
+}
+
 #[test]
 fn hostile_frames_drop_the_connection_not_the_daemon() {
     let mut d = daemon()

@@ -550,6 +550,252 @@ proptest! {
     }
 }
 
+/// One step of [`nodecore_decisions_equal_the_full_table_bit_for_bit`]'s
+/// script: `(kind, neighbour, (gap to the flood, gap from it to the
+/// evaluation), (placement, ulps, tolerance scale, offset), (M lift, rate))`.
+#[allow(clippy::type_complexity)]
+fn arb_core_op() -> impl Strategy<Value = (u8, usize, (u8, u8), (u8, i8, u8, f64), (u8, f64))> {
+    (
+        0u8..10,
+        0usize..6,
+        (0u8..6, 0u8..6),
+        (0u8..10, -1i8..=1, 0u8..11, -2.0f64..2.0),
+        (0u8..5, 0.99f64..1.01),
+    )
+}
+
+/// The wall-clock gaps a script step may take: none, a few clock ulps at
+/// 10³ s, a daemon turn, a flood period, and more.
+const CORE_GAPS: [f64; 6] = [0.0, 1e-12, 0.002, 0.013, 0.2, 1.7];
+
+/// The message-mode estimate `L̃ − L` (and `L − L̃`) that neighbour `v`
+/// holds at `t_eval` if its flood carrying `logical` (and `max_est`)
+/// arrives at `t_msg`: exactly what a decision at `t_eval` compares.
+fn placed_gap(
+    state: &gcs_protocol::NodeState,
+    run: &gcs_protocol::handlers::Run<'_>,
+    v: gradient_clock_sync::net::NodeId,
+    (t_msg, t_eval): (SimTime, SimTime),
+    logical: f64,
+    max_est: f64,
+) -> (f64, f64) {
+    use gcs_protocol::handlers::{self, Message};
+    let mut probe = state.clone();
+    let flood = gcs_protocol::FloodMsg {
+        logical,
+        max_est,
+        min_lb: 0.0,
+        max_ub: 1.0e9,
+    };
+    let _ = handlers::deliver(
+        &mut probe,
+        t_msg,
+        v,
+        t_msg,
+        Message::Flood(flood),
+        run,
+        &mut Silent,
+    );
+    probe.advance_to(t_eval, run.params);
+    let est = probe
+        .slots
+        .get(v)
+        .unwrap()
+        .reckoned_estimate(probe.hardware())
+        .unwrap();
+    (est - probe.logical(), probe.logical() - est)
+}
+
+/// The smallest `x` at which `clause(x)` holds, for a `clause` that turns
+/// on once as `x` grows, searched ulp by ulp from `x`.
+fn first_true(mut x: f64, clause: impl Fn(f64) -> bool) -> f64 {
+    while !clause(x) {
+        x = x.next_up();
+    }
+    while clause(x.next_down()) {
+        x = x.next_down();
+    }
+    x
+}
+
+/// A [`gcs_protocol::handlers::Host`] that drops every effect.
+struct Silent;
+
+impl gcs_protocol::handlers::Host for Silent {
+    fn send(
+        &mut self,
+        _dst: gradient_clock_sync::net::NodeId,
+        _edge: EdgeParams,
+        _msg: gcs_protocol::handlers::Message,
+    ) {
+    }
+    fn wake(&mut self, _at: SimTime, _timer: gcs_protocol::handlers::Timer) {}
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 2048, ..ProptestConfig::default() })]
+
+    /// `NodeCore::evaluate` decides a quiet node from running bounds on
+    /// its clock samples and the smallest level-1 thresholds of its edges,
+    /// without reading the table. It must decide exactly as
+    /// `handlers::decide` over the table, on a copy of the node driven
+    /// through the handlers by the same script of floods, rate changes,
+    /// neighbour removals and additions, and evaluations.
+    ///
+    /// Edges carry different `κ`, `ε` and `δ`, and some join only later.
+    /// A flood's sample is placed against its edge's own level-1
+    /// thresholds as the next evaluation will read it: on the first (last)
+    /// estimate that meets the fast (slow) clause, one ulp either side, a
+    /// power of two up to 2¹⁰ ulps either side (the tolerance's scale), at
+    /// a random offset of up to 2κ, or — half the floods, so that many
+    /// decisions are quiet — within 0.9κ of the node. Clocks start near 0
+    /// or up to 1500 s in, so the rounding of both the clauses and the
+    /// bounds varies.
+    #[test]
+    fn nodecore_decisions_equal_the_full_table_bit_for_bit(
+        (start_pick, start, rate, decaying) in
+            (0u8..3, 0.0f64..1500.0, 0.99f64..1.01, proptest::bool::ANY),
+        edges in proptest::collection::vec((8u32..33, 0u8..3, 0u8..3, 0u8..4), 1..7),
+        script in proptest::collection::vec(arb_core_op(), 1..64),
+    ) {
+        use gcs_protocol::handlers::{self, Message, Run};
+        use gcs_protocol::{EdgeInfo, FloodMsg, NodeCore, NodeState};
+        use gradient_clock_sync::net::NodeId;
+
+        let iota = 1.0 / 64.0;
+        let mut pb = Params::builder();
+        pb.rho(0.01).mu(0.1).iota(iota);
+        if decaying {
+            pb.insertion_strategy(InsertionStrategy::DecayingWeight { halving: 0.25 });
+        }
+        let params = pb.build().unwrap();
+        let run = Run { params: &params, refresh: 0.1, mode: EstimateMode::Messages };
+        let infos: Vec<EdgeInfo> = edges
+            .iter()
+            .map(|&(sixteenths, eps_pick, delta_pick, _)| {
+                let kappa = f64::from(sixteenths) / 16.0;
+                EdgeInfo {
+                    params: EdgeParams::default(),
+                    epsilon: kappa / [8.0, 16.0, 32.0][usize::from(eps_pick)],
+                    kappa,
+                    delta: kappa / [4.0, 8.0, 16.0][usize::from(delta_pick)],
+                }
+            })
+            .collect();
+        let me = NodeId(1000);
+        let mut core = NodeCore::new(me, params.clone(), 0.1, rate, SimTime::ZERO);
+        // Edges whose last pick is 0, a quarter, join later through the
+        // script.
+        for (v, (&info, &(.., joins))) in infos.iter().zip(&edges).enumerate() {
+            if joins != 0 {
+                core.add_neighbor(NodeId(v as u32), info);
+            }
+        }
+        let mut copy: NodeState = core.state().clone();
+        let policy = AoptPolicy::new(params.max_levels());
+        let (mut views, mut placing) = (Vec::new(), Vec::new());
+        let bits = |n: &NodeState| {
+            let clocks = [
+                n.logical(),
+                n.hardware(),
+                n.max_estimate(),
+                n.min_lower_bound(),
+                n.max_upper_bound(),
+            ]
+            .map(f64::to_bits);
+            let samples: Vec<_> = n
+                .slots
+                .iter()
+                .map(|e| (e.id, e.slot.estimate.map(|s| (s.value.to_bits(), s.hw_at_recv.to_bits()))))
+                .collect();
+            (n.mode(), clocks, samples)
+        };
+
+        let mut now = [0.0, 1.0 / 3.0, start][usize::from(start_pick)];
+        let mut evaluate = |core: &mut NodeCore, copy: &mut NodeState, t: SimTime| {
+            let filtered = core.evaluate(t);
+            copy.advance_to(t, &params);
+            let full = handlers::decide(copy, &policy, false, &run, |_| None, &mut views);
+            copy.set_mode(full.mode);
+            (filtered, full.mode)
+        };
+        for (step, (kind, v, (gap_a, gap_b), (place, ulps, scale, offset), (lift, new_rate))) in
+            script.into_iter().enumerate()
+        {
+            let v = NodeId((v % infos.len()) as u32);
+            now += CORE_GAPS[usize::from(gap_a)];
+            let t = SimTime::from_secs(now);
+            match kind {
+                0..=5 => {
+                    let t_eval = SimTime::from_secs(now + CORE_GAPS[usize::from(gap_b)]);
+                    let mut probe = core.state().clone();
+                    probe.advance_to(t, &params);
+                    let max_est = probe.logical() + [0.0, iota / 2.0, iota, 2.0 * iota, 1.0][usize::from(lift)];
+                    let logical = match core.state().slots.get(v).is_some() {
+                        false => probe.logical(),
+                        true => {
+                            handlers::fill_views(core.state(), &run, |_| None, &mut placing);
+                            let n = placing[core.state().slots.iter().position(|e| e.id == v).unwrap()];
+                            let fast_at = 1.0 * n.kappa - n.epsilon;
+                            let slow_at = 1.5 * n.kappa - n.delta - n.epsilon;
+                            let gap = |x: f64| placed_gap(core.state(), &run, v, (t, t_eval), x, max_est);
+                            // `est − L` moves one for one with `logical`.
+                            let aim = |target: f64| {
+                                let x = probe.logical();
+                                x + (target - gap(x).0)
+                            };
+                            let ahead = |x: f64| gap(x).0 >= fast_at;
+                            let behind = |x: f64| gap(x).1 < slow_at;
+                            let x = match place {
+                                0 | 2 => first_true(aim(fast_at), ahead),
+                                1 | 3 => first_true(aim(-slow_at), behind).next_down(),
+                                4 => aim(offset * n.kappa),
+                                _ => aim(0.45 * offset * n.kappa),
+                            };
+                            let ulp = x.next_up() - x;
+                            match place {
+                                0 | 1 => match ulps {
+                                    -1 => x.next_down(),
+                                    1 => x.next_up(),
+                                    _ => x,
+                                },
+                                2 | 3 => x + f64::from(ulps) * f64::from(1u32 << scale) * ulp,
+                                _ => x,
+                            }
+                        }
+                    };
+                    let msg = FloodMsg { logical, max_est, min_lb: 0.0, max_ub: 1.0e9 };
+                    let got = core.on_message(t, v, t, msg);
+                    let want = handlers::deliver(&mut copy, t, v, t, Message::Flood(msg), &run, &mut Silent);
+                    prop_assert_eq!(got.is_some(), want != handlers::Delivered::Rejected);
+                    if kind < 4 {
+                        now += CORE_GAPS[usize::from(gap_b)];
+                        let (filtered, full) = evaluate(&mut core, &mut copy, t_eval);
+                        prop_assert_eq!(filtered, full, "step {}: the modes differ", step);
+                    }
+                }
+                6 => {
+                    let (filtered, full) = evaluate(&mut core, &mut copy, t);
+                    prop_assert_eq!(filtered, full, "step {}: the modes differ", step);
+                }
+                7 => {
+                    core.set_hw_rate(t, new_rate);
+                    handlers::rate_change(&mut copy, t, new_rate, &run);
+                }
+                8 => {
+                    prop_assert_eq!(core.remove_neighbor(v), handlers::neighbor_down(&mut copy, v));
+                }
+                _ => {
+                    let info = infos[v.index()];
+                    core.add_neighbor(v, info);
+                    handlers::neighbor_initial(&mut copy, v, info, 0.0);
+                }
+            }
+            prop_assert_eq!(bits(core.state()), bits(&copy), "step {}: the states differ", step);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 64,
