@@ -28,7 +28,9 @@
 //! deliveries through mailboxes at round barriers; then the master
 //! executes its events at `cut` sequentially (mode re-evaluation sweeps,
 //! edge up/down), routing any node-local events they spawn back to the
-//! owning shard.
+//! owning shard. The call ends by advancing every node's clocks to the
+//! target, each shard's nodes on that shard's thread after a threaded
+//! round.
 //!
 //! # Why the merged order is the sequential order
 //!
@@ -69,9 +71,10 @@ use crate::sim::{BuildError, Event, SimBuilder, SimStats, Simulation};
 /// (small integers) and from every other shard.
 const SEQ_NAMESPACE_SHIFT: u32 = 48;
 
-/// A drain round spawns worker threads only if the round before it
-/// drained at least this many events; below it the calling thread drains
-/// the active shards one after another. Measured on the 2-vCPU reference
+/// A drain round, and the clock advance that ends a `run_until` call,
+/// spawn worker threads only if the last drain round drained at least
+/// this many events; below it the calling thread works through the
+/// shards one after another. Measured on the 2-vCPU reference
 /// container, rings of 1k–32k nodes on two shards with every round forced
 /// down one path, five alternating runs each: a threaded round cost
 /// 23–57 µs more than an inline one at 0.5k–1.9k events per round, 1.08×
@@ -269,6 +272,28 @@ fn split_ranges<'a, T>(mut rest: &'a mut [T], ranges: &[Range<usize>]) -> Vec<&'
     out
 }
 
+/// Runs `f` on every item: the first on the calling thread and each
+/// other on a scoped thread of its own when `threaded`, all on the
+/// calling thread, in order, otherwise.
+fn fan_out<T: Send>(items: impl IntoIterator<Item = T>, threaded: bool, f: impl Fn(T) + Sync) {
+    let mut items = items.into_iter();
+    let Some(first) = items.next() else {
+        return;
+    };
+    if threaded {
+        let f = &f;
+        std::thread::scope(|scope| {
+            for item in items {
+                scope.spawn(move || f(item));
+            }
+            f(first);
+        });
+    } else {
+        f(first);
+        items.for_each(f);
+    }
+}
+
 impl Work<'_> {
     /// Pops the shard's earliest event and runs it through the shared
     /// [`LocalCtx`] with the shard's own sink, sequence counter, stats,
@@ -405,7 +430,7 @@ impl ParallelSimulation {
         }
         self.sim.now = target;
         self.merge_stats();
-        self.sim.advance_all(target);
+        self.advance_shards(target);
     }
 
     /// Pending events across the master queue and every shard queue. At
@@ -560,7 +585,8 @@ impl ParallelSimulation {
     /// so the order the shards run in changes nothing.
     fn drain_round(&mut self, active: &[bool], cut: SimTime, strict: bool) {
         let events_before: u64 = self.shards.iter().map(|s| s.stats.events).sum();
-        let threaded = self.last_round_events >= self.thread_min_events;
+        let threaded = self.threaded();
+        let ranges = self.ranges();
         let sim = &mut self.sim;
         let shared = SharedCtx {
             run: Run {
@@ -572,7 +598,6 @@ impl ParallelSimulation {
             starts: &self.starts,
             telemetry: sim.telemetry.is_some(),
         };
-        let ranges: Vec<Range<usize>> = self.shards.iter().map(|s| s.range.clone()).collect();
         let node_cols = split_ranges(&mut sim.nodes, &ranges);
         let su_cols = split_ranges(&mut sim.hot.stable_until, &ranges);
         let mj_cols = split_ranges(&mut sim.hot.m_jump_sensitive, &ranges);
@@ -597,24 +622,39 @@ impl ParallelSimulation {
             };
             works.push(is_active.then_some(w));
         }
-        let mut iter = works.into_iter().flatten();
-        let first = iter.next().expect("at least one active shard");
-        let rest: Vec<Work<'_>> = iter.collect();
-        if rest.is_empty() || !threaded {
-            for w in std::iter::once(first).chain(rest) {
-                drain_one(w, &shared, cut, strict);
-            }
-        } else {
-            let shared = &shared;
-            std::thread::scope(|scope| {
-                for w in rest {
-                    scope.spawn(move || drain_one(w, shared, cut, strict));
-                }
-                drain_one(first, shared, cut, strict);
-            });
-        }
+        fan_out(works.into_iter().flatten(), threaded, |w| {
+            drain_one(w, &shared, cut, strict);
+        });
         let events_after: u64 = self.shards.iter().map(|s| s.stats.events).sum();
         self.last_round_events = events_after - events_before;
+    }
+
+    /// Whether the shards work on their own threads: only after a drain
+    /// round of at least [`THREAD_DRAIN_MIN_EVENTS`] events.
+    fn threaded(&self) -> bool {
+        self.last_round_events >= self.thread_min_events
+    }
+
+    /// The shards' node ranges, for [`split_ranges`].
+    fn ranges(&self) -> Vec<Range<usize>> {
+        self.shards.iter().map(|s| s.range.clone()).collect()
+    }
+
+    /// Advances every node's clocks to `t`, each shard's nodes over the
+    /// same borrows [`drain_round`](Self::drain_round) takes and on the
+    /// same path it would take. `advance_to` reads and writes only its own
+    /// node, so where a node is advanced changes no bit. At 10⁵ nodes the
+    /// pass costs ~0.7 ms on one thread, once per call.
+    fn advance_shards(&mut self, t: SimTime) {
+        let threaded = self.threaded();
+        let ranges = self.ranges();
+        let Simulation { nodes, params, .. } = &mut self.sim;
+        let params = &*params;
+        fan_out(split_ranges(nodes, &ranges), threaded, |col| {
+            for node in col {
+                node.advance_to(t, params);
+            }
+        });
     }
 
     /// Routes master-spawned node-local events to their owning shards
@@ -917,7 +957,9 @@ mod tests {
     /// A round drained on the calling thread and one drained by scoped
     /// workers are the same computation: pinning every round to either
     /// path reproduces the sequential engine bit for bit, on a churning
-    /// grid with message-mode estimates over three shards.
+    /// grid with message-mode estimates over three shards. The readings
+    /// cover every clock a node advances, so the end-of-run advance is
+    /// checked on both paths too.
     #[test]
     fn inline_and_threaded_rounds_are_bit_identical() {
         use gcs_net::{ChurnOptions, NetworkSchedule};
@@ -942,6 +984,14 @@ mod tests {
                 let snap = sim.as_sim().snapshot();
                 for v in [&snap.logical, &snap.hardware, &snap.max_estimates] {
                     bits.extend(v.iter().map(|x| x.to_bits()));
+                }
+                for node in &sim.as_sim().nodes {
+                    let readings = [
+                        node.max_upper_bound(),
+                        node.min_lower_bound(),
+                        node.fast_secs(),
+                    ];
+                    bits.extend(readings.map(f64::to_bits));
                 }
             }
             let changes: Vec<String> = sim

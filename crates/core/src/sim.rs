@@ -371,19 +371,26 @@ impl SimBuilder {
         let drift =
             self.drift
                 .realize(n, params.rho(), SimTime::from_secs(self.horizon), self.seed);
-        // Directed edges present at t = 0. Each node's neighbour table is
-        // sized for exactly its initial out-degree: at 10⁵ nodes, `Vec`'s
-        // minimum of four entries would be most of a ring node's memory.
-        let initial: std::collections::BTreeSet<(NodeId, NodeId)> =
-            schedule.initial_directed().iter().copied().collect();
-        let mut degree = vec![0; n];
+        // Directed edges present at t = 0, ascending and each once, so
+        // node `u`'s out-edges are the run `initial[row[u]..row[u + 1]]`.
+        // Each node's neighbour table is sized for exactly its initial
+        // out-degree: at 10⁵ nodes, `Vec`'s minimum of four entries would
+        // be most of a ring node's memory.
+        let mut initial = schedule.initial_directed().to_vec();
+        initial.sort_unstable();
+        initial.dedup();
+        let mut row = vec![0; n + 1];
         for &(u, _) in &initial {
-            degree[u.index()] += 1;
+            row[u.index() + 1] += 1;
         }
+        for i in 0..n {
+            row[i + 1] += row[i];
+        }
+        let degree = |i: usize| row[i + 1] - row[i];
         let nodes: Vec<NodeState> = (0..n)
             .map(|i| {
                 let mut node = NodeState::new(NodeId::from(i), drift.initial[i]);
-                node.slots.reserve_exact(degree[i]);
+                node.slots.reserve_exact(degree(i));
                 node
             })
             .collect();
@@ -427,6 +434,11 @@ impl SimBuilder {
             );
         }
 
+        let mut graph = DynamicGraph::new(n);
+        for i in 0..n {
+            graph.reserve_exact(NodeId::from(i), degree(i));
+        }
+
         let mut bias_rng = rng::stream(self.seed, "oracle-bias", 0);
         let rho = params.rho();
         // The stability certificates assume staged insertion (constant
@@ -439,7 +451,7 @@ impl SimBuilder {
                 .unwrap_or_else(|| Box::new(AoptPolicy::new(params.max_levels()))),
             params,
             mode: self.mode,
-            graph: DynamicGraph::new(n),
+            graph,
             nodes,
             queue,
             edge_info,
@@ -474,7 +486,8 @@ impl SimBuilder {
         for &(u, v) in &initial {
             sim.graph.insert_directed(u, v, SimTime::ZERO);
             let oracle_bias = bias_rng.gen_range(-1.0..=1.0);
-            if initial.contains(&(v, u)) {
+            let v_row = &initial[row[v.index()]..row[v.index() + 1]];
+            if v_row.binary_search(&(v, u)).is_ok() {
                 let info = sim.edge_info[&EdgeKey::new(u, v)];
                 handlers::neighbor_initial(&mut sim.nodes[u.index()], v, info, oracle_bias);
             } else {
@@ -670,11 +683,11 @@ impl Simulation {
     /// Runs until simulated time `t` (inclusive of events at `t`), then
     /// advances every node's clocks exactly to `t`.
     ///
-    /// Behaviour is a pure function of configuration and seed. Querying at
-    /// intermediate times splits the exact piecewise-linear integration
-    /// into more `f64` additions, which can perturb clock values in the
-    /// last few ulps (≈ 1e−12) relative to a single long run; decisions
-    /// and statistics are unaffected.
+    /// Behaviour is a pure function of configuration and seed, and so is
+    /// every clock value, to the bit, whatever the run is cut into:
+    /// advancing a node to a query instant evaluates its clocks from its
+    /// last anchor and moves no anchor, so stopping at intermediate times
+    /// leaves no trace.
     pub fn run_until(&mut self, t: SimTime) {
         assert!(t >= self.now, "cannot run backwards to {t:?}");
         while let Some(next) = self.queue.next_time() {
@@ -1136,7 +1149,7 @@ impl Simulation {
         }
     }
 
-    pub(crate) fn advance_all(&mut self, t: SimTime) {
+    fn advance_all(&mut self, t: SimTime) {
         let Simulation { nodes, params, .. } = self;
         for node in nodes.iter_mut() {
             node.advance_to(t, params);
@@ -1379,6 +1392,59 @@ mod tests {
         let err = SimBuilder::new(params()).build().unwrap_err();
         assert_eq!(err, BuildError::NoScenario);
         assert!(err.to_string().contains("scenario"));
+    }
+
+    /// The initial list as a schedule may hand it over: a duplicate pair,
+    /// pairs out of order, and one pair present in one direction only.
+    #[test]
+    fn build_takes_an_unsorted_initial_list_with_duplicates() {
+        let mut schedule = NetworkSchedule::empty(5);
+        for (u, v) in [
+            (3, 2),
+            (1, 0),
+            (0, 1),
+            (2, 3),
+            (0, 1),
+            (1, 2),
+            (2, 1),
+            (4, 3),
+        ] {
+            schedule.add_initial_directed(NodeId(u), NodeId(v));
+        }
+        let sim = SimBuilder::new(params())
+            .schedule(schedule.clone())
+            .seed(3)
+            .build()
+            .unwrap();
+
+        let both_ways = [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)];
+        for (u, v) in both_ways {
+            let slot = sim.nodes[u].slots.get(NodeId(v)).expect("slot");
+            assert!(matches!(slot.insert, InsertState::Initial), "{u} -> {v}");
+        }
+        let one_way = sim.nodes[4].slots.get(NodeId(3)).expect("discovered");
+        assert!(!matches!(one_way.insert, InsertState::Initial));
+        assert!(one_way.generation > 0);
+        assert!(!sim.nodes[3].slots.contains(NodeId(4)));
+
+        let rows: [&[u32]; 5] = [&[1], &[0, 2], &[1, 3], &[2], &[3]];
+        for (u, row) in rows.into_iter().enumerate() {
+            let u = NodeId::from(u);
+            let got: Vec<u32> = sim.graph.neighbors(u).map(|v| v.0).collect();
+            assert_eq!(got, row, "row of {u}");
+            assert_eq!(sim.graph.row_capacity(u), row.len(), "capacity of {u}");
+            assert_eq!(sim.nodes[u.index()].slots.len(), row.len());
+        }
+
+        let reference: std::collections::BTreeSet<EdgeKey> = schedule
+            .initial_directed()
+            .iter()
+            .map(|&(u, v)| EdgeKey::new(u, v))
+            .collect();
+        assert_eq!(
+            schedule.edge_universe(),
+            reference.into_iter().collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -170,6 +170,27 @@ impl DynamicGraph {
         }
     }
 
+    /// Reserves room in `u`'s row for exactly `additional` more
+    /// neighbours, for a row whose final degree is known up front (the
+    /// engine's initial graph). Later inserts keep amortised growth.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is out of range.
+    pub fn reserve_exact(&mut self, u: NodeId, additional: usize) {
+        self.adj[u.index()].reserve_exact(additional);
+    }
+
+    /// How many neighbours `u`'s row holds before it reallocates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is out of range.
+    #[must_use]
+    pub fn row_capacity(&self, u: NodeId) -> usize {
+        self.adj[u.index()].capacity()
+    }
+
     /// Removes the directed edge `(u, v)`. Idempotent.
     ///
     /// # Panics

@@ -342,18 +342,20 @@ impl NetworkSchedule {
         &self.events
     }
 
-    /// All undirected edges that are ever present (initial or scripted) —
-    /// the edge universe for which parameters must exist.
+    /// All undirected edges that are ever present (initial or scripted),
+    /// ascending and each once — the edge universe for which parameters
+    /// must exist.
     #[must_use]
     pub fn edge_universe(&self) -> Vec<EdgeKey> {
-        let mut set = std::collections::BTreeSet::new();
-        for &(u, v) in &self.initial {
-            set.insert(EdgeKey::new(u, v));
-        }
-        for ev in &self.events {
-            set.insert(EdgeKey::new(ev.from, ev.to));
-        }
-        set.into_iter().collect()
+        let mut keys: Vec<EdgeKey> = self
+            .initial
+            .iter()
+            .map(|&(u, v)| EdgeKey::new(u, v))
+            .chain(self.events.iter().map(|ev| EdgeKey::new(ev.from, ev.to)))
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys
     }
 
     fn assert_edge(&self, e: EdgeKey) {

@@ -76,6 +76,23 @@ pub fn merge_flood(
     rho: f64,
     beta: f64,
 ) -> MergeOutcome {
+    let entry = node.slots.index_of(src);
+    merge_flood_at(node, entry, msg, edge, rho, beta)
+}
+
+/// [`merge_flood`] with the sender's table entry already found
+/// ([`NeighborTable::index_of`](crate::node::NeighborTable::index_of)),
+/// for [`handlers::deliver`](crate::handlers::deliver), which searched
+/// the table for the §3.1 rule.
+#[inline]
+pub(crate) fn merge_flood_at(
+    node: &mut NodeState,
+    entry: Option<usize>,
+    msg: FloodMsg,
+    edge: EdgeParams,
+    rho: f64,
+    beta: f64,
+) -> MergeOutcome {
     let credit = transport::min_transit_credit(edge, rho);
     let m_moved = node.merge_flood_bounds(
         msg.max_est + credit,
@@ -86,8 +103,8 @@ pub fn merge_flood(
         value: msg.logical + credit,
         hw_at_recv: node.hardware(),
     };
-    let estimate_written = node.slots.get_mut(src).map(|slot| {
-        slot.estimate = Some(sample);
+    let estimate_written = entry.map(|i| {
+        node.slots.at_mut(i).slot.estimate = Some(sample);
         sample
     });
     MergeOutcome {

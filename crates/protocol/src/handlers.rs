@@ -33,7 +33,7 @@ use gcs_sim::{SimDuration, SimTime};
 
 use crate::edge_state::{align_t0, EdgeSlot, InsertState, Level};
 use crate::estimate::EstimateMode;
-use crate::flood::{flood_from, merge_flood, FloodMsg, MergeOutcome};
+use crate::flood::{flood_from, merge_flood_at, FloodMsg, MergeOutcome};
 use crate::node::{EdgeInfo, NeighborEntry, NodeState};
 use crate::params::{InsertionStrategy, Params};
 use crate::triggers::{Mode, ModePolicy, NeighborView, NodeView, StabilityCert};
@@ -243,8 +243,8 @@ fn skew_bound(node: &NodeState, params: &Params) -> f64 {
 ///
 /// The §3.1 delivery rule — `(node, src)` continuously present since the
 /// send — is answered from the receiver's own slot table: the slot exists
-/// and was discovered no later than the send. One lookup serves the rule
-/// and the edge constants.
+/// and was discovered no later than the send. One table search serves
+/// the rule, the edge constants and the slot the message then writes.
 pub fn deliver<H: Host>(
     node: &mut NodeState,
     t: SimTime,
@@ -254,16 +254,17 @@ pub fn deliver<H: Host>(
     run: &Run<'_>,
     host: &mut H,
 ) -> Delivered {
-    let edge = match node.slots.entry(src) {
-        Some(entry) if entry.slot.discovered_at <= sent_at => entry.info.params,
+    let i = match node.slots.index_of(src) {
+        Some(i) if node.slots.at(i).slot.discovered_at <= sent_at => i,
         _ => return Delivered::Rejected,
     };
+    let edge = node.slots.at(i).info.params;
     let params = run.params;
     node.advance_to(t, params);
     match msg {
-        Message::Flood(flood) => Delivered::Flood(merge_flood(
+        Message::Flood(flood) => Delivered::Flood(merge_flood_at(
             node,
-            src,
+            Some(i),
             flood,
             edge,
             params.rho(),
@@ -271,7 +272,7 @@ pub fn deliver<H: Host>(
         )),
         Message::InsertEdge { l_ins, g_tilde } => {
             let l_now = node.logical();
-            let slot = node.slots.get_mut(src).expect("slot passed the rule");
+            let slot = &mut node.slots.at_mut(i).slot;
             // Only a fresh, unscheduled incarnation accepts an offer.
             if !matches!(slot.insert, InsertState::Pending) {
                 return Delivered::Offer { accepted: false };

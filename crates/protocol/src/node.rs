@@ -230,6 +230,25 @@ impl NeighborTable {
         }
     }
 
+    /// Where `v`'s entry sits, if discovered: an index for
+    /// [`at`](Self::at) and [`at_mut`](Self::at_mut), valid until the
+    /// table next changes. One search for a caller that reads the entry
+    /// and later writes it.
+    pub(crate) fn index_of(&self, v: NodeId) -> Option<usize> {
+        self.position(v).ok()
+    }
+
+    /// The entry at an [`index_of`](Self::index_of) index.
+    pub(crate) fn at(&self, i: usize) -> &NeighborEntry {
+        &self.entries[i]
+    }
+
+    /// Mutable access to the entry at an [`index_of`](Self::index_of)
+    /// index. The entry's `id` must not be changed.
+    pub(crate) fn at_mut(&mut self, i: usize) -> &mut NeighborEntry {
+        &mut self.entries[i]
+    }
+
     /// Inserts (or replaces) the slot for `v`, keeping the table sorted.
     pub fn insert(&mut self, v: NodeId, info: EdgeInfo, slot: EdgeSlot) {
         let entry = NeighborEntry { id: v, info, slot };

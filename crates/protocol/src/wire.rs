@@ -243,6 +243,10 @@ impl Frame {
 #[derive(Debug, Default)]
 pub struct FrameReader {
     buf: Vec<u8>,
+    /// Start of the undecoded bytes in `buf`. Decoding only moves it;
+    /// `extend` drops the decoded prefix once, so the k frames of one read
+    /// cost O(read) bytes moved, not O(k · read).
+    start: usize,
 }
 
 impl FrameReader {
@@ -254,12 +258,14 @@ impl FrameReader {
 
     /// Appends freshly received bytes.
     pub fn extend(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.start);
+        self.start = 0;
         self.buf.extend_from_slice(bytes);
     }
 
     /// Bytes buffered, not yet decoded.
     pub(crate) fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.start
     }
 
     /// Pops the next complete frame, if one is buffered.
@@ -272,9 +278,9 @@ impl FrameReader {
     /// again whatever is appended — a reader never resynchronises into the
     /// middle of a corrupt stream.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
-        match Frame::decode(&self.buf)? {
+        match Frame::decode(&self.buf[self.start..])? {
             Some((frame, consumed)) => {
-                self.buf.drain(..consumed);
+                self.start += consumed;
                 Ok(Some(frame))
             }
             None => Ok(None),
@@ -404,6 +410,46 @@ mod tests {
             }
         }
         assert_eq!(got, frames);
+    }
+
+    /// k frames handed over in one read come out as they do one read per
+    /// frame, and after each, exactly the undecoded tail stays buffered.
+    #[test]
+    fn one_read_of_many_frames_decodes_like_one_read_per_frame() {
+        let frames: Vec<Frame> = (0..67)
+            .map(|i| match i % 3 {
+                0 => flood(),
+                1 => Frame::Hello { first: i, count: 2 },
+                _ => Frame::Shutdown,
+            })
+            .collect();
+        let encoded: Vec<Vec<u8>> = frames.iter().map(Frame::to_bytes).collect();
+
+        let mut one_by_one = FrameReader::new();
+        let mut singles = Vec::new();
+        for bytes in &encoded {
+            one_by_one.extend(bytes);
+            singles.push(one_by_one.next_frame().unwrap().expect("a whole frame"));
+            assert_eq!(one_by_one.buffered(), 0);
+        }
+        assert_eq!(singles, frames);
+
+        let mut whole = FrameReader::new();
+        whole.extend(&encoded.concat());
+        let mut tail: usize = encoded.iter().map(Vec::len).sum();
+        for (frame, bytes) in frames.iter().zip(&encoded) {
+            assert_eq!(whole.next_frame().unwrap().as_ref(), Some(frame));
+            tail -= bytes.len();
+            assert_eq!(whole.buffered(), tail);
+        }
+        assert_eq!(whole.next_frame(), Ok(None));
+        // A partial frame after the decoded prefix survives the compaction.
+        let partial = &encoded[0][..5];
+        whole.extend(partial);
+        assert_eq!(whole.buffered(), partial.len());
+        whole.extend(&encoded[0][5..]);
+        assert_eq!(whole.next_frame(), Ok(Some(frames[0])));
+        assert_eq!(whole.buffered(), 0);
     }
 
     /// One segment of a hostile stream, from a selector and seven words:
