@@ -16,7 +16,7 @@
 //! | Listing 1 lines 1–9 (discovery, `∆` wait, offer) | [`neighbor_up`], [`Timer::LeaderCheck`] |
 //! | Listing 1 lines 12–14, Listing 2 (`T + τ` wait, `T₀`) | [`Timer::FollowerApply`] |
 //! | Listing 1 lines 15–18 (edge loss) | [`neighbor_down`] |
-//! | Listing 3 over the views of Defs 4.5–4.7 | [`decide`] |
+//! | Listing 3 over the views of Defs 4.5–4.7 | [`decide`]; a polling host's quiet node: `QuietBounds` |
 //!
 //! Two hosts run this module and nothing else decides for a node: the
 //! simulation engines in `gcs-core` (effects become delay-sampled queue
@@ -31,12 +31,15 @@
 use gcs_net::{EdgeParams, NodeId};
 use gcs_sim::{SimDuration, SimTime};
 
-use crate::edge_state::{align_t0, EdgeSlot, InsertState, Level};
+use crate::edge_state::{align_t0, EdgeSlot, EstimateEntry, InsertState, Level};
 use crate::estimate::EstimateMode;
 use crate::flood::{flood_from, merge_flood_at, FloodMsg, MergeOutcome};
 use crate::node::{EdgeInfo, NeighborEntry, NodeState};
 use crate::params::{InsertionStrategy, Params};
-use crate::triggers::{Mode, ModePolicy, NeighborView, NodeView, StabilityCert};
+use crate::triggers::{
+    ahead_threshold, behind_threshold, AoptPolicy, Mode, ModePolicy, NeighborView, NodeView,
+    StabilityCert,
+};
 
 /// The constants every node of one run shares (what
 /// [`derive_run_config`](crate::runtime::derive_run_config) produced).
@@ -438,11 +441,11 @@ pub fn estimate(
 /// The node's view of one neighbour entry, reading the per-edge constants
 /// from the node's own table, and the logical-clock distance to the
 /// entry's next *scheduled level unlock* (`INFINITY` if none is pending).
-// Forced inline into both callers: outlined, it hands each view back
+// Forced inline into its callers: outlined, it hands each view back
 // through memory, which cost `churn-1k` 7 % and `ring-1k` 3 % even on the
 // filled path alone.
 #[inline(always)]
-pub(crate) fn neighbor_view(
+fn neighbor_view(
     node: &NodeState,
     run: &Run<'_>,
     entry: &NeighborEntry,
@@ -568,15 +571,7 @@ pub fn decide(
                 unlock_margin,
             };
             #[cfg(debug_assertions)]
-            {
-                let filled = decide_filled(node, aopt, certify, run, &truth, views);
-                assert_eq!(
-                    decision_bits(&decision),
-                    decision_bits(&filled),
-                    "streamed decision of {} diverged from the filled views: {decision:?} vs {filled:?}",
-                    node.id()
-                );
-            }
+            assert_as_filled(&decision, node, aopt, certify, run, &truth, views);
             return decision;
         }
     }
@@ -607,23 +602,187 @@ fn decide_filled(
     }
 }
 
-/// A decision as bits, for the debug cross-check in [`decide`].
+/// The decision cross-check of debug builds: a shortcut decision —
+/// [`decide`]'s streamed exit or [`QuietBounds::decide`]'s O(1) one — is
+/// the one [`decide_filled`] returns over the same node, bit for bit.
 #[cfg(debug_assertions)]
-fn decision_bits(d: &Decision) -> (Mode, Option<[u64; 3]>, u64) {
-    let cert = d.cert.map(|c| {
-        [
-            c.estimate_margin.to_bits(),
-            c.m_margin.to_bits(),
-            u64::from(c.m_jump_sensitive),
-        ]
-    });
-    (d.mode, cert, d.unlock_margin.to_bits())
+fn assert_as_filled(
+    shortcut: &Decision,
+    node: &NodeState,
+    policy: &dyn ModePolicy,
+    certify: bool,
+    run: &Run<'_>,
+    truth: impl Fn(NodeId) -> Option<f64>,
+    views: &mut Vec<NeighborView>,
+) {
+    let filled = decide_filled(node, policy, certify, run, truth, views);
+    let bits = |d: &Decision| {
+        let cert = d.cert.map(|c| {
+            (
+                c.estimate_margin.to_bits(),
+                c.m_margin.to_bits(),
+                c.m_jump_sensitive,
+            )
+        });
+        (d.mode, cert, d.unlock_margin.to_bits())
+    };
+    assert_eq!(
+        bits(shortcut),
+        bits(&filled),
+        "shortcut decision of {} diverged from the filled views at {:?}: {shortcut:?} vs {filled:?}",
+        node.id(),
+        node.last_update()
+    );
 }
+
+/// What a polling message-mode host (`NodeCore`) decides a quiet node
+/// from: bounds on the table's clock samples and the smallest level-1
+/// thresholds of its edges.
+#[derive(Debug)]
+pub(crate) struct QuietBounds {
+    /// Upper bound on `value − hw_at_recv` over the table's clock samples:
+    /// those the last full decision found and every one written since.
+    /// `−∞` over none.
+    hi: f64,
+    /// Lower bound on the same; `+∞` over none.
+    lo: f64,
+    /// The smallest level-1 fast-trigger threshold `κ − ε` over the
+    /// table's edges at the last full decision. A removed edge only leaves
+    /// it lower than need be; an added one makes the bounds `UNKNOWN`.
+    ahead_floor: f64,
+    /// The smallest level-1 slow-trigger threshold `1.5κ − δ − ε`, alike.
+    behind_floor: f64,
+    /// The buffer a full decision fills its views into.
+    views: Vec<NeighborView>,
+}
+
+impl QuietBounds {
+    /// Bounds that cover nothing: the floors are `−∞`, so [`quiet`]
+    /// fails until a full decision derives them from the table.
+    ///
+    /// [`quiet`]: QuietBounds::quiet
+    pub(crate) const UNKNOWN: QuietBounds = QuietBounds {
+        hi: f64::NEG_INFINITY,
+        lo: f64::INFINITY,
+        ahead_floor: f64::NEG_INFINITY,
+        behind_floor: f64::NEG_INFINITY,
+        views: Vec::new(),
+    };
+
+    /// `A_OPT`'s mode for the message-mode `node` at its current instant:
+    /// what [`decide`] returns without a certificate, bit for bit. While
+    /// [`quiet`](QuietBounds::quiet) holds, neither trigger can (the
+    /// triggers' level-1 exit), and the mode is Listing 3's max-estimate
+    /// branch, read off three clock values. Otherwise [`decide`] decides
+    /// over the table and the bounds are re-derived from it.
+    pub(crate) fn decide(&mut self, node: &NodeState, policy: &AoptPolicy, run: &Run<'_>) -> Mode {
+        debug_assert_eq!(run.mode, EstimateMode::Messages, "samples are message-mode");
+        if self.quiet(node) {
+            let mode = node_view(node, run.params, &[]).max_estimate_mode();
+            #[cfg(debug_assertions)]
+            {
+                // Initial slots only: no level unlock is pending.
+                let quiet = Decision {
+                    mode,
+                    cert: None,
+                    unlock_margin: f64::INFINITY,
+                };
+                assert_as_filled(&quiet, node, policy, false, run, |_| None, &mut self.views);
+            }
+            return mode;
+        }
+        // Sizing `views` with the table keeps the first decision that
+        // fills them, maybe hours into a run, from allocating inside the
+        // loop.
+        self.views.reserve(node.slots.len());
+        let mode = decide(node, policy, false, run, |_| None, &mut self.views).mode;
+        self.of_table(node, run);
+        mode
+    }
+
+    /// Re-derives the bounds over `node`'s table as it stands. The floors
+    /// take the thresholds of the views every decision builds, valid while
+    /// the table holds only initial slots, whose view constants are fixed.
+    fn of_table(&mut self, node: &NodeState, run: &Run<'_>) {
+        (self.hi, self.lo) = (f64::NEG_INFINITY, f64::INFINITY);
+        (self.ahead_floor, self.behind_floor) = (f64::INFINITY, f64::INFINITY);
+        for entry in node.slots.iter() {
+            let (view, _) = neighbor_view(node, run, entry, |_| None);
+            self.ahead_floor = self.ahead_floor.min(ahead_threshold(&view, 1.0));
+            self.behind_floor = self.behind_floor.min(behind_threshold(&view, 1.5));
+            if let Some(sample) = entry.slot.estimate {
+                self.cover(sample);
+            }
+        }
+    }
+
+    /// Widens the sample bounds over `sample`. A NaN difference fails
+    /// both comparisons and is skipped: it needs a NaN value, whose
+    /// estimate meets no clause.
+    pub(crate) fn cover(&mut self, sample: EstimateEntry) {
+        let d = sample.value - sample.hw_at_recv;
+        if d > self.hi {
+            self.hi = d;
+        }
+        if d < self.lo {
+            self.lo = d;
+        }
+    }
+
+    /// Whether no neighbour can meet a level-1 existential clause at
+    /// `node`'s current instant. In message mode `est = v + (H − w)`, so
+    /// the clauses `est − L ≥ κ − ε` and `L − est ≥ 1.5κ − δ − ε` read
+    /// each neighbour's sample only through `d = v − w`, and the bounds
+    /// on `d` and the floors decide for the whole table at once; see
+    /// [`QUIET_SLACK`] for why rounding cannot make this pass where a
+    /// clause holds.
+    fn quiet(&self, node: &NodeState) -> bool {
+        let (h, l) = (node.hardware(), node.logical());
+        let skew = h - l;
+        let magnitude = self.hi.abs().max(self.lo.abs())
+            + h.abs()
+            + l.abs()
+            + self.ahead_floor.abs().max(self.behind_floor.abs());
+        let slack = QUIET_SLACK * magnitude;
+        self.hi + skew < self.ahead_floor - slack && -(self.lo + skew) < self.behind_floor - slack
+    }
+}
+
+/// The quiet test's headroom below each floor, per unit of the magnitude
+/// sum `S = max(|D⁺|, |D⁻|) + H + |L| + max(|F_a|, |F_b|)` of the sample
+/// bounds `D±`, the clocks and the floors `F`: `2⁻⁴⁸ = 32u`, with
+/// `u = 2⁻⁵³` the unit roundoff.
+///
+/// Why `32u·S` is enough. Take a sample `(v, w)` with `d = fl(v − w)`
+/// inside `[D⁻, D⁺]`, so `|v − w| ≤ |d|/(1−u) ≤ A(1+2u)` with
+/// `A = max(|D⁺|, |D⁻|)`, and `0 ≤ w ≤ H` (the hardware clock starts at 0
+/// and never runs back). The exact value both clauses read is
+/// `X = (v − w) + (H − L)`.
+///
+/// - The clauses compute `a = fl(H − w)`, `b = fl(v + a)` (the estimate)
+///   and `fl(b − L)` or `fl(L − b)`. Each step is off by at most `u`
+///   times its result, and `|H − w| ≤ H`, `|v + a| ≤ A + 2H`,
+///   `|b − L| ≤ A + 2H + |L|` (to first order), so the clause operand
+///   is within `u·(2A + 5H + |L|)` of `±X`.
+/// - The filter computes `g = fl(H − L)` and `fl(D± + g)`. Rounding `d`,
+///   `g` and the sum costs at most `u·(A + (H + |L|) + (A + H + |L|))`, so
+///   `fl(D⁺ + g)` is at least `X` less `u·(2A + 2H + 2|L|)`, and
+///   `−fl(D⁻ + g)` at least `−X` less the same.
+/// - `fl(F − tol)` exceeds `F − tol` by at most `u·(|F| + tol)`.
+///
+/// Together the clause operand exceeds the filter's left side by less
+/// than `u·(4A + 7H + 3|L| + |F|) ≤ 7u·S` (higher-order terms included),
+/// so a filter side strictly below `fl(F − 32u·S)` leaves every clause
+/// operand strictly below `F`, which no edge's threshold undercuts.
+/// Computing `S` itself loses at most three roundings, and the product
+/// by a power of two is exact for `S ≥ 2⁻⁹⁷⁴`; floors of level-1 weights
+/// keep `S` far above that. A non-finite bound, clock or floor makes the
+/// headroom infinite or NaN, and the test then falls back.
+const QUIET_SLACK: f64 = 1.0 / (1u64 << 48) as f64;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flood::FloodMsg;
 
     struct Silent;
 
@@ -701,5 +860,130 @@ mod tests {
                 "sample landed in the wrong slot"
             );
         }
+    }
+
+    /// A node with `degree` initial neighbours, each holding the sample of
+    /// a flood sent and received at 0.5 s that carries the node's logical
+    /// clock less `lag`, advanced to `at` seconds.
+    fn sampled_node(params: &Params, degree: u32, rate: f64, lag: f64, at: f64) -> NodeState {
+        let run = Run {
+            params,
+            refresh: 0.1,
+            mode: EstimateMode::Messages,
+        };
+        let info = EdgeInfo {
+            params: EdgeParams::default(),
+            epsilon: 0.002,
+            kappa: 0.0135,
+            delta: 0.001,
+        };
+        let sent = SimTime::from_secs(0.5);
+        let mut node = NodeState::new(NodeId(1000), rate);
+        for k in 0..degree {
+            neighbor_initial(&mut node, NodeId(k), info, 0.0);
+            let flood = Message::Flood(FloodMsg {
+                logical: 0.5 * rate - lag,
+                max_est: 0.0,
+                min_lb: 0.0,
+                max_ub: 1.0e9,
+            });
+            deliver(&mut node, sent, NodeId(k), sent, flood, &run, &mut Silent);
+        }
+        node.advance_to(SimTime::from_secs(at), params);
+        node
+    }
+
+    /// Whether `bounds` finds `node` quiet, after checking that its
+    /// decision is [`decide`]'s.
+    fn decides_as_decide(bounds: &mut QuietBounds, node: &NodeState, params: &Params) -> bool {
+        let run = Run {
+            params,
+            refresh: 0.1,
+            mode: EstimateMode::Messages,
+        };
+        let policy = AoptPolicy::new(params.max_levels());
+        let quiet = bounds.quiet(node);
+        let full = decide(node, &policy, false, &run, |_| None, &mut Vec::new()).mode;
+        assert_eq!(bounds.decide(node, &policy, &run), full);
+        quiet
+    }
+
+    fn quiet_params() -> Params {
+        Params::builder().rho(0.01).mu(0.1).build().unwrap()
+    }
+
+    /// `UNKNOWN` covers nothing, so it is never quiet, whether the node
+    /// is calm, behind or ahead of its neighbours; the fallback derives
+    /// bounds under which the calm node, and only it, is quiet.
+    #[test]
+    fn unknown_bounds_are_never_quiet() {
+        let params = quiet_params();
+        for (lag, calm) in [(0.0, true), (0.5, false), (-0.5, false)] {
+            let node = sampled_node(&params, 3, 1.0, lag, 1.0);
+            let mut bounds = QuietBounds::UNKNOWN;
+            assert!(!decides_as_decide(&mut bounds, &node, &params), "lag {lag}");
+            assert_eq!(
+                decides_as_decide(&mut bounds, &node, &params),
+                calm,
+                "lag {lag}"
+            );
+        }
+    }
+
+    /// A NaN sample fails both of `cover`'s comparisons: the bounds keep
+    /// their bits, and the node stays quiet.
+    #[test]
+    fn cover_skips_a_nan_sample() {
+        let params = quiet_params();
+        let node = sampled_node(&params, 3, 1.0, 0.0, 1.0);
+        let mut bounds = QuietBounds::UNKNOWN;
+        decides_as_decide(&mut bounds, &node, &params);
+        let bits = |b: &QuietBounds| [b.hi, b.lo, b.ahead_floor, b.behind_floor].map(f64::to_bits);
+        let before = bits(&bounds);
+        bounds.cover(EstimateEntry {
+            value: f64::NAN,
+            hw_at_recv: 0.7,
+        });
+        assert_eq!(bits(&bounds), before);
+        assert!(decides_as_decide(&mut bounds, &node, &params));
+    }
+
+    /// With no neighbour the floors are +∞, so the headroom is NaN and the
+    /// test fails: the node decides through [`decide`] every time.
+    #[test]
+    fn a_table_without_neighbours_is_never_quiet() {
+        let params = quiet_params();
+        let node = sampled_node(&params, 0, 1.0, 0.0, 1.0);
+        let mut bounds = QuietBounds::UNKNOWN;
+        for _ in 0..3 {
+            assert!(!decides_as_decide(&mut bounds, &node, &params));
+        }
+        assert_eq!(bounds.ahead_floor, f64::INFINITY);
+    }
+
+    /// An infinite sample bound or clock makes the headroom infinite or
+    /// NaN, and the test fails.
+    #[test]
+    fn infinite_clocks_or_bounds_are_never_quiet() {
+        let params = quiet_params();
+        let node = sampled_node(&params, 3, 1.0, 0.0, 1.0);
+        let calm = || {
+            let mut bounds = QuietBounds::UNKNOWN;
+            assert!(!decides_as_decide(&mut bounds, &node, &params));
+            bounds
+        };
+        assert!(calm().quiet(&node));
+        for value in [f64::INFINITY, f64::NEG_INFINITY] {
+            let mut bounds = calm();
+            bounds.cover(EstimateEntry {
+                value,
+                hw_at_recv: 0.7,
+            });
+            assert!(!decides_as_decide(&mut bounds, &node, &params), "{value}");
+        }
+        // At the largest rate the hardware clock overflows to +∞ by 2 s.
+        let runaway = sampled_node(&params, 3, f64::MAX, 0.0, 2.0);
+        assert_eq!(runaway.hardware(), f64::INFINITY);
+        assert!(!decides_as_decide(&mut calm(), &runaway, &params));
     }
 }

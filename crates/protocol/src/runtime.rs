@@ -6,10 +6,12 @@
 //! instants read from whatever clock it trusts) and transport (it carries
 //! the returned [`Send`]s and feeds received messages back in). Every
 //! state transition is a call into [`handlers`] —
-//! the functions the simulation engines call for their nodes — so a
-//! `NodeCore` is a *host* of the algorithm, not a second implementation:
-//! it owns one node's [`NodeState`], run constants and policy, and turns
-//! the handlers' effects into [`Send`]s and its flood deadline.
+//! the functions the simulation engines call for their nodes — and so is
+//! its mode decision, whose O(1) quiet test lives there beside
+//! [`handlers::decide`]. A `NodeCore` is a *host* of the algorithm, not a
+//! second implementation: it owns one node's [`NodeState`], run
+//! constants, policy and decision bounds, and turns the handlers' effects
+//! into [`Send`]s and its flood deadline.
 //!
 //! Scope: `NodeCore` runs the *message-mode* estimate layer (clock
 //! samples carried by the floods themselves; it has no scripted truth for
@@ -24,13 +26,12 @@ use std::collections::HashMap;
 use gcs_net::{EdgeKey, EdgeParams, EdgeParamsMap, NodeId};
 use gcs_sim::SimTime;
 
-use crate::edge_state::EstimateEntry;
 use crate::estimate::EstimateMode;
 use crate::flood::{FloodMsg, MergeOutcome};
-use crate::handlers::{self, Delivered, Host, Message, Run, Timer};
+use crate::handlers::{self, Delivered, Host, Message, QuietBounds, Run, Timer};
 use crate::node::{EdgeInfo, NodeState};
 use crate::params::Params;
-use crate::triggers::{ahead_threshold, behind_threshold, AoptPolicy, Mode, NeighborView};
+use crate::triggers::{AoptPolicy, Mode};
 
 /// One outbound message: the flood body to put on the wire for `dst`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -141,123 +142,8 @@ pub struct NodeCore {
     policy: AoptPolicy,
     refresh: f64,
     next_flood: SimTime,
-    views: Vec<NeighborView>,
     bounds: QuietBounds,
 }
-
-/// What [`NodeCore::evaluate`] decides a quiet node from: bounds on the
-/// table's clock samples and the smallest level-1 thresholds of its edges.
-#[derive(Debug, Clone, Copy)]
-struct QuietBounds {
-    /// Upper bound on `value − hw_at_recv` over the table's clock samples:
-    /// those the last full decision found and every one written since.
-    /// `−∞` over none.
-    hi: f64,
-    /// Lower bound on the same; `+∞` over none.
-    lo: f64,
-    /// The smallest level-1 fast-trigger threshold `κ − ε` over the
-    /// table's edges at the last full decision. A removed edge only leaves
-    /// it lower than need be; an added one makes the bounds `UNKNOWN`.
-    ahead_floor: f64,
-    /// The smallest level-1 slow-trigger threshold `1.5κ − δ − ε`, alike.
-    behind_floor: f64,
-}
-
-impl QuietBounds {
-    /// Bounds that cover nothing: the floors are `−∞`, so [`quiet`]
-    /// fails until a full decision derives them from the table.
-    ///
-    /// [`quiet`]: QuietBounds::quiet
-    const UNKNOWN: QuietBounds = QuietBounds {
-        hi: f64::NEG_INFINITY,
-        lo: f64::INFINITY,
-        ahead_floor: f64::NEG_INFINITY,
-        behind_floor: f64::NEG_INFINITY,
-    };
-
-    /// The bounds over `node`'s table as it stands. The floors take the
-    /// thresholds of the views every decision builds; a `NodeCore` holds
-    /// only initial slots, whose view constants never change.
-    fn of_table(node: &NodeState, run: &Run<'_>) -> QuietBounds {
-        let mut bounds = QuietBounds {
-            ahead_floor: f64::INFINITY,
-            behind_floor: f64::INFINITY,
-            ..QuietBounds::UNKNOWN
-        };
-        for entry in node.slots.iter() {
-            let (view, _) = handlers::neighbor_view(node, run, entry, |_| None);
-            bounds.ahead_floor = bounds.ahead_floor.min(ahead_threshold(&view, 1.0));
-            bounds.behind_floor = bounds.behind_floor.min(behind_threshold(&view, 1.5));
-            if let Some(sample) = entry.slot.estimate {
-                bounds.cover(sample);
-            }
-        }
-        bounds
-    }
-
-    /// Widens the sample bounds over `sample`. A NaN difference fails
-    /// both comparisons and is skipped: it needs a NaN value, whose
-    /// estimate meets no clause.
-    fn cover(&mut self, sample: EstimateEntry) {
-        let d = sample.value - sample.hw_at_recv;
-        if d > self.hi {
-            self.hi = d;
-        }
-        if d < self.lo {
-            self.lo = d;
-        }
-    }
-
-    /// Whether no neighbour can meet a level-1 existential clause at
-    /// `node`'s current instant. In message mode `est = v + (H − w)`, so
-    /// the clauses `est − L ≥ κ − ε` and `L − est ≥ 1.5κ − δ − ε` read
-    /// each neighbour's sample only through `d = v − w`, and the bounds
-    /// on `d` and the floors decide for the whole table at once; see
-    /// [`QUIET_SLACK`] for why rounding cannot make this pass where a
-    /// clause holds.
-    fn quiet(&self, node: &NodeState) -> bool {
-        let (h, l) = (node.hardware(), node.logical());
-        let skew = h - l;
-        let magnitude = self.hi.abs().max(self.lo.abs())
-            + h.abs()
-            + l.abs()
-            + self.ahead_floor.abs().max(self.behind_floor.abs());
-        let slack = QUIET_SLACK * magnitude;
-        self.hi + skew < self.ahead_floor - slack && -(self.lo + skew) < self.behind_floor - slack
-    }
-}
-
-/// The quiet test's headroom below each floor, per unit of the magnitude
-/// sum `S = max(|D⁺|, |D⁻|) + H + |L| + max(|F_a|, |F_b|)` of the sample
-/// bounds `D±`, the clocks and the floors `F`: `2⁻⁴⁸ = 32u`, with
-/// `u = 2⁻⁵³` the unit roundoff.
-///
-/// Why `32u·S` is enough. Take a sample `(v, w)` with `d = fl(v − w)`
-/// inside `[D⁻, D⁺]`, so `|v − w| ≤ |d|/(1−u) ≤ A(1+2u)` with
-/// `A = max(|D⁺|, |D⁻|)`, and `0 ≤ w ≤ H` (the hardware clock starts at 0
-/// and never runs back). The exact value both clauses read is
-/// `X = (v − w) + (H − L)`.
-///
-/// - The clauses compute `a = fl(H − w)`, `b = fl(v + a)` (the estimate)
-///   and `fl(b − L)` or `fl(L − b)`. Each step is off by at most `u`
-///   times its result, and `|H − w| ≤ H`, `|v + a| ≤ A + 2H`,
-///   `|b − L| ≤ A + 2H + |L|` (to first order), so the clause operand
-///   is within `u·(2A + 5H + |L|)` of `±X`.
-/// - The filter computes `g = fl(H − L)` and `fl(D± + g)`. Rounding `d`,
-///   `g` and the sum costs at most `u·(A + (H + |L|) + (A + H + |L|))`, so
-///   `fl(D⁺ + g)` is at least `X` less `u·(2A + 2H + 2|L|)`, and
-///   `−fl(D⁻ + g)` at least `−X` less the same.
-/// - `fl(F − tol)` exceeds `F − tol` by at most `u·(|F| + tol)`.
-///
-/// Together the clause operand exceeds the filter's left side by less
-/// than `u·(4A + 7H + 3|L| + |F|) ≤ 7u·S` (higher-order terms included),
-/// so a filter side strictly below `fl(F − 32u·S)` leaves every clause
-/// operand strictly below `F`, which no edge's threshold undercuts.
-/// Computing `S` itself loses at most three roundings, and the product
-/// by a power of two is exact for `S ≥ 2⁻⁹⁷⁴`; floors of level-1 weights
-/// keep `S` far above that. A non-finite bound, clock or floor makes the
-/// headroom infinite or NaN, and the test then falls back.
-const QUIET_SLACK: f64 = 1.0 / (1u64 << 48) as f64;
 
 /// The [`Host`] a `NodeCore` lends its handlers: a send becomes a
 /// [`Send`] for the caller to carry, the flood timer becomes the deadline
@@ -321,7 +207,6 @@ impl NodeCore {
             policy,
             refresh,
             next_flood: first_flood,
-            views: Vec::new(),
             bounds: QuietBounds::UNKNOWN,
         }
     }
@@ -419,61 +304,16 @@ impl NodeCore {
     /// node re-decides every call, which is always bit-identical to the
     /// certified skip (that is the certificates' soundness contract).
     ///
-    /// A synchronized node decides in O(1): when the running bounds on
-    /// its clock samples leave every neighbour short of both level-1
-    /// clauses, neither trigger can hold (the triggers' level-1 exit) and
-    /// the decision is Listing 3's max-estimate branch, read off three
-    /// clock values. Otherwise [`handlers::decide`] decides over the
-    /// table as every host does, and the bounds are re-derived from the
-    /// table: its samples and its edges' thresholds. Both paths give the
-    /// same mode bit for bit; debug builds re-derive every O(1) decision
-    /// through `handlers::decide` and assert it. On `node-loopback`
-    /// (degree 63) a call takes about 10–16 ns, where the pass over the
-    /// table took 300–400 ns, and 99.98 % of its calls decide in O(1); the
-    /// rest fall in the first quarter second, before the samples arrive.
-    ///
-    /// No certificate is cached: the O(1) decision costs less than
-    /// checking one would.
+    /// The node's `QuietBounds` (in [`handlers`]) decide: in O(1) while
+    /// the bounds on its clock samples leave every neighbour short of
+    /// both level-1 clauses — 99.98 % of calls on `node-loopback`, about
+    /// 15 ns each — and through [`handlers::decide`] otherwise. No
+    /// certificate is cached: the O(1) decision costs less than checking
+    /// one would.
     pub fn evaluate(&mut self, t: SimTime) -> Mode {
         let run = message_run(&self.params, self.refresh);
         self.state.advance_to(t, run.params);
-        let mode = if self.bounds.quiet(&self.state) {
-            let mode = handlers::node_view(&self.state, run.params, &[]).max_estimate_mode();
-            #[cfg(debug_assertions)]
-            {
-                let full = handlers::decide(
-                    &self.state,
-                    &self.policy,
-                    false,
-                    &run,
-                    |_| None,
-                    &mut self.views,
-                );
-                assert_eq!(
-                    mode,
-                    full.mode,
-                    "{}'s O(1) decision diverged from handlers::decide at {t:?}",
-                    self.state.id()
-                );
-            }
-            mode
-        } else {
-            // Sizing `views` with the table keeps the first decision that
-            // fills them, maybe hours into a run, from allocating inside
-            // the loop.
-            self.views.reserve(self.state.slots.len());
-            let mode = handlers::decide(
-                &self.state,
-                &self.policy,
-                false,
-                &run,
-                |_| None,
-                &mut self.views,
-            )
-            .mode;
-            self.bounds = QuietBounds::of_table(&self.state, &run);
-            mode
-        };
+        let mode = self.bounds.decide(&self.state, &self.policy, &run);
         self.state.set_mode(mode);
         mode
     }
@@ -587,8 +427,9 @@ mod tests {
             assert_eq!(direct, Delivered::Flood(via_core.expect("deliverable")));
         }
         let policy = AoptPolicy::new(cfg.params.max_levels());
-        let decided = handlers::decide(&bare, &policy, false, &run, |_| None, &mut Vec::new());
-        bare.set_mode(decided.mode);
+        // Bounds that cover nothing decide through the table.
+        let mut fresh = QuietBounds::UNKNOWN;
+        bare.set_mode(fresh.decide(&bare, &policy, &run));
         assert_eq!(hosted.evaluate(t), bare.mode());
         let bits = |n: &NodeState| {
             let est = n.slots.get(NodeId(0)).unwrap().estimate.unwrap();

@@ -33,11 +33,11 @@
 //! streamed path; fault scenarios leave it often (`self-heal` 58 %,
 //! `adversarial-partition` 97 % of decisions at default scale).
 //!
-//! [`NodeCore`](crate::NodeCore) skips even that pass while it can: in
-//! message mode both level-1 clauses read a neighbour's clock sample only
-//! through one difference, so running bounds on it over the table and the
-//! smallest thresholds of `ahead_threshold` / `behind_threshold` at
-//! `s = 1` decide the quiet case for the whole table in O(1).
+//! A polling message-mode host ([`NodeCore`](crate::NodeCore)) skips even
+//! that pass while it can, through `QuietBounds` beside `handlers::decide`:
+//! both level-1 clauses read a neighbour's clock sample only through one
+//! difference, so running bounds on it over the table and the smallest
+//! `ahead_threshold` / `behind_threshold` at `s = 1` decide in O(1).
 
 use std::fmt;
 
@@ -160,15 +160,15 @@ impl NeighborView {
 }
 
 /// Definition 4.5's existential threshold for neighbour `n` at level `s`:
-/// `s·κ − ε`. At `s = 1` the product is `κ` exactly. `NodeCore`'s O(1)
-/// decision takes its floor from this same expression at `s = 1`.
+/// `s·κ − ε`. At `s = 1` the product is `κ` exactly. The O(1) quiet
+/// decision in `handlers` takes its floor from this expression at `s = 1`.
 pub(crate) fn ahead_threshold(n: &NeighborView, s: f64) -> f64 {
     s * n.kappa - n.epsilon
 }
 
 /// Definition 4.6's existential threshold for neighbour `n` at level `s`,
 /// given `sh = s + ½`: `(s+½)κ − δ − ε`. At `s = 1`, `sh` is 1.5 exactly;
-/// `NodeCore`'s floor uses it there too.
+/// the quiet decision's floor uses it there too.
 pub(crate) fn behind_threshold(n: &NeighborView, sh: f64) -> f64 {
     sh * n.kappa - n.delta - n.epsilon
 }

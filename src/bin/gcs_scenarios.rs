@@ -183,7 +183,7 @@ USAGE:
 FLAGS
     Flags and positionals may come in any order; a flag's value never
     starts with `--`. Shared by the verbs that list them:
-    --seeds N     run seeds 0..N
+    --seeds N     run seeds 0..N, for N from 1 to 10000
     --scale S     tiny|default|full
     --threads T   1 = the sequential reference engine, >1 = the sharded
                   engine with T shards; results are identical at every T
@@ -288,14 +288,22 @@ impl Args {
         }
     }
 
-    /// The `--seeds N` (seeds `0..N`) and `--scale S` pair the sweeping
-    /// verbs share.
+    /// The `--seeds N` (seeds `0..N`, `N ≤` [`MAX_SEEDS`]) and `--scale S`
+    /// pair the sweeping verbs share.
     fn seeds_and_scale(&mut self, seeds: u64, scale: Scale) -> Result<(Vec<u64>, Scale), String> {
-        let n = self.value("--seeds", "a positive integer", positive)?;
+        let what = format!("a positive integer up to {MAX_SEEDS}");
+        let n = self.value("--seeds", &what, |v| {
+            positive(v).filter(|&n| n <= MAX_SEEDS)
+        })?;
         let picked = self.value("--scale", "tiny|default|full", Scale::parse)?;
         Ok(((0..n.unwrap_or(seeds)).collect(), picked.unwrap_or(scale)))
     }
 }
+
+/// The most seeds one `--seeds N` sweeps: far above any use (the largest
+/// is 4), and far below a count whose per-seed rows alone would exhaust
+/// memory before the first run.
+const MAX_SEEDS: u64 = 10_000;
 
 /// A strictly positive integer (`--seeds N`, `--threads T`).
 fn positive<T: std::str::FromStr + PartialOrd + Default>(v: &str) -> Option<T> {

@@ -98,6 +98,29 @@ fn a_flag_is_never_taken_as_another_flags_value() {
 }
 
 #[test]
+fn seed_counts_are_bounded_before_anything_runs() {
+    // `--seeds 100000000` aborted `run` and `conformance` on 83 GB and
+    // 98 GB allocations, and `bench` ran on with no end in sight.
+    let dir = std::env::temp_dir().join(format!("gcs-cli-maxseeds-{}", std::process::id()));
+    for seeds in ["10001", "100000000", "18446744073709551615"] {
+        for verb in ["run", "bench", "conformance"] {
+            let mut cmd = bin();
+            cmd.args([verb, "ring-steady", "--scale", "tiny", "--seeds", seeds]);
+            if verb != "conformance" {
+                cmd.args(["--out", dir.to_str().unwrap()]);
+            }
+            let out = cmd.output().unwrap();
+            assert_clean_failure(&out, "--seeds needs a positive integer up to 10000");
+            assert!(
+                !dir.exists(),
+                "{verb} --seeds {seeds} wrote {}",
+                dir.display()
+            );
+        }
+    }
+}
+
+#[test]
 fn scenario_node_counts_are_bounded_before_anything_is_built() {
     // `topology ring 5000000000` used to panic in `realize` under
     // `validate` and abort on a 40 GB allocation under `run`; `grid w h`
