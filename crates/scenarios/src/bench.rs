@@ -12,7 +12,7 @@
 
 use crate::campaign::{run_pass, Pass, Stops};
 use crate::error::ScenarioError;
-use crate::json::{self, Json};
+use crate::json;
 use crate::spec::{Scale, ScenarioSpec};
 
 /// The artifact format tag.
@@ -131,30 +131,6 @@ pub fn run_suite(
     Ok(entries)
 }
 
-/// Serializes a bench suite to the `gcs-engine-bench/v1` JSON artifact.
-#[must_use]
-pub fn bench_json(scale: Scale, seeds: &[u64], entries: &[BenchEntry]) -> String {
-    let entry_json = |e: &BenchEntry| {
-        Json::Obj(vec![
-            ("scenario", Json::Str(e.scenario.clone())),
-            ("nodes", Json::Int(e.nodes as u64)),
-            ("seed", Json::Int(e.seed)),
-            ("threads", Json::Int(e.threads as u64)),
-            ("sim_secs", Json::Num(e.sim_secs)),
-            ("events", Json::Int(e.events)),
-            ("ticks", Json::Int(e.ticks)),
-            ("mode_evaluations", Json::Int(e.mode_evaluations)),
-            ("messages_delivered", Json::Int(e.messages_delivered)),
-        ])
-    };
-    let head = vec![
-        ("format", Json::Str(BENCH_FORMAT.to_string())),
-        ("scale", Json::Str(scale.name().to_string())),
-        ("seeds", Json::ints(seeds)),
-    ];
-    json::document(head, "entries", entries.iter().map(entry_json))
-}
-
 /// A fully parsed `gcs-engine-bench/v1` artifact.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchArtifact {
@@ -166,6 +142,28 @@ pub struct BenchArtifact {
     pub entries: Vec<BenchEntry>,
 }
 
+// The `gcs-engine-bench/v1` schema (`scenarios/README.md`): each key, once.
+json::record! { BenchArtifact as "bench artifact" {
+    "scale" => scale, "seeds" => seeds, "entries" => entries,
+} }
+
+json::record! { BenchEntry as "bench entry" {
+    "scenario" => scenario, "nodes" => nodes, "seed" => seed, "threads" => threads,
+    "sim_secs" => sim_secs, "events" => events, "ticks" => ticks,
+    "mode_evaluations" => mode_evaluations, "messages_delivered" => messages_delivered,
+} }
+
+/// Serializes a bench suite to the `gcs-engine-bench/v1` JSON artifact.
+#[must_use]
+pub fn bench_json(scale: Scale, seeds: &[u64], entries: &[BenchEntry]) -> String {
+    let artifact = BenchArtifact {
+        scale: scale.name().to_string(),
+        seeds: seeds.to_vec(),
+        entries: entries.to_vec(),
+    };
+    json::document(json::tagged(BENCH_FORMAT, &artifact))
+}
+
 /// Parses a `gcs-engine-bench/v1` artifact back into its entries. Keys it
 /// does not name are ignored, so artifacts written when rows also carried
 /// wall-clock columns still gate.
@@ -175,35 +173,7 @@ pub struct BenchArtifact {
 /// Returns a message on malformed JSON, a wrong `format` tag, or a
 /// missing/mistyped field.
 pub fn read_bench(text: &str) -> Result<BenchArtifact, String> {
-    use crate::json::{arr_field, f64_field, str_field, u64_field, u64s_field};
-    let doc = json::parse(text)?;
-    let format = str_field(&doc, "format", "bench artifact")?;
-    if format != BENCH_FORMAT {
-        return Err(format!("expected format {BENCH_FORMAT:?}, got {format:?}"));
-    }
-    let mut entries = Vec::new();
-    for e in arr_field(&doc, "entries", "bench artifact")? {
-        let scenario = str_field(e, "scenario", "bench entry")?;
-        let what = format!("bench entry {scenario:?}");
-        entries.push(BenchEntry {
-            nodes: usize::try_from(u64_field(e, "nodes", &what)?)
-                .map_err(|err| format!("{what}: {err}"))?,
-            seed: u64_field(e, "seed", &what)?,
-            threads: usize::try_from(u64_field(e, "threads", &what)?)
-                .map_err(|err| format!("{what}: {err}"))?,
-            sim_secs: f64_field(e, "sim_secs", &what)?,
-            events: u64_field(e, "events", &what)?,
-            ticks: u64_field(e, "ticks", &what)?,
-            mode_evaluations: u64_field(e, "mode_evaluations", &what)?,
-            messages_delivered: u64_field(e, "messages_delivered", &what)?,
-            scenario,
-        });
-    }
-    Ok(BenchArtifact {
-        scale: str_field(&doc, "scale", "bench artifact")?,
-        seeds: u64s_field(&doc, "seeds", "bench artifact")?,
-        entries,
-    })
+    json::read_tagged(&json::parse(text)?, BENCH_FORMAT)
 }
 
 /// One counter mismatch between two bench artifacts.
@@ -312,12 +282,7 @@ pub fn compare_counters(
             let status = if b == c { "ok" } else { "MISMATCH" };
             row(
                 base,
-                [
-                    counter.to_string(),
-                    b.to_string(),
-                    c.to_string(),
-                    status.to_string(),
-                ],
+                [counter, &b.to_string(), &c.to_string(), status].map(str::to_string),
             );
             if b != c {
                 findings.push(finding(base, counter, b, c));

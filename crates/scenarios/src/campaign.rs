@@ -12,7 +12,9 @@
 //! The campaign itself is one observer ([`OutcomeObserver`]), aggregation
 //! through [`EnsembleStats`] — so campaign numbers are directly
 //! comparable with the theorem experiments — and the machine-readable
-//! `results/campaign_*.json` trajectory artifact.
+//! `results/campaign_*.json` trajectory artifact (`gcs-campaign/v1`),
+//! whose writer [`campaign_json`] and reader [`read_campaign`] come from
+//! the one schema declared here.
 
 use std::iter::Peekable;
 use std::time::Instant;
@@ -22,7 +24,7 @@ use gcs_core::{Engine, SimStats};
 use gcs_net::EdgeKey;
 
 use crate::error::ScenarioError;
-use crate::json::Json;
+use crate::json::{self, Field, Json, JsonValue};
 use crate::spec::{FaultSpec, Metric, Scale, ScenarioSpec};
 use crate::telemetry::{TelemetryObserver, TelemetryRun};
 
@@ -395,73 +397,82 @@ pub fn run_campaign(
     Ok((rows.collect(), runs.into_iter().flatten().collect()))
 }
 
-/// Serializes a campaign to the JSON artifact format (see
-/// `scenarios/README.md` for the schema).
+/// The artifact format tag the campaign writer emits.
+pub const CAMPAIGN_FORMAT: &str = "gcs-campaign/v1";
+
+/// A fully parsed `gcs-campaign/v1` artifact — the same [`CampaignRow`]s
+/// the runner aggregated before writing.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CampaignArtifact {
+    /// Campaign title.
+    pub campaign: String,
+    /// Scale token (`tiny` / `default` / `full`).
+    pub scale: String,
+    /// The seed list the campaign fanned out over.
+    pub seeds: Vec<u64>,
+    /// Per-scenario rows, in artifact order.
+    pub rows: Vec<CampaignRow>,
+}
+
+// The `gcs-campaign/v1` schema (`scenarios/README.md`): each key, once.
+json::record! { CampaignArtifact as "campaign artifact" {
+    "campaign" => campaign, "scale" => scale, "seeds" => seeds, "scenarios" => rows,
+} }
+
+json::record! { CampaignRow as "campaign scenario" {
+    "name" => name, "nodes" => nodes, "metric" => metric, "stats" => stats,
+    "outcomes" => outcomes,
+} }
+
+json::record! { EnsembleStats as "ensemble stats" {
+    "runs" => runs, "mean" => mean, "min" => min, "max" => max, "median" => median,
+    "stddev" => stddev, "p10" => p10, "p90" => p90,
+} }
+
+json::record! { ScenarioOutcome as "outcome" {
+    "seed" => seed, "primary" => primary,
+    "max_global_skew" => max_global_skew, "max_local_skew" => max_local_skew,
+    "final_global_skew" => final_global_skew,
+    "invariant_violations" => invariant_violations,
+    "messages_sent" => messages_sent, "messages_delivered" => messages_delivered,
+    "messages_dropped" => messages_dropped,
+    "events" => events, "ticks" => ticks, "mode_evaluations" => mode_evaluations,
+    "trajectory" => trajectory,
+} }
+
+/// A metric is written as its token.
+impl Field for Metric {
+    fn write(&self) -> Json {
+        Json::Str(self.token().to_string())
+    }
+    fn read(v: &JsonValue) -> Result<Self, String> {
+        let token = String::read(v)?;
+        Metric::parse(&token).ok_or_else(|| format!("unknown metric {token:?}"))
+    }
+}
+
+/// Serializes a campaign to the `gcs-campaign/v1` artifact, on one line.
 #[must_use]
 pub fn campaign_json(title: &str, scale: Scale, seeds: &[u64], rows: &[CampaignRow]) -> String {
-    let stats_json = |s: &EnsembleStats| {
-        Json::Obj(vec![
-            ("runs", Json::Int(s.runs as u64)),
-            ("mean", Json::Num(s.mean)),
-            ("min", Json::Num(s.min)),
-            ("max", Json::Num(s.max)),
-            ("median", Json::Num(s.median)),
-            ("stddev", Json::Num(s.stddev)),
-            ("p10", Json::Num(s.p10)),
-            ("p90", Json::Num(s.p90)),
-        ])
+    let artifact = CampaignArtifact {
+        campaign: title.to_string(),
+        scale: scale.name().to_string(),
+        seeds: seeds.to_vec(),
+        rows: rows.to_vec(),
     };
-    let outcome_json = |o: &ScenarioOutcome| {
-        Json::Obj(vec![
-            ("seed", Json::Int(o.seed)),
-            ("primary", Json::Num(o.primary)),
-            ("max_global_skew", Json::Num(o.max_global_skew)),
-            ("max_local_skew", Json::Num(o.max_local_skew)),
-            ("final_global_skew", Json::Num(o.final_global_skew)),
-            ("invariant_violations", Json::Int(o.invariant_violations)),
-            ("messages_sent", Json::Int(o.messages_sent)),
-            ("messages_delivered", Json::Int(o.messages_delivered)),
-            ("messages_dropped", Json::Int(o.messages_dropped)),
-            ("events", Json::Int(o.events)),
-            ("ticks", Json::Int(o.ticks)),
-            ("mode_evaluations", Json::Int(o.mode_evaluations)),
-            (
-                "trajectory",
-                Json::Arr(
-                    o.trajectory
-                        .iter()
-                        .map(|&(t, g)| Json::Arr(vec![Json::Num(t), Json::Num(g)]))
-                        .collect(),
-                ),
-            ),
-        ])
-    };
-    let doc = Json::Obj(vec![
-        ("format", Json::Str("gcs-campaign/v1".to_string())),
-        ("campaign", Json::Str(title.to_string())),
-        ("scale", Json::Str(scale.name().to_string())),
-        ("seeds", Json::ints(seeds)),
-        (
-            "scenarios",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::Obj(vec![
-                            ("name", Json::Str(r.name.clone())),
-                            ("nodes", Json::Int(r.nodes as u64)),
-                            ("metric", Json::Str(r.metric.token().to_string())),
-                            ("stats", stats_json(&r.stats)),
-                            (
-                                "outcomes",
-                                Json::Arr(r.outcomes.iter().map(outcome_json).collect()),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]);
-    format!("{doc}\n")
+    format!("{}\n", Json::Obj(json::tagged(CAMPAIGN_FORMAT, &artifact)))
+}
+
+/// Parses a `gcs-campaign/v1` artifact back into its [`CampaignRow`]s,
+/// bit-identical to the rows [`campaign_json`] wrote (property-tested).
+/// Keys the schema does not name are ignored.
+///
+/// # Errors
+///
+/// Returns a message on malformed JSON, a wrong `format` tag, or a
+/// missing/mistyped field.
+pub fn read_campaign(text: &str) -> Result<CampaignArtifact, String> {
+    json::read_tagged(&json::parse(text)?, CAMPAIGN_FORMAT)
 }
 
 #[cfg(test)]
@@ -517,6 +528,34 @@ mod tests {
         assert!(json.contains("\"ticks\":"));
         assert!(json.contains("\"mode_evaluations\":"));
         assert!(json.ends_with("}\n"));
+    }
+
+    #[test]
+    fn campaign_reader_inverts_the_writer() {
+        let specs = vec![tiny("line-worstcase"), tiny("self-heal")];
+        let seeds = [0, 1];
+        let (rows, _) = run_campaign(&specs, &seeds, false, |_, _, _| {}).unwrap();
+        let text = campaign_json("smoke", Scale::Tiny, &seeds, &rows);
+        let artifact = read_campaign(&text).unwrap();
+        assert_eq!(artifact.campaign, "smoke");
+        assert_eq!(artifact.scale, "tiny");
+        assert_eq!(artifact.seeds, seeds);
+        assert_eq!(artifact.rows, rows, "parsed rows must be bit-identical");
+        // An outcome without its engine counters is malformed, not zero;
+        // the error walks down to the record that lost the key.
+        let ticks = format!(",\"ticks\":{}", rows[0].outcomes[0].ticks);
+        let err = read_campaign(&text.replacen(&ticks, "", 1)).unwrap_err();
+        assert_eq!(
+            err,
+            "campaign artifact \"smoke\": field \"scenarios\": item 0: campaign \
+             scenario \"line-worstcase\": field \"outcomes\": item 0: outcome: missing field \"ticks\""
+        );
+        // A metric token the reader does not know is named.
+        let err = read_campaign(&text.replacen("\"global-skew\"", "\"skew\"", 1)).unwrap_err();
+        assert!(
+            err.ends_with("field \"metric\": unknown metric \"skew\""),
+            "{err}"
+        );
     }
 
     #[test]

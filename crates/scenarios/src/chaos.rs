@@ -29,7 +29,7 @@ use rand::{rngs::StdRng, Rng as _, SeedableRng as _};
 
 use crate::conformance::{run_scenario_conformance, ConformanceOptions};
 use crate::error::ScenarioError;
-use crate::json::{self, Json};
+use crate::json::{self, Field, Json};
 use crate::spec::{DynamicsSpec, FaultSpec, ScenarioSpec};
 use crate::telemetry::run_instrumented;
 
@@ -59,6 +59,24 @@ pub struct TraceArtifact {
     pub spec: ScenarioSpec,
 }
 
+/// What replay reads from a trace's run header (its first record).
+struct RunHeader {
+    scenario: String,
+    seed: u64,
+    nodes: u64,
+}
+
+json::record! { RunHeader as "run record" {
+    "scenario" => scenario, "seed" => seed, "nodes" => nodes,
+} }
+
+/// The canonical `.scn` text the recorder embeds right after the header.
+struct SpecRecord {
+    scn: String,
+}
+
+json::record! { SpecRecord as "spec record" { "scn" => scn } }
+
 /// Verifies a trace's seal and extracts the embedded run identity + spec.
 ///
 /// # Errors
@@ -76,10 +94,11 @@ pub fn read_trace(text: &str) -> Result<TraceArtifact, ScenarioError> {
     if run.get("rec").and_then(|v| v.as_str()) != Some("run") {
         return Err(bad(format!("first record is not a run header: {run_line}")));
     }
-    let scenario =
-        json::str_field(&run, "scenario", "run record").map_err(|e| bad(e.to_string()))?;
-    let seed = json::u64_field(&run, "seed", "run record").map_err(|e| bad(e.to_string()))?;
-    let nodes = json::u64_field(&run, "nodes", "run record").map_err(|e| bad(e.to_string()))?;
+    let RunHeader {
+        scenario,
+        seed,
+        nodes,
+    } = RunHeader::read(&run).map_err(bad)?;
     let spec_line = lines
         .next()
         .filter(|l| l.starts_with("{\"rec\":\"spec\""))
@@ -87,7 +106,7 @@ pub fn read_trace(text: &str) -> Result<TraceArtifact, ScenarioError> {
             bad("trace has no embedded spec record; it cannot be replayed stand-alone".to_string())
         })?;
     let spec_rec = json::parse(spec_line).map_err(|e| bad(format!("spec record: {e}")))?;
-    let scn = json::str_field(&spec_rec, "scn", "spec record").map_err(|e| bad(e.to_string()))?;
+    let SpecRecord { scn } = SpecRecord::read(&spec_rec).map_err(bad)?;
     let spec = crate::format::parse(&scn)?;
     spec.validate()?;
     if spec.name != scenario {
@@ -466,7 +485,7 @@ pub fn chaos_search(
         ("base", Json::Str(base.name.clone())),
         ("seed", Json::Int(opts.seed)),
         ("budget", Json::Int(u64::from(opts.budget))),
-        ("run_seeds", Json::ints(&opts.run_seeds)),
+        ("run_seeds", opts.run_seeds.write()),
         ("threads", Json::Int(opts.threads.max(1) as u64)),
     ];
     log.push_str(&Json::Obj(head).to_string());

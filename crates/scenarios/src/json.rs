@@ -3,9 +3,14 @@
 //! strings, and numbers. Non-finite numbers serialize as `null`;
 //! [`parse`] inverts [`Json`]'s output exactly (floats are written in
 //! shortest round-trip notation and re-parsed with correct rounding, so
-//! values survive bit-exactly). [`document`] lays out the
-//! one-row-per-line artifacts and [`write_file`] is the one place any
-//! artifact touches the filesystem.
+//! values survive bit-exactly), and refuses repeated keys and nesting
+//! deeper than 128 levels. [`document`] lays out the one-row-per-line
+//! artifacts and [`write_file`] is the one place any artifact touches the
+//! filesystem.
+//!
+//! The artifact records (`gcs-campaign/v1`, `gcs-baseline/v2`,
+//! `gcs-engine-bench/v1`) are declared once each with the crate-private
+//! `record!` macro, which derives both directions from one field list.
 
 use std::fmt;
 use std::path::Path;
@@ -32,57 +37,40 @@ pub enum Json {
     Map(Vec<(String, Json)>),
 }
 
-impl Json {
-    /// An array of unsigned integers (seed lists).
-    #[must_use]
-    pub fn ints(values: &[u64]) -> Json {
-        Json::Arr(values.iter().map(|&v| Json::Int(v)).collect())
-    }
-}
-
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Json::Null => f.write_str("null"),
+            Json::Num(v) if v.is_finite() => write!(f, "{v}"),
+            Json::Null | Json::Num(_) => f.write_str("null"),
             Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(v) => {
-                if v.is_finite() {
-                    write!(f, "{v}")
-                } else {
-                    f.write_str("null")
-                }
-            }
             Json::Int(v) => write!(f, "{v}"),
             Json::Str(s) => write_escaped(f, s),
-            Json::Arr(items) => {
-                f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{item}")?;
-                }
-                f.write_str("]")
-            }
-            Json::Obj(fields) => write_fields(f, fields.iter().map(|(k, v)| (*k, v))),
-            Json::Map(fields) => write_fields(f, fields.iter().map(|(k, v)| (k.as_str(), v))),
+            Json::Arr(items) => write_list(f, "[]", items.iter().map(|v| (None, v))),
+            Json::Obj(fields) => write_list(f, "{}", fields.iter().map(|(k, v)| (Some(*k), v))),
+            Json::Map(fields) => write_list(f, "{}", fields.iter().map(|(k, v)| (Some(&**k), v))),
         }
     }
 }
 
-fn write_fields<'a>(
+/// Writes array elements or object fields (when keyed) comma-separated
+/// between the two `brackets`.
+fn write_list<'a>(
     f: &mut fmt::Formatter<'_>,
-    fields: impl Iterator<Item = (&'a str, &'a Json)>,
+    brackets: &str,
+    items: impl Iterator<Item = (Option<&'a str>, &'a Json)>,
 ) -> fmt::Result {
-    f.write_str("{")?;
-    for (i, (k, v)) in fields.enumerate() {
+    f.write_str(&brackets[..1])?;
+    for (i, (key, v)) in items.enumerate() {
         if i > 0 {
             f.write_str(",")?;
         }
-        write_escaped(f, k)?;
-        write!(f, ":{v}")?;
+        if let Some(key) = key {
+            write_escaped(f, key)?;
+            f.write_str(":")?;
+        }
+        write!(f, "{v}")?;
     }
-    f.write_str("}")
+    f.write_str(&brackets[1..])
 }
 
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
@@ -101,25 +89,25 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")
 }
 
-/// Renders the row-per-line artifact layout: the `head` fields, then one
-/// more field `key` holding `rows` as an array with one row per line, so
-/// checked-in artifacts diff cleanly. The result ends in a newline.
+/// Renders the row-per-line artifact layout: an object whose last field
+/// is an array, written one element per line so checked-in artifacts
+/// diff cleanly. The result ends in a newline.
 #[must_use]
-pub fn document(
-    head: Vec<(&'static str, Json)>,
-    key: &'static str,
-    rows: impl IntoIterator<Item = Json>,
-) -> String {
+pub fn document(fields: Vec<(&'static str, Json)>) -> String {
     let mut out = String::from("{");
-    for (k, v) in head {
-        out.push_str(&format!("{}:{v},", Json::Str(k.to_string())));
+    let last = fields.len().saturating_sub(1);
+    for (i, (key, value)) in fields.into_iter().enumerate() {
+        out.push_str(&format!("{}:", Json::Str(key.to_string())));
+        match value {
+            Json::Arr(rows) if i == last => {
+                let rows: Vec<String> = rows.iter().map(|row| format!("\n{row}")).collect();
+                out.push_str(&format!("[{}\n]", rows.join(",")));
+            }
+            value => out.push_str(&value.to_string()),
+        }
+        out.push(if i == last { '}' } else { ',' });
     }
-    let rows: Vec<String> = rows.into_iter().map(|row| format!("\n{row}")).collect();
-    out.push_str(&format!(
-        "{}:[{}\n]}}\n",
-        Json::Str(key.to_string()),
-        rows.join(",")
-    ));
+    out.push('\n');
     out
 }
 
@@ -162,7 +150,7 @@ pub enum JsonValue {
 }
 
 impl JsonValue {
-    /// Object field lookup (first match).
+    /// Object field lookup ([`parse`] refuses repeated keys).
     #[must_use]
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
         match self {
@@ -212,72 +200,174 @@ impl JsonValue {
     }
 }
 
-/// Looks up a required object field, naming `what` in the error.
-///
-/// # Errors
-///
-/// Returns a message when the field is absent.
-pub fn field<'a>(v: &'a JsonValue, key: &str, what: &str) -> Result<&'a JsonValue, String> {
-    v.get(key)
-        .ok_or_else(|| format!("{what}: missing field {key:?}"))
+// ---------------------------------------------------------------------
+// Declared records
+// ---------------------------------------------------------------------
+
+/// A value that can fill one field of a declared record: how it is
+/// written, and how it is read back. A read error is a bare phrase
+/// (`not a number`) that the record prefixes with its name and the key.
+pub(crate) trait Field: Sized {
+    /// The value as JSON.
+    fn write(&self) -> Json;
+    /// The value back from JSON.
+    fn read(v: &JsonValue) -> Result<Self, String>;
 }
 
-/// A required string field.
-///
-/// # Errors
-///
-/// Returns a message when the field is absent or not a string.
-pub fn str_field(v: &JsonValue, key: &str, what: &str) -> Result<String, String> {
-    field(v, key, what)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| format!("{what}: field {key:?} is not a string"))
+/// Scalars: written as one [`Json`] variant, read back through one
+/// [`JsonValue`] accessor.
+macro_rules! scalar {
+    ($($ty:ty: $variant:ident, $get:ident, $expected:literal;)+) => {$(
+        impl Field for $ty {
+            fn write(&self) -> Json {
+                Json::$variant(self.to_owned())
+            }
+            fn read(v: &JsonValue) -> Result<Self, String> {
+                v.$get().map(<$ty>::from).ok_or_else(|| $expected.to_string())
+            }
+        }
+    )+};
 }
 
-/// A required numeric field.
-///
-/// # Errors
-///
-/// Returns a message when the field is absent or not a number.
-pub fn f64_field(v: &JsonValue, key: &str, what: &str) -> Result<f64, String> {
-    field(v, key, what)?
-        .as_f64()
-        .ok_or_else(|| format!("{what}: field {key:?} is not a number"))
+scalar! {
+    String: Str, as_str, "not a string";
+    u64: Int, as_u64, "not an unsigned integer";
+    f64: Num, as_f64, "not a number";
 }
 
-/// A required exact-unsigned-integer field.
-///
-/// # Errors
-///
-/// Returns a message when the field is absent or not an unsigned integer.
-pub fn u64_field(v: &JsonValue, key: &str, what: &str) -> Result<u64, String> {
-    field(v, key, what)?
-        .as_u64()
-        .ok_or_else(|| format!("{what}: field {key:?} is not an unsigned integer"))
+impl Field for usize {
+    fn write(&self) -> Json {
+        Json::Int(*self as u64)
+    }
+    fn read(v: &JsonValue) -> Result<Self, String> {
+        usize::try_from(u64::read(v)?).map_err(|e| e.to_string())
+    }
 }
 
-/// A required array field.
-///
-/// # Errors
-///
-/// Returns a message when the field is absent or not an array.
-pub fn arr_field<'a>(v: &'a JsonValue, key: &str, what: &str) -> Result<&'a [JsonValue], String> {
-    field(v, key, what)?
-        .as_arr()
-        .ok_or_else(|| format!("{what}: field {key:?} is not an array"))
+impl<T: Field> Field for Vec<T> {
+    fn write(&self) -> Json {
+        Json::Arr(self.iter().map(Field::write).collect())
+    }
+    fn read(v: &JsonValue) -> Result<Self, String> {
+        let items = v.as_arr().ok_or_else(|| "not an array".to_string())?;
+        let item = |(i, x)| T::read(x).map_err(|e| format!("item {i}: {e}"));
+        items.iter().enumerate().map(item).collect()
+    }
 }
 
-/// A required array-of-unsigned-integers field (seed lists).
-///
-/// # Errors
-///
-/// Returns a message when the field is absent or not such an array.
-pub fn u64s_field(v: &JsonValue, key: &str, what: &str) -> Result<Vec<u64>, String> {
-    arr_field(v, key, what)?
-        .iter()
-        .map(|s| s.as_u64())
-        .collect::<Option<Vec<u64>>>()
-        .ok_or_else(|| format!("{what}: field {key:?} holds a non-integer"))
+/// A pair is a two-element array (`[t, skew]` trajectory points).
+impl<A: Field, B: Field> Field for (A, B) {
+    fn write(&self) -> Json {
+        Json::Arr(vec![self.0.write(), self.1.write()])
+    }
+    fn read(v: &JsonValue) -> Result<Self, String> {
+        match v.as_arr() {
+            Some([a, b]) => Ok((A::read(a)?, B::read(b)?)),
+            _ => Err("not a two-element array".to_string()),
+        }
+    }
+}
+
+/// Declares a record: one `"key" => field` entry per JSON key, in
+/// document order, from which both its [`Field`] writer and reader are
+/// generated (keys the list does not name are ignored on reading). The
+/// field's type says how it is written; `_ => field` flattens a nested
+/// record's keys into this object, and `"key" => field with(write,
+/// read)` gives one field its own codec. Errors name the record by its
+/// `as` name and, when its first key holds a string, by that string.
+macro_rules! record {
+    (@write $value:expr, _) => {
+        $crate::json::fields_of(&$value)
+    };
+    (@write $value:expr, $key:literal) => {
+        vec![($key, $crate::json::Field::write(&$value))]
+    };
+    (@write $value:expr, $key:literal, $write:expr) => {
+        vec![($key, $write(&$value))]
+    };
+    (@read $v:ident, $what:ident, _) => {
+        $crate::json::Field::read($v).map_err(|e| format!("{}: {e}", $what()))
+    };
+    (@read $v:ident, $what:ident, $key:literal) => {
+        $crate::json::field($v, $key, &$what, $crate::json::Field::read)
+    };
+    (@read $v:ident, $what:ident, $key:literal, $read:expr) => {
+        $crate::json::field($v, $key, &$what, $read)
+    };
+    (@id $first:literal $($rest:tt)*) => { Some($first) };
+    (@id $($rest:tt)*) => { None };
+    ($ty:ident as $name:literal {
+        $($key:tt => $field:ident $(with($write:expr, $read:expr))?),+ $(,)?
+    }) => {
+        impl $crate::json::Field for $ty {
+            fn write(&self) -> $crate::json::Json {
+                let fields = [$($crate::json::record!(@write self.$field, $key $(, $write)?)),+];
+                $crate::json::Json::Obj(fields.into_iter().flatten().collect())
+            }
+            fn read(v: &$crate::json::JsonValue) -> Result<Self, String> {
+                let $crate::json::JsonValue::Obj(_) = v else {
+                    return Err("not an object".to_string());
+                };
+                let what = || $crate::json::context($name, v, $crate::json::record!(@id $($key)+));
+                Ok($ty {
+                    $($field: $crate::json::record!(@read v, what, $key $(, $read)?)?,)+
+                })
+            }
+        }
+    };
+}
+pub(crate) use record;
+
+/// A declared record's fields: the entries of the object it writes.
+pub(crate) fn fields_of(record: &impl Field) -> Vec<(&'static str, Json)> {
+    let Json::Obj(fields) = record.write() else {
+        unreachable!("a declared record writes an object")
+    };
+    fields
+}
+
+/// A record's name in error messages: `what`, then the string its first
+/// key holds, if it holds one (`bench entry "ring-steady"`).
+pub(crate) fn context(what: &str, v: &JsonValue, first_key: Option<&str>) -> String {
+    let id = first_key.and_then(|k| v.get(k)?.as_str());
+    id.map_or(what.to_string(), |id| format!("{what} {id:?}"))
+}
+
+/// Reads field `key` of a record with `read`, naming the record and the
+/// key in the error.
+pub(crate) fn field<T>(
+    v: &JsonValue,
+    key: &str,
+    what: &dyn Fn() -> String,
+    read: impl FnOnce(&JsonValue) -> Result<T, String>,
+) -> Result<T, String> {
+    let value = v
+        .get(key)
+        .ok_or_else(|| format!("{}: missing field {key:?}", what()))?;
+    read(value).map_err(|e| format!("{}: field {key:?}: {e}", what()))
+}
+
+/// The key of every artifact document's format tag.
+const FORMAT: &str = "format";
+
+/// An artifact document's fields: its `format` tag, then the record's.
+pub(crate) fn tagged(format: &str, record: &impl Field) -> Vec<(&'static str, Json)> {
+    let tag = (FORMAT, Json::Str(format.to_string()));
+    std::iter::once(tag).chain(fields_of(record)).collect()
+}
+
+/// An artifact document's `format` tag.
+pub(crate) fn format_tag(doc: &JsonValue) -> Result<String, String> {
+    field(doc, FORMAT, &|| "artifact".to_string(), String::read)
+}
+
+/// Reads a parsed artifact document of `format` as its declared record.
+pub(crate) fn read_tagged<R: Field>(doc: &JsonValue, format: &str) -> Result<R, String> {
+    let tag = format_tag(doc)?;
+    if tag != format {
+        return Err(format!("expected format {format:?}, got {tag:?}"));
+    }
+    R::read(doc)
 }
 
 /// Parses a JSON document (full value, trailing whitespace only).
@@ -287,8 +377,10 @@ pub fn u64s_field(v: &JsonValue, key: &str, what: &str) -> Result<Vec<u64>, Stri
 /// Returns a message with a byte offset on malformed input.
 pub fn parse(text: &str) -> Result<JsonValue, String> {
     let mut p = Reader {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -299,9 +391,16 @@ pub fn parse(text: &str) -> Result<JsonValue, String> {
     Ok(v)
 }
 
+/// How deep arrays and objects may nest (the artifacts use four levels):
+/// the reader recurses per level, so a deeper file is refused before it
+/// can exhaust the stack.
+const MAX_DEPTH: usize = 128;
+
 struct Reader<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Reader<'_> {
@@ -336,7 +435,7 @@ impl Reader<'_> {
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.bytes.get(self.pos) {
             Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'[') => Ok(JsonValue::Arr(self.items(b']', Self::value)?)),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') if self.eat_lit("true") => Ok(JsonValue::Bool(true)),
             Some(b'f') if self.eat_lit("false") => Ok(JsonValue::Bool(false)),
@@ -347,54 +446,50 @@ impl Reader<'_> {
     }
 
     fn object(&mut self) -> Result<JsonValue, String> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let v = self.value()?;
-            fields.push((key, v));
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
+        let mut keys = std::collections::HashSet::new();
+        let fields = self.items(b'}', |r| {
+            let at = r.pos;
+            let key = r.string()?;
+            if !keys.insert(key.clone()) {
+                return Err(format!("repeated key {key:?} at byte {at}"));
             }
-        }
+            r.skip_ws();
+            r.eat(b':')?;
+            r.skip_ws();
+            Ok((key, r.value()?))
+        })?;
+        Ok(JsonValue::Obj(fields))
     }
 
-    fn array(&mut self) -> Result<JsonValue, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Arr(items));
+    /// The comma-separated items of the array or object opening at the
+    /// cursor, through its `close` byte; one more level of nesting.
+    fn items<T>(
+        &mut self,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
         }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
+        self.depth += 1;
+        self.pos += 1;
+        self.skip_ws();
+        let mut items = Vec::new();
+        if self.bytes.get(self.pos) != Some(&close) {
+            loop {
+                self.skip_ws();
+                items.push(item(self)?);
+                self.skip_ws();
+                match self.bytes.get(self.pos) {
+                    Some(b',') => self.pos += 1,
+                    Some(&c) if c == close => break,
+                    _ => return Err(self.err(&format!("expected ',' or '{}'", close as char))),
                 }
-                _ => return Err(self.err("expected ',' or ']'")),
             }
         }
+        self.pos += 1;
+        self.depth -= 1;
+        Ok(items)
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -412,44 +507,35 @@ impl Reader<'_> {
                     let esc = self.bytes.get(self.pos).copied();
                     self.pos += 1;
                     match esc {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
+                        Some(c @ (b'"' | b'\\' | b'/')) => out.push(char::from(c)),
                         Some(b'n') => out.push('\n'),
                         Some(b'r') => out.push('\r'),
                         Some(b't') => out.push('\t'),
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
+                            let hex = self.text.get(self.pos..self.pos + 4);
+                            let hex = hex.ok_or_else(|| self.err("truncated \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("bad \\u escape"))?;
                             self.pos += 4;
                             // The writer never splits surrogate pairs; reject
                             // lone surrogates rather than guessing.
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("surrogate \\u escape"))?,
-                            );
+                            let c = char::from_u32(code);
+                            out.push(c.ok_or_else(|| self.err("surrogate \\u escape"))?);
                         }
                         _ => return Err(self.err("unknown escape")),
                     }
                 }
                 Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through verbatim.
+                    // Everything up to the next quote or escape passes
+                    // through verbatim (both are ASCII, so the cut is a
+                    // char boundary).
                     let start = self.pos;
-                    self.pos += 1;
-                    while self.bytes.get(self.pos).is_some_and(|b| b & 0xc0 == 0x80) {
+                    while !matches!(self.bytes.get(self.pos), None | Some(b'"' | b'\\')) {
                         self.pos += 1;
                     }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| self.err("invalid UTF-8"))?,
-                    );
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -457,14 +543,11 @@ impl Reader<'_> {
 
     fn number(&mut self) -> Result<JsonValue, String> {
         let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
+        let numeric = |b: &u8| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E');
+        while self.bytes.get(self.pos).is_some_and(numeric) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii slice");
+        let text = &self.text[start..self.pos];
         // Bare unsigned integers stay exact (the writer emits u64 seeds
         // and counters without a decimal point).
         if !text.contains(['.', 'e', 'E', '-', '+']) {
@@ -558,6 +641,27 @@ mod tests {
         assert!(parse("{\"a\":1} trailing").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("1e999").is_err(), "non-finite numbers are rejected");
+    }
+
+    #[test]
+    fn parser_bounds_nesting_and_names_the_offset() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        // The first bracket past the cap opens at byte 128.
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err, "nesting deeper than 128 levels at byte 128");
+        // Far deeper files fail the same way instead of overflowing the stack.
+        assert_eq!(parse(&"[".repeat(1_000_000)).unwrap_err(), err);
+        let objects = format!("{}0", "{\"a\":".repeat(MAX_DEPTH + 1));
+        assert!(parse(&objects).unwrap_err().starts_with("nesting deeper"));
+    }
+
+    #[test]
+    fn parser_rejects_a_repeated_key_naming_it() {
+        let err = parse(r#"{"a":1,"b":2,"a":3}"#).unwrap_err();
+        assert_eq!(err, "repeated key \"a\" at byte 13");
+        // One key per object: siblings and nested objects may reuse it.
+        assert!(parse(r#"[{"a":1},{"a":{"a":2}}]"#).is_ok());
     }
 
     #[test]

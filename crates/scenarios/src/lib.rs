@@ -26,11 +26,13 @@
 //!   scripted faults, steps the observation grid and feeds any list of
 //!   [`Observer`]s from that single pass; [`sweep`] fans jobs over
 //!   scenario × seed. The campaign is one observer
-//!   ([`OutcomeObserver`]) plus the `results/campaign_*.json` artifact;
-//! * [`trend`] — the artifact reader, `gcs-baseline/v2` summaries
-//!   (scalar stats + trajectory envelopes + per-scenario tolerances),
-//!   and the tolerance-gated comparison CI runs against the two
-//!   checked-in points, `scenarios/baseline-{tiny,default}.json`;
+//!   ([`OutcomeObserver`]) plus the `results/campaign_*.json` artifact
+//!   (`gcs-campaign/v1`), whose schema, writer and reader live here;
+//! * [`trend`] — distillation of campaign artifacts into
+//!   `gcs-baseline/v2` summaries (scalar stats + trajectory envelopes +
+//!   per-scenario tolerances), their schema, and the tolerance-gated
+//!   comparison CI runs against the two checked-in points,
+//!   `scenarios/baseline-{tiny,default}.json`;
 //! * [`conformance`] — the paper-bound gate as an observer
 //!   ([`OracleObserver`]): every sampled snapshot checked against the
 //!   Theorem 5.6 / 5.22 bounds of [`gcs_analysis::oracle`], on either
@@ -46,6 +48,10 @@
 //!   `.scn` record) and the seeded adversarial fault-schedule search
 //!   whose best finds ratchet the conformance gates (`gcs-chaos/v1`
 //!   logs, `gcs-scenarios replay` / `chaos-search`);
+//! * [`json`] — the hand-rolled JSON writer and bounded reader, and the
+//!   record layer: each artifact record (campaign, baseline, engine
+//!   bench, trace run header) declares its keys once, and its writer and
+//!   reader both come from that declaration;
 //! * [`telemetry`] — the [`gcs_telemetry`] recorder as an observer
 //!   ([`TelemetryObserver`]) that rides whatever pass is being made: the
 //!   engine-invariant `gcs-trace/v1` run log behind `gcs-scenarios
@@ -84,8 +90,8 @@ pub mod trend;
 
 pub use bench::{BenchArtifact, BenchCompareReport, BenchEntry};
 pub use campaign::{
-    run_campaign, run_pass, run_scenario, sweep, CampaignRow, Observer, OutcomeObserver, Pass,
-    ScenarioOutcome, Stops,
+    run_campaign, run_pass, run_scenario, sweep, CampaignArtifact, CampaignRow, Observer,
+    OutcomeObserver, Pass, ScenarioOutcome, Stops,
 };
 pub use chaos::{
     chaos_search, frontier_from_log, read_trace, replay_trace, ChaosCandidate, ChaosOptions,
@@ -100,6 +106,4 @@ pub use spec::{
     DriftSpec, DynamicsSpec, EstimateSpec, FaultSpec, Metric, Scale, ScenarioSpec, TopologySpec,
 };
 pub use telemetry::{run_instrumented, TelemetryObserver, TelemetryRun, TELEMETRY_FORMAT};
-pub use trend::{
-    CampaignArtifact, CompareReport, EnvelopeStats, TrajectoryEnvelope, TrendRow, TrendSummary,
-};
+pub use trend::{CompareReport, EnvelopeStats, TrajectoryEnvelope, TrendRow, TrendSummary};

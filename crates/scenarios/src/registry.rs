@@ -102,8 +102,9 @@ pub fn find(name: &str) -> Option<ScenarioSpec> {
 
 /// Resolves a CLI selection token into a scenario list: a named set
 /// (`all`, `campaign`, `bench`, `fault-heavy`), a single scenario name, or
-/// a comma-separated list of either. Order follows the selection; exact
-/// duplicates are kept (the caller asked twice).
+/// a comma-separated list of either. Each scenario comes once, in the
+/// order of its first occurrence, however many tokens name it (the sets
+/// overlap).
 ///
 /// # Errors
 ///
@@ -133,6 +134,8 @@ pub fn select(selection: &str) -> Result<Vec<ScenarioSpec>, String> {
     if specs.is_empty() {
         return Err("selection matched no scenarios".to_string());
     }
+    let mut seen = std::collections::HashSet::new();
+    specs.retain(|s| seen.insert(s.name.clone()));
     Ok(specs)
 }
 
@@ -262,6 +265,24 @@ mod tests {
         assert_eq!(pair[1].name, "churn-storm");
         let mixed = select("bench, self-heal").unwrap();
         assert_eq!(mixed.len(), bench().len() + 1);
+    }
+
+    #[test]
+    fn select_returns_each_scenario_once_in_first_occurrence_order() {
+        let names = |sel: &str| -> Vec<String> {
+            select(sel).unwrap().into_iter().map(|s| s.name).collect()
+        };
+        assert_eq!(names("ring-steady,ring-steady"), ["ring-steady"]);
+        // fault-heavy is a subset of campaign: the union is campaign.
+        let campaign: Vec<String> = campaign().into_iter().map(|s| s.name).collect();
+        assert_eq!(names("campaign,fault-heavy"), campaign);
+        // A name repeated after its set keeps the set's position.
+        let mut heavy: Vec<String> = fault_heavy().into_iter().map(|s| s.name).collect();
+        assert_eq!(names(&format!("fault-heavy,{}", heavy[0])), heavy);
+        // A name before its set moves to the front.
+        let last = heavy.pop().unwrap();
+        heavy.insert(0, last.clone());
+        assert_eq!(names(&format!("{last},fault-heavy")), heavy);
     }
 
     #[test]

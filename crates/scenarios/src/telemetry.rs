@@ -25,7 +25,7 @@ use gcs_telemetry::{Histogram, RunTelemetry, Sample, SharedRecorder, StreamStats
 use crate::campaign::{run_pass, Observer, Pass, Stops};
 use crate::conformance::OracleTrack;
 use crate::error::ScenarioError;
-use crate::json::{self, Json};
+use crate::json::{self, Field, Json};
 use crate::spec::{Scale, ScenarioSpec};
 
 /// The artifact format tag.
@@ -195,7 +195,7 @@ fn entry_json(r: &TelemetryRun) -> Json {
                 ("barrier_rounds", Json::Int(tel.barrier_rounds)),
                 ("stalled_shard_rounds", Json::Int(tel.stalled_shard_rounds)),
                 ("mailbox_events", Json::Int(tel.mailbox_events)),
-                ("per_shard_drained", Json::ints(&tel.per_shard_drained)),
+                ("per_shard_drained", tel.per_shard_drained.write()),
             ]),
         ),
         (
@@ -279,11 +279,14 @@ fn entry_json(r: &TelemetryRun) -> Json {
 /// cleanly).
 #[must_use]
 pub fn telemetry_json(scale: Scale, entries: &[TelemetryRun]) -> String {
-    let head = vec![
+    json::document(vec![
         ("format", Json::Str(TELEMETRY_FORMAT.to_string())),
         ("scale", Json::Str(scale.name().to_string())),
-    ];
-    json::document(head, "entries", entries.iter().map(entry_json))
+        (
+            "entries",
+            Json::Arr(entries.iter().map(entry_json).collect()),
+        ),
+    ])
 }
 
 #[cfg(test)]

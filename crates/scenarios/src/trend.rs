@@ -1,9 +1,9 @@
-//! Campaign trend tracking: read `gcs-campaign/v1` artifacts back in,
-//! distill them into compact `gcs-baseline/v2` summaries — scalar
-//! ensemble stats *plus* per-trajectory envelopes (growth/recovery
-//! slopes, peak time, settling time) and a per-scenario tolerance table —
-//! and compare a fresh campaign against a checked-in baseline: the
-//! regression gate CI hangs off (`gcs-scenarios baseline` / `compare`).
+//! Campaign trend tracking: distill `gcs-campaign/v1` artifacts into
+//! compact `gcs-baseline/v2` summaries — scalar ensemble stats *plus*
+//! per-trajectory envelopes (growth/recovery slopes, peak time, settling
+//! time) and a per-scenario tolerance table — and compare a fresh
+//! campaign against a checked-in baseline: the regression gate CI hangs
+//! off (`gcs-scenarios baseline` / `compare`).
 //!
 //! The gate compares against a checked-in *point*
 //! (`scenarios/baseline-tiny.json`, `scenarios/baseline-default.json`),
@@ -12,22 +12,20 @@
 //! point neither needs nights of warm-up nor forgets a regression the way
 //! a trailing-window median does.
 //!
-//! The reader is hand-rolled like the writer (no serde) and inverts
-//! [`campaign_json`](crate::campaign::campaign_json) exactly: floats are
-//! written in shortest round-trip notation and re-parsed with correct
-//! rounding, so a parsed artifact is bit-identical to the
-//! [`CampaignRow`]s that produced it (property-tested).
+//! The baseline schema is declared once below, like the campaign schema
+//! in [`campaign`](crate::campaign): writer and reader come from the one
+//! field list, so a parsed baseline is bit-identical to the summary that
+//! produced it (property-tested).
 
+use gcs_analysis::report::fmt_val;
 use gcs_analysis::{EnsembleStats, Table};
 
-use crate::campaign::{CampaignRow, ScenarioOutcome};
-use crate::json::{
-    self, arr_field, f64_field, field, str_field, u64_field, u64s_field, Json, JsonValue,
-};
-use crate::spec::{DriftSpec, DynamicsSpec, Metric, Scale, ScenarioSpec, TopologySpec};
+/// The campaign reader, also reachable here: distillation starts from it.
+pub use crate::campaign::read_campaign;
+use crate::campaign::{CampaignArtifact, CampaignRow, ScenarioOutcome, CAMPAIGN_FORMAT};
+use crate::json::{self, Field, Json, JsonValue};
+use crate::spec::{DriftSpec, DynamicsSpec, Scale, ScenarioSpec, TopologySpec};
 
-/// The artifact format tag the campaign writer emits.
-pub const CAMPAIGN_FORMAT: &str = "gcs-campaign/v1";
 /// The baseline format: scalars + trajectory envelopes + per-scenario
 /// tolerances.
 pub const BASELINE_FORMAT: &str = "gcs-baseline/v2";
@@ -52,114 +50,6 @@ fn relative_drift(baseline: f64, current: f64) -> f64 {
 }
 
 // ---------------------------------------------------------------------
-// Reading campaign artifacts
-// ---------------------------------------------------------------------
-
-/// A fully parsed `gcs-campaign/v1` artifact — the same [`CampaignRow`]s
-/// the runner aggregated before writing.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CampaignArtifact {
-    /// Campaign title.
-    pub campaign: String,
-    /// Scale token (`tiny` / `default` / `full`).
-    pub scale: String,
-    /// The seed list the campaign fanned out over.
-    pub seeds: Vec<u64>,
-    /// Per-scenario rows, in artifact order.
-    pub rows: Vec<CampaignRow>,
-}
-
-fn read_stats(v: &JsonValue, what: &str) -> Result<EnsembleStats, String> {
-    Ok(EnsembleStats {
-        runs: usize::try_from(u64_field(v, "runs", what)?).map_err(|e| format!("{what}: {e}"))?,
-        mean: f64_field(v, "mean", what)?,
-        min: f64_field(v, "min", what)?,
-        max: f64_field(v, "max", what)?,
-        median: f64_field(v, "median", what)?,
-        stddev: f64_field(v, "stddev", what)?,
-        p10: f64_field(v, "p10", what)?,
-        p90: f64_field(v, "p90", what)?,
-    })
-}
-
-fn read_outcome(v: &JsonValue, what: &str) -> Result<ScenarioOutcome, String> {
-    let mut trajectory = Vec::new();
-    for (i, pt) in arr_field(v, "trajectory", what)?.iter().enumerate() {
-        let pair = pt
-            .as_arr()
-            .filter(|p| p.len() == 2)
-            .ok_or_else(|| format!("{what}: trajectory[{i}] is not a [t, skew] pair"))?;
-        let t = pair[0]
-            .as_f64()
-            .ok_or_else(|| format!("{what}: trajectory[{i}] time is not a number"))?;
-        let g = pair[1]
-            .as_f64()
-            .ok_or_else(|| format!("{what}: trajectory[{i}] skew is not a number"))?;
-        trajectory.push((t, g));
-    }
-    Ok(ScenarioOutcome {
-        seed: u64_field(v, "seed", what)?,
-        primary: f64_field(v, "primary", what)?,
-        max_global_skew: f64_field(v, "max_global_skew", what)?,
-        max_local_skew: f64_field(v, "max_local_skew", what)?,
-        final_global_skew: f64_field(v, "final_global_skew", what)?,
-        invariant_violations: u64_field(v, "invariant_violations", what)?,
-        messages_sent: u64_field(v, "messages_sent", what)?,
-        messages_delivered: u64_field(v, "messages_delivered", what)?,
-        messages_dropped: u64_field(v, "messages_dropped", what)?,
-        events: u64_field(v, "events", what)?,
-        ticks: u64_field(v, "ticks", what)?,
-        mode_evaluations: u64_field(v, "mode_evaluations", what)?,
-        trajectory,
-    })
-}
-
-/// Parses a `gcs-campaign/v1` artifact back into its [`CampaignRow`]s.
-///
-/// # Errors
-///
-/// Returns a message on malformed JSON, a wrong `format` tag, or a
-/// missing/mistyped field.
-pub fn read_campaign(text: &str) -> Result<CampaignArtifact, String> {
-    campaign_from_doc(&json::parse(text)?)
-}
-
-fn campaign_from_doc(doc: &JsonValue) -> Result<CampaignArtifact, String> {
-    let format = str_field(doc, "format", "artifact")?;
-    if format != CAMPAIGN_FORMAT {
-        return Err(format!(
-            "expected format {CAMPAIGN_FORMAT:?}, got {format:?}"
-        ));
-    }
-    let mut rows = Vec::new();
-    for sc in arr_field(doc, "scenarios", "artifact")? {
-        let name = str_field(sc, "name", "scenario")?;
-        let what = format!("scenario {name:?}");
-        let metric_token = str_field(sc, "metric", &what)?;
-        let metric = Metric::parse(&metric_token)
-            .ok_or_else(|| format!("{what}: unknown metric {metric_token:?}"))?;
-        let outcomes = arr_field(sc, "outcomes", &what)?
-            .iter()
-            .map(|o| read_outcome(o, &what))
-            .collect::<Result<Vec<_>, String>>()?;
-        rows.push(CampaignRow {
-            name,
-            nodes: usize::try_from(u64_field(sc, "nodes", &what)?)
-                .map_err(|e| format!("{what}: {e}"))?,
-            metric,
-            stats: read_stats(field(sc, "stats", &what)?, &what)?,
-            outcomes,
-        });
-    }
-    Ok(CampaignArtifact {
-        campaign: str_field(doc, "campaign", "artifact")?,
-        scale: str_field(doc, "scale", "artifact")?,
-        seeds: u64s_field(doc, "seeds", "artifact")?,
-        rows,
-    })
-}
-
-// ---------------------------------------------------------------------
 // Distilling: per-scenario trend rows
 // ---------------------------------------------------------------------
 
@@ -172,7 +62,7 @@ fn campaign_from_doc(doc: &JsonValue) -> Result<CampaignArtifact, String> {
 /// Distillation is invariant to sample order and exact-duplicate samples
 /// (the points are canonicalized first; property-tested), so envelope
 /// values only move when the trajectory *shape* moves.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TrajectoryEnvelope {
     /// The trajectory's maximum skew.
     pub peak: f64,
@@ -198,13 +88,7 @@ pub fn envelope(trajectory: &[(f64, f64)]) -> TrajectoryEnvelope {
     pts.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
     pts.dedup();
     let (Some(&(t0, g0)), Some(&(t_end, g_end))) = (pts.first(), pts.last()) else {
-        return TrajectoryEnvelope {
-            peak: 0.0,
-            peak_time: 0.0,
-            growth_slope: 0.0,
-            recovery_slope: 0.0,
-            settling_time: 0.0,
-        };
+        return TrajectoryEnvelope::default();
     };
     let (mut peak, mut peak_time) = (f64::NEG_INFINITY, t0);
     for &(t, g) in &pts {
@@ -474,49 +358,63 @@ pub fn default_tolerances(summary: &TrendSummary) -> Vec<(String, f64)> {
     tols
 }
 
+// The `gcs-baseline/v2` schema (`scenarios/README.md`): each key, once.
+json::record! { TrendSummary as "baseline" {
+    "campaign" => campaign, "scale" => scale, "seeds" => seeds,
+    "tolerances" => tolerances with(tolerances_json, read_tolerances),
+    "scenarios" => rows,
+} }
+
+json::record! { TrendRow as "baseline scenario" {
+    "name" => name, "nodes" => nodes, "metric" => metric, "runs" => runs,
+    "mean_primary" => mean_primary, "p90_primary" => p90_primary,
+    "mean_global_skew" => mean_global, "p90_global_skew" => p90_global,
+    "mean_local_skew" => mean_local, "p90_local_skew" => p90_local,
+    "mean_stabilization" => mean_stabilization,
+    _ => envelope,
+} }
+
+json::record! { EnvelopeStats as "envelope" {
+    "mean_peak_time" => mean_peak_time, "mean_growth_slope" => mean_growth_slope,
+    "mean_recovery_slope" => mean_recovery_slope,
+} }
+
+/// The tolerance table is an object from scenario name to fraction.
+fn tolerances_json(tolerances: &[(String, f64)]) -> Json {
+    Json::Map(
+        tolerances
+            .iter()
+            .map(|(name, t)| (name.clone(), Json::Num(*t)))
+            .collect(),
+    )
+}
+
+fn read_tolerances(v: &JsonValue) -> Result<Vec<(String, f64)>, String> {
+    let JsonValue::Obj(entries) = v else {
+        return Err("not an object".to_string());
+    };
+    let mut tolerances = Vec::new();
+    for (name, tol) in entries {
+        match tol.as_f64() {
+            Some(t) if t.is_finite() && t >= 0.0 => tolerances.push((name.clone(), t)),
+            _ => return Err(format!("{name:?}: not a non-negative number")),
+        }
+    }
+    tolerances.sort_by(|a, b| a.0.cmp(&b.0));
+    Ok(tolerances)
+}
+
 /// Serializes a summary as a `gcs-baseline/v2` document (one scenario per
 /// line, so checked-in baselines diff cleanly). The tolerance table is
 /// embedded as relative fractions (`0.25` = ±25 %), exactly as held in
 /// memory, so the file round-trips bit-exactly.
 #[must_use]
 pub fn baseline_json(summary: &TrendSummary) -> String {
-    let row_json = |r: &TrendRow| {
-        Json::Obj(vec![
-            ("name", Json::Str(r.name.clone())),
-            ("nodes", Json::Int(r.nodes)),
-            ("metric", Json::Str(r.metric.clone())),
-            ("runs", Json::Int(r.runs)),
-            ("mean_primary", Json::Num(r.mean_primary)),
-            ("p90_primary", Json::Num(r.p90_primary)),
-            ("mean_global_skew", Json::Num(r.mean_global)),
-            ("p90_global_skew", Json::Num(r.p90_global)),
-            ("mean_local_skew", Json::Num(r.mean_local)),
-            ("p90_local_skew", Json::Num(r.p90_local)),
-            ("mean_stabilization", Json::Num(r.mean_stabilization)),
-            ("mean_peak_time", Json::Num(r.envelope.mean_peak_time)),
-            ("mean_growth_slope", Json::Num(r.envelope.mean_growth_slope)),
-            (
-                "mean_recovery_slope",
-                Json::Num(r.envelope.mean_recovery_slope),
-            ),
-        ])
-    };
-    let tolerances = summary
-        .tolerances
-        .iter()
-        .map(|(name, tol)| (name.clone(), Json::Num(*tol)))
-        .collect();
-    let head = vec![
-        ("format", Json::Str(BASELINE_FORMAT.to_string())),
-        ("campaign", Json::Str(summary.campaign.clone())),
-        ("scale", Json::Str(summary.scale.clone())),
-        ("seeds", Json::ints(&summary.seeds)),
-        ("tolerances", Json::Map(tolerances)),
-    ];
-    json::document(head, "scenarios", summary.rows.iter().map(row_json))
+    json::document(json::tagged(BASELINE_FORMAT, summary))
 }
 
-/// Reads a `gcs-baseline/v2` document.
+/// Reads a `gcs-baseline/v2` document. Keys the schema does not name are
+/// ignored.
 ///
 /// # Errors
 ///
@@ -527,7 +425,7 @@ pub fn read_baseline(text: &str) -> Result<TrendSummary, String> {
 }
 
 fn baseline_from_doc(doc: &JsonValue) -> Result<TrendSummary, String> {
-    let format = str_field(doc, "format", "baseline")?;
+    let format = json::format_tag(doc)?;
     if format != BASELINE_FORMAT {
         // The one other tag ever written is the retired scalar-only v1.
         return Err(format!(
@@ -535,52 +433,7 @@ fn baseline_from_doc(doc: &JsonValue) -> Result<TrendSummary, String> {
              is no longer read: re-distill its campaign artifact with `gcs-scenarios baseline`)"
         ));
     }
-    let mut rows = Vec::new();
-    for sc in arr_field(doc, "scenarios", "baseline")? {
-        let name = str_field(sc, "name", "baseline scenario")?;
-        let what = format!("baseline scenario {name:?}");
-        rows.push(TrendRow {
-            nodes: u64_field(sc, "nodes", &what)?,
-            metric: str_field(sc, "metric", &what)?,
-            runs: u64_field(sc, "runs", &what)?,
-            mean_primary: f64_field(sc, "mean_primary", &what)?,
-            p90_primary: f64_field(sc, "p90_primary", &what)?,
-            mean_global: f64_field(sc, "mean_global_skew", &what)?,
-            p90_global: f64_field(sc, "p90_global_skew", &what)?,
-            mean_local: f64_field(sc, "mean_local_skew", &what)?,
-            p90_local: f64_field(sc, "p90_local_skew", &what)?,
-            mean_stabilization: f64_field(sc, "mean_stabilization", &what)?,
-            envelope: EnvelopeStats {
-                mean_peak_time: f64_field(sc, "mean_peak_time", &what)?,
-                mean_growth_slope: f64_field(sc, "mean_growth_slope", &what)?,
-                mean_recovery_slope: f64_field(sc, "mean_recovery_slope", &what)?,
-            },
-            name,
-        });
-    }
-    let mut tolerances = Vec::new();
-    if let Some(tols) = doc.get("tolerances") {
-        let JsonValue::Obj(fields) = tols else {
-            return Err("baseline: field \"tolerances\" is not an object".to_string());
-        };
-        for (name, v) in fields {
-            let tol = v
-                .as_f64()
-                .filter(|t| t.is_finite() && *t >= 0.0)
-                .ok_or_else(|| {
-                    format!("baseline: tolerance for {name:?} is not a non-negative number")
-                })?;
-            tolerances.push((name.clone(), tol));
-        }
-        tolerances.sort_by(|a, b| a.0.cmp(&b.0));
-    }
-    Ok(TrendSummary {
-        campaign: str_field(doc, "campaign", "baseline")?,
-        scale: str_field(doc, "scale", "baseline")?,
-        seeds: u64s_field(doc, "seeds", "baseline")?,
-        rows,
-        tolerances,
-    })
+    TrendSummary::read(doc)
 }
 
 /// Reads either artifact flavour into a [`TrendSummary`], keyed on the
@@ -592,12 +445,12 @@ fn baseline_from_doc(doc: &JsonValue) -> Result<TrendSummary, String> {
 /// Returns a message on malformed JSON or an unknown `format` tag.
 pub fn read_summary(text: &str) -> Result<TrendSummary, String> {
     let doc = json::parse(text)?;
-    match str_field(&doc, "format", "artifact")?.as_str() {
-        CAMPAIGN_FORMAT => Ok(TrendSummary::from_campaign(&campaign_from_doc(&doc)?)),
-        // Everything else is a baseline or an error the baseline reader
-        // words (it names the retired v1 tag).
-        _ => baseline_from_doc(&doc),
+    if json::format_tag(&doc)? == CAMPAIGN_FORMAT {
+        return Ok(TrendSummary::from_campaign(&CampaignArtifact::read(&doc)?));
     }
+    // Everything else is a baseline or an error the baseline reader words
+    // (it names the retired v1 tag).
+    baseline_from_doc(&doc)
 }
 
 // ---------------------------------------------------------------------
@@ -687,7 +540,7 @@ pub fn compare(baseline: &TrendSummary, current: &TrendSummary, tol: f64) -> Com
     );
     // One table row; a side the scenario is absent from shows as `-`.
     let cell = |row: Option<&TrendRow>, column: fn(&TrendRow) -> f64| {
-        row.map_or("-".to_string(), |r| fmt(column(r)))
+        row.map_or("-".to_string(), |r| fmt_val(column(r)))
     };
     let mut render = |name: &str, tol: Option<f64>, base, cur, worst: &str, status: &str| {
         table.row([
@@ -703,38 +556,29 @@ pub fn compare(baseline: &TrendSummary, current: &TrendSummary, tol: f64) -> Com
             status.to_string(),
         ]);
     };
-    let structural = |name: &str, column: &str| DriftFinding {
+    let finding = |name: &str, column: &str, baseline, current| DriftFinding {
         scenario: name.to_string(),
         column: column.to_string(),
-        baseline: f64::NAN,
-        current: f64::NAN,
+        baseline,
+        current,
     };
 
     for base_row in &baseline.rows {
         let name = &base_row.name;
         let row_tol = baseline.tolerance_for(name, tol);
         let Some(cur_row) = current.rows.iter().find(|r| r.name == *name) else {
-            findings.push(structural(name, "missing scenario"));
+            findings.push(finding(name, "missing scenario", f64::NAN, f64::NAN));
             render(name, Some(row_tol), Some(base_row), None, "-", "MISSING");
             continue;
         };
         let mut row_findings = Vec::new();
         if cur_row.runs != base_row.runs {
-            row_findings.push(DriftFinding {
-                scenario: name.clone(),
-                column: "runs".to_string(),
-                baseline: base_row.runs as f64,
-                current: cur_row.runs as f64,
-            });
+            let (base, cur) = (base_row.runs as f64, cur_row.runs as f64);
+            row_findings.push(finding(name, "runs", base, cur));
         }
         let mut worst: Option<DriftFinding> = None;
         for ((label, base), (_, cur)) in base_row.columns().into_iter().zip(cur_row.columns()) {
-            let finding = DriftFinding {
-                scenario: name.clone(),
-                column: label.to_string(),
-                baseline: base,
-                current: cur,
-            };
+            let finding = finding(name, label, base, cur);
             let out_of_tol = (cur - base).abs() > row_tol * base.abs() + ABSOLUTE_FLOOR;
             if worst
                 .as_ref()
@@ -761,15 +605,12 @@ pub fn compare(baseline: &TrendSummary, current: &TrendSummary, tol: f64) -> Com
     for cur_row in &current.rows {
         if !baseline.rows.iter().any(|r| r.name == cur_row.name) {
             let name = &cur_row.name;
-            findings.push(structural(name, "new scenario (refresh the baseline)"));
+            let column = "new scenario (refresh the baseline)";
+            findings.push(finding(name, column, f64::NAN, f64::NAN));
             render(name, None, None, Some(cur_row), "-", "NEW");
         }
     }
     CompareReport { table, findings }
-}
-
-fn fmt(v: f64) -> String {
-    gcs_analysis::report::fmt_val(v)
 }
 
 #[cfg(test)]
@@ -788,21 +629,6 @@ mod tests {
         let seeds = vec![0, 1];
         let (rows, _) = run_campaign(&specs, &seeds, false, |_, _, _| {}).unwrap();
         (seeds, rows)
-    }
-
-    #[test]
-    fn campaign_reader_inverts_the_writer() {
-        let (seeds, rows) = tiny_rows();
-        let text = campaign_json("smoke", Scale::Tiny, &seeds, &rows);
-        let artifact = read_campaign(&text).unwrap();
-        assert_eq!(artifact.campaign, "smoke");
-        assert_eq!(artifact.scale, "tiny");
-        assert_eq!(artifact.seeds, seeds);
-        assert_eq!(artifact.rows, rows, "parsed rows must be bit-identical");
-        // An outcome without its engine counters is malformed, not zero.
-        let ticks = format!(",\"ticks\":{}", rows[0].outcomes[0].ticks);
-        let err = read_campaign(&text.replacen(&ticks, "", 1)).unwrap_err();
-        assert!(err.contains("missing field \"ticks\""), "{err}");
     }
 
     #[test]

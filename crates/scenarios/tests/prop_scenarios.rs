@@ -1,9 +1,11 @@
 //! Property tests of the scenario subsystem: exact `.scn` round-trips,
 //! deterministic builds, the chunked executor vs the sequential path, and
-//! exact campaign-artifact JSON round-trips.
+//! exact JSON round-trips of the campaign, baseline and bench artifacts
+//! (every key required, unknown keys ignored).
 
 use proptest::prelude::*;
 
+use gcs_scenarios::bench::{bench_json, read_bench, BenchEntry};
 use gcs_scenarios::campaign::{campaign_json, CampaignRow, ScenarioOutcome};
 use gcs_scenarios::spec::Metric;
 use gcs_scenarios::{campaign, format, registry, trend, Scale};
@@ -29,6 +31,60 @@ fn finite(bits: u64) -> f64 {
         v
     } else {
         1.0
+    }
+}
+
+/// `doc` with its first `"key":value` member cut out, together with one
+/// separating comma: the record that held the key now lacks it.
+fn without_key(doc: &str, key: &str) -> String {
+    let start = doc.find(&format!("\"{key}\":")).expect("key present");
+    let value = start + key.len() + 3;
+    let (mut depth, mut in_str, mut escaped) = (0u32, false, false);
+    let mut end = value;
+    for (i, c) in doc[value..].char_indices() {
+        end = value + i;
+        match c {
+            _ if escaped => escaped = false,
+            '\\' if in_str => escaped = true,
+            '"' => in_str = !in_str,
+            _ if in_str => {}
+            '[' | '{' => depth += 1,
+            ']' | '}' if depth > 0 => depth -= 1,
+            ',' | ']' | '}' if depth == 0 => break,
+            _ => {}
+        }
+    }
+    if doc[end..].starts_with(',') {
+        format!("{}{}", &doc[..start], &doc[end + 1..])
+    } else {
+        format!("{}{}", &doc[..start - 1], &doc[end..])
+    }
+}
+
+/// An unknown member no schema names, to prepend to a record's object.
+const UNKNOWN: &str = "{\"x_unknown\":[{\"y\":null},1.5,\"z\"],";
+
+/// Every key of a format, removed in turn, fails the read with an error
+/// that names the key and, innermost in its context chain, the record
+/// that held it (`record` or `record "its name"`).
+fn assert_every_key_required<T: std::fmt::Debug>(
+    text: &str,
+    read: impl Fn(&str) -> Result<T, String>,
+    keys: &[(&str, &[&str])],
+) {
+    for &(record, names) in keys {
+        for key in names {
+            let err = read(&without_key(text, key)).unwrap_err();
+            let missing = format!(": missing field \"{key}\"");
+            let context = err
+                .strip_suffix(&missing)
+                .unwrap_or_else(|| panic!("{key}: {err}"));
+            let holder = context.rsplit(": ").next().unwrap();
+            assert!(
+                holder == record || holder.starts_with(&format!("{record} \"")),
+                "{key} should be missing from a {record}: {err}"
+            );
+        }
     }
 }
 
@@ -164,6 +220,20 @@ proptest! {
         let artifact = trend::read_campaign(&text).unwrap();
         prop_assert_eq!(&artifact.seeds, &seeds);
         prop_assert_eq!(&artifact.rows, &rows);
+        // Every record object may carry keys the schema does not name.
+        let padded = text.replace('{', UNKNOWN);
+        prop_assert_eq!(campaign::read_campaign(&padded).unwrap(), artifact);
+        assert_every_key_required(&text, campaign::read_campaign, &[
+            ("artifact", &["format"]),
+            ("campaign artifact", &["campaign", "scale", "seeds", "scenarios"]),
+            ("campaign scenario", &["name", "nodes", "metric", "stats", "outcomes"]),
+            ("ensemble stats", &["runs", "mean", "min", "max", "median", "stddev", "p10", "p90"]),
+            ("outcome", &[
+                "seed", "primary", "max_global_skew", "max_local_skew", "final_global_skew",
+                "invariant_violations", "messages_sent", "messages_delivered",
+                "messages_dropped", "events", "ticks", "mode_evaluations", "trajectory",
+            ]),
+        ]);
     }
 
     /// Envelope distillation is invariant to trajectory sample order and
@@ -236,5 +306,56 @@ proptest! {
         let back = trend::read_baseline(&text).unwrap();
         prop_assert_eq!(&back, &summary, "value round-trip");
         prop_assert_eq!(trend::baseline_json(&back), text, "byte round-trip");
+        // The head and the rows may carry keys the schema does not name
+        // (the tolerance table's keys are scenario names, not a schema).
+        let padded = text.replace("{\"format\"", &format!("{UNKNOWN}\"format\""));
+        let padded = padded.replace("{\"name\"", &format!("{UNKNOWN}\"name\""));
+        prop_assert_eq!(trend::read_baseline(&padded).unwrap(), summary);
+        assert_every_key_required(&text, trend::read_baseline, &[
+            ("artifact", &["format"]),
+            ("baseline", &["campaign", "scale", "seeds", "tolerances", "scenarios"]),
+            ("baseline scenario", &[
+                "name", "nodes", "metric", "runs", "mean_primary", "p90_primary",
+                "mean_global_skew", "p90_global_skew", "mean_local_skew", "p90_local_skew",
+                "mean_stabilization",
+            ]),
+            ("envelope", &["mean_peak_time", "mean_growth_slope", "mean_recovery_slope"]),
+        ]);
+    }
+
+    /// `gcs-engine-bench/v1` artifacts round-trip bit-exactly for
+    /// arbitrary counters and simulated spans; every key is required and
+    /// keys the schema does not name are ignored.
+    #[test]
+    fn bench_artifact_json_round_trips(
+        counts in proptest::collection::vec(any::<u64>(), 5),
+        secs_bits in any::<u64>(),
+        threads in 1usize..64,
+    ) {
+        let entry = |seed: u64| BenchEntry {
+            scenario: "prop-row".to_string(),
+            nodes: (counts[0] % 1_000_000) as usize,
+            seed,
+            threads,
+            sim_secs: finite(secs_bits),
+            events: counts[1],
+            ticks: counts[2],
+            mode_evaluations: counts[3],
+            messages_delivered: counts[4],
+        };
+        let entries = vec![entry(0), entry(u64::MAX)];
+        let text = bench_json(Scale::Tiny, &[0, u64::MAX], &entries);
+        let artifact = read_bench(&text).unwrap();
+        prop_assert_eq!(&artifact.entries, &entries);
+        prop_assert_eq!(bench_json(Scale::Tiny, &artifact.seeds, &artifact.entries), text);
+        prop_assert_eq!(read_bench(&text.replace('{', UNKNOWN)).unwrap(), artifact);
+        assert_every_key_required(&text, read_bench, &[
+            ("artifact", &["format"]),
+            ("bench artifact", &["scale", "seeds", "entries"]),
+            ("bench entry", &[
+                "scenario", "nodes", "seed", "threads", "sim_secs", "events", "ticks",
+                "mode_evaluations", "messages_delivered",
+            ]),
+        ]);
     }
 }

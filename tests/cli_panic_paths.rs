@@ -121,6 +121,23 @@ fn seed_counts_are_bounded_before_anything_runs() {
 }
 
 #[test]
+fn bench_compare_refuses_an_over_deep_file_readably() {
+    // 30 000 nested `[` (a 30 KB file) used to overflow the reader's stack
+    // and abort with exit 134.
+    let dir = std::env::temp_dir().join(format!("gcs-cli-deep-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let deep = dir.join("deep.json");
+    std::fs::write(&deep, "[".repeat(30_000)).unwrap();
+    let out = bin()
+        .arg("bench-compare")
+        .args([&deep, &deep])
+        .output()
+        .unwrap();
+    assert_clean_failure(&out, "nesting deeper than 128 levels at byte 128");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn scenario_node_counts_are_bounded_before_anything_is_built() {
     // `topology ring 5000000000` used to panic in `realize` under
     // `validate` and abort on a 40 GB allocation under `run`; `grid w h`
