@@ -471,7 +471,7 @@ const FAN_OUT_MIN_WORK: usize = 1 << 20;
 /// integer sum or an f64 min/max over pairs (and all pairs of one sweep
 /// share the instant `t`), so the merged result is bit-identical however
 /// the sources were split.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct SweepPartial {
     // Weight-uniform snapshots: pair count and worst skew per hop class
     // (indexed by d − 1) — all the fused BFS sweep touches per pair.
@@ -531,6 +531,135 @@ fn merge_per_hop(into: &mut Vec<HopClass>, from: &[HopClass]) {
     }
 }
 
+/// A snapshot whose strong graph is one path or one cycle, laid out in
+/// walk order ([`HopGraph::walk_order`]) so the weight-uniform passes read
+/// hop class `d` of walk position `p` at positions `p ± d` instead of
+/// running a BFS. The three buffers are kept between snapshots.
+#[derive(Debug, Clone, Default)]
+struct WalkLayout {
+    order: Vec<u32>,
+    /// Each node's walk position.
+    pos: Vec<u32>,
+    /// The clocks in walk order — a cycle's twice over, so `p + d` and
+    /// `p + n − d` index it without a modulo.
+    clock: Vec<f64>,
+    closed: bool,
+}
+
+/// One source's targets in classes `lo..=hi`: class `d`'s are
+/// `clock[fwd + d]` and `clock[back − d]`, for each side that is set.
+#[derive(Debug, Clone, Copy)]
+struct WalkRun {
+    lo: usize,
+    hi: usize,
+    fwd: Option<usize>,
+    back: Option<usize>,
+}
+
+impl WalkLayout {
+    /// Lays out this snapshot's strong graph and its clocks, and returns
+    /// whether it is a path or a cycle (else the buffers are stale).
+    fn fill(&mut self, hop_graph: &HopGraph, logical: &[f64]) -> bool {
+        let Some(closed) = hop_graph.walk_order(&mut self.order) else {
+            return false;
+        };
+        let n = self.order.len();
+        self.closed = closed;
+        self.pos.resize(n, 0);
+        self.clock.clear();
+        self.clock.reserve_exact(if closed { 2 * n } else { n });
+        for (p, &u) in self.order.iter().enumerate() {
+            self.pos[u as usize] = p as u32;
+            self.clock.push(logical[u as usize]);
+        }
+        if closed {
+            self.clock.extend_from_within(..n);
+        }
+        true
+    }
+
+    /// The targets of walk position `p`, as at most two runs of hop
+    /// classes. `both_ways` (a drawn source) reaches every other node.
+    /// Otherwise (the exact pass) `p` reaches only the nodes after it in
+    /// walk order, and an even cycle's antipode only from its first half,
+    /// so every unordered pair comes once.
+    fn runs(&self, p: usize, both_ways: bool) -> [WalkRun; 2] {
+        let n = self.pos.len();
+        let none = WalkRun {
+            lo: 1,
+            hi: 0,
+            fwd: None,
+            back: None,
+        };
+        if self.closed {
+            let antipode = n.is_multiple_of(2) && (both_ways || p < n / 2);
+            [
+                WalkRun {
+                    lo: 1,
+                    hi: (n - 1) / 2,
+                    fwd: Some(p),
+                    back: both_ways.then_some(p + n),
+                },
+                if antipode {
+                    WalkRun {
+                        lo: n / 2,
+                        hi: n / 2,
+                        fwd: Some(p),
+                        back: None,
+                    }
+                } else {
+                    none
+                },
+            ]
+        } else if both_ways {
+            let (ahead, behind) = (n - 1 - p, p);
+            let near = ahead.min(behind);
+            [
+                WalkRun {
+                    lo: 1,
+                    hi: near,
+                    fwd: Some(p),
+                    back: Some(p),
+                },
+                WalkRun {
+                    lo: near + 1,
+                    hi: ahead.max(behind),
+                    fwd: (ahead > behind).then_some(p),
+                    back: (behind > ahead).then_some(p),
+                },
+            ]
+        } else {
+            [
+                WalkRun {
+                    lo: 1,
+                    hi: n - 1 - p,
+                    fwd: Some(p),
+                    back: None,
+                },
+                none,
+            ]
+        }
+    }
+}
+
+/// Raises each class's worst skew to that of its target in `targets`.
+fn raise_class_skew<'a>(worst: &mut [f64], lu: f64, targets: impl Iterator<Item = &'a f64>) {
+    for (cur, &lv) in worst.iter_mut().zip(targets) {
+        let skew = (lu - lv).abs();
+        // `if skew > cur`, written as a select so the loop vectorizes.
+        *cur = if skew > *cur { skew } else { *cur };
+    }
+}
+
+/// Targets in `targets` whose skew exceeds their class's bound.
+fn count_breaches<'a>(allowed: &[f64], lu: f64, targets: impl Iterator<Item = &'a f64>) -> u64 {
+    allowed
+        .iter()
+        .zip(targets)
+        .filter(|&(&a, &lv)| a - (lu - lv).abs() < 0.0)
+        .count() as u64
+}
+
 /// One sweep worker's private scratch, kept between snapshots.
 #[derive(Debug, Clone, Default)]
 struct SweepWorker {
@@ -551,9 +680,14 @@ enum SweepPass {
     /// hop-`d` node via a hop-`(d−1)` predecessor at exactly the running
     /// sum, division by a (positive) bound and subtraction from it are
     /// monotone in the skew, and running min/max are order-invariant.
-    /// This is what keeps the sampled oracle at 10⁵-node scale inside the
-    /// CI smoke budget: the hot loop is two loads, a subtract, and a
-    /// compare per pair.
+    /// On a path or cycle ([`WalkLayout`]) the BFS goes too: class `d` of
+    /// walk position `p` is the clocks at `p ± d`, so the hot loop is two
+    /// loads, a subtract, and a compare per pair, over consecutive
+    /// memory, and the pair counts come in closed form. It visits the
+    /// same (pair, class) set as the BFS (`fl(a − b) = −fl(b − a)` makes
+    /// the skew independent of which end is the source), so the
+    /// accumulators are bit-identical. This is what keeps the sampled
+    /// oracle at 10⁵-node scale inside the CI smoke budget.
     UniformClasses,
     /// Any other snapshot: Dijkstra from the source, then the Theorem
     /// 5.22 bound for every reached target, recorded pair by pair.
@@ -586,6 +720,9 @@ struct Sweep<'a> {
     /// targets only, each unordered pair once.
     sources: Option<&'a [u32]>,
     hop_graph: &'a HopGraph,
+    /// The snapshot in walk order, if its strong graph is a path or a
+    /// cycle; the uniform passes then read it instead of running a BFS.
+    walk: Option<&'a WalkLayout>,
     strong: &'a WeightedGraph,
     logical: &'a [f64],
     allowed_by_hop: &'a [f64],
@@ -597,6 +734,9 @@ struct Sweep<'a> {
 impl Sweep<'_> {
     /// Sweeps the `i`-th source into `w.partial`.
     fn sweep_source(&self, i: usize, w: &mut SweepWorker) {
+        if let Some(walk) = self.walk {
+            return self.sweep_walk(walk, i, &mut w.partial);
+        }
         let (u, v_lo) = match self.sources {
             Some(drawn) => (drawn[i] as usize, 0),
             None => (i, i + 1),
@@ -661,6 +801,58 @@ impl Sweep<'_> {
                         partial.gradient.violations += 1;
                     }
                 });
+            }
+        }
+    }
+
+    /// [`sweep_source`](Self::sweep_source) on a path or cycle: the `i`-th
+    /// drawn source, or walk position `i` in the exact pass.
+    fn sweep_walk(&self, walk: &WalkLayout, i: usize, partial: &mut SweepPartial) {
+        let (p, both_ways) = match self.sources {
+            Some(drawn) => (walk.pos[drawn[i] as usize] as usize, true),
+            None => (i, false),
+        };
+        let clock = &walk.clock[..];
+        let lu = clock[p];
+        for run in walk.runs(p, both_ways) {
+            let WalkRun { lo, hi, fwd, back } = run;
+            if lo > hi {
+                continue;
+            }
+            let ahead = fwd.map(|f| clock[f + lo..=f + hi].iter());
+            let behind = back.map(|b| clock[b - hi..=b - lo].iter().rev());
+            match self.pass {
+                SweepPass::UniformClasses => {
+                    let SweepPartial {
+                        class_pairs,
+                        class_skew,
+                        ..
+                    } = partial;
+                    if class_pairs.len() < hi {
+                        class_pairs.resize(hi, 0);
+                        class_skew.resize(hi, 0.0);
+                    }
+                    let sides = u64::from(fwd.is_some()) + u64::from(back.is_some());
+                    for pairs in &mut class_pairs[lo - 1..hi] {
+                        *pairs += sides;
+                    }
+                    let worst = &mut class_skew[lo - 1..hi];
+                    if let Some(targets) = ahead {
+                        raise_class_skew(worst, lu, targets);
+                    }
+                    if let Some(targets) = behind {
+                        raise_class_skew(worst, lu, targets);
+                    }
+                }
+                SweepPass::UniformViolations => {
+                    let allowed = &self.allowed_by_hop[lo..=hi];
+                    let breaches = ahead.map_or(0, |t| count_breaches(allowed, lu, t))
+                        + behind.map_or(0, |t| count_breaches(allowed, lu, t));
+                    partial.gradient.violations += breaches;
+                }
+                SweepPass::Weighted => {
+                    unreachable!("only the weight-uniform passes read a walk")
+                }
             }
         }
     }
@@ -740,6 +932,10 @@ pub struct ConformanceChecker {
     strong: WeightedGraph,
     hop_graph: HopGraph,
     logical: Vec<f64>,
+    // The strong graph in walk order, read by the uniform passes while
+    // `on_walk` (this snapshot is weight-uniform and a path or a cycle).
+    walk: WalkLayout,
+    on_walk: bool,
     // The gradient sweep's per-worker scratch and its merged result.
     sweep_scratch: Vec<SweepWorker>,
     swept: SweepPartial,
@@ -803,6 +999,8 @@ impl ConformanceChecker {
             strong: WeightedGraph::new(0),
             hop_graph: HopGraph::default(),
             logical: Vec::new(),
+            walk: WalkLayout::default(),
+            on_walk: false,
             sweep_scratch: Vec::new(),
             swept: SweepPartial::default(),
             pool: Vec::new(),
@@ -972,7 +1170,9 @@ impl ConformanceChecker {
             sampled_k,
             forced_workers,
         };
-        match self.strong.uniform_weight() {
+        let uniform = self.strong.uniform_weight();
+        self.on_walk = uniform.is_some() && self.walk.fill(&self.hop_graph, &self.logical);
+        match uniform {
             Some(w) => {
                 self.sweep_gradient(SweepPass::UniformClasses, gradient);
                 self.fold_uniform_gradient(w, gradient);
@@ -1017,6 +1217,7 @@ impl ConformanceChecker {
             pass,
             sources: at.sampled_k.map(|k| &self.pool[..k]),
             hop_graph: &self.hop_graph,
+            walk: self.on_walk.then_some(&self.walk),
             strong: &self.strong,
             logical: &self.logical,
             allowed_by_hop: &self.allowed_by_hop,
@@ -1375,6 +1576,112 @@ mod tests {
             assert_eq!(class.worst_skew, 0.0);
             assert_eq!(class.min_margin, f64::INFINITY);
             assert_eq!(class.worst_utilization, 0.0);
+        }
+    }
+
+    /// A weight-uniform graph on `n` nodes with the given edges.
+    fn uniform_graph(n: usize, edges: &[(u32, u32)]) -> (WeightedGraph, HopGraph) {
+        let mut strong = WeightedGraph::new(n);
+        for &(a, b) in edges {
+            strong.add_edge(EdgeKey::new(NodeId(a), NodeId(b)), 0.5);
+        }
+        let mut hop_graph = HopGraph::default();
+        hop_graph.rebuild(&strong);
+        (strong, hop_graph)
+    }
+
+    #[test]
+    fn walk_kernel_matches_the_bfs_sweep() {
+        let params = Params::builder().rho(0.01).mu(0.1).build().unwrap();
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut breaches = 0;
+        let shapes = [(3, true), (4, true), (5, true), (8, true), (9, true)]
+            .into_iter()
+            .chain([(2, false), (3, false), (8, false)]);
+        for (n, closed) in shapes {
+            // Walk position p holds node perm[p], so walk order is not
+            // index order.
+            let mut perm: Vec<u32> = (0..n as u32).collect();
+            for i in 0..n {
+                perm.swap(i, rng.gen_range(i..n));
+            }
+            let links = if closed { n } else { n - 1 };
+            let edges: Vec<(u32, u32)> = (0..links).map(|p| (perm[p], perm[(p + 1) % n])).collect();
+            let (strong, hop_graph) = uniform_graph(n, &edges);
+            let logical: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let mut walk = WalkLayout::default();
+            assert!(walk.fill(&hop_graph, &logical), "n = {n}");
+            assert_eq!(walk.closed, closed, "n = {n}");
+            // Bounds that grow with d but not as fast as random clocks'
+            // spread, so some classes breach and some do not.
+            let allowed_by_hop: Vec<f64> = (0..=n).map(|d| 0.35 * d as f64).collect();
+            let mut drawn: Vec<u32> = (0..n as u32).collect();
+            for i in 0..n {
+                drawn.swap(i, rng.gen_range(i..n));
+            }
+            let source_sets = [
+                Some(&drawn[..1]),
+                Some(&drawn[..n.div_ceil(2)]),
+                Some(&drawn[..]),
+                None,
+            ];
+            for sources in source_sets {
+                for pass in [SweepPass::UniformClasses, SweepPass::UniformViolations] {
+                    for forced_workers in [None, Some(2)] {
+                        let sweep = |walk: Option<&WalkLayout>| {
+                            let mut total = SweepPartial::default();
+                            Sweep {
+                                pass,
+                                sources,
+                                hop_graph: &hop_graph,
+                                walk,
+                                strong: &strong,
+                                logical: &logical,
+                                allowed_by_hop: &allowed_by_hop,
+                                params: &params,
+                                g_hat: 1.0,
+                                at: GradientInstant {
+                                    t: 0.0,
+                                    allowance: 0.0,
+                                    slack: 0.0,
+                                    sampled_k: None,
+                                    forced_workers,
+                                },
+                            }
+                            .run(&mut Vec::new(), &mut total);
+                            total
+                        };
+                        let (ours, bfs) = (sweep(Some(&walk)), sweep(None));
+                        let bits = |p: &SweepPartial| -> Vec<u64> {
+                            p.class_skew.iter().map(|x| x.to_bits()).collect()
+                        };
+                        assert_eq!(ours, bfs, "n = {n}, {pass:?}, {sources:?}");
+                        assert_eq!(bits(&ours), bits(&bfs));
+                        breaches += ours.gradient.violations;
+                    }
+                }
+            }
+        }
+        assert!(breaches > 0, "some class must breach its bound");
+    }
+
+    #[test]
+    fn walk_kernel_falls_back_off_paths_and_cycles() {
+        let star = [(0, 1), (0, 2), (0, 3)];
+        let two_paths = [(0, 1), (1, 2), (3, 4)];
+        let cycle_and_chord = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)];
+        for (n, edges) in [
+            (4, &star[..]),
+            (5, &two_paths[..]),
+            (5, &cycle_and_chord[..]),
+            (1, &[][..]),
+        ] {
+            let (_, hop_graph) = uniform_graph(n, edges);
+            let logical = vec![0.0; n];
+            assert!(
+                !WalkLayout::default().fill(&hop_graph, &logical),
+                "{edges:?} is not a path or a cycle"
+            );
         }
     }
 

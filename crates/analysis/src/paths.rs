@@ -8,7 +8,10 @@
 //! (10⁴–10⁵ nodes) the conformance oracle sweeps a *sample* of sources,
 //! counts hops on a [`HopGraph`] (`O(n + m)` per source, with no
 //! per-source `O(n)` reset), and on weight-uniform graphs skips the
-//! Dijkstra altogether.
+//! Dijkstra altogether. When the graph is one path or one cycle,
+//! [`HopGraph::walk_order`] lays it out in walk order once (`O(n)`), and
+//! hop distance becomes a difference of walk positions: the oracle then
+//! skips the BFS as well.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -274,6 +277,61 @@ impl HopGraph {
     #[must_use]
     pub fn edge_count(&self) -> usize {
         self.targets.len() / 2
+    }
+
+    /// Neighbours of `u`, in insertion order.
+    fn neighbours(&self, u: usize) -> &[u32] {
+        &self.targets[self.offsets[u] as usize..self.offsets[u + 1] as usize]
+    }
+
+    /// The walk order of a graph that is one simple path or one simple
+    /// cycle: fills `order` with every node, each once, so that walk
+    /// neighbours are graph neighbours, and returns whether the walk is
+    /// closed (a cycle). A path starts at its lower-indexed end, a cycle
+    /// at node 0. On such a graph the hop distance between walk positions
+    /// `p` and `q` is `|p − q|` on a path and `min(|p − q|, n − |p − q|)`
+    /// on a cycle, so no BFS is needed to find a hop class.
+    ///
+    /// Returns `None` (leaving `order` unspecified) when some degree is
+    /// above 2, some node is isolated, the graph has more than one
+    /// component, or `n < 2`. One `O(n)` pass.
+    pub fn walk_order(&self, order: &mut Vec<u32>) -> Option<bool> {
+        let n = self.node_count();
+        order.clear();
+        if n < 2 {
+            return None;
+        }
+        let (mut ends, mut start) = (0, 0);
+        for u in 0..n {
+            match self.neighbours(u).len() {
+                1 => {
+                    if ends == 0 {
+                        start = u;
+                    }
+                    ends += 1;
+                }
+                2 => {}
+                _ => return None,
+            }
+        }
+        if ends != 0 && ends != 2 {
+            return None;
+        }
+        // Each step leaves by the neighbour it did not arrive from, so a
+        // walk of degree-≤2 nodes needs no visited marks.
+        let (mut prev, mut cur) = (u32::MAX, start as u32);
+        let closed = loop {
+            order.push(cur);
+            match self.neighbours(cur as usize).iter().find(|&&v| v != prev) {
+                None => break false,
+                Some(&v) if v as usize == start => break true,
+                Some(_) if order.len() == n => return None,
+                Some(&v) => (prev, cur) = (cur, v),
+            }
+        };
+        // A closed walk must come from an endless graph and vice versa (a
+        // doubled edge is the one way this fails), and it must cover all.
+        (closed == (ends == 0) && order.len() == n).then_some(closed)
     }
 
     /// Breadth-first search from `src`: calls `visit(v, d)` once for every
