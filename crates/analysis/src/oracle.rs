@@ -297,6 +297,10 @@ fn hop_class_mut(per_hop: &mut Vec<HopClass>, d: u32) -> &mut HopClass {
     &mut per_hop[d as usize - 1]
 }
 
+/// Hop classes [`ConformanceReport::to_table`] prints one row each
+/// however many there are.
+const TABLE_NEAR_HOPS: u32 = 16;
+
 /// The per-run verdict of the conformance oracle.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConformanceReport {
@@ -389,7 +393,10 @@ impl ConformanceReport {
     }
 
     /// Renders the per-family and per-hop-class results as a printable
-    /// [`Table`](crate::Table).
+    /// [`Table`](crate::Table). Every hop class up to `d = 16` gets a
+    /// row; further out only the worst-use and the min-margin class do,
+    /// and one summary row covers the rest (a 10⁵-node ring has 50 000
+    /// classes).
     #[must_use]
     pub fn to_table(&self) -> crate::Table {
         let mut t = crate::Table::new(
@@ -434,15 +441,43 @@ impl ConformanceReport {
         fam(&mut t, "global".to_string(), &self.global);
         fam(&mut t, "gradient".to_string(), &self.gradient);
         fam(&mut t, "weak edges".to_string(), &self.weak_edges);
-        for h in &self.per_hop {
+        let hop_row = |t: &mut crate::Table, name: String, h: &HopClass| {
             t.row([
-                format!("gradient d={}", h.hops),
+                name,
                 h.pairs.to_string(),
                 "-".to_string(),
                 "-".to_string(),
                 crate::report::fmt_val(h.min_margin),
                 format!("{:.1}%", 100.0 * h.worst_utilization),
             ]);
+        };
+        // The first class of the worst use and of the least margin.
+        let worst = |better: fn(&HopClass, &HopClass) -> bool| {
+            self.per_hop
+                .iter()
+                .reduce(|a, b| if better(b, a) { b } else { a })
+                .map(|h| h.hops)
+        };
+        let worst_use = worst(|a, b| a.worst_utilization > b.worst_utilization);
+        let least_margin = worst(|a, b| a.min_margin < b.min_margin);
+        // The elided classes summed into the first of them, and the last.
+        let mut rest: Option<(HopClass, u32)> = None;
+        for h in &self.per_hop {
+            if h.hops <= TABLE_NEAR_HOPS
+                || Some(h.hops) == worst_use
+                || Some(h.hops) == least_margin
+            {
+                hop_row(&mut t, format!("gradient d={}", h.hops), h);
+            } else if let Some((sum, last)) = &mut rest {
+                sum.absorb(h.pairs, h.worst_skew, h.min_margin, h.worst_utilization);
+                *last = h.hops;
+            } else {
+                rest = Some((h.clone(), h.hops));
+            }
+        }
+        if let Some((sum, last)) = rest {
+            let name = format!("gradient d={}..{last} (rest)", sum.hops);
+            hop_row(&mut t, name, &sum);
         }
         t
     }
@@ -1142,7 +1177,7 @@ impl ConformanceChecker {
         sim.level_edges_into(u32::MAX, &mut self.strong_edges);
         debug_assert!(
             self.strong_edges.windows(2).all(|w| w[0] < w[1]),
-            "level_edges_into yields strictly sorted edges (binary search below relies on it)"
+            "level_edges_into yields strictly sorted edges (the weak-edge walk below relies on it)"
         );
         self.strong.reset(n);
         for &e in &self.strong_edges {
@@ -1186,10 +1221,17 @@ impl ConformanceChecker {
 
         // 3. Weak edges: unlocked to a finite level, not yet fully
         // inserted — only the level-s legality bound applies.
+        // Both lists are sorted, so one merge walk skips the strong edges.
         sim.level_edges_into(1, &mut self.level1_edges);
+        debug_assert!(
+            self.level1_edges.windows(2).all(|w| w[0] < w[1]),
+            "level_edges_into yields strictly sorted edges"
+        );
         let sigma = self.params.sigma();
+        let mut strong = self.strong_edges.iter().peekable();
         for &e in &self.level1_edges {
-            if self.strong_edges.binary_search(&e).is_ok() {
+            while strong.next_if(|&&s| s < e).is_some() {}
+            if strong.next_if_eq(&&e).is_some() {
                 continue;
             }
             let Some(gcs_core::edge_state::Level::Finite(s)) = sim.level_between(e.lo(), e.hi())
@@ -1683,6 +1725,40 @@ mod tests {
                 "{edges:?} is not a path or a cycle"
             );
         }
+    }
+
+    #[test]
+    fn table_elides_far_hop_classes_into_one_row() {
+        let mut report = report_with_classes(50_000);
+        report.per_hop[29_999].worst_utilization = 0.9;
+        report.per_hop[40_000].min_margin = -1.0;
+        let table = report.to_table();
+        assert!(table.row_count() <= 25, "{} rows", table.row_count());
+        let text = table.to_string();
+        for d in 1..=TABLE_NEAR_HOPS {
+            assert!(text.contains(&format!("gradient d={d} ")), "class {d}");
+        }
+        assert!(!text.contains("gradient d=17 "));
+        assert!(text.contains("gradient d=30000 ") && text.contains("90.0%"));
+        assert!(text.contains("gradient d=40001 ") && text.contains("-1.0000"));
+        // The rest: classes 17..=50000 less the two shown, one pair each.
+        assert!(text.contains("gradient d=17..50000 (rest)"), "{text}");
+        assert!(text.contains(&format!(" {} ", 50_000 - 16 - 2)));
+        // A table that needs no eliding prints every class.
+        let short = report_with_classes(TABLE_NEAR_HOPS);
+        assert_eq!(short.to_table().row_count(), 3 + TABLE_NEAR_HOPS as usize);
+    }
+
+    /// A passing report with `classes` hop classes of one pair each.
+    fn report_with_classes(classes: u32) -> ConformanceReport {
+        let mut per_hop = Vec::new();
+        for d in 1..=classes {
+            hop_class_mut(&mut per_hop, d).absorb(1, 0.01, 0.5, 0.1);
+        }
+        let s = sim(4, 1);
+        let mut report = ConformanceChecker::new(&s, 0.5).finish();
+        report.per_hop = per_hop;
+        report
     }
 
     #[test]

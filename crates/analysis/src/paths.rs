@@ -364,8 +364,7 @@ impl HopGraph {
             while head < level_end {
                 let u = queue[head] as usize;
                 head += 1;
-                let nbrs = self.offsets[u] as usize..self.offsets[u + 1] as usize;
-                for &v in &self.targets[nbrs] {
+                for &v in self.neighbours(u) {
                     let seen = &mut stamp[v as usize];
                     if *seen != epoch {
                         *seen = epoch;

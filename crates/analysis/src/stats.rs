@@ -13,7 +13,11 @@ pub fn mean(xs: &[f64]) -> f64 {
 /// Maximum; 0 for an empty slice.
 #[must_use]
 pub fn max(xs: &[f64]) -> f64 {
-    xs.iter().copied().fold(0.0, f64::max)
+    if xs.is_empty() {
+        0.0
+    } else {
+        xs.iter().copied().fold(f64::NEG_INFINITY, f64::max)
+    }
 }
 
 /// Population standard deviation; 0 for slices with fewer than 2 values.
@@ -95,6 +99,13 @@ mod tests {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[1.0, 3.0]), 2.0);
         assert_eq!(max(&[1.0, 3.0, 2.0]), 3.0);
+        assert_eq!(max(&[]), 0.0);
+    }
+
+    #[test]
+    fn max_of_negatives_is_observed() {
+        assert_eq!(max(&[-2.0, -1.0]), -1.0);
+        assert_eq!(max(&[-5.0]), -5.0);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Cross-validation of the analysis layer against independent
 //! brute-force implementations: the Dijkstra-based all-pairs distances
 //! against Floyd–Warshall, the potential computation against explicit
-//! simple-path enumeration, and the oracle's CSR hop kernel against the
-//! plain BFS.
+//! simple-path enumeration, and the oracle's CSR hop kernel and its
+//! walk-order reading of paths and cycles against the plain BFS.
 
 use proptest::prelude::*;
 
@@ -33,6 +33,21 @@ fn arb_graph(max_n: usize) -> impl Strategy<Value = (usize, Vec<(usize, usize, f
             (n, edges)
         })
     })
+}
+
+/// A path or a cycle (`closed`, when `n ≥ 3`) on `n` nodes whose walk
+/// visits the nodes in a random order: `(n, closed, walk)`.
+fn arb_chain(max_n: usize) -> impl Strategy<Value = (usize, bool, Vec<usize>)> {
+    (
+        2..=max_n,
+        any::<bool>(),
+        proptest::collection::vec(0u32..1_000_000, max_n),
+    )
+        .prop_map(|(n, closed, keys)| {
+            let mut walk: Vec<usize> = (0..n).collect();
+            walk.sort_by_key(|&u| (keys[u], u));
+            (n, closed && n >= 3, walk)
+        })
 }
 
 fn build(n: usize, edges: &[(usize, usize, f64)]) -> WeightedGraph {
@@ -186,6 +201,53 @@ proptest! {
                 ours[v] = f64::from(d);
             });
             prop_assert_eq!(&ours, &reference[u], "sweep {} from {}", sweep, u);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    #[test]
+    fn walk_order_hop_distance_matches_plain_bfs((n, closed, walk) in arb_chain(12)) {
+        let links = if closed { n } else { n - 1 };
+        let edges: Vec<_> = (0..links).map(|p| (walk[p], walk[(p + 1) % n], 1.0)).collect();
+        let g = build(n, &edges);
+        let mut csr = HopGraph::default();
+        csr.rebuild(&g);
+        let mut order = Vec::new();
+        prop_assert_eq!(csr.walk_order(&mut order), Some(closed));
+        let mut pos = vec![0; n];
+        for (p, &u) in order.iter().enumerate() {
+            pos[u as usize] = p;
+        }
+        let (mut hops, mut queue) = (Vec::new(), Vec::new());
+        for u in 0..n {
+            g.hop_distances_into(NodeId::from(u), &mut hops, &mut queue);
+            for v in 0..n {
+                let gap = pos[u].abs_diff(pos[v]);
+                let d = if closed { gap.min(n - gap) } else { gap };
+                prop_assert_eq!(hops[v], d as f64, "{} -> {} on {:?}", u, v, walk);
+            }
+        }
+    }
+
+    #[test]
+    fn walk_order_refuses_a_degree_above_two((n, edges) in arb_graph(10)) {
+        let g = build(n, &edges);
+        let mut csr = HopGraph::default();
+        csr.rebuild(&g);
+        let mut degree = vec![0; n];
+        for &(a, b, _) in &edges {
+            degree[a] += 1;
+            degree[b] += 1;
+        }
+        let found = csr.walk_order(&mut Vec::new());
+        if degree.iter().any(|&d| d > 2) {
+            prop_assert_eq!(found, None);
+        } else {
+            // The spanning chain alone, or closed by its one extra edge.
+            prop_assert_eq!(found, Some(edges.len() == n));
         }
     }
 }
