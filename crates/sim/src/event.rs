@@ -360,9 +360,11 @@ impl<E> EventQueue<E> {
         self.len() == 0
     }
 
-    /// Total number of events ever scheduled on this queue.
+    /// The sequence number the next plain [`schedule`](EventQueue::schedule)
+    /// takes: one past the largest key scheduled so far, which on a shard
+    /// queue that receives keyed events is not a count of anything.
     #[must_use]
-    pub fn scheduled_count(&self) -> u64 {
+    pub fn next_seq(&self) -> u64 {
         self.next_seq
     }
 }
@@ -442,11 +444,11 @@ mod tests {
         q.schedule(SimTime::from_secs(1.0), ());
         q.schedule(SimTime::from_secs(2.0), ());
         assert_eq!(q.len(), 2);
-        assert_eq!(q.scheduled_count(), 2);
+        assert_eq!(q.next_seq(), 2);
         q.pop();
         q.pop();
         assert!(q.is_empty());
-        assert_eq!(q.scheduled_count(), 2);
+        assert_eq!(q.next_seq(), 2);
     }
 
     #[test]
@@ -583,31 +585,47 @@ mod tests {
         assert_eq!(q.pop(), Some((SimTime::from_secs(1.0), "dynamic")));
     }
 
+    /// A xorshift64 stream: deterministic test randomness with no
+    /// dependency.
+    fn xorshift(mut x: u64) -> impl FnMut() -> u64 {
+        move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        }
+    }
+
+    /// Reference pop order: by `(time bits, seq)`, as the queue must pop.
+    type Reference = std::collections::BTreeMap<(u64, u64), String>;
+
+    /// Pops one event from both `q` and `reference` and asserts they agree;
+    /// returns the popped time.
+    fn pop_checked(q: &mut EventQueue<String>, reference: &mut Reference) -> Option<f64> {
+        let (when, seq, got) = q.pop_keyed()?;
+        let (key, want) = reference.pop_first().expect("reference nonempty");
+        assert_eq!(got, want, "payload order diverged");
+        assert_eq!((when.as_secs().to_bits(), seq), key, "key order diverged");
+        Some(when.as_secs())
+    }
+
+    /// Entries the ring holds room for: tails, full chunks and pool.
+    fn ring_capacity<E>(q: &EventQueue<E>) -> usize {
+        let chunks = q.full.iter().flatten().chain(&q.pool);
+        q.ring.iter().chain(chunks).map(Vec::capacity).sum()
+    }
+
     /// Randomized cross-check against a reference priority queue: any
     /// interleaving of plain schedules, keyed schedules and pops must
     /// produce the exact `(time, seq)` order, including bucket-boundary
     /// times, with heap-owning payloads moved intact through every tier.
     #[test]
     fn matches_reference_order_on_random_interleavings() {
-        use std::collections::BTreeMap;
-        let mut x = 0x243F_6A88_85A3_08D3u64;
-        let mut rand = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
+        let mut rand = xorshift(0x243F_6A88_85A3_08D3);
         for _ in 0..50 {
             let mut q = EventQueue::new();
-            let mut reference: BTreeMap<(u64, u64), String> = BTreeMap::new();
+            let mut reference = Reference::new();
             let mut now = 0.0f64;
-            let check = |q: &mut EventQueue<String>, reference: &mut BTreeMap<_, _>| {
-                let (when, seq, got) = q.pop_keyed()?;
-                let (key, want) = reference.pop_first().expect("reference nonempty");
-                assert_eq!(got, want, "payload order diverged");
-                assert_eq!((when.as_secs().to_bits(), seq), key, "key order diverged");
-                Some(when.as_secs())
-            };
             for _ in 0..400 {
                 let op = rand() % 4;
                 if op < 3 {
@@ -623,20 +641,159 @@ mod tests {
                     let t = now + dt;
                     // Two schedules in three are keyed, skipping ahead in seq
                     // the way an event routed from another shard does.
-                    let seq = q.scheduled_count() + r % 3;
+                    let seq = q.next_seq() + r % 3;
                     let payload = format!("event {seq} at {t}");
                     reference.insert((t.to_bits(), seq), payload.clone());
-                    if r % 3 == 0 {
+                    if r.is_multiple_of(3) {
                         q.schedule(SimTime::from_secs(t), payload);
                     } else {
                         q.schedule_keyed(SimTime::from_secs(t), seq, payload);
                     }
-                } else if let Some(t) = check(&mut q, &mut reference) {
+                } else if let Some(t) = pop_checked(&mut q, &mut reference) {
                     now = t;
                 }
             }
-            while check(&mut q, &mut reference).is_some() {}
+            while pop_checked(&mut q, &mut reference).is_some() {}
             assert!(reference.is_empty());
         }
+    }
+
+    /// The same cross-check with bursts of `CHUNK + 1` to `3·CHUNK` events
+    /// into one bucket — the open one, one in the ring, or one beyond the
+    /// horizon that later migrates from the far heap — so buckets park
+    /// full chunks, open by gathering them, and chunks cycle through the
+    /// pool. Keys come as a shard queue receives them: its own namespace
+    /// at 2⁴⁸, two mailbox namespaces above it, and plain schedules.
+    #[test]
+    fn chunked_buckets_match_reference_order() {
+        const SHIFT: u32 = 48;
+        let mut rand = xorshift(0x1319_8A2E_0370_7344);
+        let (mut most_parked, mut most_pooled) = (0, 0);
+        for _ in 0..8 {
+            let mut q = EventQueue::new();
+            let mut reference = Reference::new();
+            // The next unused key per namespace: 1 is the queue's own, 2
+            // and 3 its mailboxes; plain keys start in 0 and follow the
+            // largest key so far.
+            let mut next = [0u64; 4];
+            let mut now = 0.0f64;
+            let mut put = |q: &mut EventQueue<String>, reference: &mut Reference, t: f64, ns| {
+                let seq = if ns == 0 {
+                    q.next_seq()
+                } else {
+                    next[ns] += 1;
+                    ((ns as u64) << SHIFT) + next[ns] - 1
+                };
+                // A plain key is one past every key so far; keep its
+                // namespace's later keyed events past it too.
+                let own = &mut next[(seq >> SHIFT) as usize];
+                *own = (*own).max((seq & ((1 << SHIFT) - 1)) + 1);
+                let payload = format!("event {seq} at {t}");
+                assert!(reference
+                    .insert((t.to_bits(), seq), payload.clone())
+                    .is_none());
+                if ns == 0 {
+                    q.schedule(SimTime::from_secs(t), payload);
+                } else {
+                    q.schedule_keyed(SimTime::from_secs(t), seq, payload);
+                }
+            };
+            for _ in 0..150 {
+                match rand() % 4 {
+                    0 => {
+                        // A burst into bucket `b + k`: k = 0 is the open
+                        // bucket, k ≥ RING the far heap. Times repeat in
+                        // 64 steps per bucket, so seq breaks many ties.
+                        let b = bucket_of(SimTime::from_secs(now));
+                        let k = rand() % (RING as u64 + 8);
+                        let n = CHUNK + 1 + (rand() % (2 * CHUNK as u64)) as usize;
+                        let (lo, hi) = ((b + k) as f64 * WIDTH, (b + k + 1) as f64 * WIDTH);
+                        let lo = lo.max(now);
+                        for _ in 0..n {
+                            let step = (rand() % 64) as f64 / 64.0;
+                            put(
+                                &mut q,
+                                &mut reference,
+                                lo + step * (hi - lo),
+                                (rand() % 4) as usize,
+                            );
+                        }
+                    }
+                    1 => {
+                        for _ in 0..1 + rand() % 8 {
+                            let r = rand();
+                            let dt = match r % 4 {
+                                0 => 0.0,
+                                1 => (r % 1000) as f64 * 1e-6,
+                                2 => (r % 100) as f64 * WIDTH,
+                                _ => (r % 1000) as f64 * 1e-4,
+                            };
+                            put(&mut q, &mut reference, now + dt, (rand() % 4) as usize);
+                        }
+                    }
+                    _ => {
+                        for _ in 0..rand() % (2 * CHUNK as u64) {
+                            match pop_checked(&mut q, &mut reference) {
+                                Some(t) => now = t,
+                                None => break,
+                            }
+                        }
+                    }
+                }
+                most_parked = most_parked.max(q.full.iter().map(Vec::len).sum::<usize>());
+                // A once-large `near` never stays resident as a tail.
+                assert!(q.ring.iter().all(|tail| tail.capacity() <= CHUNK));
+            }
+            while pop_checked(&mut q, &mut reference).is_some() {}
+            assert!(reference.is_empty());
+            assert!(
+                q.full.iter().all(Vec::is_empty),
+                "a drained queue parks nothing"
+            );
+            most_pooled = most_pooled.max(q.pool.len());
+        }
+        assert!(
+            most_parked >= 3,
+            "bursts never parked a chunk ({most_parked})"
+        );
+        assert!(most_pooled > 0, "no bucket opened through its chunks");
+    }
+
+    /// A 10⁵-node ring's load in miniature: every pop schedules one event
+    /// uniformly within the ring horizon, so each bucket fills to about
+    /// 7 500 entries just before it opens while the live count stays at
+    /// half of 64 such buckets. Over four ring turns, tails, full chunks
+    /// and pool together never hold room for more than the live high-water
+    /// mark plus one chunk per slot and one spare: 250 368 entries for
+    /// 240 000 live. (One growable buffer per slot, the layout before
+    /// chunks, reads 630 784 here, 2.6× live, and fails the bound.)
+    #[test]
+    fn ring_footprint_follows_the_live_high_water_mark() {
+        const PER_BUCKET: usize = 7_500;
+        let horizon = RING as f64 * WIDTH;
+        let mut rand = xorshift(0xA409_3822_299F_31D0);
+        let mut delay = move || (rand() >> 11) as f64 / (1u64 << 53) as f64 * horizon;
+        let mut q = EventQueue::new();
+        for i in 0..PER_BUCKET * RING / 2 {
+            q.schedule(SimTime::from_secs(delay()), i);
+        }
+        let high_water = q.len();
+        let bound = high_water + (RING + 1) * CHUNK;
+        let mut open = 0;
+        let mut most = 0;
+        for _ in 0..4 * RING * PER_BUCKET {
+            let (t, i) = q.pop().expect("constant population");
+            q.schedule(SimTime::from_secs(t.as_secs() + delay()), i);
+            if bucket_of(t) != open {
+                open = bucket_of(t);
+                most = most.max(ring_capacity(&q));
+                assert!(most <= bound, "ring holds room for {most} > {bound}");
+            }
+        }
+        assert_eq!(q.len(), high_water);
+        assert!(
+            most > high_water / 2,
+            "the load never filled the ring ({most})"
+        );
     }
 }

@@ -14,7 +14,7 @@ use gradient_clock_sync::core::{
     ClockSnapshot, Engine, ParallelBuildError, ParallelSimBuilder, SimStats,
 };
 use gradient_clock_sync::scenarios::campaign::drive_sampled;
-use gradient_clock_sync::scenarios::{registry, Scale, ScenarioSpec};
+use gradient_clock_sync::scenarios::{registry, Scale, ScenarioSpec, TopologySpec};
 
 /// The same scenario grid as the sequential `engine_equivalence` suite:
 /// oracle and message estimates, static and churning topologies, drift
@@ -163,6 +163,31 @@ fn sub_bucket_delays_stay_bit_identical_across_shards() {
                 &candidate,
             );
         }
+    }
+}
+
+#[test]
+fn chunked_calendar_buckets_stay_bit_identical_across_shards() {
+    // The grid's buckets hold a few dozen events, so none fills one of the
+    // calendar's 256-entry chunks. On a 2¹⁵-node ring, 21 to 25 of the
+    // run's 25 buckets open by gathering parked chunks, in the sequential
+    // queue and in every shard's at 2 and 3 shards — under the cross-shard
+    // debug assertions when this suite runs in debug (about a second).
+    // At 8 192 nodes only the sequential queue fills chunks.
+    let mut spec = registry::find("ring-100k")
+        .expect("built-in")
+        .scaled(Scale::Default);
+    spec.topology = TopologySpec::Ring { n: 1 << 15 };
+    spec.warmup = 0.002;
+    spec.duration = 0.004;
+    spec.sample = 0.002;
+    let reference = sequential(&spec, 0);
+    for shards in [2usize, 3] {
+        assert_identical(
+            &format!("2^15-node ring, {shards} shards"),
+            &reference,
+            &sharded(&spec, 0, shards),
+        );
     }
 }
 
