@@ -186,7 +186,8 @@ FLAGS
     --seeds N     run seeds 0..N, for N from 1 to 10000
     --scale S     tiny|default|full
     --threads T   1 = the sequential reference engine, >1 = the sharded
-                  engine with T shards; results are identical at every T
+                  engine with T shards, for T up to 64; results are
+                  identical at every T
     --progress    print one line per completed scenario x seed, in
                   canonical (scenario-major) order
 
@@ -298,6 +299,12 @@ impl Args {
         let picked = self.value("--scale", "tiny|default|full", Scale::parse)?;
         Ok(((0..n.unwrap_or(seeds)).collect(), picked.unwrap_or(scale)))
     }
+
+    /// The `--threads T` (`T ≤` [`MAX_THREADS`]) of the engine-running verbs.
+    fn threads(&mut self) -> Result<Option<usize>, String> {
+        let what = format!("a positive integer up to {MAX_THREADS}");
+        self.value("--threads", &what, thread_count)
+    }
 }
 
 /// The most seeds one `--seeds N` sweeps: far above any use (the largest
@@ -305,7 +312,17 @@ impl Args {
 /// memory before the first run.
 const MAX_SEEDS: u64 = 10_000;
 
-/// A strictly positive integer (`--seeds N`, `--threads T`).
+/// The most engine threads one `--threads T` asks for: far above any use
+/// (CI runs 1, 2 and 4), and far below a count whose per-round thread
+/// spawns would exhaust the host. Checked before anything is built.
+const MAX_THREADS: usize = 64;
+
+/// A thread count from 1 to [`MAX_THREADS`] (`--threads T`).
+fn thread_count(v: &str) -> Option<usize> {
+    positive(v).filter(|&n| n <= MAX_THREADS)
+}
+
+/// A strictly positive integer (`--seeds N`, `--budget N`).
 fn positive<T: std::str::FromStr + PartialOrd + Default>(v: &str) -> Option<T> {
     v.parse().ok().filter(|n| *n > T::default())
 }
@@ -560,9 +577,10 @@ fn write_telemetry(path: &Path, scale: Scale, runs: &[TelemetryRun]) -> Result<(
 /// Runs the engine counter sweep and writes `BENCH_engine.json`.
 fn cmd_bench(mut args: Args) -> Result<(), String> {
     let (seeds, scale) = args.seeds_and_scale(1, Scale::Default)?;
-    let threads = args.value("--threads", "a comma list, e.g. 1,2,4", |raw| {
+    let what = format!("a comma list of integers from 1 to {MAX_THREADS}, e.g. 1,2,4");
+    let threads = args.value("--threads", &what, |raw| {
         raw.split(',')
-            .map(|p| positive::<usize>(p.trim()))
+            .map(|p| thread_count(p.trim()))
             .collect::<Option<Vec<usize>>>()
     })?;
     let threads = threads.unwrap_or_else(|| vec![1]);
@@ -685,7 +703,7 @@ fn cmd_bench_compare(mut args: Args) -> Result<(), String> {
 /// Emits the deterministic `gcs-trace/v1` run log for one scenario.
 fn cmd_trace(mut args: Args) -> Result<(), String> {
     let seed = args.value("--seed", "a non-negative integer", |v| v.parse().ok())?;
-    let threads = args.value("--threads", "a positive integer", positive)?;
+    let threads = args.threads()?;
     let scale = args.value("--scale", "tiny|default|full", Scale::parse)?;
     let out = args.value("--out", "a file", path)?;
     let target = args
@@ -1074,7 +1092,7 @@ fn cmd_trace_diff(mut args: Args) -> Result<(), Failure> {
 /// Re-materializes a run from a sealed trace artifact and asserts
 /// bit-identity.
 fn cmd_replay(mut args: Args) -> Result<(), Failure> {
-    let threads = args.value("--threads", "a positive integer", positive)?;
+    let threads = args.threads()?;
     let path = args
         .positional()
         .ok_or("replay needs a gcs-trace/v1 artifact")?;
@@ -1112,7 +1130,7 @@ fn cmd_chaos_search(mut args: Args) -> Result<(), Failure> {
     if let Some(budget) = args.value("--budget", "a positive integer", positive)? {
         opts.budget = budget;
     }
-    if let Some(threads) = args.value("--threads", "a positive integer", positive)? {
+    if let Some(threads) = args.threads()? {
         opts.threads = threads;
     }
     let (run_seeds, scale) = args.seeds_and_scale(1, Scale::Default)?;
@@ -1226,9 +1244,7 @@ fn cmd_conformance(mut args: Args) -> Result<(), String> {
         oracle_seed: args
             .value("--oracle-seed", "a non-negative integer", seed)?
             .unwrap_or(defaults.oracle_seed),
-        threads: args
-            .value("--threads", "a positive integer", positive)?
-            .unwrap_or(defaults.threads),
+        threads: args.threads()?.unwrap_or(defaults.threads),
     };
     let progress = args.switch("--progress");
     let telemetry_out = args.value("--telemetry", "a file", path)?;

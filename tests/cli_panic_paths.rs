@@ -252,3 +252,39 @@ fn node_daemon_bounds_its_id_flags_before_allocating() {
         assert!(out.stdout.is_empty(), "nothing was bound: {flags:?}");
     }
 }
+
+#[test]
+fn thread_counts_are_bounded_before_anything_is_built() {
+    // `conformance ring-100k --threads 100000` built 10⁵ shards, and each
+    // threaded drain round would have spawned one OS thread per shard.
+    // Only values above the cap are passed here: they are refused before
+    // any engine or thread exists.
+    let dir = std::env::temp_dir().join(format!("gcs-cli-maxthreads-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let plain = "--threads needs a positive integer up to 64";
+    let list = "--threads needs a comma list of integers from 1 to 64";
+    for threads in ["65", "100000", "18446744073709551615"] {
+        for verb in ["bench", "trace", "replay", "chaos-search", "conformance"] {
+            let target = if verb == "replay" {
+                "trace.jsonl"
+            } else {
+                "ring-100k"
+            };
+            let out = bin()
+                .current_dir(&dir)
+                .args([verb, target, "--threads", threads])
+                .output()
+                .unwrap();
+            assert_clean_failure(&out, if verb == "bench" { list } else { plain });
+        }
+    }
+    let out = bin()
+        .current_dir(&dir)
+        .args(["bench", "ring-100k", "--threads", "1,2,65"])
+        .output()
+        .unwrap();
+    assert_clean_failure(&out, list);
+    let written: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    assert!(written.is_empty(), "nothing may be written: {written:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
