@@ -1,7 +1,7 @@
 //! The one scenario-run driver, and the campaign built on it.
 //!
 //! Every consumer of a scenario — campaign statistics, the conformance
-//! oracle, the telemetry recorder, bench counters, chaos scoring, replay —
+//! oracle, the telemetry recorder, chaos scoring, replay —
 //! does the same thing to it: build `(spec, seed, threads)`, replay the
 //! scripted faults, step the observation grid, look. That exists once:
 //! [`run_pass`] feeds every attached [`Observer`] from a single pass, and
@@ -107,17 +107,6 @@ pub trait Observer {
     fn detach(&mut self, _engine: &mut dyn Engine) {}
 }
 
-/// Where a pass stops to let its observers look.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stops {
-    /// At every instant of the spec's observation grid.
-    Grid,
-    /// Nowhere before the end instant — the counter drive (`bench`),
-    /// which only needs the engine's totals. Observers are attached and
-    /// detached but never sampled.
-    EndOnly,
-}
-
 /// What every pass reports, whoever observed it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Pass {
@@ -136,8 +125,8 @@ pub struct Pass {
 }
 
 /// Runs one scenario once: builds the engine ([`ScenarioSpec::engine`]),
-/// attaches the observers, drives it — [`drive_sampled`] over the grid, or
-/// fault replay and one run to the end ([`Stops`]) — and detaches.
+/// attaches the observers, drives it over the observation grid
+/// ([`drive_sampled`]) and detaches.
 /// Identical `(spec, seed)` give bit-identical observations at every
 /// thread count and with any set of observers attached.
 ///
@@ -148,7 +137,6 @@ pub fn run_pass(
     spec: &ScenarioSpec,
     seed: u64,
     threads: usize,
-    stops: Stops,
     observers: &mut [&mut dyn Observer],
 ) -> Result<Pass, ScenarioError> {
     let mut engine = spec.engine(seed, threads)?;
@@ -157,17 +145,11 @@ pub fn run_pass(
     }
     let end = spec.end_secs();
     let started = Instant::now();
-    match stops {
-        Stops::Grid => drive_sampled(&mut *engine, &spec.faults, spec.sample, end, |t, e| {
-            for o in observers.iter_mut() {
-                o.sample(t, e);
-            }
-        }),
-        Stops::EndOnly => {
-            apply_faults(&mut *engine, &spec.faults);
-            engine.run_until_secs(end);
+    drive_sampled(&mut *engine, &spec.faults, spec.sample, end, |t, e| {
+        for o in observers.iter_mut() {
+            o.sample(t, e);
         }
-    }
+    });
     let wall_secs = started.elapsed().as_secs_f64();
     for o in observers.iter_mut() {
         o.detach(&mut *engine);
@@ -316,28 +298,30 @@ impl Observer for OutcomeObserver {
     }
 }
 
-/// One campaign pass on the sequential engine: the outcome, plus the
+/// One campaign pass on `threads` engine threads: the outcome, plus the
 /// instrumented run when the telemetry recorder rides along.
 fn observed_run(
     spec: &ScenarioSpec,
     seed: u64,
+    threads: usize,
     record: bool,
 ) -> Result<(ScenarioOutcome, Option<TelemetryRun>), ScenarioError> {
     let mut outcome = OutcomeObserver::new(spec);
     let mut recorder = record.then(|| TelemetryObserver::new(false));
     let mut observers: Vec<&mut dyn Observer> = vec![&mut outcome];
     observers.extend(recorder.as_mut().map(|r| r as &mut dyn Observer));
-    let pass = run_pass(spec, seed, 1, Stops::Grid, &mut observers)?;
+    let pass = run_pass(spec, seed, threads, &mut observers)?;
     Ok((outcome.finish(&pass), recorder.map(|r| r.finish(&pass))))
 }
 
-/// Runs one scenario once and returns the campaign outcome.
+/// Runs one scenario once on the sequential engine and returns the
+/// campaign outcome.
 ///
 /// # Errors
 ///
 /// Returns [`ScenarioError`] if the spec fails to validate or build.
 pub fn run_scenario(spec: &ScenarioSpec, seed: u64) -> Result<ScenarioOutcome, ScenarioError> {
-    Ok(observed_run(spec, seed, false)?.0)
+    Ok(observed_run(spec, seed, 1, false)?.0)
 }
 
 /// One scenario's aggregated campaign result.
@@ -355,11 +339,11 @@ pub struct CampaignRow {
     pub outcomes: Vec<ScenarioOutcome>,
 }
 
-/// Runs every scenario × seed combination through [`sweep`] and
-/// aggregates per scenario; `on_done` is its in-order completion
-/// callback. With `record` the telemetry recorder rides every pass and
-/// the instrumented runs come back too, in job order — the outcomes are
-/// the same either way.
+/// Runs every scenario × seed combination through [`sweep`] on `threads`
+/// engine threads and aggregates per scenario; `on_done` is its in-order
+/// completion callback. With `record` the telemetry recorder rides every
+/// pass and the instrumented runs come back too, in job order. The
+/// outcomes are the same either way, and at every thread count.
 ///
 /// # Errors
 ///
@@ -371,13 +355,14 @@ pub struct CampaignRow {
 pub fn run_campaign(
     specs: &[ScenarioSpec],
     seeds: &[u64],
+    threads: usize,
     record: bool,
     on_done: impl Fn(&ScenarioSpec, u64, Result<&ScenarioOutcome, &ScenarioError>) + Sync,
 ) -> Result<(Vec<CampaignRow>, Vec<TelemetryRun>), ScenarioError> {
     let (outcomes, runs): (Vec<_>, Vec<_>) = sweep(
         specs,
         seeds,
-        |spec, seed| observed_run(spec, seed, record),
+        |spec, seed| observed_run(spec, seed, threads, record),
         |spec, seed, result| on_done(spec, seed, result.as_ref().map(|(outcome, _)| outcome)),
     )?
     .into_iter()
@@ -514,7 +499,7 @@ mod tests {
     fn campaign_aggregates_per_scenario() {
         let specs = vec![tiny("line-worstcase"), tiny("ring-steady")];
         let seeds = [1, 2];
-        let (rows, _) = run_campaign(&specs, &seeds, false, |_, _, _| {}).unwrap();
+        let (rows, _) = run_campaign(&specs, &seeds, 1, false, |_, _, _| {}).unwrap();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].name, "line-worstcase");
         assert_eq!(rows[0].stats.runs, 2);
@@ -534,7 +519,7 @@ mod tests {
     fn campaign_reader_inverts_the_writer() {
         let specs = vec![tiny("line-worstcase"), tiny("self-heal")];
         let seeds = [0, 1];
-        let (rows, _) = run_campaign(&specs, &seeds, false, |_, _, _| {}).unwrap();
+        let (rows, _) = run_campaign(&specs, &seeds, 1, false, |_, _, _| {}).unwrap();
         let text = campaign_json("smoke", Scale::Tiny, &seeds, &rows);
         let artifact = read_campaign(&text).unwrap();
         assert_eq!(artifact.campaign, "smoke");
@@ -564,7 +549,7 @@ mod tests {
         let specs = vec![tiny("line-worstcase"), tiny("ring-steady")];
         let seeds = [1, 2, 3];
         let seen = Mutex::new(Vec::new());
-        let (rows, _) = run_campaign(&specs, &seeds, false, |spec, seed, result| {
+        let (rows, _) = run_campaign(&specs, &seeds, 1, false, |spec, seed, result| {
             assert!(result.is_ok());
             seen.lock().unwrap().push((spec.name.clone(), seed));
         })

@@ -14,7 +14,7 @@ use gcs_analysis::oracle::{ConformanceChecker, ConformanceReport, OracleConfig, 
 use gcs_analysis::Table;
 use gcs_core::Engine;
 
-use crate::campaign::{run_pass, sweep, Observer, Stops};
+use crate::campaign::{run_pass, sweep, Observer};
 use crate::error::ScenarioError;
 use crate::spec::ScenarioSpec;
 use crate::telemetry::{TelemetryObserver, TelemetryRun};
@@ -152,7 +152,7 @@ fn observed_run(
     let mut recorder = record.then(|| TelemetryObserver::new(false));
     let mut observers: Vec<&mut dyn Observer> = vec![&mut oracle];
     observers.extend(recorder.as_mut().map(|r| r as &mut dyn Observer));
-    let pass = run_pass(spec, seed, opts.threads, Stops::Grid, &mut observers)?;
+    let pass = run_pass(spec, seed, opts.threads, &mut observers)?;
     let run = recorder.map(|r| r.finish(&pass));
     let track = oracle.finish();
     let row = ConformanceRow {

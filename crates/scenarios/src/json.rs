@@ -8,9 +8,10 @@
 //! artifacts and [`write_file`] is the one place any artifact touches the
 //! filesystem.
 //!
-//! The artifact records (`gcs-campaign/v1`, `gcs-baseline/v2`,
-//! `gcs-engine-bench/v1`) are declared once each with the crate-private
-//! `record!` macro, which derives both directions from one field list.
+//! The artifact records (`gcs-campaign/v1`, `gcs-baseline/v3`, the
+//! `gcs-trace/v1` run header) are declared once each with the
+//! crate-private `record!` macro, which derives both directions from one
+//! field list.
 
 use std::fmt;
 use std::path::Path;
@@ -327,7 +328,7 @@ pub(crate) fn fields_of(record: &impl Field) -> Vec<(&'static str, Json)> {
 }
 
 /// A record's name in error messages: `what`, then the string its first
-/// key holds, if it holds one (`bench entry "ring-steady"`).
+/// key holds, if it holds one (`baseline scenario "ring-steady"`).
 pub(crate) fn context(what: &str, v: &JsonValue, first_key: Option<&str>) -> String {
     let id = first_key.and_then(|k| v.get(k)?.as_str());
     id.map_or(what.to_string(), |id| format!("{what} {id:?}"))

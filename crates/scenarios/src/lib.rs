@@ -17,8 +17,9 @@
 //!   ring/line/grid/torus/geometric/small-world/scale-free/hypercube
 //!   topologies and churn-storm / churn-burst / byzantine-est /
 //!   flash-join / partition-heal / mobile-swarm / drift-flip dynamics,
-//!   including the `bench`-class engine-scale entries (`ring-1k`,
-//!   `geometric-4k`) that the default campaigns exclude;
+//!   including the four `bench`-class engine-scale entries (`ring-1k`,
+//!   `geometric-4k`, `ring-100k`, `geometric-100k`) that `run all` leaves
+//!   out;
 //! * [`presets`] — parametric families the experiment harness and the
 //!   benchmark resize;
 //! * [`campaign`] — the one run driver: [`run_pass`] builds the engine
@@ -29,37 +30,34 @@
 //!   ([`OutcomeObserver`]) plus the `results/campaign_*.json` artifact
 //!   (`gcs-campaign/v1`), whose schema, writer and reader live here;
 //! * [`trend`] — distillation of campaign artifacts into
-//!   `gcs-baseline/v2` summaries (scalar stats + trajectory envelopes +
-//!   per-scenario tolerances), their schema, and the tolerance-gated
-//!   comparison CI runs against the two checked-in points,
-//!   `scenarios/baseline-{tiny,default}.json`;
+//!   `gcs-baseline/v3` summaries (scalar stats + trajectory envelopes +
+//!   per-scenario tolerances + each seed's engine counters), their
+//!   schema, and the comparison CI runs against the checked-in points,
+//!   `scenarios/baseline-{tiny,default,scale}.json`: statistics within
+//!   tolerance, and seeds, node counts and engine counters exactly (the
+//!   counter gate; speed is measured by `benchmark/`, not here);
 //! * [`conformance`] — the paper-bound gate as an observer
 //!   ([`OracleObserver`]): every sampled snapshot checked against the
 //!   Theorem 5.6 / 5.22 bounds of [`gcs_analysis::oracle`], on either
 //!   engine, exact or in sampled-source mode ([`ConformanceOptions`])
 //!   for conformance at 10⁵-node scale;
-//! * [`bench`](mod@bench) — end-only passes, counted: the engine counter sweep
-//!   behind `gcs-scenarios bench` and the `BENCH_engine.json`
-//!   (`gcs-engine-bench/v1`) artifact, plus the exact deterministic
-//!   counter gate behind `gcs-scenarios bench-compare` (speed is
-//!   measured by `benchmark/`, not here);
 //! * [`chaos`] — bit-exact trace replay (a sealed `gcs-trace/v1`
 //!   artifact re-materializes its run stand-alone via the embedded
 //!   `.scn` record) and the seeded adversarial fault-schedule search
 //!   whose best finds ratchet the conformance gates (`gcs-chaos/v1`
 //!   logs, `gcs-scenarios replay` / `chaos-search`);
 //! * [`json`] — the hand-rolled JSON writer and bounded reader, and the
-//!   record layer: each artifact record (campaign, baseline, engine
-//!   bench, trace run header) declares its keys once, and its writer and
+//!   record layer: each artifact record (campaign, baseline, trace run
+//!   header) declares its keys once, and its writer and
 //!   reader both come from that declaration;
 //! * [`telemetry`] — the [`gcs_telemetry`] recorder as an observer
 //!   ([`TelemetryObserver`]) that rides whatever pass is being made: the
 //!   engine-invariant `gcs-trace/v1` run log behind `gcs-scenarios
 //!   trace`/`trace-diff`, and the `gcs-telemetry/v1` metrics artifact
-//!   behind the `--telemetry` flag of `run`/`bench`/`conformance`;
+//!   behind the `--telemetry` flag of `run`/`conformance`;
 //! * the `gcs-scenarios` CLI (`list | validate <dir> | run <name|file> |
-//!   bench | bench-compare | trace | trace-diff | replay | chaos-search |
-//!   conformance | baseline | compare | show <name>`).
+//!   trace | trace-diff | replay | chaos-search | conformance | baseline |
+//!   compare | node-smoke | show <name>`).
 //!
 //! # Example
 //!
@@ -75,7 +73,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod campaign;
 pub mod chaos;
 pub mod conformance;
@@ -88,10 +85,9 @@ pub mod spec;
 pub mod telemetry;
 pub mod trend;
 
-pub use bench::{BenchArtifact, BenchCompareReport, BenchEntry};
 pub use campaign::{
     run_campaign, run_pass, run_scenario, sweep, CampaignArtifact, CampaignRow, Observer,
-    OutcomeObserver, Pass, ScenarioOutcome, Stops,
+    OutcomeObserver, Pass, ScenarioOutcome,
 };
 pub use chaos::{
     chaos_search, frontier_from_log, read_trace, replay_trace, ChaosCandidate, ChaosOptions,
@@ -106,4 +102,7 @@ pub use spec::{
     DriftSpec, DynamicsSpec, EstimateSpec, FaultSpec, Metric, Scale, ScenarioSpec, TopologySpec,
 };
 pub use telemetry::{run_instrumented, TelemetryObserver, TelemetryRun, TELEMETRY_FORMAT};
-pub use trend::{CompareReport, EnvelopeStats, TrajectoryEnvelope, TrendRow, TrendSummary};
+pub use trend::{
+    CompareReport, EnvelopeStats, Mismatch, SeedCounters, TrajectoryEnvelope, TrendRow,
+    TrendSummary,
+};

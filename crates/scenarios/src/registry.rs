@@ -153,10 +153,8 @@ mod tests {
         assert!(bench.iter().all(|s| s.bench));
         // The campaign set is pinned by the checked-in baselines: growing
         // it requires refreshing scenarios/baseline-{tiny,default}.json in
-        // the same change (PR 5 grew it 16 -> 18 with
-        // churn-burst/byzantine-est; PR 9 grew it 18 -> 20 with the
-        // chaos-search adversarial pair and regenerated the baseline plus
-        // BENCH_engine_tiny.json).
+        // the same change (it grew 16 -> 18 with churn-burst/byzantine-est,
+        // then 18 -> 20 with the chaos-search adversarial pair).
         assert_eq!(
             campaign.len(),
             20,

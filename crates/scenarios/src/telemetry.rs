@@ -7,10 +7,10 @@
 //!   observation instant and optionally builds the sealed `gcs-trace/v1`
 //!   run log. It rides whatever pass is being made — the campaign's, the
 //!   conformance oracle's, or one of its own ([`run_instrumented`]) — and
-//!   never changes it: `bench --telemetry` re-drives every entry
-//!   with it attached and fails on any counter drift;
+//!   never changes it: `run --telemetry` writes the same campaign
+//!   artifact as a plain `run`, and CI compares the two at `--tol 0`;
 //! * [`telemetry_json`] — the `gcs-telemetry/v1` artifact, the
-//!   machine-readable run log that sits next to `BENCH_engine.json`.
+//!   machine-readable run log that sits next to the campaign artifact.
 //!
 //! The trace byte-identity contract (same scenario + seed ⇒ the same
 //! JSONL bytes and FNV-1a hash from the sequential and the sharded engine
@@ -22,7 +22,7 @@
 use gcs_core::Engine;
 use gcs_telemetry::{Histogram, RunTelemetry, Sample, SharedRecorder, StreamStats};
 
-use crate::campaign::{run_pass, Observer, Pass, Stops};
+use crate::campaign::{run_pass, Observer, Pass};
 use crate::conformance::OracleTrack;
 use crate::error::ScenarioError;
 use crate::json::{self, Field, Json};
@@ -130,7 +130,7 @@ pub fn run_instrumented(
     trace: bool,
 ) -> Result<TelemetryRun, ScenarioError> {
     let mut recorder = TelemetryObserver::new(trace);
-    let pass = run_pass(spec, seed, threads, Stops::Grid, &mut [&mut recorder])?;
+    let pass = run_pass(spec, seed, threads, &mut [&mut recorder])?;
     Ok(recorder.finish(&pass))
 }
 
@@ -275,7 +275,7 @@ fn entry_json(r: &TelemetryRun) -> Json {
 }
 
 /// Serializes instrumented runs to the `gcs-telemetry/v1` JSON artifact
-/// (one entry per line, like the bench artifact, so checked-in files diff
+/// (one entry per line, like the baseline, so checked-in files diff
 /// cleanly).
 #[must_use]
 pub fn telemetry_json(scale: Scale, entries: &[TelemetryRun]) -> String {
@@ -306,7 +306,7 @@ mod tests {
         let mut oracle = OracleObserver::new(sampling);
         let mut recorder = TelemetryObserver::new(true);
         let observers: &mut [&mut dyn Observer] = &mut [&mut oracle, &mut recorder];
-        let pass = run_pass(spec, seed, threads, Stops::Grid, observers).unwrap();
+        let pass = run_pass(spec, seed, threads, observers).unwrap();
         TelemetryRun {
             oracle: Some(oracle.finish()),
             ..recorder.finish(&pass)
@@ -356,18 +356,17 @@ mod tests {
     }
 
     #[test]
-    fn end_only_instrumented_pass_matches_timed_bench_counters_exactly() {
+    fn the_recorder_leaves_the_engine_counters_unchanged() {
         let spec = registry::find("ring-steady")
             .expect("built-in")
             .scaled(Scale::Tiny);
         for threads in [1usize, 2] {
-            let timed = crate::bench::run_one(&spec, 0, threads).unwrap();
+            let plain = run_pass(&spec, 0, threads, &mut []).unwrap();
             let mut recorder = TelemetryObserver::new(false);
-            let inst = run_pass(&spec, 0, threads, Stops::EndOnly, &mut [&mut recorder]).unwrap();
-            assert!(recorder.finish(&inst).telemetry.samples.is_empty());
+            let inst = run_pass(&spec, 0, threads, &mut [&mut recorder]).unwrap();
+            assert!(!recorder.finish(&inst).telemetry.samples.is_empty());
             assert_eq!(
-                crate::bench::BenchEntry::of(&spec, &inst).gated(),
-                timed.gated(),
+                inst.stats, plain.stats,
                 "threads {threads}: instrumentation must not change the run"
             );
         }

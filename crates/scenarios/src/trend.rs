@@ -1,21 +1,28 @@
 //! Campaign trend tracking: distill `gcs-campaign/v1` artifacts into
-//! compact `gcs-baseline/v2` summaries — scalar ensemble stats *plus*
+//! compact `gcs-baseline/v3` summaries — scalar ensemble stats *plus*
 //! per-trajectory envelopes (growth/recovery slopes, peak time, settling
-//! time) and a per-scenario tolerance table — and compare a fresh
-//! campaign against a checked-in baseline: the regression gate CI hangs
-//! off (`gcs-scenarios baseline` / `compare`).
+//! time), a per-scenario tolerance table and each seed's engine counters
+//! — and compare a fresh campaign against a checked-in baseline: the
+//! regression gate CI hangs off (`gcs-scenarios baseline` / `compare`).
+//! The statistics gate within a tolerance; the seed list, node counts and
+//! engine counters (events, ticks, mode evaluations, deliveries) are pure
+//! functions of (scenario, seed, scale, code) and gate exactly.
 //!
 //! The gate compares against a checked-in *point*
-//! (`scenarios/baseline-tiny.json`, `scenarios/baseline-default.json`),
-//! never a history: a run is a pure function of (scenario, seed, scale,
-//! code), so between code changes a series of it is a constant, and a
-//! point neither needs nights of warm-up nor forgets a regression the way
-//! a trailing-window median does.
+//! (`scenarios/baseline-{tiny,default,scale}.json`), never a history: a
+//! run is a pure function of (scenario, seed, scale, code), so between
+//! code changes a series of it is a constant, and a point neither needs
+//! nights of warm-up nor forgets a regression the way a trailing-window
+//! median does. For the same reason a campaign on the sharded engine
+//! (`run --threads T`) compares clean against the sequential one at
+//! `--tol 0`.
 //!
 //! The baseline schema is declared once below, like the campaign schema
 //! in [`campaign`](crate::campaign): writer and reader come from the one
 //! field list, so a parsed baseline is bit-identical to the summary that
 //! produced it (property-tested).
+
+use std::fmt;
 
 use gcs_analysis::report::fmt_val;
 use gcs_analysis::{EnsembleStats, Table};
@@ -27,8 +34,8 @@ use crate::json::{self, Field, Json, JsonValue};
 use crate::spec::{DriftSpec, DynamicsSpec, Scale, ScenarioSpec, TopologySpec};
 
 /// The baseline format: scalars + trajectory envelopes + per-scenario
-/// tolerances.
-pub const BASELINE_FORMAT: &str = "gcs-baseline/v2";
+/// tolerances + per-seed engine counters.
+pub const BASELINE_FORMAT: &str = "gcs-baseline/v3";
 
 /// Near-zero metrics (a skew of `1e-12` vs `2e-12`) must not trip a
 /// relative gate; drifts below this many seconds are never significant.
@@ -117,7 +124,7 @@ pub fn envelope(trajectory: &[(f64, f64)]) -> TrajectoryEnvelope {
 }
 
 /// Ensemble means of the per-run [`TrajectoryEnvelope`]s — the extra
-/// columns a `gcs-baseline/v2` row pins beyond the scalar stats.
+/// columns a baseline row pins beyond the scalar stats.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnvelopeStats {
     /// Mean earliest-peak instant across seeds.
@@ -128,10 +135,39 @@ pub struct EnvelopeStats {
     pub mean_recovery_slope: f64,
 }
 
+/// One seed's deterministic engine counters, which the gate holds
+/// exactly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SeedCounters {
+    /// The run seed.
+    pub seed: u64,
+    /// Events the engine processed.
+    pub events: u64,
+    /// Tick sweeps executed.
+    pub ticks: u64,
+    /// Per-node mode decisions actually evaluated.
+    pub mode_evaluations: u64,
+    /// Messages delivered.
+    pub messages_delivered: u64,
+}
+
+impl SeedCounters {
+    /// The gated counters, by name.
+    #[must_use]
+    pub fn named(&self) -> [(&'static str, u64); 4] {
+        [
+            ("events", self.events),
+            ("ticks", self.ticks),
+            ("mode_evaluations", self.mode_evaluations),
+            ("messages_delivered", self.messages_delivered),
+        ]
+    }
+}
+
 /// The compact per-scenario statistics a baseline pins: ensemble mean and
 /// p90 of the primary metric and of both skew maxima, the mean
-/// stabilization time derived from the trajectories, and the
-/// trajectory-envelope means.
+/// stabilization time derived from the trajectories, the
+/// trajectory-envelope means, and each seed's engine counters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrendRow {
     /// Scenario name.
@@ -158,6 +194,8 @@ pub struct TrendRow {
     pub mean_stabilization: f64,
     /// Trajectory-envelope means.
     pub envelope: EnvelopeStats,
+    /// Each seed's engine counters, in seed order.
+    pub counters: Vec<SeedCounters>,
 }
 
 impl TrendRow {
@@ -246,6 +284,15 @@ pub fn summarize(rows: &[CampaignRow]) -> Vec<TrendRow> {
                     mean_growth_slope: env_mean(|e| e.growth_slope),
                     mean_recovery_slope: env_mean(|e| e.recovery_slope),
                 },
+                counters: (r.outcomes.iter())
+                    .map(|o| SeedCounters {
+                        seed: o.seed,
+                        events: o.events,
+                        ticks: o.ticks,
+                        mode_evaluations: o.mode_evaluations,
+                        messages_delivered: o.messages_delivered,
+                    })
+                    .collect(),
             }
         })
         .collect()
@@ -358,7 +405,7 @@ pub fn default_tolerances(summary: &TrendSummary) -> Vec<(String, f64)> {
     tols
 }
 
-// The `gcs-baseline/v2` schema (`scenarios/README.md`): each key, once.
+// The `gcs-baseline/v3` schema (`scenarios/README.md`): each key, once.
 json::record! { TrendSummary as "baseline" {
     "campaign" => campaign, "scale" => scale, "seeds" => seeds,
     "tolerances" => tolerances with(tolerances_json, read_tolerances),
@@ -372,11 +419,17 @@ json::record! { TrendRow as "baseline scenario" {
     "mean_local_skew" => mean_local, "p90_local_skew" => p90_local,
     "mean_stabilization" => mean_stabilization,
     _ => envelope,
+    "counters" => counters,
 } }
 
 json::record! { EnvelopeStats as "envelope" {
     "mean_peak_time" => mean_peak_time, "mean_growth_slope" => mean_growth_slope,
     "mean_recovery_slope" => mean_recovery_slope,
+} }
+
+json::record! { SeedCounters as "seed counters" {
+    "seed" => seed, "events" => events, "ticks" => ticks,
+    "mode_evaluations" => mode_evaluations, "messages_delivered" => messages_delivered,
 } }
 
 /// The tolerance table is an object from scenario name to fraction.
@@ -404,7 +457,7 @@ fn read_tolerances(v: &JsonValue) -> Result<Vec<(String, f64)>, String> {
     Ok(tolerances)
 }
 
-/// Serializes a summary as a `gcs-baseline/v2` document (one scenario per
+/// Serializes a summary as a `gcs-baseline/v3` document (one scenario per
 /// line, so checked-in baselines diff cleanly). The tolerance table is
 /// embedded as relative fractions (`0.25` = ±25 %), exactly as held in
 /// memory, so the file round-trips bit-exactly.
@@ -413,13 +466,14 @@ pub fn baseline_json(summary: &TrendSummary) -> String {
     json::document(json::tagged(BASELINE_FORMAT, summary))
 }
 
-/// Reads a `gcs-baseline/v2` document. Keys the schema does not name are
+/// Reads a `gcs-baseline/v3` document. Keys the schema does not name are
 /// ignored.
 ///
 /// # Errors
 ///
 /// Returns a message on malformed JSON, a wrong `format` tag (the
-/// retired `gcs-baseline/v1` included), or a missing/mistyped field.
+/// retired `gcs-baseline/v1` and `v2` included), or a missing/mistyped
+/// field.
 pub fn read_baseline(text: &str) -> Result<TrendSummary, String> {
     baseline_from_doc(&json::parse(text)?)
 }
@@ -427,10 +481,12 @@ pub fn read_baseline(text: &str) -> Result<TrendSummary, String> {
 fn baseline_from_doc(doc: &JsonValue) -> Result<TrendSummary, String> {
     let format = json::format_tag(doc)?;
     if format != BASELINE_FORMAT {
-        // The one other tag ever written is the retired scalar-only v1.
+        // The other tags ever written are the retired v1 (scalars only)
+        // and v2 (no engine counters).
         return Err(format!(
-            "expected format {BASELINE_FORMAT:?}, got {format:?} (a \"gcs-baseline/v1\" file \
-             is no longer read: re-distill its campaign artifact with `gcs-scenarios baseline`)"
+            "expected format {BASELINE_FORMAT:?}, got {format:?} (files of the retired \
+             \"gcs-baseline/v1\" and \"gcs-baseline/v2\" formats are no longer read: re-distill \
+             a fresh campaign artifact with `gcs-scenarios baseline`)"
         ));
     }
     TrendSummary::read(doc)
@@ -449,7 +505,7 @@ pub fn read_summary(text: &str) -> Result<TrendSummary, String> {
         return Ok(TrendSummary::from_campaign(&CampaignArtifact::read(&doc)?));
     }
     // Everything else is a baseline or an error the baseline reader words
-    // (it names the retired v1 tag).
+    // (it names the retired tags).
     baseline_from_doc(&doc)
 }
 
@@ -462,12 +518,11 @@ pub fn read_summary(text: &str) -> Result<TrendSummary, String> {
 pub struct DriftFinding {
     /// Scenario name.
     pub scenario: String,
-    /// What drifted: a [`TrendRow::columns`] label, or a structural
-    /// problem (`missing scenario`, `new scenario`, `runs`).
+    /// What drifted: a [`TrendRow::columns`] label.
     pub column: String,
-    /// Baseline value (NaN for structural findings).
+    /// Baseline value.
     pub baseline: f64,
-    /// Current value (NaN for structural findings).
+    /// Current value.
     pub current: f64,
 }
 
@@ -480,21 +535,99 @@ impl DriftFinding {
     }
 }
 
-/// The outcome of a baseline comparison: a printable table plus every
-/// finding that breaches the tolerance.
+/// One value that must match exactly, whatever the tolerance: whether a
+/// scenario is there at all, its seed list or node count, or one seed's
+/// engine counter.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Mismatch {
+    /// Scenario name.
+    pub scenario: String,
+    /// The seed whose counter moved; `None` for everything else.
+    pub seed: Option<u64>,
+    /// What moved: `scenario`, `seeds`, `nodes`, or a
+    /// [`SeedCounters::named`] counter.
+    pub what: &'static str,
+    /// Baseline value.
+    pub baseline: String,
+    /// Current value.
+    pub current: String,
+}
+
+/// `MISMATCH <scenario> [seed <s>]: <what> <baseline> -> <current>`.
+impl fmt::Display for Mismatch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "MISMATCH {}", self.scenario)?;
+        if let Some(seed) = self.seed {
+            write!(f, " seed {seed}")?;
+        }
+        let (what, base, cur) = (self.what, &self.baseline, &self.current);
+        write!(f, ": {what} {base} -> {cur}")
+    }
+}
+
+/// The exact mismatches between two rows of one scenario: which side
+/// lacks it, else node count, seed list, and — when the seeds agree —
+/// each seed's counters.
+fn row_mismatches(base: Option<&TrendRow>, cur: Option<&TrendRow>) -> Vec<Mismatch> {
+    let name = base.or(cur).map_or("", |r| r.name.as_str());
+    let mismatch = |seed, what, baseline: &str, current: &str| Mismatch {
+        scenario: name.to_string(),
+        seed,
+        what,
+        baseline: baseline.to_string(),
+        current: current.to_string(),
+    };
+    let (base, cur) = match (base, cur) {
+        (Some(base), Some(cur)) => (base, cur),
+        (Some(_), None) => return vec![mismatch(None, "scenario", "pinned", "missing")],
+        _ => return vec![mismatch(None, "scenario", "absent", "new")],
+    };
+    let mut out = Vec::new();
+    if base.nodes != cur.nodes {
+        let (b, c) = (base.nodes.to_string(), cur.nodes.to_string());
+        out.push(mismatch(None, "nodes", &b, &c));
+    }
+    let seeds = |r: &TrendRow| {
+        let seeds: Vec<String> = r.counters.iter().map(|c| c.seed.to_string()).collect();
+        seeds.join(",")
+    };
+    if seeds(base) != seeds(cur) {
+        out.push(mismatch(None, "seeds", &seeds(base), &seeds(cur)));
+        return out;
+    }
+    for (b, c) in base.counters.iter().zip(&cur.counters) {
+        for ((what, bv), (_, cv)) in b.named().into_iter().zip(c.named()) {
+            if bv != cv {
+                out.push(mismatch(
+                    Some(b.seed),
+                    what,
+                    &bv.to_string(),
+                    &cv.to_string(),
+                ));
+            }
+        }
+    }
+    out
+}
+
+/// The outcome of a baseline comparison: a printable table, every
+/// finding that breaches the tolerance, and every exact mismatch.
 #[derive(Debug)]
 pub struct CompareReport {
     /// One row per scenario, baseline vs current headline stats.
     pub table: Table,
-    /// Out-of-tolerance findings (empty ⇒ gate passes).
+    /// Out-of-tolerance findings.
     pub findings: Vec<DriftFinding>,
+    /// Scenarios on one side only, and seeds, node counts or engine
+    /// counters that differ.
+    pub mismatches: Vec<Mismatch>,
 }
 
 impl CompareReport {
-    /// Whether the gate passes.
+    /// Whether the gate passes: no drift and no mismatch.
     #[must_use]
     pub fn passed(&self) -> bool {
-        self.findings.is_empty()
+        self.findings.is_empty() && self.mismatches.is_empty()
     }
 }
 
@@ -504,12 +637,13 @@ impl CompareReport {
 /// takes precedence over `tol` — tight for deterministic topologies,
 /// loose for seed-realized random families. Envelope columns (peak time,
 /// growth/recovery slope) gate like the scalar ones, so a doubled
-/// recovery slope fails even when every mean stays flat.
-/// Scenario-set mismatches and changed seed counts are findings too —
-/// the baseline must be refreshed deliberately, not silently outgrown.
+/// recovery slope fails even when every mean stays flat. The scenario
+/// set, each scenario's seed list and node count, and each seed's engine
+/// counters are [`Mismatch`]es unless equal, whatever `tol` says: the
+/// baseline must be refreshed deliberately, not silently outgrown.
 #[must_use]
 pub fn compare(baseline: &TrendSummary, current: &TrendSummary, tol: f64) -> CompareReport {
-    let mut findings = Vec::new();
+    let (mut findings, mut mismatches) = (Vec::new(), Vec::new());
     let mut table = Table::new(
         format!(
             "campaign trend — {} ({} seeds, scale {}) vs baseline, default tol ±{:.0}%",
@@ -535,8 +669,10 @@ pub fn compare(baseline: &TrendSummary, current: &TrendSummary, tol: f64) -> Com
         "primary = each scenario's own metric (mean across seeds); recovery = mean \
          trajectory recovery slope. A drift beyond the scenario's tolerance in any \
          tracked column (primary/global/local mean+p90, stabilization, peak time, \
-         growth/recovery slope) fails the gate; refresh the baseline deliberately \
-         when a change is intended.",
+         growth/recovery slope) fails the gate, and so does any change to the \
+         seeds, node count or a seed's engine counters (events, ticks, mode \
+         evaluations, deliveries) whatever the tolerance; refresh the baseline \
+         deliberately when a change is intended.",
     );
     // One table row; a side the scenario is absent from shows as `-`.
     let cell = |row: Option<&TrendRow>, column: fn(&TrendRow) -> f64| {
@@ -567,15 +703,11 @@ pub fn compare(baseline: &TrendSummary, current: &TrendSummary, tol: f64) -> Com
         let name = &base_row.name;
         let row_tol = baseline.tolerance_for(name, tol);
         let Some(cur_row) = current.rows.iter().find(|r| r.name == *name) else {
-            findings.push(finding(name, "missing scenario", f64::NAN, f64::NAN));
+            mismatches.extend(row_mismatches(Some(base_row), None));
             render(name, Some(row_tol), Some(base_row), None, "-", "MISSING");
             continue;
         };
         let mut row_findings = Vec::new();
-        if cur_row.runs != base_row.runs {
-            let (base, cur) = (base_row.runs as f64, cur_row.runs as f64);
-            row_findings.push(finding(name, "runs", base, cur));
-        }
         let mut worst: Option<DriftFinding> = None;
         for ((label, base), (_, cur)) in base_row.columns().into_iter().zip(cur_row.columns()) {
             let finding = finding(name, label, base, cur);
@@ -590,10 +722,13 @@ pub fn compare(baseline: &TrendSummary, current: &TrendSummary, tol: f64) -> Com
                 row_findings.push(finding);
             }
         }
-        let status = if row_findings.is_empty() {
-            "ok"
-        } else {
+        let mut exact = row_mismatches(Some(base_row), Some(cur_row));
+        let status = if !exact.is_empty() {
+            "MISMATCH"
+        } else if !row_findings.is_empty() {
             "DRIFT"
+        } else {
+            "ok"
         };
         let worst_cell = worst.map_or("-".to_string(), |w| {
             format!("{} {:+.1}%", w.column, w.relative() * 100.0)
@@ -601,16 +736,19 @@ pub fn compare(baseline: &TrendSummary, current: &TrendSummary, tol: f64) -> Com
         let (base, cur) = (Some(base_row), Some(cur_row));
         render(name, Some(row_tol), base, cur, &worst_cell, status);
         findings.append(&mut row_findings);
+        mismatches.append(&mut exact);
     }
     for cur_row in &current.rows {
         if !baseline.rows.iter().any(|r| r.name == cur_row.name) {
-            let name = &cur_row.name;
-            let column = "new scenario (refresh the baseline)";
-            findings.push(finding(name, column, f64::NAN, f64::NAN));
-            render(name, None, None, Some(cur_row), "-", "NEW");
+            mismatches.extend(row_mismatches(None, Some(cur_row)));
+            render(&cur_row.name, None, None, Some(cur_row), "-", "NEW");
         }
     }
-    CompareReport { table, findings }
+    CompareReport {
+        table,
+        findings,
+        mismatches,
+    }
 }
 
 #[cfg(test)]
@@ -619,16 +757,19 @@ mod tests {
     use crate::campaign::{campaign_json, run_campaign};
     use crate::registry;
 
-    fn tiny_rows() -> (Vec<u64>, Vec<CampaignRow>) {
+    fn tiny_rows_over(seeds: Vec<u64>) -> (Vec<u64>, Vec<CampaignRow>) {
         let specs = vec![
             registry::find("line-worstcase")
                 .unwrap()
                 .scaled(Scale::Tiny),
             registry::find("self-heal").unwrap().scaled(Scale::Tiny),
         ];
-        let seeds = vec![0, 1];
-        let (rows, _) = run_campaign(&specs, &seeds, false, |_, _, _| {}).unwrap();
+        let (rows, _) = run_campaign(&specs, &seeds, 1, false, |_, _, _| {}).unwrap();
         (seeds, rows)
+    }
+
+    fn tiny_rows() -> (Vec<u64>, Vec<CampaignRow>) {
+        tiny_rows_over(vec![0, 1])
     }
 
     #[test]
@@ -637,9 +778,13 @@ mod tests {
         let mut summary = TrendSummary::from_rows("smoke", Scale::Tiny, &seeds, &rows);
         summary.tolerances = default_tolerances(&summary);
         let text = baseline_json(&summary);
-        assert!(text.starts_with("{\"format\":\"gcs-baseline/v2\""));
+        assert!(text.starts_with("{\"format\":\"gcs-baseline/v3\""));
         assert!(text.contains("\"tolerances\":{"));
         assert!(text.contains("\"mean_recovery_slope\""));
+        let first = &summary.rows[0].counters[0];
+        assert_eq!(first.events, rows[0].outcomes[0].events);
+        let block = format!("\"counters\":[{{\"seed\":0,\"events\":{},", first.events);
+        assert!(text.contains(&block), "{text}");
         let back = read_baseline(&text).unwrap();
         assert_eq!(back, summary);
         // And the format-sniffing reader agrees on both flavours (the raw
@@ -652,19 +797,26 @@ mod tests {
     }
 
     #[test]
-    fn v1_baselines_are_rejected_naming_both_formats() {
-        // A v1 document as PR 3's writer emitted it: no envelope fields,
-        // no tolerance table. Its rows cannot gate the envelope columns,
-        // so it is refused with the way out spelled out.
-        let text = "{\"format\":\"gcs-baseline/v1\",\"campaign\":\"old\",\"scale\":\"tiny\",\
-                    \"seeds\":[0,1],\"scenarios\":[\n\
-                    {\"name\":\"ring-steady\",\"nodes\":4,\"metric\":\"global-skew\",\"runs\":2,\
-                    \"mean_primary\":0.01,\"p90_primary\":0.012,\"mean_global_skew\":0.01,\
-                    \"p90_global_skew\":0.012,\"mean_local_skew\":0.005,\"p90_local_skew\":0.006,\
-                    \"mean_stabilization\":1.5}\n]}\n";
-        for err in [read_baseline(text), read_summary(text)].map(Result::unwrap_err) {
-            assert!(err.contains("gcs-baseline/v1"), "{err}");
-            assert!(err.contains("gcs-baseline/v2"), "{err}");
+    fn retired_baseline_formats_are_refused_naming_the_format() {
+        // A v1 document as the first writer emitted it: no envelope
+        // fields, no tolerance table. A v2 document (no counter block)
+        // cannot gate the engine counters. Both are refused with the way
+        // out spelled out.
+        let v1 = "{\"format\":\"gcs-baseline/v1\",\"campaign\":\"old\",\"scale\":\"tiny\",\
+                  \"seeds\":[0,1],\"scenarios\":[\n\
+                  {\"name\":\"ring-steady\",\"nodes\":4,\"metric\":\"global-skew\",\"runs\":2,\
+                  \"mean_primary\":0.01,\"p90_primary\":0.012,\"mean_global_skew\":0.01,\
+                  \"p90_global_skew\":0.012,\"mean_local_skew\":0.005,\"p90_local_skew\":0.006,\
+                  \"mean_stabilization\":1.5}\n]}\n";
+        let (seeds, rows) = tiny_rows();
+        let summary = TrendSummary::from_rows("smoke", Scale::Tiny, &seeds, &rows);
+        let v2 = baseline_json(&summary).replace("gcs-baseline/v3", "gcs-baseline/v2");
+        for (tag, text) in [("gcs-baseline/v1", v1), ("gcs-baseline/v2", v2.as_str())] {
+            for err in [read_baseline(text), read_summary(text)].map(Result::unwrap_err) {
+                let got = format!("expected format \"gcs-baseline/v3\", got \"{tag}\"");
+                assert!(err.starts_with(&got), "{err}");
+                assert!(err.contains("gcs-scenarios baseline"), "{err}");
+            }
         }
     }
 
@@ -735,7 +887,7 @@ mod tests {
         let specs = vec![registry::find("geometric-dense")
             .unwrap()
             .scaled(Scale::Tiny)];
-        let (rows, _) = run_campaign(&specs, &[0], false, |_, _, _| {}).unwrap();
+        let (rows, _) = run_campaign(&specs, &[0], 1, false, |_, _, _| {}).unwrap();
         let summary = TrendSummary::from_rows("r", Scale::Tiny, &[0], &rows);
         assert_eq!(default_tolerances(&summary)[0].1, TOL_LOOSE);
     }
@@ -803,21 +955,73 @@ mod tests {
     }
 
     #[test]
-    fn scenario_set_mismatches_are_structural_findings() {
+    fn scenario_set_changes_are_mismatches() {
         let (seeds, rows) = tiny_rows();
         let base = TrendSummary::from_rows("smoke", Scale::Tiny, &seeds, &rows);
         let mut cur = base.clone();
-        let dropped = cur.rows.remove(0);
-        let report = compare(&base, &cur, 0.5);
-        assert!(report
-            .findings
-            .iter()
-            .any(|f| f.scenario == dropped.name && f.column == "missing scenario"));
-        let report = compare(&cur, &base, 0.5);
-        assert!(report
-            .findings
-            .iter()
-            .any(|f| f.scenario == dropped.name && f.column.starts_with("new scenario")));
+        cur.rows.remove(0);
+        let lines = |report: CompareReport| -> Vec<String> {
+            report.mismatches.iter().map(|m| m.to_string()).collect()
+        };
+        let missing = "MISMATCH line-worstcase: scenario pinned -> missing";
+        assert_eq!(lines(compare(&base, &cur, 0.5)), [missing]);
+        let new = "MISMATCH line-worstcase: scenario absent -> new";
+        assert_eq!(lines(compare(&cur, &base, 0.5)), [new]);
+    }
+
+    #[test]
+    fn a_different_seed_list_is_a_mismatch_at_any_tolerance() {
+        // Seeds 1–2 against a baseline of seeds 0–1: the same seed count,
+        // so `runs` agrees, but not the same runs.
+        let (seeds, rows) = tiny_rows();
+        let base = TrendSummary::from_rows("smoke", Scale::Tiny, &seeds, &rows);
+        let (seeds, rows) = tiny_rows_over(vec![1, 2]);
+        let cur = TrendSummary::from_rows("smoke", Scale::Tiny, &seeds, &rows);
+        let report = compare(&base, &cur, 1e9);
+        assert!(!report.passed());
+        let lines: Vec<String> = report.mismatches.iter().map(|m| m.to_string()).collect();
+        assert_eq!(
+            lines,
+            [
+                "MISMATCH line-worstcase: seeds 0,1 -> 1,2",
+                "MISMATCH self-heal: seeds 0,1 -> 1,2"
+            ]
+        );
+    }
+
+    #[test]
+    fn a_different_node_count_is_a_mismatch_at_any_tolerance() {
+        let (seeds, rows) = tiny_rows();
+        let base = TrendSummary::from_rows("smoke", Scale::Tiny, &seeds, &rows);
+        let mut cur = base.clone();
+        cur.rows[0].nodes += 1;
+        let report = compare(&base, &cur, 1e9);
+        assert!(!report.passed());
+        assert!(report.findings.is_empty(), "{:?}", report.findings);
+        let n = base.rows[0].nodes;
+        let line = format!("MISMATCH line-worstcase: nodes {n} -> {}", n + 1);
+        let lines: Vec<String> = report.mismatches.iter().map(|m| m.to_string()).collect();
+        assert_eq!(lines, [line]);
+    }
+
+    #[test]
+    fn a_forged_counter_is_named_by_scenario_seed_and_counter() {
+        let (seeds, rows) = tiny_rows();
+        let base = TrendSummary::from_rows("smoke", Scale::Tiny, &seeds, &rows);
+        assert!(compare(&base, &base, 0.0).passed());
+        let mut cur = base.clone();
+        cur.rows[1].counters[1].mode_evaluations += 1;
+        let report = compare(&base, &cur, 1e9);
+        assert!(!report.passed());
+        assert!(report.findings.is_empty(), "{:?}", report.findings);
+        let m = base.rows[1].counters[1].mode_evaluations;
+        let line = format!(
+            "MISMATCH self-heal seed 1: mode_evaluations {m} -> {}",
+            m + 1
+        );
+        let lines: Vec<String> = report.mismatches.iter().map(|m| m.to_string()).collect();
+        assert_eq!(lines, [line]);
+        assert!(report.table.to_string().contains("MISMATCH"));
     }
 
     #[test]

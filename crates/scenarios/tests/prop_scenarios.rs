@@ -1,11 +1,10 @@
 //! Property tests of the scenario subsystem: exact `.scn` round-trips,
 //! deterministic builds, the chunked executor vs the sequential path, and
-//! exact JSON round-trips of the campaign, baseline and bench artifacts
-//! (every key required, unknown keys ignored).
+//! exact JSON round-trips of the campaign and baseline artifacts (every
+//! key required, unknown keys ignored).
 
 use proptest::prelude::*;
 
-use gcs_scenarios::bench::{bench_json, read_bench, BenchEntry};
 use gcs_scenarios::campaign::{campaign_json, CampaignRow, ScenarioOutcome};
 use gcs_scenarios::spec::Metric;
 use gcs_scenarios::{campaign, format, registry, trend, Scale};
@@ -118,7 +117,7 @@ fn run_campaign_is_bit_identical_to_sequential_runs() {
         registry::find("hypercube-log").unwrap().scaled(Scale::Tiny),
     ];
     let seeds = [0u64, 1, 2];
-    let (rows, _) = campaign::run_campaign(&specs, &seeds, false, |_, _, _| {}).unwrap();
+    let (rows, _) = campaign::run_campaign(&specs, &seeds, 1, false, |_, _, _| {}).unwrap();
     for (spec, row) in specs.iter().zip(&rows) {
         for (&seed, outcome) in seeds.iter().zip(&row.outcomes) {
             let solo = campaign::run_scenario(spec, seed).unwrap();
@@ -269,11 +268,13 @@ proptest! {
         prop_assert_eq!(got.recovery_slope.to_bits(), base.recovery_slope.to_bits());
     }
 
-    /// `gcs-baseline/v2` documents round-trip bit-exactly for arbitrary
-    /// finite stats, envelope values, and tolerance fractions.
+    /// `gcs-baseline/v3` documents round-trip bit-exactly for arbitrary
+    /// finite stats, envelope values, tolerance fractions and engine
+    /// counters.
     #[test]
-    fn baseline_v2_json_round_trips_bit_exactly(
+    fn baseline_json_round_trips_bit_exactly(
         bits in proptest::collection::vec(any::<u64>(), 10),
+        counts in proptest::collection::vec(any::<u64>(), 4),
         tol_bits in any::<u64>(),
         runs in 1u64..16,
     ) {
@@ -299,6 +300,15 @@ proptest! {
                     mean_growth_slope: v(8),
                     mean_recovery_slope: v(9),
                 },
+                counters: [0, u64::MAX]
+                    .map(|seed| trend::SeedCounters {
+                        seed,
+                        events: counts[0],
+                        ticks: counts[1],
+                        mode_evaluations: counts[2],
+                        messages_delivered: counts[3],
+                    })
+                    .to_vec(),
             }],
             tolerances: vec![("prop-row".to_string(), finite(tol_bits).abs().min(1e100))],
         };
@@ -310,6 +320,7 @@ proptest! {
         // (the tolerance table's keys are scenario names, not a schema).
         let padded = text.replace("{\"format\"", &format!("{UNKNOWN}\"format\""));
         let padded = padded.replace("{\"name\"", &format!("{UNKNOWN}\"name\""));
+        let padded = padded.replace("{\"seed\"", &format!("{UNKNOWN}\"seed\""));
         prop_assert_eq!(trend::read_baseline(&padded).unwrap(), summary);
         assert_every_key_required(&text, trend::read_baseline, &[
             ("artifact", &["format"]),
@@ -317,44 +328,11 @@ proptest! {
             ("baseline scenario", &[
                 "name", "nodes", "metric", "runs", "mean_primary", "p90_primary",
                 "mean_global_skew", "p90_global_skew", "mean_local_skew", "p90_local_skew",
-                "mean_stabilization",
+                "mean_stabilization", "counters",
             ]),
             ("envelope", &["mean_peak_time", "mean_growth_slope", "mean_recovery_slope"]),
-        ]);
-    }
-
-    /// `gcs-engine-bench/v1` artifacts round-trip bit-exactly for
-    /// arbitrary counters and simulated spans; every key is required and
-    /// keys the schema does not name are ignored.
-    #[test]
-    fn bench_artifact_json_round_trips(
-        counts in proptest::collection::vec(any::<u64>(), 5),
-        secs_bits in any::<u64>(),
-        threads in 1usize..64,
-    ) {
-        let entry = |seed: u64| BenchEntry {
-            scenario: "prop-row".to_string(),
-            nodes: (counts[0] % 1_000_000) as usize,
-            seed,
-            threads,
-            sim_secs: finite(secs_bits),
-            events: counts[1],
-            ticks: counts[2],
-            mode_evaluations: counts[3],
-            messages_delivered: counts[4],
-        };
-        let entries = vec![entry(0), entry(u64::MAX)];
-        let text = bench_json(Scale::Tiny, &[0, u64::MAX], &entries);
-        let artifact = read_bench(&text).unwrap();
-        prop_assert_eq!(&artifact.entries, &entries);
-        prop_assert_eq!(bench_json(Scale::Tiny, &artifact.seeds, &artifact.entries), text);
-        prop_assert_eq!(read_bench(&text.replace('{', UNKNOWN)).unwrap(), artifact);
-        assert_every_key_required(&text, read_bench, &[
-            ("artifact", &["format"]),
-            ("bench artifact", &["scale", "seeds", "entries"]),
-            ("bench entry", &[
-                "scenario", "nodes", "seed", "threads", "sim_secs", "events", "ticks",
-                "mode_evaluations", "messages_delivered",
+            ("seed counters", &[
+                "seed", "events", "ticks", "mode_evaluations", "messages_delivered",
             ]),
         ]);
     }

@@ -32,35 +32,21 @@ USAGE:
     gcs-scenarios validate <dir>
         Parse, validate, round-trip-check, and test-build every .scn
         file in <dir>; exits nonzero on the first problem.
-    gcs-scenarios run <name|file.scn|all> [--seeds N] [--scale S] [--out DIR]
+    gcs-scenarios run <name|file.scn|selection|all> [--seeds N] [--scale S]
+                      [--threads T] [--out DIR]
         Run a campaign (scenario x seed fan-out) and write the
         results/campaign_*.json artifact. `all` sweeps the campaign set
         (every built-in except the bench-class engine-scale scenarios,
-        which run by name or via `bench`). The per-scenario summary
-        includes the engine's deterministic counters (events, ticks,
-        mode evaluations, deliveries) summed across seeds.
-        --seeds N, --scale S, --progress  see FLAGS (defaults 4, default)
+        which run by name or as the `bench` set). Each outcome carries
+        the engine's deterministic counters (events, ticks, mode
+        evaluations, deliveries), which `compare` gates exactly; the
+        summary prints them summed across seeds. The artifact is the
+        same at every --threads T.
+        --seeds N, --scale S, --threads T, --progress
+                    see FLAGS (defaults 4, default, 1)
         --out DIR   artifact directory  (default results)
         --telemetry FILE  attach the telemetry recorder — it rides the same
                     pass — and write the gcs-telemetry/v1 artifact to FILE
-    gcs-scenarios bench [selection] [--seeds N] [--scale S] [--out FILE]
-        Engine counter sweep: drive scenarios end to end (no observation
-        sampling) and write the gcs-engine-bench/v1 artifact with the
-        engine's deterministic counters per scenario x seed x threads —
-        what bench-compare gates. It counts, it does not time: speed is
-        measured by benchmark/ (see benchmark/README.md). `all` (the
-        default) sweeps the whole registry, bench-class scenarios
-        included.
-        --seeds N, --scale S  see FLAGS (defaults 1, default)
-        --threads LST comma list of --threads values, one row each
-                      (default 1); rows of one seed must agree on every
-                      counter
-        --out FILE    artifact path       (default results/BENCH_engine.json)
-        --telemetry FILE  re-drive every entry (a deliberate second pass)
-                      with the telemetry recorder attached, assert the
-                      deterministic counters are IDENTICAL to the first
-                      pass (zero instrumentation drift), and write the
-                      gcs-telemetry/v1 artifact to FILE
     gcs-scenarios trace <name|file.scn> [--seed N] [--threads T] [--scale S]
                         [--out FILE]
         Run one scenario instrumented and emit the deterministic
@@ -154,31 +140,26 @@ USAGE:
         --telemetry FILE  attach the telemetry recorder — it rides the same
                     pass, next to the oracle — and write the gcs-telemetry/v1
                     artifact (with the bound-margin utilization series) to FILE
-    gcs-scenarios bench-compare [--subset] <baseline.json> <current.json>
-        Gate the deterministic engine counters (events, ticks,
-        mode_evaluations, messages_delivered) of a fresh
-        gcs-engine-bench/v1 artifact EXACTLY against a checked-in one,
-        matched by (scenario, seed, threads). Keys the gate does not
-        name (older artifacts carry wall-clock columns) are ignored.
-        Exits non-zero on any counter mismatch or entry-set change.
-        --subset  only gate baseline rows the current artifact also ran
-                  (for partial CI reruns); fails if nothing overlaps.
     gcs-scenarios baseline <campaign.json> [--out FILE]
-        Distill a gcs-campaign/v1 artifact into a compact gcs-baseline/v2
-        summary (per-scenario mean/p90 skews, stabilization time, and
-        trajectory envelopes: peak time + growth/recovery slopes), embed
-        the default per-scenario tolerance table (tight for deterministic
-        topologies, loose for seed-realized random families), and write
-        it to FILE (default: stdout). Check the summary in to pin the
-        current behaviour; hand-tune tolerances in the file if needed.
+        Distill a gcs-campaign/v1 artifact into a compact gcs-baseline/v3
+        summary (per-scenario mean/p90 skews, stabilization time,
+        trajectory envelopes: peak time + growth/recovery slopes, and
+        each seed's engine counters), embed the default per-scenario
+        tolerance table (tight for deterministic topologies, loose for
+        seed-realized random families), and write it to FILE (default:
+        stdout). Check the summary in to pin the current behaviour;
+        hand-tune tolerances in the file if needed.
     gcs-scenarios compare <baseline> <campaign.json>... [--tol PCT]
-        Diff a fresh campaign against a baseline (gcs-baseline/v2 or a raw
+        Diff a fresh campaign against a baseline (gcs-baseline/v3 or a raw
         gcs-campaign/v1 artifact) and exit non-zero on any per-scenario
         drift beyond the scenario's tolerance — its override
         from the baseline's tolerance table when present, else PCT
-        percent (default 20). With several campaign files (e.g. an
-        unexpanded results/campaign_*.json glob) the newest is compared.
-        The CI regression gate.
+        percent (default 20). The seed list, node counts and each seed's
+        engine counters must match EXACTLY, whatever the tolerance; each
+        difference prints `MISMATCH <scenario> seed <s>: <counter> <old>
+        -> <new>`. With several campaign files (e.g. an unexpanded
+        results/campaign_*.json glob) the newest is compared. The CI
+        regression gate.
 
 FLAGS
     Flags and positionals may come in any order; a flag's value never
@@ -303,7 +284,9 @@ impl Args {
     /// The `--threads T` (`T ≤` [`MAX_THREADS`]) of the engine-running verbs.
     fn threads(&mut self) -> Result<Option<usize>, String> {
         let what = format!("a positive integer up to {MAX_THREADS}");
-        self.value("--threads", &what, thread_count)
+        self.value("--threads", &what, |v| {
+            positive(v).filter(|&n| n <= MAX_THREADS)
+        })
     }
 }
 
@@ -316,11 +299,6 @@ const MAX_SEEDS: u64 = 10_000;
 /// (CI runs 1, 2 and 4), and far below a count whose per-round thread
 /// spawns would exhaust the host. Checked before anything is built.
 const MAX_THREADS: usize = 64;
-
-/// A thread count from 1 to [`MAX_THREADS`] (`--threads T`).
-fn thread_count(v: &str) -> Option<usize> {
-    positive(v).filter(|&n| n <= MAX_THREADS)
-}
 
 /// A strictly positive integer (`--seeds N`, `--budget N`).
 fn positive<T: std::str::FromStr + PartialOrd + Default>(v: &str) -> Option<T> {
@@ -346,8 +324,6 @@ fn main() -> ExitCode {
         Some("show") => cmd_show(args).map_err(Failure::from),
         Some("validate") => cmd_validate(args).map_err(Failure::from),
         Some("run") => cmd_run(args).map_err(Failure::from),
-        Some("bench") => cmd_bench(args).map_err(Failure::from),
-        Some("bench-compare") => cmd_bench_compare(args).map_err(Failure::from),
         Some("trace") => cmd_trace(args).map_err(Failure::from),
         Some("node-smoke") => cmd_node_smoke(args).map_err(Failure::from),
         Some("trace-diff") => cmd_trace_diff(args),
@@ -468,20 +444,21 @@ fn cmd_run(mut args: Args) -> Result<(), String> {
     let out_dir = args.value("--out", "a directory", path)?;
     let progress = args.switch("--progress");
     let telemetry_out = args.value("--telemetry", "a file", path)?;
+    let threads = args.threads()?.unwrap_or(1);
     let target = args
         .positional()
         .ok_or("run needs a scenario name, .scn file, or `all`")?;
     args.finish()?;
 
     // `run all` sweeps the campaign set: the bench-class engine-scale
-    // scenarios would dwarf the statistics runs and are not pinned by the
-    // baseline (they run by name or via `bench`).
+    // scenarios would dwarf the statistics runs (they run by name or as
+    // the `bench` set).
     let (title, specs) = match target.as_str() {
         "all" => ("all".to_string(), resolve_specs("campaign", scale)?.1),
         other => resolve_specs(other, scale)?,
     };
     println!(
-        "campaign {title:?}: {} scenario(s) x {} seed(s), scale {}",
+        "campaign {title:?}: {} scenario(s) x {} seed(s), scale {}, {threads} thread(s)",
         specs.len(),
         seeds.len(),
         scale.name()
@@ -492,6 +469,7 @@ fn cmd_run(mut args: Args) -> Result<(), String> {
     let (rows, runs) = campaign::run_campaign(
         &specs,
         &seeds,
+        threads,
         telemetry_out.is_some(),
         |spec, seed, result| match result {
             _ if !progress => {}
@@ -572,132 +550,6 @@ fn write_telemetry(path: &Path, scale: Scale, runs: &[TelemetryRun]) -> Result<(
     let n = runs.len();
     println!("wrote {} ({n} instrumented run(s))", path.display());
     Ok(())
-}
-
-/// Runs the engine counter sweep and writes `BENCH_engine.json`.
-fn cmd_bench(mut args: Args) -> Result<(), String> {
-    let (seeds, scale) = args.seeds_and_scale(1, Scale::Default)?;
-    let what = format!("a comma list of integers from 1 to {MAX_THREADS}, e.g. 1,2,4");
-    let threads = args.value("--threads", &what, |raw| {
-        raw.split(',')
-            .map(|p| thread_count(p.trim()))
-            .collect::<Option<Vec<usize>>>()
-    })?;
-    let threads = threads.unwrap_or_else(|| vec![1]);
-    let out = args.value("--out", "a file", path)?;
-    let out = out.unwrap_or_else(|| PathBuf::from("results/BENCH_engine.json"));
-    let telemetry_out = args.value("--telemetry", "a file", path)?;
-    let target = args.positional().unwrap_or_else(|| "all".to_string());
-    args.finish()?;
-    let (title, specs) = resolve_specs(&target, scale)?;
-    println!(
-        "engine bench {title:?}: {} scenario(s) x {} seed(s) x threads {:?}, scale {}",
-        specs.len(),
-        seeds.len(),
-        threads,
-        scale.name()
-    );
-    let entries =
-        gcs_scenarios::bench::run_suite(&specs, &seeds, &threads).map_err(|e| e.to_string())?;
-    println!(
-        "\n{:<18} {:>6} {:>5} {:>4} {:>12} {:>10} {:>10} {:>12}",
-        "scenario", "nodes", "seed", "thr", "events", "ticks", "evals", "delivered"
-    );
-    for e in &entries {
-        println!(
-            "{:<18} {:>6} {:>5} {:>4} {:>12} {:>10} {:>10} {:>12}",
-            e.scenario,
-            e.nodes,
-            e.seed,
-            e.threads,
-            e.events,
-            e.ticks,
-            e.mode_evaluations,
-            e.messages_delivered
-        );
-    }
-    write_file(
-        &out,
-        &gcs_scenarios::bench::bench_json(scale, &seeds, &entries),
-    )?;
-    println!("\nwrote {}", out.display());
-    if let Some(tpath) = telemetry_out {
-        // Re-drive every entry — deliberately a second pass — with the
-        // recorder attached. Its counters must be IDENTICAL to the first
-        // pass: telemetry observes the run, it must never change
-        // it. This is the negative control for every verb that lets the
-        // recorder ride the pass it already makes.
-        let mut runs = Vec::with_capacity(entries.len());
-        // `run_suite` returns its entries spec-major, in input order.
-        let per_spec = seeds.len() * threads.len();
-        for (e, spec) in entries
-            .iter()
-            .zip(specs.iter().flat_map(|s| std::iter::repeat_n(s, per_spec)))
-        {
-            let mut recorder = telemetry::TelemetryObserver::new(false);
-            let pass = campaign::run_pass(
-                spec,
-                e.seed,
-                e.threads,
-                campaign::Stops::EndOnly,
-                &mut [&mut recorder],
-            )
-            .map_err(|x| x.to_string())?;
-            if gcs_scenarios::BenchEntry::of(spec, &pass).gated() != e.gated() {
-                return Err(format!(
-                    "instrumentation drift: {} seed {} threads {}: the instrumented run's \
-                     deterministic counters diverged from the plain run",
-                    e.scenario, e.seed, e.threads
-                ));
-            }
-            runs.push(recorder.finish(&pass));
-        }
-        write_telemetry(&tpath, scale, &runs)?;
-        println!("zero counter drift vs the plain suite");
-    }
-    Ok(())
-}
-
-/// Gates the deterministic engine counters of two bench artifacts.
-fn cmd_bench_compare(mut args: Args) -> Result<(), String> {
-    let subset = args.switch("--subset");
-    let (Some(baseline_path), Some(current_path)) = (args.positional(), args.positional()) else {
-        return Err(
-            "bench-compare needs exactly [--subset] <baseline.json> <current.json>".to_string(),
-        );
-    };
-    args.finish()?;
-    let baseline = read_artifact(&baseline_path, gcs_scenarios::bench::read_bench)?;
-    let current = read_artifact(&current_path, gcs_scenarios::bench::read_bench)?;
-    let report = gcs_scenarios::bench::compare_counters(&baseline, &current, subset);
-    println!("{}", report.table);
-    if report.passed() {
-        println!(
-            "ok: {} entr(ies) counter-identical to {baseline_path}{}",
-            current.entries.len(),
-            if subset { " (subset gate)" } else { "" }
-        );
-        Ok(())
-    } else {
-        for f in &report.findings {
-            if f.baseline == u64::MAX {
-                eprintln!(
-                    "MISMATCH {} seed {} threads {}: {}",
-                    f.scenario, f.seed, f.threads, f.counter
-                );
-            } else {
-                eprintln!(
-                    "MISMATCH {} seed {} threads {}: {} {} -> {}",
-                    f.scenario, f.seed, f.threads, f.counter, f.baseline, f.current
-                );
-            }
-        }
-        Err(format!(
-            "{} counter mismatch(es) — the engine's deterministic behaviour changed; \
-             refresh the checked-in BENCH artifact if this is intentional",
-            report.findings.len()
-        ))
-    }
 }
 
 /// Emits the deterministic `gcs-trace/v1` run log for one scenario.
@@ -1323,7 +1175,7 @@ fn cmd_conformance(mut args: Args) -> Result<(), String> {
     }
 }
 
-/// Resolves a `run`/`bench`/`conformance` target into a title and spec
+/// Resolves a `run`/`conformance` target into a title and spec
 /// list at `scale`: a file iff it ends in `.scn` (whatever else the
 /// working directory holds — an entry named `all` or `ring-steady` must
 /// not shadow the selection), otherwise a [`registry::select`] selection
@@ -1422,28 +1274,24 @@ fn cmd_compare(mut args: Args) -> Result<(), String> {
     println!("{}", report.table);
     if report.passed() {
         println!(
-            "ok: {} scenario(s) within ±{tol_pct}% of {baseline_path}",
+            "ok: {} scenario(s) within ±{tol_pct}% of {baseline_path}, seeds, node counts \
+             and engine counters identical",
             baseline.rows.len()
         );
         Ok(())
     } else {
+        for m in &report.mismatches {
+            eprintln!("{m}");
+        }
         for f in &report.findings {
-            if f.baseline.is_nan() {
-                eprintln!("DRIFT {}: {}", f.scenario, f.column);
-            } else {
-                eprintln!(
-                    "DRIFT {}: {} {} -> {} ({:+.1}%)",
-                    f.scenario,
-                    f.column,
-                    f.baseline,
-                    f.current,
-                    f.relative() * 100.0
-                );
-            }
+            let (name, column, relative) = (&f.scenario, &f.column, f.relative() * 100.0);
+            let (base, cur) = (f.baseline, f.current);
+            eprintln!("DRIFT {name}: {column} {base} -> {cur} ({relative:+.1}%)");
         }
         Err(format!(
-            "{} drift finding(s) beyond ±{tol_pct}% (refresh the baseline with \
-             `gcs-scenarios baseline` if this change is intentional)",
+            "{} exact mismatch(es) and {} drift finding(s) beyond ±{tol_pct}% (refresh \
+             the baseline with `gcs-scenarios baseline` if this change is intentional)",
+            report.mismatches.len(),
             report.findings.len()
         ))
     }

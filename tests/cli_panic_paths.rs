@@ -1,8 +1,8 @@
 //! Negative-path CLI regression tests for `gcs-scenarios` and `gcs-node`
 //! failure handling.
 //!
-//! The `trace` and `bench --telemetry` verbs used to reach `.expect()`
-//! calls on user-reachable failure paths, killing the process with a
+//! The `trace` verb (and the retired `bench --telemetry`) used to reach
+//! `.expect()` calls on user-reachable failure paths, killing the process with a
 //! panic backtrace instead of a diagnostic. Every failure driven here
 //! must exit with the documented code (1 = generic error) and print a
 //! single readable `error:` line to stderr — never `panicked at`.
@@ -72,9 +72,9 @@ fn trace_reports_an_unwritable_output_path_readably() {
 }
 
 #[test]
-fn bench_rejects_an_unknown_option_readably() {
+fn run_rejects_an_unknown_option_readably() {
     let out = bin()
-        .args(["bench", "ring-steady", "--no-such-flag"])
+        .args(["run", "ring-steady", "--no-such-flag"])
         .output()
         .unwrap();
     assert_clean_failure(&out, "--no-such-flag");
@@ -100,13 +100,13 @@ fn a_flag_is_never_taken_as_another_flags_value() {
 #[test]
 fn seed_counts_are_bounded_before_anything_runs() {
     // `--seeds 100000000` aborted `run` and `conformance` on 83 GB and
-    // 98 GB allocations, and `bench` ran on with no end in sight.
+    // 98 GB allocations.
     let dir = std::env::temp_dir().join(format!("gcs-cli-maxseeds-{}", std::process::id()));
     for seeds in ["10001", "100000000", "18446744073709551615"] {
-        for verb in ["run", "bench", "conformance"] {
+        for verb in ["run", "conformance"] {
             let mut cmd = bin();
             cmd.args([verb, "ring-steady", "--scale", "tiny", "--seeds", seeds]);
-            if verb != "conformance" {
+            if verb == "run" {
                 cmd.args(["--out", dir.to_str().unwrap()]);
             }
             let out = cmd.output().unwrap();
@@ -121,18 +121,14 @@ fn seed_counts_are_bounded_before_anything_runs() {
 }
 
 #[test]
-fn bench_compare_refuses_an_over_deep_file_readably() {
+fn compare_refuses_an_over_deep_file_readably() {
     // 30 000 nested `[` (a 30 KB file) used to overflow the reader's stack
     // and abort with exit 134.
     let dir = std::env::temp_dir().join(format!("gcs-cli-deep-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let deep = dir.join("deep.json");
     std::fs::write(&deep, "[".repeat(30_000)).unwrap();
-    let out = bin()
-        .arg("bench-compare")
-        .args([&deep, &deep])
-        .output()
-        .unwrap();
+    let out = bin().arg("compare").args([&deep, &deep]).output().unwrap();
     assert_clean_failure(&out, "nesting deeper than 128 levels at byte 128");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -261,10 +257,8 @@ fn thread_counts_are_bounded_before_anything_is_built() {
     // any engine or thread exists.
     let dir = std::env::temp_dir().join(format!("gcs-cli-maxthreads-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let plain = "--threads needs a positive integer up to 64";
-    let list = "--threads needs a comma list of integers from 1 to 64";
     for threads in ["65", "100000", "18446744073709551615"] {
-        for verb in ["bench", "trace", "replay", "chaos-search", "conformance"] {
+        for verb in ["run", "trace", "replay", "chaos-search", "conformance"] {
             let target = if verb == "replay" {
                 "trace.jsonl"
             } else {
@@ -275,15 +269,9 @@ fn thread_counts_are_bounded_before_anything_is_built() {
                 .args([verb, target, "--threads", threads])
                 .output()
                 .unwrap();
-            assert_clean_failure(&out, if verb == "bench" { list } else { plain });
+            assert_clean_failure(&out, "--threads needs a positive integer up to 64");
         }
     }
-    let out = bin()
-        .current_dir(&dir)
-        .args(["bench", "ring-100k", "--threads", "1,2,65"])
-        .output()
-        .unwrap();
-    assert_clean_failure(&out, list);
     let written: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
     assert!(written.is_empty(), "nothing may be written: {written:?}");
     std::fs::remove_dir_all(&dir).ok();

@@ -1,5 +1,5 @@
-//! CLI-level regression tests for scenario selection and the engine
-//! counter gate.
+//! CLI-level regression tests for scenario selection and the exact
+//! counter gate of `compare`.
 //!
 //! The conformance gate used to resolve its target leniently; a typo'd
 //! scenario name must be a hard error (exit ≠ 0), never an empty —
@@ -23,7 +23,7 @@ fn stdout(out: &Output) -> String {
 
 #[test]
 fn unknown_scenario_name_is_a_hard_error() {
-    for verb in ["conformance", "run", "bench"] {
+    for verb in ["conformance", "run"] {
         let out = bin()
             .args([verb, "no-such-scenario", "--seeds", "1"])
             .output()
@@ -79,13 +79,12 @@ fn named_sets_and_comma_lists_resolve() {
 
 #[test]
 fn positionals_are_accepted_in_any_position() {
-    // `run --seeds 1 ring-steady` used to fail with `unknown option "1"`
-    // while `bench --seeds 1 ring-steady` worked.
+    // `run --seeds 1 ring-steady` used to fail with `unknown option "1"`.
     let dir = std::env::temp_dir().join(format!("gcs-cli-anypos-{}", std::process::id()));
-    for verb in ["run", "bench", "conformance"] {
+    for verb in ["run", "conformance"] {
         let mut cmd = bin();
         cmd.args([verb, "--seeds", "1", "--scale", "tiny"]);
-        if verb != "conformance" {
+        if verb == "run" {
             cmd.args(["--out", dir.join(verb).to_str().unwrap()]);
         }
         let out = cmd.arg("ring-steady").output().unwrap();
@@ -197,82 +196,70 @@ fn the_trend_series_verb_and_flag_are_gone() {
 
 #[test]
 fn a_selection_is_a_file_only_when_it_ends_in_scn() {
-    // `bench ring-steady` used to fail with `cannot read ring-steady: Is a
+    // `run ring-steady` used to fail with `cannot read ring-steady: Is a
     // directory` whenever the working directory had an entry of that name;
     // a stray `all` broke `run all` the same way.
     let dir = std::env::temp_dir().join(format!("gcs-cli-cwd-{}", std::process::id()));
     std::fs::create_dir_all(dir.join("ring-steady")).unwrap();
     std::fs::write(dir.join("all"), "not a scenario\n").unwrap();
-    for (verb, target, sweep) in [
-        ("bench", "ring-steady", "1 scenario(s)"),
-        ("run", "all", "20 scenario(s)"),
-    ] {
+    for (target, sweep) in [("ring-steady", "1 scenario(s)"), ("all", "20 scenario(s)")] {
         let out = bin()
             .current_dir(&dir)
-            .args([verb, target, "--seeds", "1", "--scale", "tiny", "--out"])
-            .arg(dir.join(format!("{verb}-out")))
+            .args(["run", target, "--seeds", "1", "--scale", "tiny", "--out"])
+            .arg(dir.join(format!("{target}-out")))
             .output()
             .unwrap();
-        assert!(out.status.success(), "{verb} {target}: {}", stderr(&out));
-        assert!(stdout(&out).contains(sweep), "{verb} {target}");
+        assert!(out.status.success(), "run {target}: {}", stderr(&out));
+        assert!(stdout(&out).contains(sweep), "run {target}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn bench_compare_gates_counters_exactly_and_ignores_retired_keys() {
+fn compare_gates_counters_exactly_at_any_tolerance() {
     let dir = std::env::temp_dir().join(format!("gcs-cli-gate-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let fresh = dir.join("BENCH_fresh.json");
-    let out = bin()
-        .args([
-            "bench",
-            "ring-steady",
-            "--scale",
-            "tiny",
-            "--threads",
-            "1,2",
-        ])
-        .args(["--out", fresh.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "{}", stderr(&out));
-    let text = std::fs::read_to_string(&fresh).unwrap();
-    assert_eq!(text.matches("\"scenario\":\"ring-steady\"").count(), 2);
-    assert!(!text.contains("_secs\":0.") && !text.contains("events_per_sec"));
-    let compare = |baseline: &PathBuf| {
+    let run = |threads: &str| {
+        let out_dir = dir.join(format!("t{threads}"));
+        let out = bin()
+            .args(["run", "ring-steady", "--scale", "tiny", "--seeds", "2"])
+            .args(["--threads", threads, "--out", out_dir.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{}", stderr(&out));
+        let file = std::fs::read_dir(&out_dir).unwrap().next().unwrap();
+        file.unwrap().path()
+    };
+    let (sequential, sharded) = (run("1"), run("2"));
+    let compare = |baseline: &PathBuf, tol: &str| {
         bin()
-            .arg("bench-compare")
-            .args([baseline, &fresh])
+            .arg("compare")
+            .args([baseline, &sharded])
+            .args(["--tol", tol])
             .output()
             .unwrap()
     };
 
-    // A baseline written when rows still carried the three wall-clock
-    // keys gates a fresh artifact: the reader never looks at them.
-    let old = dir.join("BENCH_old.json");
-    let spliced = text.replace(
-        ",\"events\":",
-        ",\"build_secs\":0.000031,\"wall_secs\":0.0123,\"events\":",
-    );
-    let spliced = spliced.replace(",\"ticks\":", ",\"events_per_sec\":1234567.8,\"ticks\":");
-    assert_eq!(spliced.matches("events_per_sec").count(), 2);
-    std::fs::write(&old, spliced).unwrap();
-    let out = compare(&old);
+    // The sharded campaign is the sequential one, to the last bit.
+    let out = compare(&sequential, "0");
     assert!(out.status.success(), "{}", stderr(&out));
-    assert!(stdout(&out).contains("2 entr(ies) counter-identical"));
+    assert!(stdout(&out).contains("engine counters identical"));
 
-    // One forged event count: exit 1, naming the scenario and the counter.
-    let forged = dir.join("BENCH_forged.json");
+    // One forged event count in the reference: exit 1 at any tolerance,
+    // naming the scenario, the seed and the counter.
+    let text = std::fs::read_to_string(&sequential).unwrap();
+    let forged = dir.join("forged.json");
     std::fs::write(&forged, regex_replace(&text, "\"events\":", 1.0)).unwrap();
-    let out = compare(&forged);
+    let out = compare(&forged, "1000000");
     assert_eq!(out.status.code(), Some(1));
     let err = stderr(&out);
     assert!(
-        err.contains("MISMATCH ring-steady seed 0 threads 1: events "),
+        err.contains("MISMATCH ring-steady seed 0: events 1 -> "),
         "{err}"
     );
-    assert!(err.contains("1 counter mismatch(es)"), "{err}");
+    assert!(
+        err.contains("1 exact mismatch(es) and 0 drift finding(s)"),
+        "{err}"
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }

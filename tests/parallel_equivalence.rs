@@ -387,7 +387,7 @@ fn one_pass_with_every_observer_equals_one_pass_each() {
     // three single-observer passes — at the same shard count, and on the
     // sequential engine.
     use gradient_clock_sync::scenarios::{
-        run_campaign, run_pass, Observer, OracleObserver, OutcomeObserver, Stops, TelemetryObserver,
+        run_campaign, run_pass, Observer, OracleObserver, OutcomeObserver, TelemetryObserver,
     };
     let specs: Vec<ScenarioSpec> = ["churn-burst", "self-heal"]
         .iter()
@@ -396,7 +396,7 @@ fn one_pass_with_every_observer_equals_one_pass_each() {
     for spec in &specs {
         for seed in 0..2u64 {
             let pass = |shards: usize, observers: &mut [&mut dyn Observer]| {
-                run_pass(spec, seed, shards, Stops::Grid, observers).expect("runs")
+                run_pass(spec, seed, shards, observers).expect("runs")
             };
             let ctx = |what: &str, shards: usize| {
                 format!(
@@ -461,8 +461,8 @@ fn one_pass_with_every_observer_equals_one_pass_each() {
     // instrumented run carries the very counters and sample instants of
     // the outcome next to it.
     let seeds = [0u64, 1];
-    let (plain, none) = run_campaign(&specs, &seeds, false, |_, _, _| {}).expect("runs");
-    let (ridden, runs) = run_campaign(&specs, &seeds, true, |_, _, _| {}).expect("runs");
+    let (plain, none) = run_campaign(&specs, &seeds, 1, false, |_, _, _| {}).expect("runs");
+    let (ridden, runs) = run_campaign(&specs, &seeds, 1, true, |_, _, _| {}).expect("runs");
     assert!(none.is_empty());
     assert_eq!(plain, ridden, "the recorder must not change the campaign");
     let outcomes: Vec<_> = ridden.iter().flat_map(|r| &r.outcomes).collect();

@@ -53,20 +53,44 @@ fn checked_in_scenario_files_match_the_registry() {
 
 #[test]
 fn checked_in_baselines_are_what_their_file_names_promise() {
-    // CI's campaign-gate compares `run all --scale S --seeds 3` against
-    // baseline-S.json: each file pins exactly the campaign selection at
-    // its own scale and seeds, as the `baseline` verb wrote it.
+    // CI's campaign-gate compares `run <selection> --scale S --seeds N`
+    // against each file: each pins exactly its selection at its own scale
+    // and seeds, as the `baseline` verb wrote it. Tiny pins the whole
+    // registry; default the campaign set plus the two smaller bench-class
+    // scenarios; the nightly's scale point the two 10^5-node ones.
     use gradient_clock_sync::scenarios::trend;
-    let campaign: Vec<String> = registry::campaign().into_iter().map(|s| s.name).collect();
-    for scale in ["tiny", "default"] {
-        let file = format!("scenarios/baseline-{scale}.json");
+    for (file, scale, selection, seeds) in [
+        ("baseline-tiny", "tiny", "campaign,bench", &[0, 1, 2][..]),
+        (
+            "baseline-default",
+            "default",
+            "campaign,ring-1k,geometric-4k",
+            &[0, 1, 2],
+        ),
+        (
+            "baseline-scale",
+            "default",
+            "ring-100k,geometric-100k",
+            &[0],
+        ),
+    ] {
+        let file = format!("scenarios/{file}.json");
         let text = std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join(&file))
             .unwrap_or_else(|e| panic!("{file}: {e}"));
         let baseline = trend::read_baseline(&text).unwrap_or_else(|e| panic!("{file}: {e}"));
         assert_eq!(baseline.scale, scale, "{file}");
-        assert_eq!(baseline.seeds, [0, 1, 2], "{file}");
+        assert_eq!(baseline.seeds, seeds, "{file}");
         let rows: Vec<&str> = baseline.rows.iter().map(|r| r.name.as_str()).collect();
-        assert_eq!(rows, campaign, "{file} pins the campaign selection");
+        let pinned: Vec<String> = registry::select(selection)
+            .unwrap()
+            .into_iter()
+            .map(|s| s.name)
+            .collect();
+        assert_eq!(rows, pinned, "{file} pins {selection}");
+        for row in &baseline.rows {
+            let counted: Vec<u64> = row.counters.iter().map(|c| c.seed).collect();
+            assert_eq!(counted, seeds, "{file}: {} counts every seed", row.name);
+        }
         assert_eq!(
             trend::baseline_json(&baseline),
             text,
@@ -105,7 +129,8 @@ fn campaign_smoke_via_prelude_types() {
     use gradient_clock_sync::scenarios::campaign;
     let spec = registry::find("flash-join").unwrap().scaled(Scale::Tiny);
     let (rows, _) =
-        campaign::run_campaign(std::slice::from_ref(&spec), &[0, 1], false, |_, _, _| {}).unwrap();
+        campaign::run_campaign(std::slice::from_ref(&spec), &[0, 1], 1, false, |_, _, _| {})
+            .unwrap();
     assert_eq!(rows.len(), 1);
     assert_eq!(rows[0].stats.runs, 2);
     assert!(rows[0].stats.stddev.is_finite());
