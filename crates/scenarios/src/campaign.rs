@@ -61,8 +61,7 @@ fn fire_due<E: Engine + ?Sized>(
 /// Replays a spec's scripted faults into a hand-driven simulation: runs
 /// it forward to each fault's instant (in time order) and injects the
 /// offset. This is the seam for experiment harnesses that drive their
-/// own observation loop but still source injections from the spec, and
-/// the whole of an end-only pass's fault handling.
+/// own observation loop but still source injections from the spec.
 pub fn apply_faults<E: Engine + ?Sized>(sim: &mut E, faults: &[FaultSpec]) {
     fire_due(sim, &mut firing_order(faults), f64::INFINITY);
 }

@@ -65,16 +65,14 @@ pub fn all() -> Vec<ScenarioSpec> {
 }
 
 /// The default campaign set: every built-in except the `bench`-class
-/// engine-scale scenarios. This is what `gcs-scenarios run all` sweeps and
-/// what the CI regression gate pins, so growing the bench family never
-/// invalidates the checked-in campaign baseline.
+/// engine-scale scenarios. This is what `gcs-scenarios run all` sweeps.
+/// The checked-in baselines pin it plus chosen bench-class scenarios.
 #[must_use]
 pub fn campaign() -> Vec<ScenarioSpec> {
     all().into_iter().filter(|s| !s.bench).collect()
 }
 
-/// The `bench`-class engine-scale scenarios (`gcs-scenarios bench` sweeps
-/// these alongside the campaign set).
+/// The `bench`-class engine-scale scenarios (the `bench` selection set).
 #[must_use]
 pub fn bench() -> Vec<ScenarioSpec> {
     all().into_iter().filter(|s| s.bench).collect()

@@ -621,9 +621,9 @@ pub struct ScenarioSpec {
     pub sample: f64,
     /// Primary metric aggregated across seeds.
     pub metric: Metric,
-    /// Engine-scale benchmark scenario: excluded from default campaigns
-    /// (`run all` and the CI regression gate keep their historical scenario
-    /// set) but fully runnable by name and swept by `gcs-scenarios bench`.
+    /// Engine-scale benchmark scenario: excluded from the default
+    /// campaign (`run all`) but fully runnable by name or as the `bench`
+    /// selection set.
     pub bench: bool,
     /// Explicit node-count clamp applied at [`Scale::Tiny`] instead of the
     /// default halving — how 10³–10⁴-node benchmark scenarios stay
