@@ -566,6 +566,16 @@ fn merge_per_hop(into: &mut Vec<HopClass>, from: &[HopClass]) {
     }
 }
 
+/// The common weight of `edges`, if there is at least one and every
+/// weight is bitwise identical: [`WeightedGraph::uniform_weight`] of the
+/// graph they would build, without building it.
+fn uniform_weight(edges: &[(EdgeKey, f64)]) -> Option<f64> {
+    let (&(_, w), rest) = edges.split_first()?;
+    rest.iter()
+        .all(|&(_, k)| k.to_bits() == w.to_bits())
+        .then_some(w)
+}
+
 /// A snapshot whose strong graph is one path or one cycle, laid out in
 /// walk order ([`HopGraph::walk_order`]) so the weight-uniform passes read
 /// hop class `d` of walk position `p` at positions `p ± d` instead of
@@ -686,6 +696,22 @@ fn raise_class_skew<'a>(worst: &mut [f64], lu: f64, targets: impl Iterator<Item 
     }
 }
 
+/// [`raise_class_skew`] for a two-sided run, in one pass: each class
+/// takes its `ahead` target, then its `behind` one — the same selects, in
+/// the same order, as two one-sided passes.
+fn raise_class_skew_both<'a>(
+    worst: &mut [f64],
+    lu: f64,
+    ahead: impl Iterator<Item = &'a f64>,
+    behind: impl Iterator<Item = &'a f64>,
+) {
+    for ((cur, &la), &lb) in worst.iter_mut().zip(ahead).zip(behind) {
+        let (sa, sb) = ((lu - la).abs(), (lu - lb).abs());
+        let first = if sa > *cur { sa } else { *cur };
+        *cur = if sb > first { sb } else { first };
+    }
+}
+
 /// Targets in `targets` whose skew exceeds their class's bound.
 fn count_breaches<'a>(allowed: &[f64], lu: f64, targets: impl Iterator<Item = &'a f64>) -> u64 {
     allowed
@@ -693,6 +719,23 @@ fn count_breaches<'a>(allowed: &[f64], lu: f64, targets: impl Iterator<Item = &'
         .zip(targets)
         .filter(|&(&a, &lv)| a - (lu - lv).abs() < 0.0)
         .count() as u64
+}
+
+/// [`count_breaches`] for a two-sided run, in one pass.
+fn count_breaches_both<'a>(
+    allowed: &[f64],
+    lu: f64,
+    ahead: impl Iterator<Item = &'a f64>,
+    behind: impl Iterator<Item = &'a f64>,
+) -> u64 {
+    allowed
+        .iter()
+        .zip(ahead)
+        .zip(behind)
+        .map(|((&a, &la), &lb)| {
+            u64::from(a - (lu - la).abs() < 0.0) + u64::from(a - (lu - lb).abs() < 0.0)
+        })
+        .sum()
 }
 
 /// One sweep worker's private scratch, kept between snapshots.
@@ -758,6 +801,8 @@ struct Sweep<'a> {
     /// The snapshot in walk order, if its strong graph is a path or a
     /// cycle; the uniform passes then read it instead of running a BFS.
     walk: Option<&'a WalkLayout>,
+    /// The weighted strong graph: current only on a snapshot of mixed
+    /// weights, the one the [`SweepPass::Weighted`] pass reads.
     strong: &'a WeightedGraph,
     logical: &'a [f64],
     allowed_by_hop: &'a [f64],
@@ -872,18 +917,21 @@ impl Sweep<'_> {
                         *pairs += sides;
                     }
                     let worst = &mut class_skew[lo - 1..hi];
-                    if let Some(targets) = ahead {
-                        raise_class_skew(worst, lu, targets);
-                    }
-                    if let Some(targets) = behind {
-                        raise_class_skew(worst, lu, targets);
+                    match (ahead, behind) {
+                        (Some(a), Some(b)) => raise_class_skew_both(worst, lu, a, b),
+                        (Some(a), None) => raise_class_skew(worst, lu, a),
+                        (None, Some(b)) => raise_class_skew(worst, lu, b),
+                        (None, None) => {}
                     }
                 }
                 SweepPass::UniformViolations => {
                     let allowed = &self.allowed_by_hop[lo..=hi];
-                    let breaches = ahead.map_or(0, |t| count_breaches(allowed, lu, t))
-                        + behind.map_or(0, |t| count_breaches(allowed, lu, t));
-                    partial.gradient.violations += breaches;
+                    partial.gradient.violations += match (ahead, behind) {
+                        (Some(a), Some(b)) => count_breaches_both(allowed, lu, a, b),
+                        (Some(a), None) => count_breaches(allowed, lu, a),
+                        (None, Some(b)) => count_breaches(allowed, lu, b),
+                        (None, None) => 0,
+                    };
                 }
                 SweepPass::Weighted => {
                     unreachable!("only the weight-uniform passes read a walk")
@@ -960,10 +1008,13 @@ pub struct ConformanceChecker {
     faults: Vec<FaultAllowance>,
     partition_slack: f64,
     report: ConformanceReport,
-    // Scratch reused across samples. The strong graph is rebuilt per
-    // snapshot, with its hop structure flattened for the sweep's BFS.
-    strong_edges: Vec<EdgeKey>,
-    level1_edges: Vec<EdgeKey>,
+    // Scratch reused across samples. Each snapshot's strong edges (with
+    // κ) and weak edges (with level and κ) come from one pass; the hop
+    // structure for the sweep is built straight from the strong list, and
+    // the weighted graph only for a snapshot of mixed weights (the
+    // Dijkstra pass is its one reader).
+    strong_edges: Vec<(EdgeKey, f64)>,
+    weak_edges: Vec<(EdgeKey, u32, f64)>,
     strong: WeightedGraph,
     hop_graph: HopGraph,
     logical: Vec<f64>,
@@ -1030,7 +1081,7 @@ impl ConformanceChecker {
             faults: Vec::new(),
             partition_slack: 0.0,
             strong_edges: Vec::new(),
-            level1_edges: Vec::new(),
+            weak_edges: Vec::new(),
             strong: WeightedGraph::new(0),
             hop_graph: HopGraph::default(),
             logical: Vec::new(),
@@ -1174,19 +1225,16 @@ impl ConformanceChecker {
             .record(t, hi - lo, self.cfg.g_hat + allowance + slack);
 
         // 2. Pairwise gradient bound over the fully inserted graph.
-        sim.level_edges_into(u32::MAX, &mut self.strong_edges);
-        debug_assert!(
-            self.strong_edges.windows(2).all(|w| w[0] < w[1]),
-            "level_edges_into yields strictly sorted edges (the weak-edge walk below relies on it)"
-        );
-        self.strong.reset(n);
-        for &e in &self.strong_edges {
-            let kappa = sim
-                .effective_kappa(e)
-                .expect("fully inserted edge has both slots");
-            self.strong.add_edge(e, kappa);
+        sim.inserted_edges_into(&mut self.strong_edges, &mut self.weak_edges);
+        self.hop_graph
+            .rebuild_from_edges(n, self.strong_edges.iter().map(|&(e, _)| e));
+        let uniform = uniform_weight(&self.strong_edges);
+        if uniform.is_none() {
+            self.strong.reset(n);
+            for &(e, kappa) in &self.strong_edges {
+                self.strong.add_edge(e, kappa);
+            }
         }
-        self.hop_graph.rebuild(&self.strong);
         // The hop-class bound cache is per snapshot: the allowance, the
         // slack, and the realized weights all move between instants.
         self.level_sums.clear();
@@ -1205,7 +1253,6 @@ impl ConformanceChecker {
             sampled_k,
             forced_workers,
         };
-        let uniform = self.strong.uniform_weight();
         self.on_walk = uniform.is_some() && self.walk.fill(&self.hop_graph, &self.logical);
         match uniform {
             Some(w) => {
@@ -1221,27 +1268,8 @@ impl ConformanceChecker {
 
         // 3. Weak edges: unlocked to a finite level, not yet fully
         // inserted — only the level-s legality bound applies.
-        // Both lists are sorted, so one merge walk skips the strong edges.
-        sim.level_edges_into(1, &mut self.level1_edges);
-        debug_assert!(
-            self.level1_edges.windows(2).all(|w| w[0] < w[1]),
-            "level_edges_into yields strictly sorted edges"
-        );
         let sigma = self.params.sigma();
-        let mut strong = self.strong_edges.iter().peekable();
-        for &e in &self.level1_edges {
-            while strong.next_if(|&&s| s < e).is_some() {}
-            if strong.next_if_eq(&&e).is_some() {
-                continue;
-            }
-            let Some(gcs_core::edge_state::Level::Finite(s)) = sim.level_between(e.lo(), e.hi())
-            else {
-                continue;
-            };
-            debug_assert!(s >= 1, "level_edges(1) only returns unlocked edges");
-            let Some(kappa) = sim.effective_kappa(e) else {
-                continue;
-            };
+        for &(e, s, kappa) in &self.weak_edges {
             let skew = (self.logical[e.lo().index()] - self.logical[e.hi().index()]).abs();
             let c_s = gradient_sequence(self.cfg.g_hat, sigma, s);
             let allowed = (f64::from(s) + 0.5) * kappa + c_s / 2.0 + allowance + slack;
@@ -1630,6 +1658,29 @@ mod tests {
         let mut hop_graph = HopGraph::default();
         hop_graph.rebuild(&strong);
         (strong, hop_graph)
+    }
+
+    #[test]
+    fn uniform_weight_agrees_with_the_weighted_graph() {
+        let e = |a: u32, b: u32| EdgeKey::new(NodeId(a), NodeId(b));
+        let cases: [&[f64]; 6] = [
+            &[],
+            &[0.5],
+            &[0.5, 0.5, 0.5],
+            &[0.5, 0.5, 0.25],
+            &[0.25, 0.5, 0.5],
+            // One ulp apart: equal within any tolerance, not to the bit.
+            &[0.3, 0.1 + 0.2],
+        ];
+        for weights in cases {
+            let edges: Vec<(EdgeKey, f64)> =
+                (0..).zip(weights).map(|(i, &w)| (e(i, i + 1), w)).collect();
+            let mut g = WeightedGraph::new(weights.len() + 1);
+            for &(edge, w) in &edges {
+                g.add_edge(edge, w);
+            }
+            assert_eq!(uniform_weight(&edges), g.uniform_weight(), "{weights:?}");
+        }
     }
 
     #[test]

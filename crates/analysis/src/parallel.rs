@@ -1,14 +1,14 @@
-//! Chunked work-stealing fan-out for independent simulation jobs.
+//! Work-stealing fan-out for independent simulation jobs.
 //!
 //! Lives in `gcs-analysis` so both the experiment harness (`gcs-bench`)
 //! and the scenario campaign runner (`gcs-scenarios`) share one
 //! implementation; `gcs-bench` re-exports it as `gcs_bench::parallel_map`.
 //!
-//! A fixed pool of workers (at most the machine's parallelism) pulls
-//! chunks of job indexes from a shared atomic queue until it drains, so a
-//! campaign with hundreds of scenario × seed jobs never spawns hundreds
+//! A fixed pool of workers (at most the machine's parallelism) claims job
+//! indexes one at a time from a shared atomic counter until it drains, so
+//! a campaign with hundreds of scenario × seed jobs never spawns hundreds
 //! of threads, and a straggler job cannot idle the rest of the pool:
-//! whichever worker finishes its chunk first steals the next one.
+//! whichever worker finishes its job first takes the next one.
 //!
 //! Fan-outs nest — a conformance campaign fans scenario × seed jobs out
 //! here, and the oracle inside each job fans its gradient sweep out here
@@ -22,12 +22,6 @@ use std::sync::Mutex;
 /// Upper bound on pool size; beyond this, more threads only add
 /// scheduler pressure for the simulation-sized jobs this runs.
 const MAX_WORKERS: usize = 64;
-
-/// How many chunks each worker would get if jobs were split evenly.
-/// Smaller chunks balance stragglers better; larger ones amortize the
-/// queue traffic. 4 chunks per worker keeps the tail short while touching
-/// the shared counter O(workers) times, not O(jobs).
-const CHUNKS_PER_WORKER: usize = 4;
 
 /// The most workers any one fan-out may ask for: the machine's
 /// parallelism, capped at [`MAX_WORKERS`].
@@ -121,11 +115,13 @@ fn run_workers_within(budget: &WorkerBudget, limit: usize, want: usize, worker: 
 /// input order (used to parallelize sweep rows and scenario × seed
 /// campaigns; each item is typically a whole simulation).
 ///
-/// Workers claim contiguous index chunks from a shared queue, so the
-/// thread count is at most `min(parallelism, jobs)` regardless of how many
-/// jobs are submitted, and results are bit-identical to the sequential
-/// `items.into_iter().map(f)` — scheduling never changes *what* runs,
-/// only *where*.
+/// Workers claim one index at a time from a shared counter: every job is
+/// simulation-sized, so one atomic increment per job costs nothing, and a
+/// batch of claimed jobs could pile the heavy ones onto one worker while
+/// another idles. The thread count is at most `min(parallelism, jobs)`
+/// regardless of how many jobs are submitted, and results are
+/// bit-identical to the sequential `items.into_iter().map(f)` —
+/// scheduling never changes *what* runs, only *where*.
 ///
 /// # Panics
 ///
@@ -159,7 +155,6 @@ where
 {
     let n = items.len();
     let workers = parallelism().min(n);
-    let chunk = n.div_ceil(workers.max(1) * CHUNKS_PER_WORKER).max(1);
 
     // Jobs and result slots live behind per-index mutexes (the workspace
     // forbids unsafe code); each lock is taken exactly once per job, so
@@ -173,31 +168,29 @@ where
     let cursor = Mutex::new(0usize);
 
     run_workers(workers, || loop {
-        let start = next.fetch_add(chunk, Ordering::Relaxed);
-        if start >= n {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
             break;
         }
-        for i in start..(start + chunk).min(n) {
-            let item = jobs[i]
-                .lock()
-                .expect("job slot poisoned")
-                .take()
-                .expect("job index claimed twice");
-            let r = f(item);
-            *results[i].lock().expect("result slot poisoned") = Some(r);
-            // The callback runs only under the cursor, so a poisoned cursor
-            // means a callback panicked on another worker: that one carries
-            // the payload to propagate, this one just stops.
-            let Ok(mut at) = cursor.lock() else { return };
-            while *at < n {
-                let slot = results[*at].lock().expect("result slot poisoned");
-                match slot.as_ref() {
-                    Some(done) => {
-                        on_done(*at, done);
-                        *at += 1;
-                    }
-                    None => break,
+        let item = jobs[i]
+            .lock()
+            .expect("job slot poisoned")
+            .take()
+            .expect("job index claimed twice");
+        let r = f(item);
+        *results[i].lock().expect("result slot poisoned") = Some(r);
+        // The callback runs only under the cursor, so a poisoned cursor
+        // means a callback panicked on another worker: that one carries
+        // the payload to propagate, this one just stops.
+        let Ok(mut at) = cursor.lock() else { return };
+        while *at < n {
+            let slot = results[*at].lock().expect("result slot poisoned");
+            match slot.as_ref() {
+                Some(done) => {
+                    on_done(*at, done);
+                    *at += 1;
                 }
+                None => break,
             }
         }
     });
@@ -232,8 +225,9 @@ mod tests {
 
     #[test]
     fn parallel_map_matches_sequential_for_large_inputs() {
-        // Far more jobs than workers: every chunk boundary is exercised
-        // and the output must still be the sequential map, in order.
+        // Far more jobs than workers, claimed one at a time in whatever
+        // order the workers reach them: the output must still be the
+        // sequential map, in order.
         let xs: Vec<u64> = (0..1000).collect();
         let ys = parallel_map(xs.clone(), |x| x.wrapping_mul(2_654_435_761) ^ 0x9e37);
         let expected: Vec<u64> = xs

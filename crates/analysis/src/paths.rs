@@ -267,6 +267,49 @@ impl HopGraph {
         }
     }
 
+    /// Replaces the contents with the `n`-node graph of the undirected
+    /// `edges`, keeping the allocations and building no per-node vector:
+    /// a counting pass sizes each row, and a fill pass writes every edge
+    /// into both its rows. Neighbour order is the one
+    /// [`WeightedGraph::add_edge`] gives when fed the same edges in the
+    /// same order, so the result equals [`rebuild`](Self::rebuild) of that
+    /// graph.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint is out of range or there are more than
+    /// `u32::MAX` directed edges.
+    pub fn rebuild_from_edges(&mut self, n: usize, edges: impl Iterator<Item = EdgeKey> + Clone) {
+        // `offsets[u + 1]` first counts `u`'s degree; the running sum then
+        // makes `offsets[u]` where `u`'s row starts, and the fill advances
+        // it to where the row ends — row `u + 1`'s start — so shifting the
+        // array by one slot restores the starts.
+        self.offsets.clear();
+        self.offsets.resize(n + 1, 0);
+        for e in edges.clone() {
+            self.offsets[e.lo().index() + 1] += 1;
+            self.offsets[e.hi().index() + 1] += 1;
+        }
+        let mut total = 0u32;
+        for start in &mut self.offsets {
+            total = total
+                .checked_add(*start)
+                .expect("directed edge count fits u32");
+            *start = total;
+        }
+        self.targets.clear();
+        self.targets.resize(total as usize, 0);
+        for e in edges {
+            let (a, b) = (e.lo().index(), e.hi().index());
+            self.targets[self.offsets[a] as usize] = b as u32;
+            self.offsets[a] += 1;
+            self.targets[self.offsets[b] as usize] = a as u32;
+            self.offsets[b] += 1;
+        }
+        self.offsets.copy_within(..n, 1);
+        self.offsets[0] = 0;
+    }
+
     /// Number of nodes.
     #[must_use]
     pub fn node_count(&self) -> usize {
@@ -488,6 +531,71 @@ mod tests {
             assert_eq!(ours, reference, "round {round}");
         }
         assert!(scratch.epoch < 8, "the counter wrapped during the rounds");
+    }
+
+    #[test]
+    fn csr_from_the_edge_list_equals_the_rebuilt_weighted_graph() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let (mut from_edges, mut rebuilt) = (HopGraph::default(), HopGraph::default());
+        let (mut order, mut want_order) = (Vec::new(), Vec::new());
+        let mut walks = 0;
+        for round in 0..300 {
+            let n = round % 14;
+            let mut edges = Vec::new();
+            match round % 3 {
+                // Random, in no particular order, repeats allowed.
+                0 if n >= 2 => {
+                    for _ in 0..next(2 * n) {
+                        let (a, b) = (next(n), next(n));
+                        if a != b {
+                            edges.push(EdgeKey::new(NodeId::from(a), NodeId::from(b)));
+                        }
+                    }
+                }
+                // A path or a cycle over shuffled labels, sorted as the
+                // oracle's strong list is.
+                1 | 2 if n >= 3 => {
+                    let mut walk: Vec<usize> = (0..n).collect();
+                    for i in (1..n).rev() {
+                        walk.swap(i, next(i + 1));
+                    }
+                    let links = if round % 3 == 2 { n } else { n - 1 };
+                    for p in 0..links {
+                        let (a, b) = (walk[p], walk[(p + 1) % n]);
+                        edges.push(EdgeKey::new(NodeId::from(a), NodeId::from(b)));
+                    }
+                    edges.sort();
+                }
+                _ => {}
+            }
+            let mut g = WeightedGraph::new(n);
+            for &e in &edges {
+                g.add_edge(e, 1.0);
+            }
+            rebuilt.rebuild(&g);
+            from_edges.rebuild_from_edges(n, edges.iter().copied());
+            assert_eq!(from_edges.node_count(), n, "round {round}");
+            for u in 0..n {
+                assert_eq!(
+                    from_edges.neighbours(u),
+                    rebuilt.neighbours(u),
+                    "round {round}, node {u}: {edges:?}"
+                );
+            }
+            let walk = from_edges.walk_order(&mut order);
+            assert_eq!(walk, rebuilt.walk_order(&mut want_order), "round {round}");
+            if walk.is_some() {
+                assert_eq!(order, want_order, "round {round}");
+                walks += 1;
+            }
+        }
+        assert!(walks > 100, "only {walks} rounds were paths or cycles");
     }
 
     #[test]

@@ -814,6 +814,72 @@ impl Simulation {
         }
     }
 
+    /// `E_∞(t)` and `E_1(t) ∖ E_∞(t)` in one pass over the neighbour
+    /// tables: clears both buffers, fills `strong` with every fully
+    /// inserted edge and its [`effective_kappa`], and `weak` with every
+    /// edge unlocked to a finite level `s ≥ 1`, its level
+    /// ([`level_between`]) and its effective `κ`. Both come out strictly
+    /// sorted, the order of [`level_edges_into`], and bit-equal to that
+    /// composition: `κ` is the neighbour entry's cached copy of
+    /// [`edge_info`]. The conformance oracle reads every snapshot through
+    /// this instead of two level passes plus a map lookup and two slot
+    /// searches per edge.
+    ///
+    /// [`effective_kappa`]: Simulation::effective_kappa
+    /// [`level_between`]: Simulation::level_between
+    /// [`level_edges_into`]: Simulation::level_edges_into
+    /// [`edge_info`]: Simulation::edge_info
+    pub fn inserted_edges_into(
+        &self,
+        strong: &mut Vec<(EdgeKey, f64)>,
+        weak: &mut Vec<(EdgeKey, u32, f64)>,
+    ) {
+        strong.clear();
+        weak.clear();
+        let halving = match self.params.insertion_strategy() {
+            InsertionStrategy::Staged => None,
+            InsertionStrategy::DecayingWeight { halving } => Some(halving),
+        };
+        for node in &self.nodes {
+            let u = node.id();
+            let logical = node.logical();
+            for entry in node.slots.iter() {
+                let v = entry.id;
+                if u >= v {
+                    continue;
+                }
+                let ours = entry.slot.insert.level_at(logical);
+                if !ours.includes(1) {
+                    continue;
+                }
+                let peer = &self.nodes[v.index()];
+                let Some(back) = peer.slots.get(u) else {
+                    continue;
+                };
+                let level = ours.min(back.insert.level_at(peer.logical()));
+                let kappa = match halving {
+                    None => entry.info.kappa,
+                    Some(h) => {
+                        let ka = entry
+                            .slot
+                            .insert
+                            .effective_kappa(logical, entry.info.kappa, h);
+                        let kb = back
+                            .insert
+                            .effective_kappa(peer.logical(), entry.info.kappa, h);
+                        ka.max(kb)
+                    }
+                };
+                let e = EdgeKey::new(u, v);
+                if level.includes(u32::MAX) {
+                    strong.push((e, kappa));
+                } else if let Level::Finite(s @ 1..) = level {
+                    weak.push((e, s, kappa));
+                }
+            }
+        }
+    }
+
     /// Injects a logical-clock corruption (self-stabilization experiments):
     /// adds `offset` to node `u`'s logical clock.
     ///

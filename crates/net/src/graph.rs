@@ -260,38 +260,40 @@ impl DynamicGraph {
     /// requires global connectivity over time for a bounded global skew.
     #[must_use]
     pub fn is_support_connected(&self) -> bool {
+        // Union-find over the directed edges, each of which joins its two
+        // endpoints whatever its direction: O(m·α(n)) with one n-long
+        // array, where materializing the undirected support adjacency
+        // cost the conformance oracle's per-snapshot probe one vector per
+        // node at 10⁵-node scale.
         let n = self.node_count();
-        if n == 0 {
-            return true;
-        }
-        // Materialize the undirected support adjacency once — every
-        // directed edge contributes both endpoints — so the traversal is
-        // O(n + m). (A reverse-direction `contains` scan per visited node
-        // would be O(n²), which the conformance oracle's per-snapshot
-        // connectivity probe cannot afford at 10⁵-node scale.)
-        let mut support = vec![Vec::new(); n];
+        let mut parent: Vec<u32> = (0..n as u32).collect();
+        let mut components = n;
         for (u, out) in self.adj.iter().enumerate() {
             for &(v, _) in out {
-                support[u].push(v.index() as u32);
-                support[v.index()].push(u as u32);
-            }
-        }
-        let mut seen = vec![false; n];
-        let mut stack = vec![0usize];
-        seen[0] = true;
-        let mut count = 1;
-        while let Some(u) = stack.pop() {
-            for &w in &support[u] {
-                let w = w as usize;
-                if !seen[w] {
-                    seen[w] = true;
-                    count += 1;
-                    stack.push(w);
+                let (a, b) = (find_root(&mut parent, u), find_root(&mut parent, v.index()));
+                if a != b {
+                    // Hang the higher root under the lower: roots are
+                    // never re-parented upwards, so no cycle can form.
+                    parent[a.max(b)] = a.min(b) as u32;
+                    components -= 1;
+                    if components == 1 {
+                        return true;
+                    }
                 }
             }
         }
-        count == n
+        components <= 1
     }
+}
+
+/// The root of `x`'s set, halving the path to it on the way.
+fn find_root(parent: &mut [u32], mut x: usize) -> usize {
+    while parent[x] as usize != x {
+        let grand = parent[parent[x] as usize];
+        parent[x] = grand;
+        x = grand as usize;
+    }
+    x
 }
 
 #[cfg(test)]
@@ -392,5 +394,85 @@ mod tests {
     fn empty_graph_is_connected() {
         assert!(DynamicGraph::new(0).is_support_connected());
         assert!(DynamicGraph::new(1).is_support_connected());
+    }
+
+    /// Whether the undirected support reaches every node, by a plain BFS
+    /// over an adjacency matrix.
+    fn reference_connected(g: &DynamicGraph) -> bool {
+        let n = g.node_count();
+        let linked = |a: usize, b: usize| {
+            g.contains(NodeId::from(a), NodeId::from(b))
+                || g.contains(NodeId::from(b), NodeId::from(a))
+        };
+        if n == 0 {
+            return true;
+        }
+        let mut seen = vec![false; n];
+        seen[0] = true;
+        let mut stack = vec![0];
+        while let Some(u) = stack.pop() {
+            for (v, seen) in seen.iter_mut().enumerate() {
+                if !*seen && linked(u, v) {
+                    *seen = true;
+                    stack.push(v);
+                }
+            }
+        }
+        seen.iter().all(|&s| s)
+    }
+
+    #[test]
+    fn support_connectivity_matches_a_reference_bfs() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let (mut connected, mut split) = (0, 0);
+        for round in 0..400 {
+            let n = round % 12;
+            let mut g = DynamicGraph::new(n);
+            // Sparse to dense: some rounds leave isolated nodes or two
+            // components, and most edges point one way only.
+            let edges = if n < 2 { 0 } else { next(2 * n + 1) };
+            for _ in 0..edges {
+                let (a, b) = (next(n), next(n));
+                if a != b {
+                    g.insert_directed(NodeId::from(a), NodeId::from(b), t(0.0));
+                }
+            }
+            let want = reference_connected(&g);
+            assert_eq!(g.is_support_connected(), want, "round {round}: {:?}", g.adj);
+            if want {
+                connected += 1;
+            } else {
+                split += 1;
+            }
+        }
+        assert!(
+            connected > 50 && split > 50,
+            "{connected} connected, {split} split"
+        );
+    }
+
+    #[test]
+    fn two_components_joined_by_one_directed_edge() {
+        // {0, 1, 2} and {3, 4}, each linked one way only, then bridged by
+        // a single directed edge from the second into the first.
+        let mut g = DynamicGraph::new(5);
+        for (a, b) in [(1, 0), (2, 1), (3, 4)] {
+            g.insert_directed(NodeId(a), NodeId(b), t(0.0));
+        }
+        assert!(!g.is_support_connected());
+        g.insert_directed(NodeId(4), NodeId(2), t(0.0));
+        assert!(g.is_support_connected());
+        // An isolated sixth node splits it again.
+        let mut h = DynamicGraph::new(6);
+        for (a, b) in [(1, 0), (2, 1), (3, 4), (4, 2)] {
+            h.insert_directed(NodeId(a), NodeId(b), t(0.0));
+        }
+        assert!(!h.is_support_connected());
     }
 }
