@@ -131,8 +131,9 @@ impl WeightedGraph {
 
     /// Clears every edge and resizes to `n` nodes, keeping the per-node
     /// adjacency allocations — per-sample analysis loops (the conformance
-    /// oracle rebuilds the strong graph at every observation instant)
-    /// reuse one graph instead of reallocating `n` vectors each time.
+    /// oracle rebuilds the strong graph at every observation instant whose
+    /// weights are mixed) reuse one graph instead of reallocating `n`
+    /// vectors each time.
     pub fn reset(&mut self, n: usize) {
         self.adj.iter_mut().for_each(Vec::clear);
         self.adj.resize_with(n, Vec::new);
@@ -227,10 +228,11 @@ impl WeightedGraph {
     }
 }
 
-/// The hop structure of a [`WeightedGraph`] flattened into CSR form (one
-/// offsets array, one targets array) for sweeps that run a BFS from many
-/// sources over one fixed graph: the oracle's gradient sweep rebuilds it
-/// once per snapshot and shares it read-only between its workers.
+/// The hop structure of a [`WeightedGraph`], or of an edge list, in CSR
+/// form (one offsets array, one targets array) for sweeps that run a BFS
+/// from many sources over one fixed graph: the oracle's gradient sweep
+/// rebuilds it from the strong edges once per snapshot and shares it
+/// read-only between its workers.
 #[derive(Debug, Clone, Default)]
 pub struct HopGraph {
     // Neighbours of `u` are `targets[offsets[u]..offsets[u + 1]]`.
