@@ -1199,7 +1199,7 @@ impl ConformanceChecker {
         // steady-state 2ρ rate only holds once both transients settle), so
         // the envelope widens at that worst-case rate. Once reconnected
         // the excess drains like a corruption.
-        if sim.graph().is_support_connected() {
+        if sim.is_support_connected() {
             self.partition_slack = (self.partition_slack - rate * dt).max(0.0);
         } else {
             self.report.disconnected_samples += 1;

@@ -176,7 +176,7 @@ pub fn e2_gradient_skew(scale: Scale) -> Table {
         }
 
         let kappa = sim
-            .edge_info(sim.graph().undirected_edges().next().unwrap())
+            .edge_info(sim.undirected_edges().next().unwrap())
             .unwrap()
             .kappa;
         let g_hat = max_g.max(kappa);

@@ -57,7 +57,9 @@ use std::ops::Range;
 
 use rand::rngs::StdRng;
 
-use gcs_net::{DynamicGraph, NodeId};
+#[cfg(debug_assertions)]
+use gcs_net::DynamicGraph;
+use gcs_net::NodeId;
 use gcs_protocol::handlers::Run;
 use gcs_sim::{EventQueue, SimTime};
 use gcs_telemetry::{LocalCounters, TelemetrySink};
@@ -167,7 +169,8 @@ impl ParallelSimBuilder {
             f64::INFINITY
         } else {
             sim.edge_info
-                .values()
+                .classes()
+                .iter()
                 .map(|info| info.params.delay_min)
                 .fold(f64::INFINITY, f64::min)
         };
@@ -238,6 +241,7 @@ struct Shard {
 /// Read-only state shared by all workers during a drain round.
 struct SharedCtx<'a> {
     run: Run<'a>,
+    #[cfg(debug_assertions)]
     graph: &'a DynamicGraph,
     starts: &'a [usize],
     /// Whether a telemetry sink is installed (workers can't touch the
@@ -326,6 +330,7 @@ impl Work<'_> {
             stats,
             sink: &mut sink,
             run: shared.run,
+            #[cfg(debug_assertions)]
             graph: shared.graph,
             diameter: None,
             tel: shared.telemetry.then_some(tel),
@@ -560,6 +565,7 @@ impl ParallelSimulation {
                 refresh: sim.refresh,
                 mode: sim.mode,
             },
+            #[cfg(debug_assertions)]
             graph: &sim.graph,
             starts: &self.starts,
             telemetry: sim.telemetry.is_some(),
@@ -594,6 +600,7 @@ impl ParallelSimulation {
                 refresh: sim.refresh,
                 mode: sim.mode,
             },
+            #[cfg(debug_assertions)]
             graph: &sim.graph,
             starts: &self.starts,
             telemetry: sim.telemetry.is_some(),

@@ -27,7 +27,9 @@ use std::ops::Range;
 use rand::rngs::StdRng;
 
 use gcs_net::transport;
-use gcs_net::{DynamicGraph, EdgeParams, NodeId};
+#[cfg(debug_assertions)]
+use gcs_net::DynamicGraph;
+use gcs_net::{EdgeParams, NodeId};
 use gcs_protocol::flood::m_jump_triggers_fast;
 use gcs_protocol::handlers::{self, Delivered, Fired, Host, Message, Run, Timer};
 use gcs_protocol::{EstimateMode, NodeState};
@@ -186,10 +188,10 @@ pub(crate) struct LocalCtx<'a, S: EventSink> {
     pub sink: &'a mut S,
     /// The run's shared constants.
     pub run: Run<'a>,
-    /// The dynamic graph — read-only between rendezvous points (only the
-    /// master's edge-up/down handlers write it); used by the debug
-    /// cross-check of the §3.1 delivery rule.
-    #[cfg_attr(not(debug_assertions), allow(dead_code))]
+    /// The debug builds' mirror graph — read-only between rendezvous
+    /// points (only the master's edge-up/down handlers write it); the
+    /// reference of the §3.1 delivery cross-check.
+    #[cfg(debug_assertions)]
     pub graph: &'a DynamicGraph,
     /// Diameter tracker (sequential engine only; the parallel builder
     /// rejects it).
@@ -295,11 +297,11 @@ impl<S: EventSink> LocalCtx<'_, S> {
         let run = self.run;
         let (i, node, mut host) = self.hosted(dst, t);
         let delivered = handlers::deliver(node, t, src, sent_at, payload, &run, &mut host);
-        // The handler answers the §3.1 rule from the receiver's slot table,
-        // which mirrors the graph adjacency (both are written at exactly
-        // the edge-up/edge-down sites with the same timestamps);
+        // The handler answers the §3.1 rule from the receiver's slot table;
         // [`transport::deliverable`] is the documented reference
-        // implementation of the rule. Debug builds assert the two agree on
+        // implementation of the rule, over the graph debug builds mirror
+        // (written at exactly the edge-up/edge-down sites the slots are,
+        // with the same timestamps). Debug builds assert the two agree on
         // every message.
         #[cfg(debug_assertions)]
         {

@@ -37,16 +37,24 @@
 //! simulator adds around the node: the queue, the scripted network, the
 //! oracle's window onto true clocks, and the stability-certificate cache
 //! that lets a tick skip nodes whose decision provably stands.
-
-use std::collections::HashMap;
+//!
+//! Each edge fact is kept once. Which directed edges are up, and since
+//! when, lives in the nodes' neighbour tables: the §3.1 delivery rule,
+//! the idempotence of scripted edge events,
+//! [`Simulation::is_support_connected`] and
+//! [`Simulation::undirected_edges`] all read them. Debug builds alone
+//! keep a [`gcs_net::DynamicGraph`] beside them, the reference the
+//! delivery rule is cross-checked against on every message. The derived
+//! `ε`/`κ`/`δ` of the edge universe live in an
+//! [`EdgeInfoTable`], one entry per class of equal edge parameters.
 
 use rand::rngs::StdRng;
 use rand::Rng;
 
 use gcs_net::transport;
-use gcs_net::{
-    DynamicGraph, EdgeEventKind, EdgeKey, EdgeParamsMap, NetworkSchedule, NodeId, Topology,
-};
+#[cfg(debug_assertions)]
+use gcs_net::DynamicGraph;
+use gcs_net::{EdgeEventKind, EdgeKey, EdgeParamsMap, NetworkSchedule, NodeId, Topology};
 use gcs_sim::{rng, DriftModel, EventQueue, SimDuration, SimTime};
 use gcs_telemetry::{LocalCounters, TelemetrySink};
 
@@ -55,7 +63,7 @@ use crate::snapshot::ClockSnapshot;
 use gcs_protocol::edge_state::{InsertState, Level};
 use gcs_protocol::handlers::{self, Discovered, Message, Run, Timer};
 use gcs_protocol::node::NodeState;
-use gcs_protocol::runtime::derive_run_config;
+use gcs_protocol::runtime::{derive_run_config, EdgeInfoTable};
 use gcs_protocol::triggers::{
     fast_trigger, slow_trigger, AoptPolicy, Mode, ModePolicy, NeighborView,
 };
@@ -434,11 +442,6 @@ impl SimBuilder {
             );
         }
 
-        let mut graph = DynamicGraph::new(n);
-        for i in 0..n {
-            graph.reserve_exact(NodeId::from(i), degree(i));
-        }
-
         let mut bias_rng = rng::stream(self.seed, "oracle-bias", 0);
         let rho = params.rho();
         // The stability certificates assume staged insertion (constant
@@ -451,7 +454,8 @@ impl SimBuilder {
                 .unwrap_or_else(|| Box::new(AoptPolicy::new(params.max_levels()))),
             params,
             mode: self.mode,
-            graph,
+            #[cfg(debug_assertions)]
+            graph: DynamicGraph::new(n),
             nodes,
             queue,
             edge_info,
@@ -484,6 +488,7 @@ impl SimBuilder {
         // inserted (N^s(0) = N(0), §4.2); loners are discovered at t = 0
         // like any later arrival.
         for &(u, v) in &initial {
+            #[cfg(debug_assertions)]
             sim.graph.insert_directed(u, v, SimTime::ZERO);
             let oracle_bias = bias_rng.gen_range(-1.0..=1.0);
             let v_row = &initial[row[v.index()]..row[v.index() + 1]];
@@ -514,10 +519,15 @@ pub struct Simulation {
     pub(crate) params: Params,
     policy: Box<dyn ModePolicy>,
     pub(crate) mode: EstimateMode,
+    /// Debug builds only: the directed graph the scripted edge events
+    /// build, the reference the §3.1 delivery cross-check in
+    /// [`crate::shard`] holds the neighbour tables to. Release builds keep
+    /// presence and `discovered_at` in the neighbour tables alone.
+    #[cfg(debug_assertions)]
     pub(crate) graph: DynamicGraph,
     pub(crate) nodes: Vec<NodeState>,
     pub(crate) queue: EventQueue<Event>,
-    pub(crate) edge_info: HashMap<EdgeKey, EdgeInfo>,
+    pub(crate) edge_info: EdgeInfoTable,
     tick: f64,
     pub(crate) refresh: f64,
     pub(crate) now: SimTime,
@@ -656,10 +666,29 @@ impl Simulation {
         &self.nodes[u.index()]
     }
 
-    /// The current dynamic graph.
+    /// Whether the undirected support of the current graph — edges
+    /// present in at least one direction — connects every node. Read from
+    /// the neighbour tables: `v` is in `u`'s table exactly while the
+    /// directed edge `(u, v)` is up.
     #[must_use]
-    pub fn graph(&self) -> &DynamicGraph {
-        &self.graph
+    pub fn is_support_connected(&self) -> bool {
+        let directed = self
+            .nodes
+            .iter()
+            .flat_map(|node| node.slots.ids().map(move |v| (node.id(), v)));
+        gcs_net::support_connected(self.nodes.len(), directed)
+    }
+
+    /// The undirected edges present in both directions right now (the
+    /// paper's `{u, v} ∈ E(t)`), each once, ascending.
+    pub fn undirected_edges(&self) -> impl Iterator<Item = EdgeKey> + '_ {
+        self.nodes.iter().flat_map(move |node| {
+            let u = node.id();
+            node.slots
+                .ids()
+                .filter(move |&v| u < v && self.nodes[v.index()].slots.contains(u))
+                .map(move |v| EdgeKey::new(u, v))
+        })
     }
 
     /// Engine counters.
@@ -1089,7 +1118,8 @@ impl Simulation {
         if self.fault_injected {
             let per_hop = self
                 .edge_info
-                .values()
+                .classes()
+                .iter()
                 .map(|info| {
                     self.params.beta()
                         * (info.params.delay_bound() + self.refresh / self.params.alpha())
@@ -1209,6 +1239,7 @@ impl Simulation {
                 refresh: self.refresh,
                 mode: self.mode,
             },
+            #[cfg(debug_assertions)]
             graph: &self.graph,
             diameter: self.diameter.as_mut(),
             tel: self.telemetry.is_some().then_some(&mut self.tel_local),
@@ -1366,9 +1397,10 @@ impl Simulation {
     }
 
     fn on_edge_up(&mut self, t: SimTime, from: NodeId, to: NodeId) {
-        if self.graph.contains(from, to) {
+        if self.nodes[from.index()].slots.contains(to) {
             return; // Idempotent: scripted duplicate.
         }
+        #[cfg(debug_assertions)]
         self.graph.insert_directed(from, to, t);
         self.changes.push(ChangeRecord::EdgeUp {
             at: t.as_secs(),
@@ -1417,9 +1449,10 @@ impl Simulation {
     }
 
     fn on_edge_down(&mut self, t: SimTime, from: NodeId, to: NodeId) {
-        if !self.graph.contains(from, to) {
+        if !self.nodes[from.index()].slots.contains(to) {
             return;
         }
+        #[cfg(debug_assertions)]
         self.graph.remove_directed(from, to);
         self.changes.push(ChangeRecord::EdgeDown {
             at: t.as_secs(),
@@ -1495,11 +1528,8 @@ mod tests {
 
         let rows: [&[u32]; 5] = [&[1], &[0, 2], &[1, 3], &[2], &[3]];
         for (u, row) in rows.into_iter().enumerate() {
-            let u = NodeId::from(u);
-            let got: Vec<u32> = sim.graph.neighbors(u).map(|v| v.0).collect();
+            let got: Vec<u32> = sim.nodes[u].slots.ids().map(|v| v.0).collect();
             assert_eq!(got, row, "row of {u}");
-            assert_eq!(sim.graph.row_capacity(u), row.len(), "capacity of {u}");
-            assert_eq!(sim.nodes[u.index()].slots.len(), row.len());
         }
 
         let reference: std::collections::BTreeSet<EdgeKey> = schedule

@@ -170,27 +170,6 @@ impl DynamicGraph {
         }
     }
 
-    /// Reserves room in `u`'s row for exactly `additional` more
-    /// neighbours, for a row whose final degree is known up front (the
-    /// engine's initial graph). Later inserts keep amortised growth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is out of range.
-    pub fn reserve_exact(&mut self, u: NodeId, additional: usize) {
-        self.adj[u.index()].reserve_exact(additional);
-    }
-
-    /// How many neighbours `u`'s row holds before it reallocates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is out of range.
-    #[must_use]
-    pub fn row_capacity(&self, u: NodeId) -> usize {
-        self.adj[u.index()].capacity()
-    }
-
     /// Removes the directed edge `(u, v)`. Idempotent.
     ///
     /// # Panics
@@ -260,30 +239,41 @@ impl DynamicGraph {
     /// requires global connectivity over time for a bounded global skew.
     #[must_use]
     pub fn is_support_connected(&self) -> bool {
-        // Union-find over the directed edges, each of which joins its two
-        // endpoints whatever its direction: O(m·α(n)) with one n-long
-        // array, where materializing the undirected support adjacency
-        // cost the conformance oracle's per-snapshot probe one vector per
-        // node at 10⁵-node scale.
-        let n = self.node_count();
-        let mut parent: Vec<u32> = (0..n as u32).collect();
-        let mut components = n;
-        for (u, out) in self.adj.iter().enumerate() {
-            for &(v, _) in out {
-                let (a, b) = (find_root(&mut parent, u), find_root(&mut parent, v.index()));
-                if a != b {
-                    // Hang the higher root under the lower: roots are
-                    // never re-parented upwards, so no cycle can form.
-                    parent[a.max(b)] = a.min(b) as u32;
-                    components -= 1;
-                    if components == 1 {
-                        return true;
-                    }
-                }
+        support_connected(self.node_count(), self.directed_edges())
+    }
+}
+
+/// Whether the directed pairs `edges` connect all `n` nodes when each
+/// joins its two endpoints, whatever its direction: the undirected
+/// support's connectivity, for [`DynamicGraph::is_support_connected`] and
+/// for any other table of directed edges (the engine's neighbour tables).
+///
+/// Union-find, O(m·α(n)) with one n-long array: materializing the support
+/// adjacency would cost one vector per node at 10⁵-node scale.
+///
+/// # Panics
+///
+/// Panics if an endpoint is out of range.
+#[must_use]
+pub fn support_connected(n: usize, edges: impl IntoIterator<Item = (NodeId, NodeId)>) -> bool {
+    let mut parent: Vec<u32> = (0..n as u32).collect();
+    let mut components = n;
+    for (u, v) in edges {
+        let (a, b) = (
+            find_root(&mut parent, u.index()),
+            find_root(&mut parent, v.index()),
+        );
+        if a != b {
+            // Hang the higher root under the lower: roots are never
+            // re-parented upwards, so no cycle can form.
+            parent[a.max(b)] = a.min(b) as u32;
+            components -= 1;
+            if components == 1 {
+                return true;
             }
         }
-        components <= 1
     }
+    components <= 1
 }
 
 /// The root of `x`'s set, halving the path to it on the way.

@@ -30,6 +30,6 @@ mod topology;
 pub mod transport;
 
 pub use edge::{EdgeParams, EdgeParamsError, EdgeParamsMap};
-pub use graph::{DynamicGraph, EdgeKey, NodeId};
+pub use graph::{support_connected, DynamicGraph, EdgeKey, NodeId};
 pub use schedule::{ChurnOptions, EdgeEvent, EdgeEventKind, NetworkSchedule};
 pub use topology::Topology;

@@ -48,7 +48,7 @@ pub use estimate::{ErrorModel, EstimateMode};
 pub use flood::{flood_from, m_jump_triggers_fast, merge_flood, FloodMsg, MergeOutcome};
 pub use node::{EdgeInfo, NeighborEntry, NeighborTable, NodeState};
 pub use params::{InsertionStrategy, Params, ParamsBuilder, ParamsError};
-pub use runtime::NodeCore;
+pub use runtime::{EdgeInfoTable, NodeCore};
 pub use triggers::{
     fast_trigger, slow_trigger, AoptPolicy, Mode, ModePolicy, NeighborView, NodeView, StabilityCert,
 };

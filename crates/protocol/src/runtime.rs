@@ -13,6 +13,14 @@
 //! constants, policy and decision bounds, and turns the handlers' effects
 //! into [`Send`]s and its flood deadline.
 //!
+//! [`derive_run_config`] is the other half: the constants both engines
+//! and the daemon derive from a scenario, among them the
+//! [`EdgeInfoTable`]. A run's edges fall into a few classes of equal
+//! [`EdgeParams`] (a ring has one), so the table keeps the edge universe
+//! in rows by lower endpoint, one class index per edge and each class's
+//! [`EdgeInfo`] once, where a map from edge to info kept 10⁵ copies of one
+//! value.
+//!
 //! Scope: `NodeCore` runs the *message-mode* estimate layer (clock
 //! samples carried by the floods themselves; it has no scripted truth for
 //! the oracle layer to perturb) over neighbours installed fully inserted
@@ -22,6 +30,7 @@
 //! offer, no neighbour-up input and no timer queue, so it never starts one.
 
 use std::collections::HashMap;
+use std::ops::Index;
 
 use gcs_net::{EdgeKey, EdgeParams, EdgeParamsMap, NodeId};
 use gcs_sim::SimTime;
@@ -62,7 +71,82 @@ pub struct RunConfig {
     /// The mode-evaluation tick interval (seconds).
     pub tick: f64,
     /// Cached per-edge derived quantities for the whole edge universe.
-    pub edge_info: HashMap<EdgeKey, EdgeInfo>,
+    pub edge_info: EdgeInfoTable,
+}
+
+/// The derived [`EdgeInfo`] of every edge of a run's universe, stored once
+/// per class of bit-equal [`EdgeParams`]: the universe in rows by lower
+/// endpoint, one class index per edge, and one `EdgeInfo` per class. A
+/// lookup binary-searches one row — a node's degree, not the universe:
+/// over all 2016 edges of a 64-node complete graph a search cost about
+/// three times a `HashMap` lookup, within a row less than one.
+/// [`classes`](Self::classes) lets a fold over the infos (a minimum delay,
+/// a maximum `κ`) visit each once.
+#[derive(Debug, Clone, Default)]
+pub struct EdgeInfoTable {
+    /// Row `u` is `hi[start[u]..start[u + 1]]`, for every `u` up to the
+    /// largest lower endpoint.
+    start: Vec<u32>,
+    /// The higher endpoint of each edge, ascending within its row.
+    hi: Vec<NodeId>,
+    /// `classes[class[i]]` is the info of edge `i`.
+    class: Vec<u32>,
+    /// One info per distinct `EdgeParams`, in the order the ascending
+    /// edges first reach it.
+    classes: Vec<EdgeInfo>,
+}
+
+impl EdgeInfoTable {
+    /// The info of `e`, or `None` if `e` is outside the universe.
+    #[must_use]
+    pub fn get(&self, e: &EdgeKey) -> Option<&EdgeInfo> {
+        let u = e.lo().index();
+        let row = self.start.get(u..u + 2)?;
+        let (a, b) = (row[0] as usize, row[1] as usize);
+        let i = a + self.hi[a..b].binary_search(&e.hi()).ok()?;
+        Some(&self.classes[self.class[i] as usize])
+    }
+
+    /// Number of edges in the universe.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.hi.len()
+    }
+
+    /// Whether the universe has no edge.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.hi.is_empty()
+    }
+
+    /// Every edge with its info, in ascending key order.
+    pub fn iter(&self) -> impl Iterator<Item = (EdgeKey, &EdgeInfo)> + '_ {
+        self.start.windows(2).enumerate().flat_map(move |(u, w)| {
+            (w[0] as usize..w[1] as usize).map(move |i| {
+                let e = EdgeKey::new(NodeId::from(u), self.hi[i]);
+                (e, &self.classes[self.class[i] as usize])
+            })
+        })
+    }
+
+    /// Each distinct info once: the values [`iter`](Self::iter) yields,
+    /// without repeats.
+    #[must_use]
+    pub fn classes(&self) -> &[EdgeInfo] {
+        &self.classes
+    }
+}
+
+impl Index<&EdgeKey> for EdgeInfoTable {
+    type Output = EdgeInfo;
+
+    /// # Panics
+    ///
+    /// Panics if `e` is outside the universe.
+    fn index(&self, e: &EdgeKey) -> &EdgeInfo {
+        self.get(e)
+            .unwrap_or_else(|| panic!("edge {e} is not in the universe"))
+    }
 }
 
 /// Derives the run constants — refresh period, per-edge `ε`/`κ`/`δ`,
@@ -82,29 +166,58 @@ pub fn derive_run_config(
         .refresh_period()
         .unwrap_or_else(|| edge_params.max_delay_bound());
 
-    let mut edge_info = HashMap::with_capacity(universe.len());
+    let mut keys = universe.to_vec();
+    keys.sort_unstable();
+    keys.dedup();
+    assert!(
+        u32::try_from(keys.len()).is_ok(),
+        "a universe of 2^32 edges or more"
+    );
+    // One derivation per distinct `EdgeParams` (by bits): consecutive keys
+    // mostly share one, so the last class answers before the map is asked.
+    let mut classes: Vec<EdgeInfo> = Vec::new();
+    let mut by_bits: HashMap<[u64; 4], u32> = HashMap::new();
+    let mut last: Option<([u64; 4], u32)> = None;
+    let mut class = Vec::with_capacity(keys.len());
+    for &e in &keys {
+        let ep = edge_params.get(e);
+        let bits = [ep.epsilon, ep.tau, ep.delay_min, ep.delay_max].map(f64::to_bits);
+        let c = match last {
+            Some((b, c)) if b == bits => c,
+            _ => *by_bits.entry(bits).or_insert_with(|| {
+                let epsilon = mode.advertised_epsilon(base, ep, refresh);
+                classes.push(EdgeInfo {
+                    params: ep,
+                    epsilon,
+                    kappa: base.kappa(ep, epsilon),
+                    delta: base.delta(ep, epsilon),
+                });
+                u32::try_from(classes.len() - 1).expect("fewer than 2^32 edge classes")
+            }),
+        };
+        last = Some((bits, c));
+        class.push(c);
+    }
+    let rows = keys.last().map_or(0, |e| e.lo().index() + 1);
+    let mut start = vec![0u32; rows + 1];
+    for e in &keys {
+        start[e.lo().index() + 1] += 1;
+    }
+    for u in 0..rows {
+        start[u + 1] += start[u];
+    }
+    // Min and max do not depend on the order they fold in, so folding
+    // over the classes gives the bits a fold over every edge would.
     let mut kappa_min = f64::INFINITY;
     let mut per_hop_max = 0.0f64;
-    for &e in universe {
-        let ep = edge_params.get(e);
-        let epsilon = mode.advertised_epsilon(base, ep, refresh);
-        let kappa = base.kappa(ep, epsilon);
-        let delta = base.delta(ep, epsilon);
-        kappa_min = kappa_min.min(kappa);
+    for info in &classes {
+        let ep = info.params;
+        kappa_min = kappa_min.min(info.kappa);
         let drift_window = refresh / base.alpha() + ep.delay_bound();
-        let per_hop = epsilon
+        let per_hop = info.epsilon
             + base.mu() * ep.tau
             + (2.0 * base.rho() + base.mu() * base.rho()) * drift_window;
         per_hop_max = per_hop_max.max(per_hop);
-        edge_info.insert(
-            e,
-            EdgeInfo {
-                params: ep,
-                epsilon,
-                kappa,
-                delta,
-            },
-        );
     }
     if !kappa_min.is_finite() {
         // A universe without any edges: still runnable (clocks free-run).
@@ -129,7 +242,12 @@ pub fn derive_run_config(
         params,
         refresh,
         tick,
-        edge_info,
+        edge_info: EdgeInfoTable {
+            start,
+            hi: keys.iter().map(|e| e.hi()).collect(),
+            class,
+            classes,
+        },
     }
 }
 
@@ -357,6 +475,42 @@ mod tests {
         assert!(cfg.params.g_tilde().unwrap() > 0.0);
         assert!(cfg.refresh > 0.0 && cfg.tick > 0.0);
         assert_eq!(cfg.edge_info.len(), 1);
+    }
+
+    /// An unsorted universe with a duplicate, three edges on the default
+    /// parameters and two sharing an override: two classes, the keys
+    /// ascending and each once, every lookup that class's info.
+    #[test]
+    fn edge_info_table_keeps_each_class_once() {
+        let base = Params::builder().rho(0.01).mu(0.1).build().unwrap();
+        let key = |u, v| EdgeKey::new(NodeId(u), NodeId(v));
+        let universe = [
+            key(3, 4),
+            key(0, 1),
+            key(1, 2),
+            key(0, 1),
+            key(2, 3),
+            key(0, 4),
+        ];
+        let mut map = EdgeParamsMap::uniform(EdgeParams::default());
+        let slow = EdgeParams::new(0.002, 0.02, 0.004, 0.02);
+        map.set(key(1, 2), slow);
+        map.set(key(3, 4), slow);
+        let cfg = derive_run_config(&base, EstimateMode::Messages, &map, &universe, 5);
+        let table = &cfg.edge_info;
+        assert_eq!(table.len(), 5);
+        assert_eq!(table.classes().len(), 2);
+        let keys: Vec<EdgeKey> = table.iter().map(|(e, _)| e).collect();
+        assert_eq!(
+            keys,
+            [key(0, 1), key(0, 4), key(1, 2), key(2, 3), key(3, 4)]
+        );
+        for (e, info) in table.iter() {
+            assert_eq!(info.params, map.get(e));
+            assert_eq!(table[&e].kappa.to_bits(), info.kappa.to_bits());
+        }
+        assert!(table[&key(1, 2)].kappa > table[&key(0, 1)].kappa);
+        assert!(table.get(&key(0, 2)).is_none());
     }
 
     #[test]

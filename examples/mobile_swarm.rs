@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for step in 0..=steps {
         let t = f64::from(step) * 10.0;
         sim.run_until_secs(t);
-        let links = sim.graph().undirected_edges().count();
+        let links = sim.undirected_edges().count();
         println!(
             "{:>5.0}s  {:>5}   {:>10.6}s   {:>10.6}s",
             t,

@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Provisioning: the guarantees each synchronizer can promise.
     let g_hat = sim.params().g_tilde().expect("derived by the builder");
-    let chord = sim.graph().undirected_edges().next().expect("grid edge");
+    let chord = sim.undirected_edges().next().expect("grid edge");
     let kappa = sim.edge_info(chord).expect("edge info").kappa;
     let gradient_guard = gradient_bound(sim.params(), g_hat, kappa);
     let global_guard = g_hat;

@@ -770,7 +770,12 @@ fn cmd_node_smoke(mut args: Args) -> Result<(), String> {
     let cfg = cluster_config(total, refresh);
     let g_hat = cfg.params.g_tilde();
     let g_hat = g_hat.ok_or("the derived run configuration is missing G-tilde")?;
-    let kappa = cfg.edge_info.values().map(|e| e.kappa).fold(0.0, f64::max);
+    let kappa = cfg
+        .edge_info
+        .classes()
+        .iter()
+        .map(|e| e.kappa)
+        .fold(0.0, f64::max);
     let envelope = gcs_analysis::gradient_bound(&cfg.params, g_hat, kappa);
 
     // Spawn the cluster: each daemon dials every earlier one, which wires

@@ -141,7 +141,12 @@ fn check(run: &Run, total: u64) -> Result<f64, String> {
     let skew = adjusted.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b))
         - adjusted.iter().fold(f64::INFINITY, |a, &b| a.min(b));
     let cfg = cluster_config(total, REFRESH);
-    let kappa = cfg.edge_info.values().map(|e| e.kappa).fold(0.0, f64::max);
+    let kappa = cfg
+        .edge_info
+        .classes()
+        .iter()
+        .map(|e| e.kappa)
+        .fold(0.0, f64::max);
     let envelope = gcs_analysis::gradient_bound(&cfg.params, cfg.params.g_tilde().unwrap(), kappa);
     if skew > envelope {
         return Err(format!("skew {skew} exceeds the envelope {envelope}"));
